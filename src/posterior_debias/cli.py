@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: binary-exact, mixture-mc, identity-check, rejection-demo,
-fit-slope. Each writes CSV/JSON outputs under --out and prints a short
-summary to stdout.
+fit-slope. Each subcommand's flags are generated from the fields of its
+frozen config dataclass, and a JSON --config file takes the same field names;
+a key or flag the subcommand does not use is a configuration error. Each
+writes CSV/JSON outputs under --out and prints a short summary to stdout.
 
 Exit codes: 0 success (and identity pass), 2 bad configuration, 3 a size cap
 was hit, 4 a statistical guard tripped (underpowered run, identity failure).
@@ -16,17 +18,18 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from pathlib import Path
 
 from ._version import __version__
 from .errors import CapExceededError, IterationCapError, UnderpoweredRunError
 from .experiments import (
-    ExperimentConfig,
+    BinaryConfig,
+    FitSlopeConfig,
+    IdentityConfig,
+    MixtureConfig,
+    RejectionConfig,
     SlopeFit,
-    default_binary_config,
-    default_identity_config,
-    default_mixture_config,
-    default_rejection_config,
     fit_slope,
     run_binary_exact,
     run_identity_check,
@@ -77,35 +80,49 @@ def write_manifest(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _manifest(cfg: ExperimentConfig, wall_time: float, extra: dict) -> dict:
+def _manifest(cfg, wall_time: float, extra: dict) -> dict:
     return {
         "version": __version__,
-        "config": dataclasses.asdict(cfg),
-        "seed": cfg.root_seed,
+        "config": {"experiment": cfg.experiment, **dataclasses.asdict(cfg)},
         "wall_time_seconds": wall_time,
         **extra,
     }
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
+def _list_parser(item: type):
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(item(part) for part in text.split(",") if part.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {item.__name__} values: {text!r}"
+            ) from exc
+
+    return parse
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}") from exc
+def _flag_kwargs(hint) -> dict:
+    """argparse keywords for a config field with type annotation ``hint``."""
+    members = typing.get_args(hint)
+    if type(None) in members:  # ``X | None``: the flag sets an X
+        (hint,) = [m for m in members if m is not type(None)]
+    if hint is bool:
+        return {"action": "store_true"}
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return {"type": _list_parser(item), "metavar": f"{item.__name__.upper()},..."}
+    return {"type": hint}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=Path, default=None, help="JSON config file; flags override it")
-    sub.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
-    sub.add_argument("--out", type=Path, default=None, help="output directory (default runs/<subcommand>)")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads for Monte Carlo reduction")
+def _add_config_flags(sub: argparse.ArgumentParser, cls) -> None:
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        sub.add_argument(
+            f.metadata.get("flag", "--" + f.name.replace("_", "-")),
+            dest=f.name,
+            help=f.metadata["help"],
+            **_flag_kwargs(hints[f.name]),
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,86 +132,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_bin = subs.add_parser(
-        "binary-exact",
-        help="exact bias/variance sweep for the two-atom posterior",
+    for name, (cls, handler) in _COMMANDS.items():
+        # Absent flags leave no attribute, so a config file value survives.
+        sub = subs.add_parser(name, help=handler.__doc__, argument_default=argparse.SUPPRESS)
+        sub.add_argument(
+            "--config",
+            type=Path,
+            default=None,
+            help="JSON object keyed by this subcommand's field names; flags override it",
+        )
+        sub.add_argument(
+            "--out",
+            type=Path,
+            default=None,
+            help="output directory (experiments default to runs/<experiment>)",
+        )
+        _add_config_flags(sub, cls)
+    subs.choices["fit-slope"].add_argument(
+        "csv", type=Path, help="CSV produced by binary-exact or mixture-mc"
     )
-    _add_common(p_bin)
-    p_bin.add_argument("--n-grid", type=_int_list, default=None, help="comma-separated sample sizes")
-    p_bin.add_argument("--k-values", type=_int_list, default=None, help="comma-separated correction orders")
-    p_bin.add_argument("--q", type=float, default=None, help="prior mass on atom 1")
-    p_bin.add_argument("--y-obs", type=float, default=None, help="observed value")
-    p_bin.add_argument("--noise-var", type=float, default=None, help="observation noise variance")
-    p_bin.add_argument("--drop-smallest", action="store_true", help="drop the smallest n from slope fits")
-
-    p_mix = subs.add_parser(
-        "mixture-mc",
-        help="Monte Carlo bias/variance sweep for the Gaussian-mixture setting",
-    )
-    _add_common(p_mix)
-    p_mix.add_argument("--n-grid", type=_int_list, default=None)
-    p_mix.add_argument("--k-values", type=_int_list, default=None)
-    p_mix.add_argument("--y-obs", type=float, default=None)
-    p_mix.add_argument("--noise-var", type=float, default=None)
-    p_mix.add_argument("--threshold", type=float, default=None, help="event is {x >= threshold}")
-    p_mix.add_argument("--mix-weights", type=_float_list, default=None)
-    p_mix.add_argument("--mix-means", type=_float_list, default=None)
-    p_mix.add_argument("--mix-variances", type=_float_list, default=None)
-    p_mix.add_argument(
-        "--n-rule",
-        choices=["n_pow3", "n_pow4", "fixed"],
-        default=None,
-        help="replicates per grid point; default n^3 for k=1, n^4 otherwise",
-    )
-    p_mix.add_argument("--n-fixed", type=int, default=None, help="replicates when --n-rule fixed")
-    p_mix.add_argument("--mc-cap", type=int, default=None, help="hard cap on replicates per point")
-    p_mix.add_argument("--inner-reps", type=int, default=None, help="chains per dataset")
-    p_mix.add_argument("--drop-smallest", action="store_true")
-
-    p_id = subs.add_parser(
-        "identity-check",
-        help="enumerate chains exhaustively and compare with the exact operator mean",
-    )
-    _add_common(p_id)
-    p_id.add_argument("--n-grid", type=_int_list, default=None, help="sample sizes (keep small)")
-    p_id.add_argument("--k-values", type=_int_list, default=None)
-    p_id.add_argument("--m-values", type=_int_list, default=None, help="support sizes")
-    p_id.add_argument(
-        "--corrupt-weights",
-        type=_float_list,
-        default=None,
-        help="override combination weights (negative control; fixes k to its length)",
-    )
-
-    p_rej = subs.add_parser(
-        "rejection-demo",
-        help="rejection-sample the clamped debiased posterior at one dataset",
-    )
-    _add_common(p_rej)
-    p_rej.add_argument("--demo-n", type=int, default=None, help="sample size of the dataset")
-    p_rej.add_argument("--demo-k", type=int, default=None, help="correction order")
-    p_rej.add_argument("--demo-draws", type=int, default=None, help="accepted draws to collect")
-    p_rej.add_argument("--q", type=float, default=None)
-    p_rej.add_argument("--y-obs", type=float, default=None)
-    p_rej.add_argument("--noise-var", type=float, default=None)
-
-    p_fit = subs.add_parser(
-        "fit-slope",
-        help="fit log-log slope on columns of a results CSV",
-    )
-    _add_common(p_fit)  # --seed/--threads accepted for uniformity; the fit is deterministic
-    p_fit.add_argument("csv", type=Path, help="CSV produced by binary-exact or mixture-mc")
-    p_fit.add_argument("--x-col", default="n")
-    p_fit.add_argument("--y-col", default="abs_bias")
-    p_fit.add_argument(
-        "--where",
-        default=None,
-        metavar="COL=VALUE",
-        help="keep only rows with this exact column value, e.g. k=2",
-    )
-    p_fit.add_argument("--abs", action="store_true", help="take |y| before fitting")
-    p_fit.add_argument("--drop-smallest", action="store_true")
     return parser
 
 
@@ -208,62 +164,22 @@ def _load_config_file(path: Path | None) -> dict:
     return data
 
 
-_FLAG_FIELDS = {
-    "n_grid",
-    "k_values",
-    "q",
-    "y_obs",
-    "noise_var",
-    "threshold",
-    "mix_weights",
-    "mix_means",
-    "mix_variances",
-    "n_rule",
-    "n_fixed",
-    "mc_cap",
-    "inner_reps",
-    "m_values",
-    "corrupt_weights",
-    "demo_n",
-    "demo_k",
-    "demo_draws",
-}
-
-
-def _resolve_config(args: argparse.Namespace, factory) -> tuple[ExperimentConfig, Path]:
-    """Defaults < config file < explicit flags."""
-    overrides = _load_config_file(args.config)
-    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment"}
-    unknown = set(overrides) - allowed - {"out"}
+def _resolve_config(args: argparse.Namespace, cls):
+    """Field defaults < config file < explicit flags."""
+    values = _load_config_file(args.config)
+    names = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(values) - names
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    out_dir = overrides.pop("out", None)
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "drop_smallest", False):
-        overrides["drop_smallest"] = True
-    if args.seed is not None:
-        overrides["root_seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    for key in ("n_grid", "k_values", "m_values", "mix_weights", "mix_means",
-                "mix_variances", "corrupt_weights"):
-        if key in overrides and overrides[key] is not None:
-            overrides[key] = tuple(overrides[key])
-    cfg = factory(**overrides)
-    if args.out is not None:
-        out = Path(args.out)
-    elif out_dir is not None:
-        out = Path(out_dir)
-    else:
-        out = Path("runs") / cfg.experiment
-    return dataclasses.replace(cfg, out_dir=str(out)), out
+        raise ValueError(f"config keys not used by {args.command}: {sorted(unknown)}")
+    # JSON arrays arrive as lists; the frozen configs hold tuples.
+    values = {key: tuple(v) if isinstance(v, list) else v for key, v in values.items()}
+    values.update((name, getattr(args, name)) for name in names if hasattr(args, name))
+    return cls(**values)
 
 
-def _cmd_binary_exact(args) -> int:
-    cfg, out = _resolve_config(args, default_binary_config)
+def _cmd_binary_exact(cfg: BinaryConfig, args) -> int:
+    """Exact bias/variance sweep for the two-atom posterior."""
+    out = args.out or Path("runs", cfg.experiment)
     start = time.perf_counter()
     rows, fits = run_binary_exact(cfg)
     wall = time.perf_counter() - start
@@ -279,8 +195,9 @@ def _cmd_binary_exact(args) -> int:
     return EXIT_OK
 
 
-def _cmd_mixture_mc(args) -> int:
-    cfg, out = _resolve_config(args, default_mixture_config)
+def _cmd_mixture_mc(cfg: MixtureConfig, args) -> int:
+    """Monte Carlo bias/variance sweep for the Gaussian-mixture setting."""
+    out = args.out or Path("runs", cfg.experiment)
     start = time.perf_counter()
     rows, info = run_mixture_mc(cfg)
     wall = time.perf_counter() - start
@@ -305,8 +222,9 @@ def _cmd_mixture_mc(args) -> int:
     return EXIT_OK
 
 
-def _cmd_identity_check(args) -> int:
-    cfg, out = _resolve_config(args, default_identity_config)
+def _cmd_identity_check(cfg: IdentityConfig, args) -> int:
+    """Enumerate chains exhaustively and compare with the exact operator mean."""
+    out = args.out or Path("runs", cfg.experiment)
     start = time.perf_counter()
     report = run_identity_check(cfg)
     wall = time.perf_counter() - start
@@ -324,8 +242,9 @@ def _cmd_identity_check(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_GUARD
 
 
-def _cmd_rejection_demo(args) -> int:
-    cfg, out = _resolve_config(args, default_rejection_config)
+def _cmd_rejection_demo(cfg: RejectionConfig, args) -> int:
+    """Rejection-sample the clamped debiased posterior at one dataset."""
+    out = args.out or Path("runs", cfg.experiment)
     start = time.perf_counter()
     report = run_rejection_demo(cfg)
     wall = time.perf_counter() - start
@@ -342,59 +261,49 @@ def _cmd_rejection_demo(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fit_slope(args) -> int:
-    file_opts = _load_config_file(args.config)
-    unknown = set(file_opts) - {"x_col", "y_col", "where", "abs", "drop_smallest"}
-    if unknown:
-        raise ValueError(f"unknown config keys for fit-slope: {sorted(unknown)}")
-    x_col = args.x_col if args.x_col != "n" else file_opts.get("x_col", args.x_col)
-    y_col = args.y_col if args.y_col != "abs_bias" else file_opts.get("y_col", args.y_col)
-    where = args.where if args.where is not None else file_opts.get("where")
-    take_abs = args.abs or bool(file_opts.get("abs", False))
-    drop = args.drop_smallest or bool(file_opts.get("drop_smallest", False))
+def _cmd_fit_slope(cfg: FitSlopeConfig, args) -> int:
+    """Fit log-log slope on columns of a results CSV."""
     with open(args.csv, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"{args.csv} has no data rows")
-    if where:
-        col, _, value = where.partition("=")
+    if cfg.where:
+        col, _, value = cfg.where.partition("=")
         if not value:
             raise ValueError("--where expects COL=VALUE")
         rows = [r for r in rows if col in r and float(r[col]) == float(value)]
         if not rows:
-            raise ValueError(f"no rows match --where {where}")
-    for col in (x_col, y_col):
+            raise ValueError(f"no rows match --where {cfg.where}")
+    for col in (cfg.x_col, cfg.y_col):
         if col not in rows[0]:
             raise ValueError(f"column {col!r} not in {sorted(rows[0])}")
-    xs = [float(r[x_col]) for r in rows]
-    ys = [float(r[y_col]) for r in rows]
-    if take_abs:
+    xs = [float(r[cfg.x_col]) for r in rows]
+    ys = [float(r[cfg.y_col]) for r in rows]
+    if cfg.abs:
         ys = [abs(y) for y in ys]
-    fit = fit_slope(xs, ys, drop_smallest=drop)
+    fit = fit_slope(xs, ys, drop_smallest=cfg.drop_smallest)
     payload = json.dumps(_jsonable(fit), indent=2, sort_keys=True)
     print(payload)
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "slope_fit.json", "w") as fh:
-            fh.write(payload + "\n")
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / "slope_fit.json").write_text(payload + "\n")
     return EXIT_OK
 
 
-_COMMANDS = {
-    "binary-exact": _cmd_binary_exact,
-    "mixture-mc": _cmd_mixture_mc,
-    "identity-check": _cmd_identity_check,
-    "rejection-demo": _cmd_rejection_demo,
-    "fit-slope": _cmd_fit_slope,
+_COMMANDS = {  # subcommand: (config, handler); the handler's docstring is its help
+    "binary-exact": (BinaryConfig, _cmd_binary_exact),
+    "mixture-mc": (MixtureConfig, _cmd_mixture_mc),
+    "identity-check": (IdentityConfig, _cmd_identity_check),
+    "rejection-demo": (RejectionConfig, _cmd_rejection_demo),
+    "fit-slope": (FitSlopeConfig, _cmd_fit_slope),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cls, handler = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return handler(_resolve_config(args, cls), args)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,14 +1,16 @@
 """Experiment runners: exact binary sweeps, mixture Monte Carlo, identity
 checks, a rejection-sampling demo, and log-log slope fitting.
 
-Runners return plain row dicts; CSV/JSON emission lives in the CLI layer so
-every number is formatted once, with round-trip-exact precision.
+Each runner takes a frozen config holding only the fields it reads, with the
+experiment's defaults as field defaults; the CLI derives its flags from those
+fields. Runners return plain row dicts; CSV/JSON emission lives in the CLI
+layer so every number is formatted once, with round-trip-exact precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -30,6 +32,9 @@ from .resampling import MCConfig, exhaustive_chain_expectation, outer_mc
 from .simplex import CountsVector, ProbVector
 
 IDENTITY_TOL = 1e-10
+# The rejection demo expects bound * draws proposals; ten times that only
+# stops a sampler that is genuinely stuck.
+_ATTEMPT_CAP_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -80,117 +85,136 @@ def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
     )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One declarative bundle for every subcommand; unused fields are ignored
-    by runners that do not need them."""
+def _opt(default, help: str, **meta):
+    """A config field; the CLI shows ``help`` next to the flag it derives."""
+    return field(default=default, metadata={"help": help, **meta})
 
-    experiment: str
-    n_grid: tuple[int, ...]
-    k_values: tuple[int, ...]
-    # discrete / binary setting
-    q: float = 0.4
-    # observation model
-    y_obs: float = 2.0
-    noise_var: float = 1.0
-    threshold: float = 0.5
-    # mixture prior
-    mix_weights: tuple[float, ...] = (0.5, 0.5)
-    mix_means: tuple[float, ...] = (0.0, 1.0)
-    mix_variances: tuple[float, ...] = (1.0, 1.0)
-    # Monte Carlo sizing; n_rule None picks n^3 for k=1 and n^4 otherwise
-    n_rule: str | None = None
-    n_fixed: int | None = None
-    mc_cap: int = 10_000_000
-    inner_reps: int = 1
-    threads: int = 1
-    # identity check
-    m_values: tuple[int, ...] = (2, 3)
-    corrupt_weights: tuple[float, ...] | None = None
-    # rejection demo
-    demo_n: int = 64
-    demo_k: int = 2
-    demo_draws: int = 100_000
-    # fitting and bookkeeping
-    drop_smallest: bool = False
-    root_seed: int = 0
-    out_dir: str | None = None
+
+def _check_grid(cfg) -> None:
+    grid = tuple(int(n) for n in cfg.n_grid)
+    if len(grid) < 2:
+        raise ValueError("n_grid needs at least 2 points")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("n_grid must be strictly increasing")
+    if grid[0] < 1:
+        raise ValueError("n_grid entries must be >= 1")
+    object.__setattr__(cfg, "n_grid", grid)
+    ks = tuple(int(k) for k in cfg.k_values)
+    if not ks or any(k < 1 for k in ks):
+        raise ValueError("k_values must be non-empty positive integers")
+    object.__setattr__(cfg, "k_values", ks)
+
+
+@dataclass(frozen=True)
+class BinaryConfig:
+    """Exact sweep for the two-atom posterior; no sampling, so no seed."""
+
+    experiment: ClassVar[str] = "binary_exact"
+
+    n_grid: tuple[int, ...] = _opt((16, 32, 64, 128, 256, 512, 1024), "sample sizes")
+    k_values: tuple[int, ...] = _opt((1, 2, 3, 4), "correction orders")
+    q: float = _opt(0.4, "prior mass on atom 1")
+    y_obs: float = _opt(2.0, "observed value")
+    noise_var: float = _opt(1.0, "observation noise variance")
+    drop_smallest: bool = _opt(False, "drop the smallest n from slope fits")
 
     def __post_init__(self):
-        known = {"binary_exact", "mixture_mc", "identity_check", "rejection_demo"}
-        if self.experiment not in known:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        grid = tuple(int(n) for n in self.n_grid)
-        if len(grid) < 2:
-            raise ValueError("n_grid needs at least 2 points")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("n_grid must be strictly increasing")
-        if grid[0] < 1:
-            raise ValueError("n_grid entries must be >= 1")
-        object.__setattr__(self, "n_grid", grid)
-        ks = tuple(int(k) for k in self.k_values)
-        if not ks or any(k < 1 for k in ks):
-            raise ValueError("k_values must be non-empty positive integers")
-        object.__setattr__(self, "k_values", ks)
+        _check_grid(self)
+
+
+@dataclass(frozen=True)
+class MixtureConfig:
+    """Monte Carlo sweep for the Gaussian-mixture tail probability."""
+
+    experiment: ClassVar[str] = "mixture_mc"
+
+    n_grid: tuple[int, ...] = _opt((8, 12, 16, 24, 32, 48, 64), "sample sizes")
+    k_values: tuple[int, ...] = _opt((1, 2), "correction orders")
+    y_obs: float = _opt(0.8, "observed value")
+    noise_var: float = _opt(1.0 / 16.0, "observation noise variance")
+    threshold: float = _opt(0.5, "event is {x >= threshold}")
+    mix_weights: tuple[float, ...] = _opt((0.5, 0.5), "mixture prior weights")
+    mix_means: tuple[float, ...] = _opt((0.0, 1.0), "mixture prior means")
+    mix_variances: tuple[float, ...] = _opt((1.0, 1.0), "mixture prior variances")
+    n_rule: str | None = _opt(
+        None,
+        "replicates per grid point: n_pow3, n_pow4 or fixed; "
+        "default n^3 for k=1, n^4 otherwise",
+    )
+    n_fixed: int | None = _opt(None, "replicates when --n-rule fixed")
+    mc_cap: int = _opt(10_000_000, "hard cap on replicates per point")
+    inner_reps: int = _opt(1, "chains per dataset")
+    threads: int = _opt(1, "worker threads for the Monte Carlo reduction")
+    drop_smallest: bool = _opt(False, "drop the smallest n from slope fits")
+    root_seed: int = _opt(0, "root seed", flag="--seed")
+
+    def __post_init__(self):
+        _check_grid(self)
         if self.n_rule not in (None, "n_pow3", "n_pow4", "fixed"):
             raise ValueError(f"unknown n_rule {self.n_rule!r}")
         if self.n_rule == "fixed" and (self.n_fixed is None or self.n_fixed < 1):
             raise ValueError("n_rule 'fixed' needs n_fixed >= 1")
 
 
-def default_binary_config(**overrides) -> ExperimentConfig:
-    base = ExperimentConfig(
-        experiment="binary_exact",
-        n_grid=(16, 32, 64, 128, 256, 512, 1024),
-        k_values=(1, 2, 3, 4),
-        q=0.4,
-        y_obs=2.0,
-        noise_var=1.0,
+@dataclass(frozen=True)
+class IdentityConfig:
+    """Exhaustive check of the debiased realization against the operator mean."""
+
+    experiment: ClassVar[str] = "identity_check"
+
+    n_grid: tuple[int, ...] = _opt((4, 6), "sample sizes (keep small)")
+    k_values: tuple[int, ...] = _opt((1, 2), "correction orders")
+    m_values: tuple[int, ...] = _opt((2, 3), "support sizes")
+    corrupt_weights: tuple[float, ...] | None = _opt(
+        None, "override combination weights (negative control; fixes k to its length)"
     )
-    return replace(base, **overrides) if overrides else base
+    root_seed: int = _opt(0, "root seed", flag="--seed")
+
+    def __post_init__(self):
+        _check_grid(self)
 
 
-def default_mixture_config(**overrides) -> ExperimentConfig:
-    base = ExperimentConfig(
-        experiment="mixture_mc",
-        n_grid=(8, 12, 16, 24, 32, 48, 64),
-        k_values=(1, 2),
-        y_obs=0.8,
-        noise_var=1.0 / 16.0,
-        threshold=0.5,
-    )
-    return replace(base, **overrides) if overrides else base
+@dataclass(frozen=True)
+class RejectionConfig:
+    """Rejection sampling from the debiased two-atom posterior at one dataset."""
+
+    experiment: ClassVar[str] = "rejection_demo"
+
+    q: float = _opt(0.4, "prior mass on atom 1")
+    y_obs: float = _opt(2.0, "observed value")
+    noise_var: float = _opt(1.0, "observation noise variance")
+    demo_n: int = _opt(64, "sample size of the dataset")
+    demo_k: int = _opt(2, "correction order")
+    demo_draws: int = _opt(100_000, "accepted draws to collect")
+    root_seed: int = _opt(0, "root seed", flag="--seed")
 
 
-def default_identity_config(**overrides) -> ExperimentConfig:
-    base = ExperimentConfig(
-        experiment="identity_check",
-        n_grid=(4, 6),
-        k_values=(1, 2),
-    )
-    return replace(base, **overrides) if overrides else base
+@dataclass(frozen=True)
+class FitSlopeConfig:
+    """Which columns of a results CSV the fit-slope subcommand regresses."""
+
+    x_col: str = _opt("n", "column of sizes")
+    y_col: str = _opt("abs_bias", "column of values")
+    where: str | None = _opt(None, "keep only rows where COL=VALUE exactly, e.g. k=2")
+    abs: bool = _opt(False, "take |y| before fitting")
+    drop_smallest: bool = _opt(False, "drop the smallest size from the fit")
 
 
-def default_rejection_config(**overrides) -> ExperimentConfig:
-    base = ExperimentConfig(
-        experiment="rejection_demo",
-        n_grid=(16, 64),
-        k_values=(2,),
-        q=0.4,
-        y_obs=2.0,
-        noise_var=1.0,
-    )
-    return replace(base, **overrides) if overrides else base
+# Public constructors: keyword overrides on top of each experiment's defaults.
+default_binary_config = BinaryConfig
+default_mixture_config = MixtureConfig
+default_identity_config = IdentityConfig
+default_rejection_config = RejectionConfig
 
 
-def _binary_bayes_map(cfg: ExperimentConfig) -> DiscreteBayesMap:
+def _binary_bayes_map(cfg: BinaryConfig | RejectionConfig) -> DiscreteBayesMap:
     # Support {0, 1}; likelihood values of the observation at each atom.
     lik = gaussian_likelihood(cfg.y_obs, cfg.noise_var)
     return DiscreteBayesMap(np.exp(lik.log(np.array([0.0, 1.0]))))
 
 
 def run_binary_exact(
-    cfg: ExperimentConfig, g_override: Callable | None = None
+    cfg: BinaryConfig, g_override: Callable | None = None
 ) -> tuple[list[dict], dict]:
     """Exact |bias| and variance per (n, k) for the two-atom posterior map.
 
@@ -226,7 +250,7 @@ def run_binary_exact(
     return rows, fits
 
 
-def _mc_reps(cfg: ExperimentConfig, n: int, k: int) -> int:
+def _mc_reps(cfg: MixtureConfig, n: int, k: int) -> int:
     rule = cfg.n_rule
     if rule is None:
         rule = "n_pow3" if k == 1 else "n_pow4"
@@ -242,7 +266,7 @@ def _point_seed(root_seed: int, n: int, k: int) -> int:
     return int(np.random.SeedSequence([root_seed, n, k]).generate_state(1, np.uint64)[0])
 
 
-def run_mixture_mc(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     """Monte Carlo bias/variance table for the Gaussian-mixture setting.
 
     Replication counts follow the configured rule, capped at ``mc_cap`` with
@@ -330,7 +354,7 @@ def _lookup_likelihood(values: np.ndarray) -> BoundedLikelihood:
     return BoundedLikelihood(log_fn=log_fn)
 
 
-def run_identity_check(cfg: ExperimentConfig) -> dict:
+def run_identity_check(cfg: IdentityConfig) -> dict:
     """Exhaustively enumerate datasets and chains; compare the enumerated
     expectation of the debiased realization with the exact operator mean.
 
@@ -386,7 +410,7 @@ def run_identity_check(cfg: ExperimentConfig) -> dict:
     }
 
 
-def run_rejection_demo(cfg: ExperimentConfig) -> dict:
+def run_rejection_demo(cfg: RejectionConfig) -> dict:
     """Sample from the debiased two-atom posterior at one seeded dataset.
 
     Reports the ratio bound, expected and observed acceptance rates, clamped
@@ -403,7 +427,12 @@ def run_rejection_demo(cfg: ExperimentConfig) -> dict:
     )
     spec = make_rejection_spec(proposal, target_values)
     draw_seed = _point_seed(cfg.root_seed, n, k)
-    indices, attempts = rejection_sample_batch(spec, cfg.demo_draws, seed=draw_seed)
+    indices, attempts = rejection_sample_batch(
+        spec,
+        cfg.demo_draws,
+        seed=draw_seed,
+        attempt_cap=int(_ATTEMPT_CAP_FACTOR * spec.bound * cfg.demo_draws),
+    )
     freq = np.bincount(indices, minlength=2) / cfg.demo_draws
     return {
         "n": n,

@@ -112,11 +112,3 @@ def rejection_sample_batch(
                 f"{attempts} proposal draws produced only {filled}/{size} accepts"
             )
     return out, attempts
-
-
-def rejection_sample(
-    spec: RejectionSpec, seed: int, attempt_cap: int = DEFAULT_ATTEMPT_CAP
-) -> int:
-    """Draw one index distributed per the clamped-renormalized target."""
-    indices, _ = rejection_sample_batch(spec, 1, seed, attempt_cap)
-    return int(indices[0])

@@ -36,7 +36,6 @@ class ResampleChain:
     """Stages of the recursive bootstrap; stage 1 is the data verbatim."""
 
     stages: tuple[WeightedSampleSet, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         if len(self.stages) < 1:
@@ -69,7 +68,7 @@ def build_chain(data: WeightedSampleSet, k: int, seed: int) -> ResampleChain:
         for _ in range(k - 1):
             pts = pts[rng.integers(0, n, size=n)]
             stages.append(WeightedSampleSet(pts))
-    return ResampleChain(stages=tuple(stages), seed=seed)
+    return ResampleChain(stages=tuple(stages))
 
 
 def debiased_realization(chain: ResampleChain, functional: Callable, k: int | None = None) -> float:
@@ -201,10 +200,8 @@ def debiased_expectation(
     Combines plugin_expectation across chain stages with the signed weights;
     h identically 1 returns exactly 1 (the signed mixture is normalized).
     """
-    chain = build_chain(data, k, seed)
-    w = debias_weights(k).weights
-    return float(
-        sum(w[j] * plugin_expectation(chain.stages[j], likelihood, h) for j in range(k))
+    return debiased_realization(
+        build_chain(data, k, seed), lambda s: plugin_expectation(s, likelihood, h), k
     )
 
 

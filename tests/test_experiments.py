@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,10 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from posterior_debias.cli import main, write_csv
+from posterior_debias.cli import build_parser, main, write_csv
 from posterior_debias.errors import UnderpoweredRunError
 from posterior_debias.experiments import (
-    ExperimentConfig,
+    FitSlopeConfig,
     default_binary_config,
     default_identity_config,
     default_mixture_config,
@@ -95,10 +97,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             default_mixture_config(n_rule="fixed")
 
-    def test_rejects_unknown_experiment(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(experiment="magic", n_grid=(2, 4), k_values=(1,))
-
 
 class TestRunBinaryExact:
     def test_rows_and_schema(self):
@@ -108,11 +106,6 @@ class TestRunBinaryExact:
         assert set(rows[0]) == {"n", "k", "abs_bias", "variance"}
         assert all(r["abs_bias"] > 0 and r["variance"] > 0 for r in rows)
         assert fits[1]["abs_bias"].slope < -0.5
-
-    def test_seed_invariance(self):
-        cfg_a = default_binary_config(n_grid=(8, 16), k_values=(1,), root_seed=1)
-        cfg_b = default_binary_config(n_grid=(8, 16), k_values=(1,), root_seed=999)
-        assert run_binary_exact(cfg_a)[0] == run_binary_exact(cfg_b)[0]
 
     def test_linear_map_all_zero_bias(self):
         cfg = default_binary_config(n_grid=(8, 16), k_values=(1, 2))
@@ -303,6 +296,53 @@ class TestCli:
         assert manifest["config"]["k_values"] == [1]  # flag wins
         assert manifest["config"]["q"] == 0.3
 
+    def test_flags_match_config_fields(self):
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        configs = {
+            "binary-exact": default_binary_config(),
+            "mixture-mc": default_mixture_config(),
+            "identity-check": default_identity_config(),
+            "rejection-demo": default_rejection_config(),
+            "fit-slope": FitSlopeConfig(),
+        }
+        assert set(subparsers.choices) == set(configs)
+        for name, cfg in configs.items():
+            flags = {
+                opt
+                for action in subparsers.choices[name]._actions
+                for opt in action.option_strings
+            } - {"-h", "--help"}
+            fields = {
+                "--seed" if f.name == "root_seed" else "--" + f.name.replace("_", "-")
+                for f in dataclasses.fields(cfg)
+            }
+            assert flags == fields | {"--config", "--out"}, name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["binary-exact", "--threads", "2"],
+            ["binary-exact", "--seed", "3"],
+            ["identity-check", "--threads", "2"],
+            ["rejection-demo", "--threads", "2"],
+        ],
+    )
+    def test_unused_flag_exit_code(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "f")])
+        assert exc.value.code == 2
+
+    def test_unused_config_key_exit_code(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "n_grid": [8, 12], "k_values": [1], "n_rule": "fixed", "n_fixed": 500,
+            "demo_n": 64,
+        }))
+        code = main(["mixture-mc", "--config", str(cfg), "--out", str(tmp_path / "k")])
+        assert code == 2
+
     def test_identity_check_pass_and_fail(self, tmp_path):
         assert (
             main(
@@ -326,6 +366,11 @@ class TestCli:
         report = json.loads((out / "rejection_report.json").read_text())
         assert report["draws"] == 5000
 
+    def test_rejection_demo_million_draws(self, tmp_path):
+        # Needs about bound * 10^6 proposals, more than a fixed 10^6 budget.
+        code = main(["rejection-demo", "--demo-draws", "1000000", "--out", str(tmp_path / "r")])
+        assert code == 0
+
     def test_fit_slope_subcommand(self, tmp_path, capsys):
         out = tmp_path / "bin"
         main(["binary-exact", "--n-grid", "32,64,128,256", "--k-values", "2",
@@ -334,6 +379,21 @@ class TestCli:
         code = main(
             ["fit-slope", str(out / "binary_exact.csv"), "--where", "k=2",
              "--y-col", "abs_bias"]
+        )
+        assert code == 0
+        fit = json.loads(capsys.readouterr().out)
+        assert -2.5 < fit["slope"] < -1.5
+
+    def test_fit_slope_flag_beats_config_file(self, tmp_path, capsys):
+        out = tmp_path / "bin"
+        main(["binary-exact", "--n-grid", "32,64,128,256", "--k-values", "2",
+              "--out", str(out)])
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps({"x_col": "k"}))
+        capsys.readouterr()
+        code = main(
+            ["fit-slope", str(out / "binary_exact.csv"), "--config", str(cfg),
+             "--x-col", "n", "--where", "k=2"]
         )
         assert code == 0
         fit = json.loads(capsys.readouterr().out)

@@ -6,7 +6,6 @@ from posterior_debias.errors import IterationCapError, SupportError
 from posterior_debias.rejection import (
     expected_acceptance_rate,
     make_rejection_spec,
-    rejection_sample,
     rejection_sample_batch,
 )
 from posterior_debias.simplex import ProbVector, SignedProbVector
@@ -76,12 +75,6 @@ class TestSampling:
         c, _ = rejection_sample_batch(spec, 200, seed=6)
         assert np.array_equal(a, b) and na == nb
         assert not np.array_equal(a, c)
-
-    def test_single_draw_matches_batch_head(self):
-        spec = make_rejection_spec(ProbVector([0.4, 0.6]), SignedProbVector([0.2, 0.8]))
-        x = rejection_sample(spec, seed=77)
-        batch, _ = rejection_sample_batch(spec, 1, seed=77)
-        assert x == int(batch[0])
 
     def test_iteration_cap(self):
         # acceptance probability 1e-4; 50 attempts will practically never hit it
