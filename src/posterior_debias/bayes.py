@@ -12,40 +12,15 @@ import numpy as np
 from .errors import DegenerateError
 from .simplex import ProbVector
 
-_BOUNDS_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class BoundedLikelihood:
-    """Likelihood x -> density of the observation given x, queried in log space.
-
-    ``bounds`` is an optional (lower, upper) pair with 0 < lower <= upper;
-    when present it is checked opportunistically at each evaluation. A
-    Gaussian likelihood on unbounded support has no positive lower bound, so
-    it carries ``bounds=None``.
-    """
+    """Likelihood x -> density of the observation given x, queried in log space."""
 
     log_fn: Callable
-    bounds: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.bounds is not None:
-            lo, hi = self.bounds
-            if not (0 < lo <= hi):
-                raise ValueError(f"bounds must satisfy 0 < lower <= upper, got {self.bounds}")
 
     def log(self, x) -> np.ndarray:
         return np.asarray(self.log_fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def __call__(self, x) -> np.ndarray:
-        vals = np.exp(self.log(x))
-        if self.bounds is not None:
-            lo, hi = self.bounds
-            if np.any(vals < lo * (1 - _BOUNDS_RTOL)) or np.any(vals > hi * (1 + _BOUNDS_RTOL)):
-                raise ValueError(
-                    f"likelihood value outside declared bounds {self.bounds}"
-                )
-        return vals
 
 
 def gaussian_likelihood(y_obs: float, noise_var: float) -> BoundedLikelihood:

@@ -29,7 +29,6 @@ from .experiments import (
     IdentityConfig,
     MixtureConfig,
     RejectionConfig,
-    SlopeFit,
     fit_slope,
     run_binary_exact,
     run_identity_check,
@@ -60,8 +59,6 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 
 
 def _jsonable(obj):
-    if isinstance(obj, SlopeFit):
-        return dataclasses.asdict(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):

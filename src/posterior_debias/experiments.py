@@ -14,7 +14,6 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from ._version import __version__
 from .bayes import (
     DiscreteBayesMap,
     GaussianMixture,

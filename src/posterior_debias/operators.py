@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import CapExceededError
 from .simplex import (
-    DEFAULT_LATTICE_CAP,
     CountsVector,
     ProbVector,
     SimplexLattice,
@@ -61,18 +60,13 @@ def debias_weights(k: int) -> DebiasWeights:
     return DebiasWeights(k=k, weights=w)
 
 
-def _mean_weights(k: int) -> np.ndarray:
-    # Coefficients of the exact dataset-mean of the debiased estimator:
-    # coefficient C(k, j)*(-1)^(j-1) on the j-th operator power, j = 1..k.
-    return np.array([comb(k, j) * (-1) ** (j - 1) for j in range(1, k + 1)], dtype=float)
-
-
 @dataclass(frozen=True)
 class TransferMatrix:
     """Exact operator restricted to lattice arguments.
 
     rows[i] is the multinomial pmf over the whole lattice when the prior is
-    points[i]/n, so rows are non-negative and sum to 1.
+    points[i]/n, so rows are non-negative and sum to 1. A read-only array
+    that owns its data is kept as is; any other array is copied.
     """
 
     lattice: SimplexLattice
@@ -88,8 +82,9 @@ class TransferMatrix:
         row_err = np.abs(r.sum(axis=1) - 1.0).max()
         if row_err > 1e-10:
             raise ValueError(f"transfer matrix rows sum to 1 +/- {row_err}")
-        r = r.copy()
-        r.flags.writeable = False
+        if r.flags.writeable or not r.flags.owndata:
+            r = r.copy()
+            r.flags.writeable = False
         object.__setattr__(self, "rows", r)
 
 
@@ -118,23 +113,19 @@ class LatticeFunction:
         return cls(lattice=lattice, values=vals)
 
 
-def transfer_matrix(
-    n: int,
-    m: int,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-    entry_cap: int = DEFAULT_MATRIX_ENTRY_CAP,
-) -> TransferMatrix:
+def transfer_matrix(n: int, m: int) -> TransferMatrix:
     """Materialize the exact operator matrix for the (n, m) lattice."""
     size = lattice_size(n, m)
-    if size * size > entry_cap:
+    if size * size > DEFAULT_MATRIX_ENTRY_CAP:
         raise CapExceededError(
             f"transfer matrix for n={n}, m={m} needs {size * size} entries, "
-            f"over the cap of {entry_cap}"
+            f"over the cap of {DEFAULT_MATRIX_ENTRY_CAP}"
         )
-    lat = enumerate_lattice(n, m, cap=lattice_cap)
+    lat = enumerate_lattice(n, m)
     rows = np.empty((size, size))
     for i in range(size):
         rows[i] = multinomial_pmf_vector(lat, lat.points[i] / n)
+    rows.flags.writeable = False  # TransferMatrix keeps it without a copy
     return TransferMatrix(lattice=lat, rows=rows)
 
 
@@ -150,26 +141,23 @@ def iterate_operator(g: LatticeFunction, M: TransferMatrix, j: int) -> LatticeFu
     return LatticeFunction(lattice=M.lattice, values=v)
 
 
-@lru_cache(maxsize=32)
+# One slot each: callers sweep (n, m) in their outermost loop, so memory stays
+# at one lattice plus one matrix. Nothing here is keyed on a caller's callable.
+@lru_cache(maxsize=1)
 def _cached_lattice(n: int, m: int) -> SimplexLattice:
     return enumerate_lattice(n, m)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _cached_matrix(n: int, m: int) -> TransferMatrix:
     return transfer_matrix(n, m)
 
 
-@lru_cache(maxsize=256)
-def _cached_values(g: Callable, n: int, m: int) -> np.ndarray:
-    # g must be deterministic: it is sampled onto the lattice once per (n, m).
-    return LatticeFunction.from_callable(g, _cached_lattice(n, m)).values
-
-
 def _operator_iterates(g: Callable, n: int, m: int, j_max: int) -> list[np.ndarray]:
-    # [g, Bg, B^2 g, ..., B^{j_max} g] as lattice value vectors.
-    vals = _cached_values(g, n, m)
-    out = [vals]
+    # [g, Bg, B^2 g, ..., B^{j_max} g] as lattice value vectors. g must be
+    # deterministic: it is sampled onto the lattice once per call, and the
+    # matrix is built only when j_max > 0.
+    out = [LatticeFunction.from_callable(g, _cached_lattice(n, m)).values]
     if j_max > 0:
         M = _cached_matrix(n, m).rows
         for _ in range(j_max):
@@ -182,7 +170,7 @@ def bernstein_apply(g: Callable, q: ProbVector, n: int) -> float:
     q = q if isinstance(q, ProbVector) else ProbVector(q)
     lat = _cached_lattice(n, q.m)
     mass = multinomial_pmf_vector(lat, q)
-    return float(mass @ _cached_values(g, n, q.m))
+    return float(mass @ _operator_iterates(g, n, q.m, 0)[0])
 
 
 def debiased_estimate(g: Callable, T: CountsVector, k: int) -> float:
@@ -205,13 +193,11 @@ def debiased_estimate_mean(g: Callable, q: ProbVector, n: int, k: int) -> float:
     once to the debiasing combination telescopes into this alternating sum.
     """
     q = q if isinstance(q, ProbVector) else ProbVector(q)
-    if not 1 <= k <= MAX_ORDER:
-        raise ValueError(f"order k must be in [1, {MAX_ORDER}], got {k}")
+    w = debias_weights(k).weights  # w[j - 1] = C(k, j)(-1)^{j-1}
     lat = _cached_lattice(n, q.m)
     mass = multinomial_pmf_vector(lat, q)
     iters = _operator_iterates(g, n, q.m, k - 1)
-    coef = _mean_weights(k)
-    return float(sum(coef[j - 1] * (mass @ iters[j - 1]) for j in range(1, k + 1)))
+    return float(sum(w[j] * (mass @ iters[j]) for j in range(k)))
 
 
 def exact_bias(g: Callable, q: ProbVector, n: int, k: int) -> float:
@@ -265,7 +251,7 @@ def contraction_norm(g: Callable, n: int, m: int, r: int) -> float:
     if r < 1:
         raise ValueError(f"repetition count must be >= 1, got {r}")
     M = _cached_matrix(n, m).rows
-    v = _cached_values(g, n, m)
+    v = _operator_iterates(g, n, m, 0)[0]
     for _ in range(r):
         v = M @ v - v
     return float(np.abs(v).max())

@@ -232,7 +232,7 @@ def log_multinomial_pmf(nu, q) -> float:
     )
 
 
-def multinomial_pmf_vector(lattice: SimplexLattice, q, dtype=np.float64) -> np.ndarray:
+def multinomial_pmf_vector(lattice: SimplexLattice, q) -> np.ndarray:
     """Pmf of every lattice point under q, as one vectorized evaluation.
 
     Equivalent to exp(log_multinomial_pmf(nu, q)) over the whole lattice;
@@ -247,7 +247,7 @@ def multinomial_pmf_vector(lattice: SimplexLattice, q, dtype=np.float64) -> np.n
     log_coef = gammaln(lattice.n + 1) - gammaln(pts + 1).sum(axis=1)
     log_p = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), _LOG_ZERO)
     log_mass = pts @ log_p + log_coef
-    return np.exp(log_mass.astype(dtype, copy=False))
+    return np.exp(log_mass)
 
 
 def counts_from_samples(labels, m: int) -> CountsVector:

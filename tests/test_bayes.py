@@ -49,17 +49,6 @@ class TestGaussianLikelihood:
         with pytest.raises(ValueError):
             gaussian_likelihood(0.0, 0.0)
 
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            BoundedLikelihood(log_fn=lambda x: x, bounds=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            BoundedLikelihood(log_fn=lambda x: x, bounds=(2.0, 1.0))
-
-    def test_bounds_checked_on_call(self):
-        lik = BoundedLikelihood(log_fn=lambda x: np.full(np.shape(x), 1.0), bounds=(0.5, 2.0))
-        with pytest.raises(ValueError):
-            lik(np.array([0.0]))  # e^1 = 2.718 > upper bound
-
 
 class TestDiscreteBayesMap:
     def test_posterior_hand_formula(self):
@@ -140,7 +129,7 @@ class TestPluginFunctionals:
 
     def test_constant_likelihood_counts_fraction(self):
         samples = WeightedSampleSet(np.array([0.0, 1.0, 1.0, 0.3, 0.9]))
-        flat = BoundedLikelihood(log_fn=lambda x: np.zeros(np.shape(x)), bounds=(1.0, 1.0))
+        flat = BoundedLikelihood(log_fn=lambda x: np.zeros(np.shape(x)))
         assert plugin_posterior_prob(samples, flat, HALF) == 3 / 5
 
     def test_permutation_invariance(self):

@@ -1,12 +1,16 @@
+import gc
+import weakref
 from fractions import Fraction
 from math import comb, exp
 
 import numpy as np
 import pytest
 
+from posterior_debias.bayes import DiscreteBayesMap
 from posterior_debias.errors import CapExceededError
 from posterior_debias.operators import (
     LatticeFunction,
+    TransferMatrix,
     debias_weights,
     bernstein_apply,
     central_moment,
@@ -91,6 +95,18 @@ class TestTransferMatrix:
     def test_entry_cap(self):
         with pytest.raises(CapExceededError):
             transfer_matrix(200, 3)
+
+    def test_built_rows_read_only(self):
+        with pytest.raises(ValueError):
+            transfer_matrix(4, 2).rows[0, 0] = 0.5
+
+    def test_caller_array_copied(self):
+        built = transfer_matrix(4, 2)
+        mine = np.array(built.rows)  # writeable, owned by the caller
+        M = TransferMatrix(lattice=built.lattice, rows=mine)
+        mine[:] = 0.0
+        assert np.array_equal(M.rows, built.rows)
+        assert not M.rows.flags.writeable
 
 
 class TestOperatorAction:
@@ -287,3 +303,28 @@ class TestContraction:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             contraction_norm(G_BINARY, 8, 2, 0)
+
+
+class TestOperatorState:
+    def test_callable_not_kept_after_call(self):
+        g = DiscreteBayesMap((1.0, exp(1.5))).component(1)
+        ref = weakref.ref(g)
+        exact_bias(g, ProbVector([0.6, 0.4]), 32, 3)
+        del g
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_slot_eviction_changes_no_bits(self, k):
+        q = ProbVector([0.6, 0.4])
+
+        def row(n, g):
+            return exact_bias(g, q, n, k), exact_variance(g, q, n, k)
+
+        def fresh():
+            return DiscreteBayesMap((1.0, exp(1.5))).component(1)
+
+        g_a, g_b = fresh(), fresh()
+        swept = [row(64, g_a), row(128, g_b), row(64, g_b)]
+        uninterrupted = {n: row(n, fresh()) for n in (64, 128)}
+        assert swept == [uninterrupted[64], uninterrupted[128], uninterrupted[64]]
