@@ -8,6 +8,7 @@ writes CSV/JSON outputs under --out and prints a short summary to stdout.
 
 Exit codes: 0 success (and identity pass), 2 bad configuration, 3 a size cap
 was hit, 4 a statistical guard tripped (underpowered run, identity failure).
+An underpowered mixture-mc run still writes the rows it finished.
 """
 
 from __future__ import annotations
@@ -192,12 +193,7 @@ def _cmd_binary_exact(cfg: BinaryConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_mixture_mc(cfg: MixtureConfig, args) -> int:
-    """Monte Carlo bias/variance sweep for the Gaussian-mixture setting."""
-    out = args.out or Path("runs", cfg.experiment)
-    start = time.perf_counter()
-    rows, info = run_mixture_mc(cfg)
-    wall = time.perf_counter() - start
+def _write_mixture_mc(out: Path, cfg: MixtureConfig, wall: float, rows, info) -> None:
     write_csv(
         out / "mixture_mc.csv",
         ["n", "k", "N", "inner_reps", "est_mean", "true_value", "est_bias",
@@ -205,6 +201,21 @@ def _cmd_mixture_mc(cfg: MixtureConfig, args) -> int:
         rows,
     )
     write_manifest(out / "manifest.json", _manifest(cfg, wall, info))
+
+
+def _cmd_mixture_mc(cfg: MixtureConfig, args) -> int:
+    """Monte Carlo bias/variance sweep for the Gaussian-mixture setting."""
+    out = args.out or Path("runs", cfg.experiment)
+    start = time.perf_counter()
+    try:
+        rows, info = run_mixture_mc(cfg)
+    except UnderpoweredRunError as exc:
+        # Keep the points finished before the guard tripped; main exits 4.
+        _write_mixture_mc(out, cfg, time.perf_counter() - start, exc.rows, exc.info)
+        print(f"wrote {out / 'mixture_mc.csv'} ({len(exc.rows)} finished rows)")
+        raise
+    wall = time.perf_counter() - start
+    _write_mixture_mc(out, cfg, wall, rows, info)
     for k in cfg.k_values:
         fit = info["fits"][k]
         print(

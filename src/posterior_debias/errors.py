@@ -22,4 +22,14 @@ class IterationCapError(RuntimeError):
 
 
 class UnderpoweredRunError(RuntimeError):
-    """A Monte Carlo run's standard error is too large to resolve the bias."""
+    """A Monte Carlo run's standard error is too large to resolve the bias.
+
+    ``rows`` holds the grid points finished before the guard tripped, and
+    ``info`` what the run knows about itself, including the point that
+    tripped, so a caller can still write out the finished work.
+    """
+
+    def __init__(self, message: str, rows: list[dict] | None = None, info: dict | None = None):
+        super().__init__(message)
+        self.rows = [] if rows is None else rows
+        self.info = {} if info is None else info

@@ -26,7 +26,7 @@ from .bayes import (
 )
 from .errors import CapExceededError, UnderpoweredRunError
 from .operators import debiased_estimate, debiased_estimate_mean, exact_bias, exact_variance
-from .rejection import expected_acceptance_rate, make_rejection_spec, rejection_sample_batch
+from .rejection import make_rejection_spec, rejection_sample_batch
 from .resampling import MCConfig, exhaustive_chain_expectation, outer_mc
 from .simplex import CountsVector, ProbVector
 
@@ -164,9 +164,6 @@ class IdentityConfig:
     n_grid: tuple[int, ...] = _opt((4, 6), "sample sizes (keep small)")
     k_values: tuple[int, ...] = _opt((1, 2), "correction orders")
     m_values: tuple[int, ...] = _opt((2, 3), "support sizes")
-    corrupt_weights: tuple[float, ...] | None = _opt(
-        None, "override combination weights (negative control; fixes k to its length)"
-    )
     root_seed: int = _opt(0, "root seed", flag="--seed")
 
     def __post_init__(self):
@@ -270,7 +267,8 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
 
     Replication counts follow the configured rule, capped at ``mc_cap`` with
     every capping recorded. Aborts with UnderpoweredRunError when the
-    standard error at a grid point exceeds a third of the estimated bias.
+    standard error at a grid point exceeds a third of the estimated bias;
+    the error carries the rows finished before that point.
     """
     mix = GaussianMixture(
         np.array(cfg.mix_weights), np.array(cfg.mix_means), np.array(cfg.mix_variances)
@@ -307,10 +305,16 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
             )
             est_bias = result.mean - truth
             if result.std_error > abs(est_bias) / 3:
+                point = {
+                    "n": n, "k": k, "N": n_reps,
+                    "std_error": result.std_error, "est_bias": est_bias,
+                }
                 raise UnderpoweredRunError(
                     f"std_error {result.std_error:.4g} exceeds |bias|/3 = "
                     f"{abs(est_bias) / 3:.4g} at n={n}, k={k} (N={n_reps}); "
-                    "the run cannot resolve the bias at this replication count"
+                    "the run cannot resolve the bias at this replication count",
+                    rows,
+                    {"underpowered": point, "capped": capped, "true_value": truth},
                 )
             rows.append(
                 {
@@ -358,18 +362,11 @@ def run_identity_check(cfg: IdentityConfig) -> dict:
     expectation of the debiased realization with the exact operator mean.
 
     Passes iff the max discrepancy over all (m, n, k) cases is < 1e-10.
-    ``corrupt_weights`` replaces the combination weights (fixing k to its
-    length) and exists as a negative control.
     """
-    k_values = cfg.k_values
-    override = None
-    if cfg.corrupt_weights is not None:
-        override = np.asarray(cfg.corrupt_weights, dtype=float)
-        k_values = (override.size,)
     cases = []
     for m in cfg.m_values:
         for n in cfg.n_grid:
-            for k in k_values:
+            for k in cfg.k_values:
                 rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.root_seed, m, n, k])
                 )
@@ -385,9 +382,7 @@ def run_identity_check(cfg: IdentityConfig) -> dict:
                         ws, lik, lambda x: np.rint(x).astype(int) == s
                     )
 
-                enumerated = exhaustive_chain_expectation(
-                    functional, prior, n, k, weight_override=override
-                )
+                enumerated = exhaustive_chain_expectation(functional, prior, n, k)
                 exact = debiased_estimate_mean(bmap.component(s), prior, n, k)
                 cases.append(
                     {
@@ -405,7 +400,6 @@ def run_identity_check(cfg: IdentityConfig) -> dict:
         "max_discrepancy": max_disc,
         "tolerance": IDENTITY_TOL,
         "pass": bool(max_disc < IDENTITY_TOL),
-        "corrupted": cfg.corrupt_weights is not None,
     }
 
 
@@ -442,7 +436,7 @@ def run_rejection_demo(cfg: RejectionConfig) -> dict:
         "clamped_target": spec.target.tolist(),
         "clamped_mass": spec.clamped_mass,
         "ratio_bound": spec.bound,
-        "expected_acceptance_rate": expected_acceptance_rate(spec),
+        "expected_acceptance_rate": 1.0 / spec.bound,
         "observed_acceptance_rate": cfg.demo_draws / attempts,
         "draws": cfg.demo_draws,
         "empirical_freq": freq.tolist(),

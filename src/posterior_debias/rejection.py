@@ -64,10 +64,6 @@ def make_rejection_spec(proposal, target) -> RejectionSpec:
     )
 
 
-def expected_acceptance_rate(spec: RejectionSpec) -> float:
-    return 1.0 / spec.bound
-
-
 def rejection_sample_batch(
     spec: RejectionSpec,
     size: int,

@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isnan, sqrt
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,32 +31,10 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-@dataclass(frozen=True)
-class ResampleChain:
-    """Stages of the recursive bootstrap; stage 1 is the data verbatim."""
-
-    stages: tuple[WeightedSampleSet, ...]
-
-    def __post_init__(self):
-        if len(self.stages) < 1:
-            raise ValueError("chain needs at least one stage")
-        n = self.stages[0].n
-        for stage in self.stages[1:]:
-            if stage.n != n:
-                raise ValueError("all chain stages must have the same size")
-
-    @property
-    def k(self) -> int:
-        return len(self.stages)
-
-    @property
-    def n(self) -> int:
-        return self.stages[0].n
-
-
-def build_chain(data: WeightedSampleSet, k: int, seed: int) -> ResampleChain:
-    """Grow a k-stage chain: each stage is n uniform-with-replacement draws
-    from the previous one. Fully reproducible from (data, k, seed)."""
+def build_chain(data: WeightedSampleSet, k: int, seed: int) -> tuple[WeightedSampleSet, ...]:
+    """Grow the k stages of the recursive bootstrap: stage 1 is the data
+    verbatim, and each later stage is n uniform-with-replacement draws from
+    the previous one. Fully reproducible from (data, k, seed)."""
     if not 1 <= k <= MAX_ORDER:
         raise ValueError(f"order k must be in [1, {MAX_ORDER}], got {k}")
     seed = _check_seed(seed)
@@ -68,17 +46,20 @@ def build_chain(data: WeightedSampleSet, k: int, seed: int) -> ResampleChain:
         for _ in range(k - 1):
             pts = pts[rng.integers(0, n, size=n)]
             stages.append(WeightedSampleSet(pts))
-    return ResampleChain(stages=tuple(stages))
+    return tuple(stages)
 
 
-def debiased_realization(chain: ResampleChain, functional: Callable, k: int | None = None) -> float:
-    """Signed combination sum_j weights[j] * functional(stage_{j+1})."""
+def debiased_realization(
+    stages: Sequence[WeightedSampleSet], functional: Callable, k: int | None = None
+) -> float:
+    """Signed combination sum_j weights[j] * functional(stages[j]) over the
+    first k stages of a chain; k defaults to the number of stages."""
     if k is None:
-        k = chain.k
-    if chain.k < k:
-        raise ValueError(f"chain has {chain.k} stages, needs at least {k}")
-    w = debias_weights(k).weights
-    return float(sum(w[j] * float(functional(chain.stages[j])) for j in range(k)))
+        k = len(stages)
+    if len(stages) < k:
+        raise ValueError(f"chain has {len(stages)} stages, needs at least {k}")
+    w = debias_weights(k)
+    return float(sum(w[j] * float(functional(stages[j])) for j in range(k)))
 
 
 @dataclass(frozen=True)
@@ -211,7 +192,6 @@ def exhaustive_chain_expectation(
     n: int,
     k: int,
     support: np.ndarray | None = None,
-    weight_override: np.ndarray | None = None,
 ) -> float:
     """Exact expectation of the debiased realization by full enumeration.
 
@@ -219,8 +199,7 @@ def exhaustive_chain_expectation(
     counts for stage 1 follow Multinomial(n, prior), and each later stage
     follows Multinomial(n, previous/n). Stages are expanded into literal
     sample sets so the realization goes through the same code path as the
-    Monte Carlo driver. ``weight_override`` substitutes the combination
-    weights, which is only useful as a negative control.
+    Monte Carlo driver.
     """
     prior = prior if isinstance(prior, ProbVector) else ProbVector(prior)
     m = prior.m
@@ -235,20 +214,13 @@ def exhaustive_chain_expectation(
     step = [multinomial_pmf_vector(lat, lat.points[i] / n) for i in range(lat.size)]
     first = multinomial_pmf_vector(lat, prior)
 
-    def realization(stage_indices: list[int]) -> float:
-        chain = ResampleChain(stages=tuple(stage_sets[i] for i in stage_indices))
-        if weight_override is None:
-            return debiased_realization(chain, functional, k)
-        w = np.asarray(weight_override, dtype=float)
-        return float(
-            sum(w[j] * float(functional(chain.stages[j])) for j in range(len(w)))
-        )
-
     def recurse(prefix: list[int], prob: float) -> float:
         if prob == 0.0:
             return 0.0
         if len(prefix) == k:
-            return prob * realization(prefix)
+            return prob * debiased_realization(
+                [stage_sets[i] for i in prefix], functional, k
+            )
         cond = step[prefix[-1]]
         return sum(
             recurse(prefix + [j], prob * cond[j])

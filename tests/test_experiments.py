@@ -2,12 +2,15 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posterior_debias
 from posterior_debias.cli import build_parser, main, write_csv
 from posterior_debias.errors import UnderpoweredRunError
 from posterior_debias.experiments import (
@@ -181,12 +184,9 @@ class TestRunIdentityCheck:
         )
         assert report["pass"]
 
-    def test_corrupted_weights_fail(self):
-        report = run_identity_check(
-            default_identity_config(corrupt_weights=(2.0, -1.01))
-        )
+    def test_corrupted_weights_fail(self, corrupt_k2_weights):
+        report = run_identity_check(default_identity_config(k_values=(2,)))
         assert not report["pass"]
-        assert report["corrupted"]
         assert report["max_discrepancy"] > 1e-4
 
 
@@ -262,6 +262,24 @@ class TestCli:
         )
         assert code == 4
 
+    def test_underpowered_keeps_finished_rows(self, tmp_path):
+        # k=2 at n=8 cannot resolve its bias with 4000 replicates
+        out = tmp_path / "u"
+        code = main(
+            [
+                "mixture-mc", "--n-grid", "8,12", "--k-values", "1,2",
+                "--n-rule", "fixed", "--n-fixed", "4000", "--out", str(out),
+            ]
+        )
+        assert code == 4
+        with open(out / "mixture_mc.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["n"], r["k"]) for r in rows] == [("8", "1"), ("12", "1")]
+        tripped = json.loads((out / "manifest.json").read_text())["underpowered"]
+        assert set(tripped) == {"n", "k", "N", "std_error", "est_bias"}
+        assert (tripped["n"], tripped["k"], tripped["N"]) == (8, 2, 4000)
+        assert tripped["std_error"] > abs(tripped["est_bias"]) / 3
+
     def test_cap_exit_code(self, tmp_path):
         code = main(
             ["binary-exact", "--n-grid", "16,8000", "--k-values", "2",
@@ -327,6 +345,7 @@ class TestCli:
             ["binary-exact", "--seed", "3"],
             ["identity-check", "--threads", "2"],
             ["rejection-demo", "--threads", "2"],
+            ["identity-check", "--corrupt-weights", "2,-1.01"],
         ],
     )
     def test_unused_flag_exit_code(self, tmp_path, argv):
@@ -343,7 +362,7 @@ class TestCli:
         code = main(["mixture-mc", "--config", str(cfg), "--out", str(tmp_path / "k")])
         assert code == 2
 
-    def test_identity_check_pass_and_fail(self, tmp_path):
+    def test_identity_check_pass_and_fail(self, tmp_path, request):
         assert (
             main(
                 ["identity-check", "--n-grid", "3,4", "--k-values", "1,2",
@@ -351,10 +370,11 @@ class TestCli:
             )
             == 0
         )
+        request.getfixturevalue("corrupt_k2_weights")
         assert (
             main(
-                ["identity-check", "--n-grid", "3,4", "--m-values", "2",
-                 "--corrupt-weights", "2,-1.01", "--out", str(tmp_path / "idbad")]
+                ["identity-check", "--n-grid", "3,4", "--k-values", "2",
+                 "--m-values", "2", "--out", str(tmp_path / "idbad")]
             )
             == 4
         )
@@ -407,11 +427,19 @@ class TestCli:
         assert code == 2
 
     def test_module_entry_point(self, tmp_path):
+        # The subprocess imports the same package this process imported.
+        package_dir = str(Path(posterior_debias.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([package_dir, inherited] if inherited else [package_dir]),
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "posterior_debias", "binary-exact",
              "--n-grid", "8,16", "--k-values", "1", "--out", str(tmp_path / "m")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "slope" in proc.stdout

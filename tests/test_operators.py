@@ -12,7 +12,6 @@ from posterior_debias.operators import (
     LatticeFunction,
     TransferMatrix,
     debias_weights,
-    bernstein_apply,
     central_moment,
     contraction_norm,
     debiased_estimate,
@@ -52,20 +51,25 @@ def ternary_g(x):
 
 class TestDebiasWeights:
     def test_known_rows(self):
-        assert debias_weights(1).weights.tolist() == [1.0]
-        assert debias_weights(2).weights.tolist() == [2.0, -1.0]
-        assert debias_weights(3).weights.tolist() == [3.0, -3.0, 1.0]
-        assert debias_weights(4).weights.tolist() == [4.0, -6.0, 4.0, -1.0]
+        assert debias_weights(1).tolist() == [1.0]
+        assert debias_weights(2).tolist() == [2.0, -1.0]
+        assert debias_weights(3).tolist() == [3.0, -3.0, 1.0]
+        assert debias_weights(4).tolist() == [4.0, -6.0, 4.0, -1.0]
 
     def test_binomial_form(self):
         for k in range(1, 21):
-            w = debias_weights(k).weights
+            w = debias_weights(k)
             expected = [comb(k, j + 1) * (-1) ** j for j in range(k)]
             assert w.tolist() == expected
 
+    def test_one_read_only_array_per_order(self):
+        w = debias_weights(3)
+        assert w is debias_weights(3)
+        assert not w.flags.writeable
+
     @pytest.mark.parametrize("k", range(1, 21))
     def test_weights_sum_to_one_exactly(self, k):
-        assert debias_weights(k).weights.sum() == 1.0
+        assert debias_weights(k).sum() == 1.0
 
     @pytest.mark.parametrize("k", [0, -1, 21])
     def test_order_range(self, k):
@@ -142,14 +146,14 @@ class TestOperatorAction:
         n = 5
         q = [Fraction(37, 100), Fraction(63, 100)]
         expected = resample_expectation(G_BINARY, q, n)
-        got = bernstein_apply(G_BINARY, ProbVector([0.37, 0.63]), n)
+        got = debiased_estimate_mean(G_BINARY, ProbVector([0.37, 0.63]), n, 1)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_bernstein_apply_ternary(self):
         n = 4
         q = to_fractions([0.2, 0.5, 0.3])
         expected = resample_expectation(ternary_g, q, n)
-        got = bernstein_apply(ternary_g, ProbVector([0.2, 0.5, 0.3]), n)
+        got = debiased_estimate_mean(ternary_g, ProbVector([0.2, 0.5, 0.3]), n, 1)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
