@@ -70,10 +70,8 @@ from .simplex import (
     ProbVector,
     SignedProbVector,
     SimplexLattice,
-    counts_from_samples,
     enumerate_lattice,
     lattice_size,
-    log_multinomial_pmf,
     multinomial_pmf_vector,
 )
 
@@ -101,7 +99,6 @@ __all__ = [
     "build_chain",
     "central_moment",
     "contraction_norm",
-    "counts_from_samples",
     "debias_weights",
     "debiased_estimate",
     "debiased_estimate_mean",
@@ -120,7 +117,6 @@ __all__ = [
     "gaussian_likelihood",
     "iterate_operator",
     "lattice_size",
-    "log_multinomial_pmf",
     "make_rejection_spec",
     "mixture_posterior_tail_prob",
     "multinomial_pmf_vector",

@@ -115,7 +115,6 @@ class BinaryConfig:
     q: float = _opt(0.4, "prior mass on atom 1")
     y_obs: float = _opt(2.0, "observed value")
     noise_var: float = _opt(1.0, "observation noise variance")
-    drop_smallest: bool = _opt(False, "drop the smallest n from slope fits")
 
     def __post_init__(self):
         _check_grid(self)
@@ -142,9 +141,11 @@ class MixtureConfig:
     )
     n_fixed: int | None = _opt(None, "replicates when --n-rule fixed")
     mc_cap: int = _opt(10_000_000, "hard cap on replicates per point")
-    inner_reps: int = _opt(1, "chains per dataset")
-    threads: int = _opt(1, "worker threads for the Monte Carlo reduction")
-    drop_smallest: bool = _opt(False, "drop the smallest n from slope fits")
+    threads: int = _opt(
+        1,
+        "worker threads; results are identical for any count, and the "
+        "replicate loop holds the GIL, so more threads do not make it faster",
+    )
     root_seed: int = _opt(0, "root seed", flag="--seed")
 
     def __post_init__(self):
@@ -153,6 +154,8 @@ class MixtureConfig:
             raise ValueError(f"unknown n_rule {self.n_rule!r}")
         if self.n_rule == "fixed" and (self.n_fixed is None or self.n_fixed < 1):
             raise ValueError("n_rule 'fixed' needs n_fixed >= 1")
+        if self.n_rule != "fixed" and self.n_fixed is not None:
+            raise ValueError("n_fixed is used only with n_rule 'fixed'")
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,7 @@ def run_binary_exact(
 ) -> tuple[list[dict], dict]:
     """Exact |bias| and variance per (n, k) for the two-atom posterior map.
 
-    No sampling is involved; output is invariant to the seed. Lattice-cap
+    No sampling is involved, so the output is deterministic. Lattice-cap
     errors are re-raised naming the offending n.
     """
     bmap = _binary_bayes_map(cfg)
@@ -238,9 +241,7 @@ def run_binary_exact(
         for col in ("abs_bias", "variance"):
             vals = [r[col] for r in sub]
             if all(v > 0 for v in vals):
-                fits[k][col] = fit_slope(
-                    [r["n"] for r in sub], vals, drop_smallest=cfg.drop_smallest
-                )
+                fits[k][col] = fit_slope([r["n"] for r in sub], vals)
             else:
                 fits[k][col] = None  # zero column (e.g. linear map) has no slope
     return rows, fits
@@ -299,7 +300,6 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
                     k=k,
                     n_reps=n_reps,
                     root_seed=_point_seed(cfg.root_seed, n, k),
-                    inner_reps=cfg.inner_reps,
                     threads=cfg.threads,
                 ),
             )
@@ -321,7 +321,6 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
                     "n": n,
                     "k": k,
                     "N": n_reps,
-                    "inner_reps": cfg.inner_reps,
                     "est_mean": result.mean,
                     "true_value": truth,
                     "est_bias": est_bias,
@@ -332,17 +331,10 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     fits = {}
     for k in cfg.k_values:
         sub = [r for r in rows if r["k"] == k]
+        ns = [r["n"] for r in sub]
         fits[k] = {
-            "abs_bias": fit_slope(
-                [r["n"] for r in sub],
-                [abs(r["est_bias"]) for r in sub],
-                drop_smallest=cfg.drop_smallest,
-            ),
-            "est_variance": fit_slope(
-                [r["n"] for r in sub],
-                [r["est_variance"] for r in sub],
-                drop_smallest=cfg.drop_smallest,
-            ),
+            "abs_bias": fit_slope(ns, [abs(r["est_bias"]) for r in sub]),
+            "est_variance": fit_slope(ns, [r["est_variance"] for r in sub]),
         }
     return rows, {"fits": fits, "capped": capped, "true_value": truth}
 

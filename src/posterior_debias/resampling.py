@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bayes import BoundedLikelihood, WeightedSampleSet, plugin_expectation
-from .operators import MAX_ORDER, debias_weights
-from .simplex import ProbVector, enumerate_lattice, multinomial_pmf_vector
+from .operators import MAX_ORDER, debias_weights, transfer_matrix
+from .simplex import ProbVector, multinomial_pmf_vector
 
 _SEED_LIMIT = 2**64
 _CHUNK = 4096  # replicates per work unit; fixed so the reduction order is too
@@ -70,7 +70,6 @@ class MCConfig:
     k: int
     n_reps: int
     root_seed: int
-    inner_reps: int = 1
     threads: int = 1
 
     def __post_init__(self):
@@ -80,8 +79,6 @@ class MCConfig:
             raise ValueError(f"order k must be in [1, {MAX_ORDER}], got {self.k}")
         if self.n_reps < 1:
             raise ValueError(f"n_reps must be >= 1, got {self.n_reps}")
-        if self.inner_reps < 1:
-            raise ValueError(f"inner_reps must be >= 1, got {self.inner_reps}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         _check_seed(self.root_seed)
@@ -102,12 +99,8 @@ def _replicate_value(
     # One independent stream per replicate, keyed by (root_seed, rep).
     rng = np.random.default_rng(np.random.SeedSequence([cfg.root_seed, rep]))
     data = prior_sampler(cfg.n, rng)
-    total = 0.0
-    for _ in range(cfg.inner_reps):
-        chain_seed = int(rng.integers(0, 2**63))
-        chain = build_chain(data, cfg.k, chain_seed)
-        total += debiased_realization(chain, functional, cfg.k)
-    value = total / cfg.inner_reps
+    chain = build_chain(data, cfg.k, int(rng.integers(0, 2**63)))
+    value = debiased_realization(chain, functional, cfg.k)
     if isnan(value):
         raise FloatingPointError(f"functional returned NaN at replicate {rep}")
     return value
@@ -191,27 +184,23 @@ def exhaustive_chain_expectation(
     prior: ProbVector,
     n: int,
     k: int,
-    support: np.ndarray | None = None,
 ) -> float:
     """Exact expectation of the debiased realization by full enumeration.
 
     Enumerates every data multiset and every chain outcome (no sampling):
     counts for stage 1 follow Multinomial(n, prior), and each later stage
-    follows Multinomial(n, previous/n). Stages are expanded into literal
-    sample sets so the realization goes through the same code path as the
+    follows Multinomial(n, previous/n), which is row ``previous`` of the
+    transfer matrix. Stages are expanded into literal sample sets on the
+    points 0..m-1 so the realization goes through the same code path as the
     Monte Carlo driver.
     """
     prior = prior if isinstance(prior, ProbVector) else ProbVector(prior)
-    m = prior.m
-    pts = np.arange(m, dtype=float) if support is None else np.asarray(support, float)
-    if pts.shape != (m,):
-        raise ValueError(f"support must provide {m} points")
-    lat = enumerate_lattice(n, m)
+    M = transfer_matrix(n, prior.m)
+    lat, step = M.lattice, M.rows
+    pts = np.arange(prior.m, dtype=float)
     stage_sets = [
         WeightedSampleSet(np.repeat(pts, lat.points[i])) for i in range(lat.size)
     ]
-    # conditional pmf of the next stage given counts index i
-    step = [multinomial_pmf_vector(lat, lat.points[i] / n) for i in range(lat.size)]
     first = multinomial_pmf_vector(lat, prior)
 
     def recurse(prefix: list[int], prob: float) -> float:

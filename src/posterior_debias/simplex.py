@@ -1,7 +1,7 @@
 """Discrete probability simplex: value types, count lattices, multinomial mass.
 
 All probability-mass arithmetic is done in log space with log-gamma so that
-lattice sizes up to the configured cap stay overflow-free.
+lattice sizes up to DEFAULT_LATTICE_CAP stay overflow-free.
 """
 
 from __future__ import annotations
@@ -184,59 +184,30 @@ def lattice_size(n: int, m: int) -> int:
     return comb(n + m - 1, m - 1)
 
 
-def enumerate_lattice(n: int, m: int, cap: int = DEFAULT_LATTICE_CAP) -> SimplexLattice:
-    """Materialize the full count lattice for (n, m).
+def enumerate_lattice(n: int, m: int) -> SimplexLattice:
+    """Materialize the full count lattice for (n, m), with n, m >= 1.
 
-    Parameters
-    ----------
-    n : int
-        Sample count, n >= 1.
-    m : int
-        Support size, m >= 1.
-    cap : int
-        Maximum admissible lattice size. Exceeding it raises
-        :class:`CapExceededError`, which signals the caller to switch to the
-        Monte Carlo path instead of attempting an exact computation.
+    A lattice of more than DEFAULT_LATTICE_CAP points raises
+    :class:`CapExceededError`, which signals the caller to switch to the
+    Monte Carlo path instead of attempting an exact computation.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     size = lattice_size(n, m)
-    if size > cap:
+    if size > DEFAULT_LATTICE_CAP:
         raise CapExceededError(
-            f"lattice for n={n}, m={m} has {size} points, over the cap of {cap}"
+            f"lattice for n={n}, m={m} has {size} points, "
+            f"over the cap of {DEFAULT_LATTICE_CAP}"
         )
     return SimplexLattice(n=n, m=m, points=_lattice_points(n, m))
-
-
-def log_multinomial_pmf(nu, q) -> float:
-    """Log of the multinomial pmf n!/(nu_1! ... nu_m!) * prod q_j^{nu_j}.
-
-    Computed with log-gamma. The convention 0*log(0) = 0 applies when
-    nu_j = 0 and q_j = 0; a positive count on a zero-probability category
-    returns -inf (a sentinel, not an error). NaN probabilities are rejected.
-    """
-    c = np.asarray(nu.counts if isinstance(nu, CountsVector) else nu, dtype=np.int64)
-    p = np.asarray(q.probs if isinstance(q, ProbVector) else q, dtype=float)
-    if c.shape != p.shape:
-        raise ValueError(f"shape mismatch: counts {c.shape} vs probs {p.shape}")
-    if np.any(np.isnan(p)):
-        raise ValueError("NaN in probability vector")
-    if np.any(c < 0):
-        raise ValueError("counts must be non-negative")
-    if np.any((p == 0) & (c > 0)):
-        return float("-inf")
-    n = int(c.sum())
-    pos = c > 0
-    return float(
-        gammaln(n + 1) - gammaln(c + 1).sum() + (c[pos] * np.log(p[pos])).sum()
-    )
 
 
 def multinomial_pmf_vector(lattice: SimplexLattice, q) -> np.ndarray:
     """Pmf of every lattice point under q, as one vectorized evaluation.
 
-    Equivalent to exp(log_multinomial_pmf(nu, q)) over the whole lattice;
-    categories with q_j = 0 get exact 0 mass through the log-zero sentinel.
+    Each entry is the multinomial pmf n!/(nu_1! ... nu_m!) * prod q_j^{nu_j},
+    computed with log-gamma; categories with q_j = 0 get exact 0 mass through
+    the log-zero sentinel. NaN probabilities are rejected.
     """
     p = np.asarray(q.probs if isinstance(q, ProbVector) else q, dtype=float)
     if p.shape != (lattice.m,):
@@ -249,18 +220,3 @@ def multinomial_pmf_vector(lattice: SimplexLattice, q) -> np.ndarray:
     log_mass = pts @ log_p + log_coef
     return np.exp(log_mass)
 
-
-def counts_from_samples(labels, m: int) -> CountsVector:
-    """Tally integer support labels into a CountsVector over m categories."""
-    arr = np.asarray(labels)
-    if arr.size == 0:
-        raise ValueError("empty sample list: n must be >= 1")
-    if not np.issubdtype(arr.dtype, np.integer):
-        as_int = np.asarray(arr, np.int64)
-        if not np.array_equal(as_int, arr):
-            raise ValueError("labels must be integers")
-        arr = as_int
-    if arr.min() < 0 or arr.max() >= m:
-        bad = arr[(arr < 0) | (arr >= m)][0]
-        raise IndexError(f"label {bad} outside support range [0, {m})")
-    return CountsVector(np.bincount(arr, minlength=m))

@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +101,9 @@ class TestExperimentConfig:
             default_mixture_config(n_rule="n_pow5")
         with pytest.raises(ValueError):
             default_mixture_config(n_rule="fixed")
+        for rule in (None, "n_pow3", "n_pow4"):
+            with pytest.raises(ValueError, match="n_fixed"):
+                default_mixture_config(n_rule=rule, n_fixed=500)
 
 
 class TestRunBinaryExact:
@@ -139,7 +144,7 @@ class TestRunMixtureMC:
         rows, info = run_mixture_mc(cfg)
         assert len(rows) == 2
         assert set(rows[0]) == {
-            "n", "k", "N", "inner_reps", "est_mean", "true_value",
+            "n", "k", "N", "est_mean", "true_value",
             "est_bias", "est_variance", "std_error",
         }
         assert rows[0]["N"] == 3000
@@ -346,12 +351,54 @@ class TestCli:
             ["identity-check", "--threads", "2"],
             ["rejection-demo", "--threads", "2"],
             ["identity-check", "--corrupt-weights", "2,-1.01"],
+            ["mixture-mc", "--inner-reps", "2"],
+            ["binary-exact", "--drop-smallest"],
         ],
     )
     def test_unused_flag_exit_code(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "f")])
         assert exc.value.code == 2
+
+    def test_n_fixed_without_fixed_rule_exit_code(self, tmp_path):
+        # Without n_rule fixed the count would be ignored and N sized as n^4.
+        code = main(
+            ["mixture-mc", "--n-grid", "48,64", "--k-values", "2", "--n-fixed", "500",
+             "--out", str(tmp_path / "n")]
+        )
+        assert code == 2
+
+    def test_config_value_type_exit_code(self, tmp_path, capsys):
+        # A file value takes the type its flag parses to; the error names the key.
+        table = tmp_path / "t.csv"
+        write_csv(table, ["n", "abs_bias"], [{"n": n, "abs_bias": 1 / n} for n in (8, 16, 32)])
+        fixed = {"n_rule": "fixed", "n_fixed": 300}
+        cases = [
+            (["mixture-mc"], "n_grid", {**fixed, "n_grid": [8.9, 12]}),
+            (["mixture-mc"], "k_values", {**fixed, "k_values": [1.5]}),
+            (["mixture-mc"], "n_fixed", {**fixed, "n_fixed": 300.7}),
+            (["fit-slope", str(table)], "drop_smallest", {"drop_smallest": "no"}),
+        ]
+        for argv, key, values in cases:
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps(values))
+            out = tmp_path / key
+            assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2, key
+            assert repr(key) in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_readme_commands_parse(self):
+        # Every command-line example in the README uses flags that exist.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"## Command line.*?```sh\n(.*?)```", readme.read_text(), re.S)
+        commands = [
+            shlex.split(line)[1:]
+            for line in block.group(1).splitlines()
+            if line.startswith("posterior-debias ")
+        ]
+        assert len(commands) == 6
+        for argv in commands:
+            build_parser().parse_args(argv)
 
     def test_unused_config_key_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -6,10 +6,8 @@ from posterior_debias.simplex import (
     CountsVector,
     ProbVector,
     SignedProbVector,
-    counts_from_samples,
     enumerate_lattice,
     lattice_size,
-    log_multinomial_pmf,
     multinomial_pmf_vector,
 )
 
@@ -129,10 +127,6 @@ class TestLattice:
         with pytest.raises(CapExceededError):
             enumerate_lattice(3000, 4)
 
-    def test_explicit_cap(self):
-        with pytest.raises(CapExceededError):
-            enumerate_lattice(10, 2, cap=5)
-
 
 class TestMultinomialPmf:
     @pytest.mark.parametrize("n,m,q", [(5, 2, (0.3, 0.7)), (4, 3, (0.2, 0.5, 0.3))])
@@ -157,31 +151,3 @@ class TestMultinomialPmf:
         for i in np.flatnonzero(~off_support):
             exact = float(exact_multinomial_pmf(counts[i, 1:], fracs))
             assert probs[i] == pytest.approx(exact, rel=1e-12)
-
-    def test_log_pmf_impossible_count(self):
-        assert log_multinomial_pmf([1, 3], [0.0, 1.0]) == -np.inf
-
-    def test_log_pmf_value(self):
-        from math import log
-
-        exact = exact_multinomial_pmf((2, 3), to_fractions([0.3, 0.7]))
-        got = log_multinomial_pmf([2, 3], [0.3, 0.7])
-        assert got == pytest.approx(log(float(exact)), rel=1e-12)
-
-    def test_log_pmf_rejects_nan(self):
-        with pytest.raises(ValueError):
-            log_multinomial_pmf([1, 1], [np.nan, 1.0])
-
-
-class TestCountsFromSamples:
-    def test_bincount(self):
-        c = counts_from_samples([0, 2, 2, 1, 2], 3)
-        assert tuple(c.counts) == (1, 1, 3)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            counts_from_samples([0, 3], 3)
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            counts_from_samples([], 2)
