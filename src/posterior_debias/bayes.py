@@ -114,16 +114,36 @@ class WeightedSampleSet:
         return self.points.size
 
 
-def _plugin_weights(samples: WeightedSampleSet, likelihood: BoundedLikelihood) -> np.ndarray:
-    # Max-shifted in log space: after the shift the largest weight is 1, so
-    # the denominator cannot underflow unless every likelihood is zero.
-    log_w = likelihood.log(samples.points)
-    if np.any(np.isnan(log_w)):
+def _plugin_weights(points: np.ndarray, likelihood: BoundedLikelihood) -> np.ndarray:
+    # Max-shifted in log space along the last axis: after the shift the
+    # largest weight of each sample set is 1, so a denominator cannot
+    # underflow unless every likelihood of that set is zero. The max of a
+    # set holding a NaN is NaN, and the min over the sets propagates it, so
+    # one scalar finds both faults.
+    log_w = likelihood.log(points)
+    shift = log_w.max(axis=-1, keepdims=True)
+    lowest = shift.min()
+    if np.isnan(lowest):
         raise ValueError("likelihood returned NaN")
-    shift = log_w.max()
-    if shift == float("-inf"):
+    if lowest == float("-inf"):
         raise DegenerateError("all sample likelihoods underflowed to zero")
     return np.exp(log_w - shift)
+
+
+def plugin_posterior_rows(
+    points: np.ndarray, likelihood: BoundedLikelihood, event: Callable
+) -> np.ndarray:
+    """Plug-in posterior probability of an event for each sample set along
+    the last axis of ``points``: (..., n) -> (...).
+
+    Each entry is computed with the same float operations as
+    plugin_posterior_prob on that one set, so the two agree bit for bit.
+    """
+    w = _plugin_weights(points, likelihood)
+    member = np.asarray(event(points), dtype=bool)
+    if member.shape != points.shape:
+        raise ValueError("event predicate must return one bool per sample")
+    return (w * member).sum(axis=-1) / w.sum(axis=-1)
 
 
 def plugin_posterior_prob(
@@ -134,18 +154,14 @@ def plugin_posterior_prob(
     Returns sum_i l(X_i) 1[X_i in A] / sum_i l(X_i), with the likelihood
     evaluated in log space and shifted by its max before exponentiation.
     """
-    w = _plugin_weights(samples, likelihood)
-    member = np.asarray(event(samples.points), dtype=bool)
-    if member.shape != samples.points.shape:
-        raise ValueError("event predicate must return one bool per sample")
-    return float((w * member).sum() / w.sum())
+    return float(plugin_posterior_rows(samples.points, likelihood, event))
 
 
 def plugin_expectation(
     samples: WeightedSampleSet, likelihood: BoundedLikelihood, h: Callable
 ) -> float:
     """Plug-in posterior expectation sum_i l(X_i) h(X_i) / sum_i l(X_i)."""
-    w = _plugin_weights(samples, likelihood)
+    w = _plugin_weights(samples.points, likelihood)
     values = np.asarray(h(samples.points), dtype=float)
     if values.shape != samples.points.shape:
         raise ValueError("h must return one value per sample")
@@ -176,9 +192,11 @@ class GaussianMixture:
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", var)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        comp = rng.choice(self.weights.size, size=n, p=self.weights)
-        return self.means[comp] + np.sqrt(self.variances[comp]) * rng.standard_normal(n)
+    def sample(self, size: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        """Draws of the given size (an int or a shape) from the generator:
+        component labels first, then one standard normal per draw."""
+        comp = rng.choice(self.weights.size, size=size, p=self.weights)
+        return self.means[comp] + np.sqrt(self.variances[comp]) * rng.standard_normal(size)
 
 
 def _normal_tail(z: float) -> float:

@@ -17,14 +17,20 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import platform
 import sys
 import time
 import typing
 from pathlib import Path
 
+import numpy as np
+import scipy
+
 from ._version import __version__
 from .errors import CapExceededError, IterationCapError, UnderpoweredRunError
 from .experiments import (
+    MC_RNG_SCHEME,
     BinaryConfig,
     FitSlopeConfig,
     IdentityConfig,
@@ -78,9 +84,20 @@ def write_manifest(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _provenance() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _manifest(cfg, wall_time: float, extra: dict) -> dict:
     return {
         "version": __version__,
+        "provenance": _provenance(),
         "config": {"experiment": cfg.experiment, **dataclasses.asdict(cfg)},
         "wall_time_seconds": wall_time,
         **extra,
@@ -230,7 +247,9 @@ def _write_mixture_mc(out: Path, cfg: MixtureConfig, wall: float, rows, info) ->
          "std_error"],
         rows,
     )
-    write_manifest(out / "manifest.json", _manifest(cfg, wall, info))
+    write_manifest(
+        out / "manifest.json", _manifest(cfg, wall, {"rng_scheme": MC_RNG_SCHEME, **info})
+    )
 
 
 def _cmd_mixture_mc(cfg: MixtureConfig, args) -> int:

@@ -17,20 +17,25 @@ import numpy as np
 from .bayes import (
     DiscreteBayesMap,
     GaussianMixture,
-    WeightedSampleSet,
     discrete_bayes,
     gaussian_likelihood,
     mixture_posterior_tail_prob,
     plugin_posterior_prob,
+    plugin_posterior_rows,
     BoundedLikelihood,
 )
 from .errors import CapExceededError, UnderpoweredRunError
 from .operators import debiased_estimate, debiased_estimate_mean, exact_bias, exact_variance
 from .rejection import make_rejection_spec, rejection_sample_batch
-from .resampling import MCConfig, exhaustive_chain_expectation, outer_mc
+from .resampling import MCConfig, exhaustive_chain_expectation, outer_mc_batched
 from .simplex import CountsVector, ProbVector
 
 IDENTITY_TOL = 1e-10
+# The random-stream layout of run_mixture_mc, recorded in its manifest.
+MC_RNG_SCHEME = (
+    "outer_mc_batched v1: chunk c of grid point (n, k) draws from "
+    "SeedSequence([_point_seed(root_seed, n, k), 1, c])"
+)
 # The rejection demo expects bound * draws proposals; ten times that only
 # stops a sampler that is genuinely stuck.
 _ATTEMPT_CAP_FACTOR = 10
@@ -56,15 +61,15 @@ def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
     """Least-squares slope of log(value) on log(size).
 
     Values must be strictly positive (a zero bias cannot be slope-fit).
-    ``drop_smallest`` removes the smallest size before fitting, for grids
-    whose first point is still pre-asymptotic.
+    ``drop_smallest`` removes every point at the smallest size before
+    fitting, for grids whose first size is still pre-asymptotic.
     """
     ns = np.asarray(sizes, dtype=float)
     vs = np.asarray(values, dtype=float)
     if ns.ndim != 1 or ns.shape != vs.shape:
         raise ValueError("sizes and values must be 1-d and the same length")
-    if drop_smallest and ns.size > 2:
-        keep = np.arange(ns.size) != int(np.argmin(ns))
+    if drop_smallest and ns.size:
+        keep = ns != ns.min()
         ns, vs = ns[keep], vs[keep]
     if ns.size < 2:
         raise ValueError("slope fit needs at least 2 points")
@@ -143,8 +148,8 @@ class MixtureConfig:
     mc_cap: int = _opt(10_000_000, "hard cap on replicates per point")
     threads: int = _opt(
         1,
-        "worker threads; results are identical for any count, and the "
-        "replicate loop holds the GIL, so more threads do not make it faster",
+        "worker threads; they speed up a grid point that spans more than one "
+        "chunk of replicates, and results are identical for any count",
     )
     root_seed: int = _opt(0, "root seed", flag="--seed")
 
@@ -278,23 +283,24 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     truth = mixture_posterior_tail_prob(mix, cfg.noise_var, cfg.y_obs, cfg.threshold)
     threshold = cfg.threshold
 
-    def prior_sampler(n: int, rng: np.random.Generator) -> WeightedSampleSet:
-        return WeightedSampleSet(mix.sample(n, rng))
+    def batch_sampler(b: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return mix.sample((b, n), rng)
 
-    def functional(ws: WeightedSampleSet) -> float:
-        return plugin_posterior_prob(ws, lik, lambda x: x >= threshold)
+    def batch_functional(x: np.ndarray) -> np.ndarray:
+        return plugin_posterior_rows(x, lik, lambda v: v >= threshold)
 
     rows = []
     capped = []
+    points = []
     for k in cfg.k_values:
         for n in cfg.n_grid:
             want = _mc_reps(cfg, n, k)
             n_reps = min(want, cfg.mc_cap)
             if n_reps < want:
                 capped.append({"n": n, "k": k, "requested": want, "effective": n_reps})
-            result = outer_mc(
-                prior_sampler,
-                functional,
+            result = outer_mc_batched(
+                batch_sampler,
+                batch_functional,
                 MCConfig(
                     n=n,
                     k=k,
@@ -314,7 +320,10 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
                     f"{abs(est_bias) / 3:.4g} at n={n}, k={k} (N={n_reps}); "
                     "the run cannot resolve the bias at this replication count",
                     rows,
-                    {"underpowered": point, "capped": capped, "true_value": truth},
+                    {
+                        "underpowered": point, "capped": capped,
+                        "true_value": truth, "points": points,
+                    },
                 )
             rows.append(
                 {
@@ -328,6 +337,15 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
                     "std_error": result.std_error,
                 }
             )
+            # Timings vary from run to run, so they stay out of the rows.
+            points.append(
+                {
+                    "n": n, "k": k, "N": n_reps,
+                    "wall_time_s": result.wall_time,
+                    "reps_per_s": n_reps / result.wall_time,
+                    "guard_margin": result.std_error / (abs(est_bias) / 3),
+                }
+            )
     fits = {}
     for k in cfg.k_values:
         sub = [r for r in rows if r["k"] == k]
@@ -336,7 +354,7 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
             "abs_bias": fit_slope(ns, [abs(r["est_bias"]) for r in sub]),
             "est_variance": fit_slope(ns, [r["est_variance"] for r in sub]),
         }
-    return rows, {"fits": fits, "capped": capped, "true_value": truth}
+    return rows, {"fits": fits, "capped": capped, "true_value": truth, "points": points}
 
 
 def _lookup_likelihood(values: np.ndarray) -> BoundedLikelihood:

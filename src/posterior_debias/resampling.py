@@ -2,9 +2,12 @@
 
 A chain starts at the observed data and repeatedly bootstraps itself; the
 order-k debiased realization combines the plug-in functional across the first
-k stages with the alternating binomial weights. The outer driver replicates
-this over fresh datasets with per-replicate random streams, so results are
-bit-identical for a fixed root seed no matter how many worker threads run.
+k stages with the alternating binomial weights. Two outer drivers replicate
+this over fresh datasets: outer_mc one replicate at a time, with one random
+stream per replicate, and outer_mc_batched one array of replicates at a time,
+with one random stream per fixed-size chunk. Both merge chunk moments in
+chunk order, so results are bit-identical for a fixed root seed no matter how
+many worker threads run.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .simplex import ProbVector, multinomial_pmf_vector
 
 _SEED_LIMIT = 2**64
 _CHUNK = 4096  # replicates per work unit; fixed so the reduction order is too
+_BATCH_ELEMENTS = 2**18  # data points per chunk of outer_mc_batched
+_BATCH_SCHEME = 1  # version of outer_mc_batched's stream layout; bump on any change
 
 
 def _check_seed(seed: int) -> int:
@@ -106,18 +111,6 @@ def _replicate_value(
     return value
 
 
-def _run_span(args) -> tuple[int, float, float]:
-    prior_sampler, functional, cfg, lo, hi = args
-    count, mean, m2 = 0, 0.0, 0.0
-    for rep in range(lo, hi):
-        v = _replicate_value(prior_sampler, functional, cfg, rep)
-        count += 1
-        delta = v - mean
-        mean += delta / count
-        m2 += delta * (v - mean)
-    return count, mean, m2
-
-
 def _merge(a: tuple[int, float, float], b: tuple[int, float, float]):
     ca, ma, sa = a
     cb, mb, sb = b
@@ -128,27 +121,19 @@ def _merge(a: tuple[int, float, float], b: tuple[int, float, float]):
     return count, mean, m2
 
 
-def outer_mc(prior_sampler: Callable, functional: Callable, cfg: MCConfig) -> MCResult:
-    """Replicate the debiased realization over N fresh datasets.
-
-    prior_sampler(n, rng) must return a WeightedSampleSet drawn with the
-    given generator and nothing else; the functional must be pure. Partial
-    failures abort the whole run. The chunked one-pass moment accumulation
-    merges in a fixed order, so the result does not depend on thread count.
-    """
+def _drive(run_span: Callable, n_reps: int, chunk: int, threads: int) -> MCResult:
+    """Split replicates 0..n_reps-1 into spans of ``chunk``, reduce each span
+    to (count, mean, M2) with ``run_span(index, lo, hi)``, on a pool of
+    ``threads`` when there is more than one span, and merge the partials in
+    span order, so the thread count changes no bit of the result."""
     start = time.perf_counter()
-    spans = [
-        (prior_sampler, functional, cfg, lo, min(lo + _CHUNK, cfg.n_reps))
-        for lo in range(0, cfg.n_reps, _CHUNK)
-    ]
-    if cfg.threads == 1 or len(spans) == 1:
-        partials = map(_run_span, spans)
+    spans = [(i, lo, min(lo + chunk, n_reps)) for i, lo in enumerate(range(0, n_reps, chunk))]
+    workers = min(threads, len(spans))
+    if workers == 1:
+        partials = [run_span(*span) for span in spans]
     else:
-        pool = ThreadPoolExecutor(max_workers=cfg.threads)
-        try:
-            partials = list(pool.map(_run_span, spans))
-        finally:
-            pool.shutdown(wait=True)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(lambda span: run_span(*span), spans))
     count, mean, m2 = 0, 0.0, 0.0
     for part in partials:
         count, mean, m2 = _merge((count, mean, m2), part)
@@ -160,6 +145,72 @@ def outer_mc(prior_sampler: Callable, functional: Callable, cfg: MCConfig) -> MC
         n_reps=count,
         wall_time=time.perf_counter() - start,
     )
+
+
+def outer_mc(prior_sampler: Callable, functional: Callable, cfg: MCConfig) -> MCResult:
+    """Replicate the debiased realization over N fresh datasets.
+
+    prior_sampler(n, rng) must return a WeightedSampleSet drawn with the
+    given generator and nothing else; the functional must be pure. Partial
+    failures abort the whole run. Replicates run one at a time in Python,
+    which holds the GIL, so the spans run serially whatever ``cfg.threads``
+    says; the result is the same for any thread count.
+    """
+
+    def run_span(_, lo: int, hi: int) -> tuple[int, float, float]:
+        count, mean, m2 = 0, 0.0, 0.0
+        for rep in range(lo, hi):
+            v = _replicate_value(prior_sampler, functional, cfg, rep)
+            count += 1
+            delta = v - mean
+            mean += delta / count
+            m2 += delta * (v - mean)
+        return count, mean, m2
+
+    return _drive(run_span, cfg.n_reps, _CHUNK, threads=1)
+
+
+def _batch_rows(n: int) -> int:
+    # Replicates per chunk of outer_mc_batched: a chunk's (rows, n) array
+    # stays at or under 2 MB of float64. It depends on n only, so the chunk
+    # layout, and with it every stream, is the same for any thread count.
+    return min(_CHUNK, max(1, _BATCH_ELEMENTS // n))
+
+
+def outer_mc_batched(
+    batch_sampler: Callable, batch_functional: Callable, cfg: MCConfig
+) -> MCResult:
+    """outer_mc with each chunk of replicates held as one (rows, n) array.
+
+    batch_sampler(b, n, rng) must return a (b, n) array of b datasets drawn
+    with the given generator and nothing else; batch_functional maps a (b, n)
+    array to the b plug-in values and must be pure. Chunk c draws from
+    SeedSequence([root_seed, 1, c]) (the 1 is the layout's version): first
+    the sampler's draws, then for each later stage one (b, n) array of
+    resample indices into the stage before. A NaN value aborts the run.
+    Chunks run on ``cfg.threads`` threads, as numpy releases the GIL inside
+    the array work; the result is the same for any thread count.
+    """
+    n, k = cfg.n, cfg.k
+    weights = debias_weights(k)
+
+    def run_span(chunk: int, lo: int, hi: int) -> tuple[int, float, float]:
+        b = hi - lo
+        rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.root_seed, _BATCH_SCHEME, chunk])
+        )
+        stage = batch_sampler(b, n, rng)
+        values = np.zeros(b)
+        for j in range(k):
+            if j > 0:
+                stage = np.take_along_axis(stage, rng.integers(0, n, size=(b, n)), axis=1)
+            values += weights[j] * batch_functional(stage)
+        if np.any(np.isnan(values)):
+            raise FloatingPointError(f"functional returned NaN in replicates {lo}..{hi - 1}")
+        mean = values.mean()
+        return b, float(mean), float(((values - mean) ** 2).sum())
+
+    return _drive(run_span, cfg.n_reps, _batch_rows(n), cfg.threads)
 
 
 def debiased_expectation(

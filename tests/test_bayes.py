@@ -2,6 +2,8 @@ from math import exp, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate, stats
 
 from posterior_debias.bayes import (
@@ -14,6 +16,7 @@ from posterior_debias.bayes import (
     mixture_posterior_tail_prob,
     plugin_expectation,
     plugin_posterior_prob,
+    plugin_posterior_rows,
 )
 from posterior_debias.errors import DegenerateError
 from posterior_debias.simplex import ProbVector
@@ -188,6 +191,37 @@ class TestPluginFunctionals:
         )
 
 
+class TestPluginPosteriorRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 80)),
+            elements=st.floats(-20.0, 20.0),
+        ),
+        y_obs=st.floats(-5.0, 5.0),
+        threshold=st.floats(-3.0, 3.0),
+    )
+    def test_each_row_equals_plugin_prob_bitwise(self, points, y_obs, threshold):
+        lik = gaussian_likelihood(y_obs, 1 / 16)
+        event = lambda x: x >= threshold
+        rows = plugin_posterior_rows(points, lik, event)
+        assert rows.shape == points.shape[:1]
+        for i, row in enumerate(points):
+            assert rows[i] == plugin_posterior_prob(WeightedSampleSet(row), lik, event)
+
+    def test_underflow_in_one_row_raises(self):
+        # only the second row has every likelihood at zero
+        lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, -np.inf, 0.0))
+        with pytest.raises(DegenerateError):
+            plugin_posterior_rows(np.array([[0.0, 9.0], [9.0, 9.0]]), lik, HALF)
+
+    def test_nan_likelihood_raises(self):
+        lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, np.nan, 0.0))
+        with pytest.raises(ValueError):
+            plugin_posterior_rows(np.array([[0.0, 1.0], [0.0, 9.0]]), lik, HALF)
+
+
 class TestGaussianMixture:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -204,6 +238,13 @@ class TestGaussianMixture:
         assert x.shape == (200_000,)
         # mean 0.5, var = 1 + 0.25; allow 5 sigma
         assert abs(x.mean() - 0.5) < 5 * sqrt(1.25 / 200_000)
+
+    def test_int_size_equals_one_d_shape(self):
+        mix = GaussianMixture([0.3, 0.7], [0.0, 2.0], [1.0, 0.5])
+        a = mix.sample(37, np.random.default_rng(np.random.SeedSequence([9])))
+        b = mix.sample((37,), np.random.default_rng(np.random.SeedSequence([9])))
+        assert np.array_equal(a, b)
+        assert mix.sample((4, 37), np.random.default_rng(0)).shape == (4, 37)
 
 
 class TestMixtureTailOracle:

@@ -16,6 +16,7 @@ import posterior_debias
 from posterior_debias.cli import build_parser, main, write_csv
 from posterior_debias.errors import UnderpoweredRunError
 from posterior_debias.experiments import (
+    MC_RNG_SCHEME,
     FitSlopeConfig,
     default_binary_config,
     default_identity_config,
@@ -257,6 +258,46 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 and rows[0]["N"] == "2500"
 
+    def test_mixture_manifest_records_run(self, tmp_path):
+        out = tmp_path / "mix"
+        code = main(
+            [
+                "mixture-mc", "--n-grid", "8,12", "--k-values", "1",
+                "--n-rule", "fixed", "--n-fixed", "2500", "--seed", "5", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rng_scheme"] == MC_RNG_SCHEME
+        assert set(manifest["provenance"]) == {
+            "python", "numpy", "scipy", "platform", "cpu_count"
+        }
+        points = manifest["points"]
+        assert [(p["n"], p["k"], p["N"]) for p in points] == [(8, 1, 2500), (12, 1, 2500)]
+        with open(out / "mixture_mc.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for point, row in zip(points, rows):
+            assert point["wall_time_s"] > 0
+            assert point["reps_per_s"] == pytest.approx(2500 / point["wall_time_s"])
+            assert point["guard_margin"] == pytest.approx(
+                float(row["std_error"]) / (abs(float(row["est_bias"])) / 3)
+            )
+
+    @pytest.mark.parametrize(
+        "argv,manifest",
+        [
+            (["binary-exact", "--n-grid", "8,16", "--k-values", "1"], "manifest.json"),
+            (["identity-check", "--n-grid", "2,3", "--k-values", "1", "--m-values", "2"],
+             "identity_report.json"),
+            (["rejection-demo", "--demo-draws", "100"], "rejection_report.json"),
+        ],
+    )
+    def test_manifest_provenance(self, tmp_path, argv, manifest):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        provenance = json.loads((tmp_path / manifest).read_text())["provenance"]
+        assert provenance["numpy"] == np.__version__
+        assert provenance["cpu_count"] == os.cpu_count()
+
     def test_underpowered_exit_code(self, tmp_path):
         code = main(
             [
@@ -280,7 +321,9 @@ class TestCli:
         with open(out / "mixture_mc.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["n"], r["k"]) for r in rows] == [("8", "1"), ("12", "1")]
-        tripped = json.loads((out / "manifest.json").read_text())["underpowered"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(p["n"], p["k"]) for p in manifest["points"]] == [(8, 1), (12, 1)]
+        tripped = manifest["underpowered"]
         assert set(tripped) == {"n", "k", "N", "std_error", "est_bias"}
         assert (tripped["n"], tripped["k"], tripped["N"]) == (8, 2, 4000)
         assert tripped["std_error"] > abs(tripped["est_bias"]) / 3
@@ -465,6 +508,25 @@ class TestCli:
         assert code == 0
         fit = json.loads(capsys.readouterr().out)
         assert -2.5 < fit["slope"] < -1.5
+
+    @pytest.mark.parametrize(
+        "table,points_used",
+        [
+            ([(8, 1, 0.5), (16, 1, 0.25)], None),
+            ([(n, k, 1.0 / (n * k)) for n in (8, 16, 32) for k in (1, 2)], 4),
+        ],
+    )
+    def test_fit_slope_drop_smallest(self, tmp_path, capsys, table, points_used):
+        # every row at the smallest n goes; fewer than 2 left is an error
+        path = tmp_path / "t.csv"
+        columns = ["n", "k", "abs_bias"]
+        write_csv(path, columns, [dict(zip(columns, r)) for r in table])
+        code = main(["fit-slope", str(path), "--drop-smallest"])
+        if points_used is None:
+            assert code == 2
+        else:
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["points_used"] == points_used
 
     def test_fit_slope_bad_column(self, tmp_path, capsys):
         out = tmp_path / "bin2"

@@ -9,6 +9,7 @@ from posterior_debias.bayes import (
     WeightedSampleSet,
     gaussian_likelihood,
     plugin_posterior_prob,
+    plugin_posterior_rows,
 )
 from posterior_debias.operators import debias_weights, debiased_estimate_mean
 from posterior_debias.resampling import (
@@ -16,8 +17,10 @@ from posterior_debias.resampling import (
     build_chain,
     debiased_expectation,
     debiased_realization,
+    _batch_rows,
     exhaustive_chain_expectation,
     outer_mc,
+    outer_mc_batched,
 )
 from posterior_debias.simplex import ProbVector
 
@@ -264,6 +267,78 @@ class TestOuterMC:
             MCConfig(n=1, k=1, n_reps=1, root_seed=2**64)
         with pytest.raises(ValueError):
             MCConfig(n=1, k=1, n_reps=1, root_seed=0, threads=0)
+
+
+class TestOuterMCBatched:
+    Q = 0.35
+    ELL = [1.0, 2.0]
+
+    @classmethod
+    def _sampler(cls, b, n, rng):
+        return rng.choice([0.0, 1.0], size=(b, n), p=[1 - cls.Q, cls.Q])
+
+    @classmethod
+    def _functional(cls, x):
+        lik = lookup_likelihood(cls.ELL)
+        return plugin_posterior_rows(x, lik, lambda v: np.rint(v).astype(int) == 1)
+
+    def test_chunk_rows_depend_on_n_only(self):
+        assert _batch_rows(1) == 4096
+        assert _batch_rows(64) == 4096
+        assert _batch_rows(65) == 4032
+        assert _batch_rows(10**4) == 26
+        assert _batch_rows(2**18) == 1
+        assert _batch_rows(10**6) == 1
+
+    def test_matches_manual_chunk_reduction(self):
+        # replicate values recomputed in-test from the published layout:
+        # chunk c of _batch_rows(n) replicates draws from
+        # SeedSequence([root, 1, c]), first the data, then the resample
+        # indices; weights [2, -1]. Two full chunks and one partial chunk.
+        n, seed = 10**4, 99
+        rows = _batch_rows(n)
+        reps = 2 * rows + 5
+        functional = atom_prob_functional(self.ELL, 1)
+        cfg = MCConfig(n=n, k=2, n_reps=reps, root_seed=seed)
+        res = outer_mc_batched(self._sampler, self._functional, cfg)
+        vals = []
+        for c, lo in enumerate(range(0, reps, rows)):
+            b = min(rows, reps - lo)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 1, c]))
+            data = self._sampler(b, n, rng)
+            idx = rng.integers(0, n, size=(b, n))
+            for i in range(b):
+                first = functional(WeightedSampleSet(data[i]))
+                second = functional(WeightedSampleSet(data[i][idx[i]]))
+                vals.append(2.0 * first - 1.0 * second)
+        vals = np.array(vals)
+        assert res.n_reps == reps == vals.size
+        assert res.mean == pytest.approx(vals.mean(), rel=1e-13)
+        assert res.variance == pytest.approx(vals.var(ddof=1), rel=1e-12)
+        assert res.std_error == pytest.approx(sqrt(res.variance / reps), rel=1e-15)
+
+    @pytest.mark.parametrize("threads", [1, 3, 4, 16])
+    def test_thread_count_invariance(self, threads):
+        # three chunks of 4096, 4096 and 808 replicates
+        base = MCConfig(n=5, k=2, n_reps=9000, root_seed=31)
+        ref = outer_mc_batched(self._sampler, self._functional, base)
+        cfg = MCConfig(n=5, k=2, n_reps=9000, root_seed=31, threads=threads)
+        got = outer_mc_batched(self._sampler, self._functional, cfg)
+        assert (got.mean, got.variance, got.std_error, got.n_reps) == (
+            ref.mean, ref.variance, ref.std_error, ref.n_reps
+        )
+
+    def test_constant_functional(self):
+        cfg = MCConfig(n=4, k=3, n_reps=50, root_seed=1)
+        res = outer_mc_batched(self._sampler, lambda x: np.full(x.shape[0], 3.25), cfg)
+        assert res.mean == 3.25
+        assert res.variance == 0.0
+
+    def test_nan_functional_aborts(self):
+        # two chunks on two threads: the worker's error reaches the caller
+        cfg = MCConfig(n=3, k=1, n_reps=5000, root_seed=0, threads=2)
+        with pytest.raises(FloatingPointError):
+            outer_mc_batched(self._sampler, lambda x: np.full(x.shape[0], np.nan), cfg)
 
 
 class TestDebiasedExpectation:
