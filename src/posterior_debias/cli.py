@@ -36,6 +36,7 @@ from .experiments import (
     IdentityConfig,
     MixtureConfig,
     RejectionConfig,
+    _field_type,
     fit_slope,
     run_binary_exact,
     run_identity_check,
@@ -116,15 +117,6 @@ def _list_parser(item: type):
     return parse
 
 
-def _field_type(hint) -> tuple[object, bool]:
-    """The X of a field annotated ``X`` or ``X | None``, and whether None is allowed."""
-    members = typing.get_args(hint)
-    if type(None) in members:
-        (hint,) = [m for m in members if m is not type(None)]
-        return hint, True
-    return hint, False
-
-
 def _flag_kwargs(hint) -> dict:
     """argparse keywords for a config field with type annotation ``hint``."""
     hint, _ = _field_type(hint)  # ``X | None``: the flag sets an X
@@ -186,39 +178,11 @@ def _load_config_file(path: Path | None) -> dict:
     return data
 
 
-def _fits(hint, value) -> bool:
-    """Whether a JSON value has the type that the flag for ``hint`` parses to."""
-    hint, optional = _field_type(hint)
-    if value is None:
-        return optional
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, list) and all(_fits(item, v) for v in value)
-    if hint is bool:
-        return isinstance(value, bool)
-    if isinstance(value, bool):  # JSON true/false is no number
-        return False
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
 def _resolve_config(args: argparse.Namespace, cls):
-    """Field defaults < config file < explicit flags."""
+    """Field defaults < config file < explicit flags; the config checks the values."""
     values = _load_config_file(args.config)
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(values) - set(fields)
-    if unknown:
-        raise ValueError(f"config keys not used by {args.command}: {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
-    for key, value in values.items():
-        if not _fits(hints[key], value):
-            raise ValueError(
-                f"config key {key!r} needs {fields[key].type}, got {json.dumps(value)}"
-            )
-    # JSON arrays arrive as lists; the frozen configs hold tuples.
-    values = {key: tuple(v) if isinstance(v, list) else v for key, v in values.items()}
-    values.update((name, getattr(args, name)) for name in fields if hasattr(args, name))
+    names = [f.name for f in dataclasses.fields(cls)]
+    values.update((name, getattr(args, name)) for name in names if hasattr(args, name))
     return cls(**values)
 
 

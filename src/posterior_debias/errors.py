@@ -4,8 +4,8 @@
 class CapExceededError(RuntimeError):
     """An exact computation would exceed a configured size cap.
 
-    Callers that hit this on a lattice or transfer-matrix build are expected
-    to fall back to the Monte Carlo path instead of retrying.
+    No caller retries or falls back to Monte Carlo: the error names the
+    offending size, and the CLI exits 3.
     """
 
 

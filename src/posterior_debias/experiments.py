@@ -9,8 +9,9 @@ layer so every number is formatted once, with round-trip-exact precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+import numbers
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -36,9 +37,6 @@ MC_RNG_SCHEME = (
     "outer_mc_batched v1: chunk c of grid point (n, k) draws from "
     "SeedSequence([_point_seed(root_seed, n, k), 1, c])"
 )
-# The rejection demo expects bound * draws proposals; ten times that only
-# stops a sampler that is genuinely stuck.
-_ATTEMPT_CAP_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -94,19 +92,52 @@ def _opt(default, help: str, **meta):
     return field(default=default, metadata={"help": help, **meta})
 
 
+def _field_type(hint) -> tuple[object, bool]:
+    """The X of a field annotated ``X`` or ``X | None``, and whether None is allowed."""
+    members = get_args(hint)
+    if type(None) in members:
+        (hint,) = [m for m in members if m is not type(None)]
+        return hint, True
+    return hint, False
+
+
+def _fits(hint, value) -> bool:
+    """Whether ``value`` has the type of a field annotated ``hint``."""
+    hint, optional = _field_type(hint)
+    if value is None:
+        return optional
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return isinstance(value, (tuple, list)) and all(_fits(item, v) for v in value)
+    if hint is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):  # True/False is no number
+        return False
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(hint, hint))
+
+
+def _check_fields(cfg) -> None:
+    """Raise ValueError on a field value of another type than its annotation
+    (flags, files and Python callers alike); store a list as a tuple."""
+    hints = get_type_hints(type(cfg))
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not _fits(hints[f.name], value):
+            raise ValueError(f"config field {f.name!r} needs {f.type}, got {value!r}")
+        if isinstance(value, list):
+            object.__setattr__(cfg, f.name, tuple(value))
+
+
 def _check_grid(cfg) -> None:
-    grid = tuple(int(n) for n in cfg.n_grid)
+    grid = cfg.n_grid
     if len(grid) < 2:
         raise ValueError("n_grid needs at least 2 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     if grid[0] < 1:
         raise ValueError("n_grid entries must be >= 1")
-    object.__setattr__(cfg, "n_grid", grid)
-    ks = tuple(int(k) for k in cfg.k_values)
-    if not ks or any(k < 1 for k in ks):
+    if not cfg.k_values or any(k < 1 for k in cfg.k_values):
         raise ValueError("k_values must be non-empty positive integers")
-    object.__setattr__(cfg, "k_values", ks)
 
 
 @dataclass(frozen=True)
@@ -122,6 +153,7 @@ class BinaryConfig:
     noise_var: float = _opt(1.0, "observation noise variance")
 
     def __post_init__(self):
+        _check_fields(self)
         _check_grid(self)
 
 
@@ -154,6 +186,7 @@ class MixtureConfig:
     root_seed: int = _opt(0, "root seed", flag="--seed")
 
     def __post_init__(self):
+        _check_fields(self)
         _check_grid(self)
         if self.n_rule not in (None, "n_pow3", "n_pow4", "fixed"):
             raise ValueError(f"unknown n_rule {self.n_rule!r}")
@@ -171,11 +204,15 @@ class IdentityConfig:
 
     n_grid: tuple[int, ...] = _opt((4, 6), "sample sizes (keep small)")
     k_values: tuple[int, ...] = _opt((1, 2), "correction orders")
-    m_values: tuple[int, ...] = _opt((2, 3), "support sizes")
+    m_values: tuple[int, ...] = _opt((2, 3), "support sizes, each >= 2")
     root_seed: int = _opt(0, "root seed", flag="--seed")
 
     def __post_init__(self):
+        _check_fields(self)
         _check_grid(self)
+        # A one-atom posterior is identically 1, so m = 1 compares nothing.
+        if not self.m_values or any(m < 2 for m in self.m_values):
+            raise ValueError("m_values must be non-empty integers >= 2")
 
 
 @dataclass(frozen=True)
@@ -192,6 +229,9 @@ class RejectionConfig:
     demo_draws: int = _opt(100_000, "accepted draws to collect")
     root_seed: int = _opt(0, "root seed", flag="--seed")
 
+    def __post_init__(self):
+        _check_fields(self)
+
 
 @dataclass(frozen=True)
 class FitSlopeConfig:
@@ -202,6 +242,9 @@ class FitSlopeConfig:
     where: str | None = _opt(None, "keep only rows where COL=VALUE exactly, e.g. k=2")
     abs: bool = _opt(False, "take |y| before fitting")
     drop_smallest: bool = _opt(False, "drop the smallest size from the fit")
+
+    def __post_init__(self):
+        _check_fields(self)
 
 
 # Public constructors: keyword overrides on top of each experiment's defaults.
@@ -257,9 +300,9 @@ def _mc_reps(cfg: MixtureConfig, n: int, k: int) -> int:
     if rule is None:
         rule = "n_pow3" if k == 1 else "n_pow4"
     if rule == "n_pow3":
-        return n**3
+        return int(n) ** 3  # a numpy integer n would wrap at int64
     if rule == "n_pow4":
-        return n**4
+        return int(n) ** 4
     return int(cfg.n_fixed)
 
 
@@ -430,12 +473,7 @@ def run_rejection_demo(cfg: RejectionConfig) -> dict:
     )
     spec = make_rejection_spec(proposal, target_values)
     draw_seed = _point_seed(cfg.root_seed, n, k)
-    indices, attempts = rejection_sample_batch(
-        spec,
-        cfg.demo_draws,
-        seed=draw_seed,
-        attempt_cap=int(_ATTEMPT_CAP_FACTOR * spec.bound * cfg.demo_draws),
-    )
+    indices, attempts = rejection_sample_batch(spec, cfg.demo_draws, seed=draw_seed)
     freq = np.bincount(indices, minlength=2) / cfg.demo_draws
     return {
         "n": n,

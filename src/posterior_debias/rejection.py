@@ -14,8 +14,6 @@ import numpy as np
 from .errors import IterationCapError, SupportError
 from .simplex import ProbVector, SignedProbVector
 
-DEFAULT_ATTEMPT_CAP = 1_000_000
-
 
 @dataclass(frozen=True)
 class RejectionSpec:
@@ -68,7 +66,7 @@ def rejection_sample_batch(
     spec: RejectionSpec,
     size: int,
     seed: int,
-    attempt_cap: int = DEFAULT_ATTEMPT_CAP,
+    attempt_cap: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """Draw ``size`` accepted indices; also report proposal draws consumed.
 
@@ -77,10 +75,13 @@ def rejection_sample_batch(
     runs up to and including the draw that produced the last acceptance.
 
     Raises IterationCapError once ``attempt_cap`` proposals have been used
-    without filling the request.
+    without filling the request. The default cap, ten times the expected
+    ``bound * size`` proposals, only stops a sampler that is genuinely stuck.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    if attempt_cap is None:
+        attempt_cap = int(10 * spec.bound * size)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     m = spec.proposal.size
     out = np.empty(size, dtype=np.int64)

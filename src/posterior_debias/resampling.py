@@ -78,6 +78,11 @@ class MCConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # Plain isinstance: run_mixture_mc builds one MCConfig per grid point.
+        for name in ("n", "k", "n_reps", "root_seed", "threads"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name!r} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.k <= MAX_ORDER:

@@ -188,8 +188,7 @@ def enumerate_lattice(n: int, m: int) -> SimplexLattice:
     """Materialize the full count lattice for (n, m), with n, m >= 1.
 
     A lattice of more than DEFAULT_LATTICE_CAP points raises
-    :class:`CapExceededError`, which signals the caller to switch to the
-    Monte Carlo path instead of attempting an exact computation.
+    :class:`CapExceededError` instead of being built; the CLI exits 3.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")

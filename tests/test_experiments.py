@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,11 @@ from posterior_debias.cli import build_parser, main, write_csv
 from posterior_debias.errors import UnderpoweredRunError
 from posterior_debias.experiments import (
     MC_RNG_SCHEME,
+    BinaryConfig,
     FitSlopeConfig,
+    IdentityConfig,
+    MixtureConfig,
+    RejectionConfig,
     default_binary_config,
     default_identity_config,
     default_mixture_config,
@@ -27,7 +32,29 @@ from posterior_debias.experiments import (
     run_identity_check,
     run_mixture_mc,
     run_rejection_demo,
+    _mc_reps,
 )
+from posterior_debias.resampling import MCConfig
+
+# Every config class with the arguments it needs, and one value of the wrong
+# type per annotation; a tuple field gets a wrong item inside a tuple.
+CONFIG_ARGS = {
+    BinaryConfig: {},
+    MixtureConfig: {},
+    IdentityConfig: {},
+    RejectionConfig: {},
+    FitSlopeConfig: {},
+    MCConfig: {"n": 4, "k": 1, "n_reps": 1, "root_seed": 0},
+}
+WRONG_VALUE = {int: 2.5, float: "0.5", bool: 1, str: 1.5}
+CONFIG_FIELDS = [(cls, f.name) for cls in CONFIG_ARGS for f in dataclasses.fields(cls)]
+
+
+def wrong_value(hint):
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        return (1, WRONG_VALUE[args[0]])
+    return WRONG_VALUE[args[0] if args else hint]
 
 
 class TestFitSlope:
@@ -107,6 +134,40 @@ class TestExperimentConfig:
                 default_mixture_config(n_rule=rule, n_fixed=500)
 
 
+    @pytest.mark.parametrize(
+        "cls, name", CONFIG_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in CONFIG_FIELDS]
+    )
+    def test_wrong_type_names_field(self, cls, name):
+        value = wrong_value(typing.get_type_hints(cls)[name])
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            cls(**{**CONFIG_ARGS[cls], name: value})
+
+    @pytest.mark.parametrize(
+        "make, kwargs",
+        [
+            (default_binary_config, {"n_grid": (8.9, 16)}),  # used to run n = 8
+            (default_mixture_config, {"threads": 2.5}),
+            (default_mixture_config, {"n_rule": "fixed", "n_fixed": 300.7}),
+            (default_rejection_config, {"demo_n": 64.7}),
+        ],
+    )
+    def test_python_caller_meets_the_type_check(self, make, kwargs):
+        name = list(kwargs)[-1]
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            make(**kwargs)
+
+    def test_list_stored_as_tuple(self):
+        cfg = IdentityConfig(m_values=[2, 3], n_grid=[np.int64(4), 6])
+        assert cfg.m_values == (2, 3) and isinstance(cfg.m_values, tuple)
+        assert cfg.n_grid == (4, 6) and isinstance(cfg.n_grid, tuple)
+
+    @pytest.mark.parametrize("m_values", [(1,), (1, 2), ()])
+    def test_identity_needs_two_atoms(self, m_values):
+        # A one-atom posterior is identically 1, so the check would compare nothing.
+        with pytest.raises(ValueError, match="m_values"):
+            default_identity_config(m_values=m_values)
+
+
 class TestRunBinaryExact:
     def test_rows_and_schema(self):
         cfg = default_binary_config(n_grid=(8, 16, 32), k_values=(1, 2))
@@ -162,6 +223,11 @@ class TestRunMixtureMC:
         assert info["capped"] == [
             {"n": 12, "k": 1, "requested": 1728, "effective": 600}
         ]
+
+    def test_numpy_sizes_do_not_wrap(self):
+        # The configs keep numpy integers as given; 60000^4 overflows int64.
+        cfg = default_mixture_config(n_grid=(np.int64(8), np.int64(60000)), k_values=(2,))
+        assert _mc_reps(cfg, cfg.n_grid[1], 2) == 60000**4
 
     def test_underpowered_aborts(self):
         cfg = default_mixture_config(
@@ -429,6 +495,11 @@ class TestCli:
             assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2, key
             assert repr(key) in capsys.readouterr().err
             assert not out.exists()
+
+    def test_identity_one_atom_exit_code(self, tmp_path):
+        out = tmp_path / "m1"
+        assert main(["identity-check", "--m-values", "1", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_readme_commands_parse(self):
         # Every command-line example in the README uses flags that exist.

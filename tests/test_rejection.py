@@ -84,6 +84,12 @@ class TestSampling:
         with pytest.raises(IterationCapError):
             rejection_sample_batch(spec, 1, seed=4, attempt_cap=50)
 
+    def test_default_cap_scales_with_request(self):
+        # More accepts than a fixed budget of 10^6 proposals could give.
+        spec = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.5, 0.5]))
+        idx, attempts = rejection_sample_batch(spec, 1_000_001, seed=0)
+        assert idx.size == attempts == 1_000_001
+
     def test_size_validation(self):
         spec = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.5, 0.5]))
         with pytest.raises(ValueError):

@@ -218,7 +218,9 @@ class TestOuterMC:
         res = outer_mc(self._binary_sampler(q), functional, cfg)
         assert abs(res.mean - exact) < 4 * res.std_error
 
-    @pytest.mark.parametrize("threads", [1, 3, 4, 16])
+    # outer_mc runs its spans serially whatever the thread count; one case
+    # pins that the setting leaves results alone.
+    @pytest.mark.parametrize("threads", [16])
     def test_thread_count_invariance(self, threads):
         functional = atom_prob_functional([1.0, 2.0], 1)
         base = MCConfig(n=5, k=2, n_reps=9000, root_seed=31)
@@ -241,16 +243,6 @@ class TestOuterMC:
         cfg = MCConfig(n=3, k=1, n_reps=10, root_seed=0)
         with pytest.raises(FloatingPointError):
             outer_mc(self._binary_sampler(0.5), lambda ws: float("nan"), cfg)
-
-    def test_variance_halves_when_n_doubles(self):
-        ell = [1.0, exp(1.5)]
-        functional = atom_prob_functional(ell, 1)
-        results = {}
-        for n in (64, 128, 256):
-            cfg = MCConfig(n=n, k=1, n_reps=100_000, root_seed=13)
-            results[n] = outer_mc(self._binary_sampler(0.4), functional, cfg).variance
-        assert 1.4 < results[64] / results[128] < 2.6
-        assert 1.4 < results[128] / results[256] < 2.6
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -333,6 +325,23 @@ class TestOuterMCBatched:
         res = outer_mc_batched(self._sampler, lambda x: np.full(x.shape[0], 3.25), cfg)
         assert res.mean == 3.25
         assert res.variance == 0.0
+
+    def test_variance_halves_when_n_doubles(self):
+        q = 0.4
+        lik = lookup_likelihood([1.0, exp(1.5)])
+
+        def sampler(b, n, rng):
+            return rng.choice([0.0, 1.0], size=(b, n), p=[1 - q, q])
+
+        def functional(x):
+            return plugin_posterior_rows(x, lik, lambda v: np.rint(v).astype(int) == 1)
+
+        results = {}
+        for n in (64, 128, 256):
+            cfg = MCConfig(n=n, k=1, n_reps=100_000, root_seed=13)
+            results[n] = outer_mc_batched(sampler, functional, cfg).variance
+        assert 1.4 < results[64] / results[128] < 2.6
+        assert 1.4 < results[128] / results[256] < 2.6
 
     def test_nan_functional_aborts(self):
         # two chunks on two threads: the worker's error reaches the caller
