@@ -26,7 +26,7 @@ from .bayes import (
     BoundedLikelihood,
 )
 from .errors import CapExceededError, UnderpoweredRunError
-from .operators import debiased_estimate, debiased_estimate_mean, exact_bias, exact_variance
+from .operators import _exact_bias_variance, debiased_estimate, debiased_estimate_mean
 from .rejection import make_rejection_spec, rejection_sample_batch
 from .resampling import MCConfig, exhaustive_chain_expectation, outer_mc_batched
 from .simplex import CountsVector, ProbVector
@@ -58,7 +58,8 @@ class SlopeFit:
 def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
     """Least-squares slope of log(value) on log(size).
 
-    Values must be strictly positive (a zero bias cannot be slope-fit).
+    Sizes and values must be finite, and values strictly positive (a zero
+    bias cannot be slope-fit).
     ``drop_smallest`` removes every point at the smallest size before
     fitting, for grids whose first size is still pre-asymptotic.
     """
@@ -66,6 +67,10 @@ def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
     vs = np.asarray(values, dtype=float)
     if ns.ndim != 1 or ns.shape != vs.shape:
         raise ValueError("sizes and values must be 1-d and the same length")
+    for name, arr in (("sizes", ns), ("values", vs)):
+        bad = ~np.isfinite(arr)
+        if np.any(bad):
+            raise ValueError(f"{name} must be finite, got {arr[bad].tolist()}")
     if drop_smallest and ns.size:
         keep = ns != ns.min()
         ns, vs = ns[keep], vs[keep]
@@ -265,20 +270,22 @@ def run_binary_exact(
 ) -> tuple[list[dict], dict]:
     """Exact |bias| and variance per (n, k) for the two-atom posterior map.
 
-    No sampling is involved, so the output is deterministic. Lattice-cap
-    errors are re-raised naming the offending n.
+    No sampling is involved, so the output is deterministic. Each n samples
+    the map once and builds one iterate stack up to the largest k, shared by
+    every k and by bias and variance. Lattice-cap errors are re-raised naming
+    the offending n.
     """
     bmap = _binary_bayes_map(cfg)
     g = bmap.component(1) if g_override is None else g_override
     prior = ProbVector(np.array([1.0 - cfg.q, cfg.q]))
     rows = []
     for n in cfg.n_grid:
+        try:
+            moments = _exact_bias_variance(g, prior, n, cfg.k_values)
+        except CapExceededError as exc:
+            raise CapExceededError(f"n={n}: {exc}") from exc
         for k in cfg.k_values:
-            try:
-                bias = exact_bias(g, prior, n, k)
-                variance = exact_variance(g, prior, n, k)
-            except CapExceededError as exc:
-                raise CapExceededError(f"n={n}: {exc}") from exc
+            bias, variance = moments[k]
             rows.append(
                 {"n": n, "k": k, "abs_bias": abs(bias), "variance": variance}
             )

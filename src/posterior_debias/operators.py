@@ -5,6 +5,12 @@ to lattice arguments it is a row-stochastic transfer matrix, so operator
 powers are matrix-vector products (cost j*L^2 for lattice size L instead of
 the L^j of naive nested sums). On top of it sit the alternating debiasing
 combination, its exact mean over datasets, and exact bias/variance.
+
+Every exact quantity is built from one iterate stack [g, Bg, ..., B^{k-1} g]
+and the pmf of q. A public call builds its own stack; a sweep over k shares
+one stack per n through _exact_bias_variance, with the same floating-point
+operations, so its values equal the per-call ones bit for bit. The matrix
+is filled row by row from coefficients computed once per lattice.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from .simplex import (
     CountsVector,
     ProbVector,
     SimplexLattice,
+    _log_coef,
+    _log_probs,
     enumerate_lattice,
     lattice_size,
     multinomial_pmf_vector,
@@ -69,7 +77,7 @@ class TransferMatrix:
         if np.any(r < 0):
             raise ValueError("transfer matrix entries must be non-negative")
         row_err = np.abs(r.sum(axis=1) - 1.0).max()
-        if row_err > 1e-10:
+        if not row_err <= 1e-10:  # also catches NaN, which every comparison fails
             raise ValueError(f"transfer matrix rows sum to 1 +/- {row_err}")
         if r.flags.writeable or not r.flags.owndata:
             r = r.copy()
@@ -111,9 +119,18 @@ def transfer_matrix(n: int, m: int) -> TransferMatrix:
             f"over the cap of {DEFAULT_MATRIX_ENTRY_CAP}"
         )
     lat = enumerate_lattice(n, m)
+    # Row i is multinomial_pmf_vector(lat, points[i] / n), with its
+    # coefficients and log-probabilities computed once for all rows and built
+    # in place. Each row keeps its own matrix-vector product: one
+    # (L, m) @ (m, L) product rounds differently.
+    pts = lat.points.astype(float)
+    log_coef = _log_coef(lat)
+    log_p = _log_probs(lat.points / n)
     rows = np.empty((size, size))
-    for i in range(size):
-        rows[i] = multinomial_pmf_vector(lat, lat.points[i] / n)
+    for i, row in enumerate(rows):
+        np.matmul(pts, log_p[i], out=row)
+        row += log_coef
+        np.exp(row, out=row)
     rows.flags.writeable = False  # TransferMatrix keeps it without a copy
     return TransferMatrix(lattice=lat, rows=rows)
 
@@ -142,26 +159,53 @@ def _cached_matrix(n: int, m: int) -> TransferMatrix:
     return transfer_matrix(n, m)
 
 
-def _operator_iterates(g: Callable, n: int, m: int, j_max: int) -> list[np.ndarray]:
-    # [g, Bg, B^2 g, ..., B^{j_max} g] as lattice value vectors. g must be
-    # deterministic: it is sampled onto the lattice once per call, and the
-    # matrix is built only when j_max > 0.
+def _operator_iterates(g: Callable, n: int, m: int, k: int) -> list[np.ndarray]:
+    # [g, Bg, ..., B^{k-1} g] as lattice value vectors: every iterate an
+    # order-k estimate combines, so one stack up to the largest k serves every
+    # smaller k too. k is checked as an order first; g must be deterministic,
+    # as it is sampled onto the lattice once per call; the matrix is built
+    # only when k > 1.
+    debias_weights(k)
     out = [LatticeFunction.from_callable(g, _cached_lattice(n, m)).values]
-    if j_max > 0:
+    if k > 1:
         M = _cached_matrix(n, m).rows
-        for _ in range(j_max):
+        for _ in range(k - 1):
             out.append(M @ out[-1])
     return out
 
 
-def _debiased_values(g: Callable, n: int, m: int, k: int) -> np.ndarray:
-    # sum_j weights[j] * B^j g over the (n, m) lattice, accumulated in j order.
+def _combination(iters: list[np.ndarray], k: int) -> np.ndarray:
+    # sum_j weights[j] * B^j g over the lattice, accumulated in j order.
     w = debias_weights(k)
-    iters = _operator_iterates(g, n, m, k - 1)
     debiased = np.zeros(iters[0].size)
     for j in range(k):
         debiased += w[j] * iters[j]
     return debiased
+
+
+def _mean(mass: np.ndarray, iters: list[np.ndarray], k: int) -> float:
+    # sum_{j=1}^{k} C(k,j)(-1)^{j-1} (B^j g)(q), with (B^j g)(q) = mass @ B^{j-1} g.
+    w = debias_weights(k)  # w[j - 1] = C(k, j)(-1)^{j-1}
+    return float(sum(w[j] * (mass @ iters[j]) for j in range(k)))
+
+
+def _variance(mass: np.ndarray, debiased: np.ndarray) -> float:
+    first = float(mass @ debiased)
+    second = float(mass @ (debiased * debiased))
+    return second - first * first
+
+
+def _exact_bias_variance(g: Callable, q: ProbVector, n: int, k_values) -> dict:
+    # {k: (bias, variance)} of the order-k debiased estimate at the prior q,
+    # from one sampling of g, one pmf of q and one iterate stack up to the
+    # largest k; the values equal exact_bias and exact_variance bit for bit.
+    iters = _operator_iterates(g, n, q.m, max(k_values))
+    mass = multinomial_pmf_vector(_cached_lattice(n, q.m), q)
+    g_q = float(g(np.asarray(q)))
+    return {
+        k: (_mean(mass, iters, k) - g_q, _variance(mass, _combination(iters, k)))
+        for k in k_values
+    }
 
 
 def debiased_estimate(g: Callable, T: CountsVector, k: int) -> float:
@@ -172,7 +216,7 @@ def debiased_estimate(g: Callable, T: CountsVector, k: int) -> float:
     """
     T = T if isinstance(T, CountsVector) else CountsVector(T)
     idx = _cached_lattice(T.n, T.m).index_of(T.counts)
-    return float(_debiased_values(g, T.n, T.m, k)[idx])
+    return float(_combination(_operator_iterates(g, T.n, T.m, k), k)[idx])
 
 
 def debiased_estimate_mean(g: Callable, q: ProbVector, n: int, k: int) -> float:
@@ -182,27 +226,20 @@ def debiased_estimate_mean(g: Callable, q: ProbVector, n: int, k: int) -> float:
     once to the debiasing combination telescopes into this alternating sum.
     """
     q = q if isinstance(q, ProbVector) else ProbVector(q)
-    w = debias_weights(k)  # w[j - 1] = C(k, j)(-1)^{j-1}
-    lat = _cached_lattice(n, q.m)
-    mass = multinomial_pmf_vector(lat, q)
-    iters = _operator_iterates(g, n, q.m, k - 1)
-    return float(sum(w[j] * (mass @ iters[j]) for j in range(k)))
+    iters = _operator_iterates(g, n, q.m, k)
+    return _mean(multinomial_pmf_vector(_cached_lattice(n, q.m), q), iters, k)
 
 
 def exact_bias(g: Callable, q: ProbVector, n: int, k: int) -> float:
     """Exact bias of the order-k debiased estimate at the true prior q."""
     q = q if isinstance(q, ProbVector) else ProbVector(q)
-    return debiased_estimate_mean(g, q, n, k) - float(g(np.asarray(q)))
+    return _exact_bias_variance(g, q, n, (k,))[k][0]
 
 
 def exact_variance(g: Callable, q: ProbVector, n: int, k: int) -> float:
     """Exact variance of the order-k debiased estimate over T ~ Multinomial(n, q)."""
     q = q if isinstance(q, ProbVector) else ProbVector(q)
-    mass = multinomial_pmf_vector(_cached_lattice(n, q.m), q)
-    debiased = _debiased_values(g, n, q.m, k)
-    first = float(mass @ debiased)
-    second = float(mass @ (debiased * debiased))
-    return second - first * first
+    return _exact_bias_variance(g, q, n, (k,))[k][1]
 
 
 def central_moment(n: int, q: ProbVector, alpha) -> float:
@@ -235,7 +272,7 @@ def contraction_norm(g: Callable, n: int, m: int, r: int) -> float:
     if r < 1:
         raise ValueError(f"repetition count must be >= 1, got {r}")
     M = _cached_matrix(n, m).rows
-    v = _operator_iterates(g, n, m, 0)[0]
+    v = _operator_iterates(g, n, m, 1)[0]
     for _ in range(r):
         v = M @ v - v
     return float(np.abs(v).max())

@@ -247,25 +247,31 @@ def exhaustive_chain_expectation(
     counts for stage 1 follow Multinomial(n, prior), and each later stage
     follows Multinomial(n, previous/n), which is row ``previous`` of the
     transfer matrix. Stages are expanded into literal sample sets on the
-    points 0..m-1 so the realization goes through the same code path as the
-    Monte Carlo driver.
+    points 0..m-1, and the leaves combine them with debiased_realization, so
+    the realization goes through the same code path as the Monte Carlo
+    driver. The functional must be pure: it is evaluated at most once per
+    lattice point.
     """
     prior = prior if isinstance(prior, ProbVector) else ProbVector(prior)
     M = transfer_matrix(n, prior.m)
     lat, step = M.lattice, M.rows
     pts = np.arange(prior.m, dtype=float)
-    stage_sets = [
-        WeightedSampleSet(np.repeat(pts, lat.points[i])) for i in range(lat.size)
-    ]
+
+    class StageValues(dict):
+        # functional(stage set of lattice point i), evaluated on first lookup:
+        # once per point at most, and never for a point no chain reaches.
+        def __missing__(self, i: int):
+            value = self[i] = functional(WeightedSampleSet(np.repeat(pts, lat.points[i])))
+            return value
+
+    values = StageValues()
     first = multinomial_pmf_vector(lat, prior)
 
     def recurse(prefix: list[int], prob: float) -> float:
         if prob == 0.0:
             return 0.0
         if len(prefix) == k:
-            return prob * debiased_realization(
-                [stage_sets[i] for i in prefix], functional, k
-            )
+            return prob * debiased_realization(prefix, values.__getitem__, k)
         cond = step[prefix[-1]]
         return sum(
             recurse(prefix + [j], prob * cond[j])

@@ -7,6 +7,7 @@ lattice sizes up to DEFAULT_LATTICE_CAP stay overflow-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -122,15 +123,17 @@ class CountsVector:
 
 
 def _lattice_points(n: int, m: int) -> np.ndarray:
-    # Ascending lexicographic enumeration of {nu in N^m : sum nu = n}.
-    if m == 1:
-        return np.array([[n]], dtype=np.int64)
-    blocks = []
-    for v in range(n + 1):
-        tail = _lattice_points(n - v, m - 1)
-        head = np.full((tail.shape[0], 1), v, dtype=np.int64)
-        blocks.append(np.hstack([head, tail]))
-    return np.vstack(blocks)
+    # Ascending lexicographic enumeration of {nu in N^m : sum nu = n}, by
+    # stars and bars: combinations() yields the m - 1 bar positions among
+    # n + m - 1 slots in lexicographic order, which is the order of the
+    # partial sums nu_1, nu_1 + nu_2, ... and so of nu itself.
+    size = lattice_size(n, m)
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(n + m - 1), m - 1)),
+        dtype=np.int64,
+        count=size * (m - 1),
+    ).reshape(size, m - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=n + m - 1) - 1
 
 
 @dataclass(frozen=True)
@@ -169,13 +172,19 @@ class SimplexLattice:
             raise ValueError(f"expected {self.m} categories, got shape {c.shape}")
         if np.any(c < 0) or int(c.sum()) != self.n:
             raise ValueError(f"{c.tolist()} is not on the (n={self.n}, m={self.m}) lattice")
+        # Points before c that agree with it up to coordinate i and are
+        # smaller there number sum_{v < c_i} C(R - v + s, s), with R the
+        # count left and s = m - i - 2; by the hockey-stick identity that is
+        # C(R + s + 1, s + 1) - C(R - c_i + s + 1, s + 1).
         rank = 0
         remaining = self.n
         for i in range(self.m - 1):
             slots = self.m - i - 2
-            for v in range(int(c[i])):
-                rank += comb(remaining - v + slots, slots)
-            remaining -= int(c[i])
+            ci = int(c[i])
+            rank += comb(remaining + slots + 1, slots + 1) - comb(
+                remaining - ci + slots + 1, slots + 1
+            )
+            remaining -= ci
         return rank
 
 
@@ -213,9 +222,16 @@ def multinomial_pmf_vector(lattice: SimplexLattice, q) -> np.ndarray:
         raise ValueError(f"expected {lattice.m} probabilities, got shape {p.shape}")
     if np.any(np.isnan(p)):
         raise ValueError("NaN in probability vector")
-    pts = lattice.points
-    log_coef = gammaln(lattice.n + 1) - gammaln(pts + 1).sum(axis=1)
-    log_p = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), _LOG_ZERO)
-    log_mass = pts @ log_p + log_coef
-    return np.exp(log_mass)
+    return np.exp(lattice.points @ _log_probs(p) + _log_coef(lattice))
+
+
+def _log_coef(lattice: SimplexLattice) -> np.ndarray:
+    # log n!/(nu_1! ... nu_m!) at every lattice point.
+    return gammaln(lattice.n + 1) - gammaln(lattice.points + 1).sum(axis=1)
+
+
+def _log_probs(p: np.ndarray) -> np.ndarray:
+    # Elementwise log p with the _LOG_ZERO sentinel where p = 0; p may be one
+    # probability vector or a stack of them.
+    return np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), _LOG_ZERO)
 

@@ -32,9 +32,12 @@ from posterior_debias.experiments import (
     run_identity_check,
     run_mixture_mc,
     run_rejection_demo,
+    _binary_bayes_map,
     _mc_reps,
 )
+from posterior_debias.operators import exact_bias, exact_variance
 from posterior_debias.resampling import MCConfig
+from posterior_debias.simplex import ProbVector
 
 # Every config class with the arguments it needs, and one value of the wrong
 # type per annotation; a tuple field gets a wrong item inside a tuple.
@@ -47,6 +50,28 @@ CONFIG_ARGS = {
     MCConfig: {"n": 4, "k": 1, "n_reps": 1, "root_seed": 0},
 }
 WRONG_VALUE = {int: 2.5, float: "0.5", bool: 1, str: 1.5}
+# run_binary_exact at the default map, n in {64, 128, 256}, k = 1..6:
+# (n, k, abs_bias.hex(), variance.hex()).
+BINARY_EXACT_GOLDEN = [
+    (64, 1, "0x1.1d7403589ff00p-8", "0x1.3e54c71532600p-9"),
+    (64, 2, "0x1.3ccbb27906000p-14", "0x1.32411dfe27900p-9"),
+    (64, 3, "0x1.0ba78eecf0000p-17", "0x1.3222526550600p-9"),
+    (64, 4, "0x1.484e21ee00000p-20", "0x1.323503357c600p-9"),
+    (64, 5, "0x1.6626edd600000p-22", "0x1.32362c5a90c00p-9"),
+    (64, 6, "0x1.ecdc2f5000000p-25", "0x1.3235446fa2600p-9"),
+    (128, 1, "0x1.1aae173481900p-9", "0x1.3598d11519800p-10"),
+    (128, 2, "0x1.43fa60f1f0000p-16", "0x1.2faa8a770e200p-10"),
+    (128, 3, "0x1.c673252700000p-21", "0x1.2fa7ea29c2000p-10"),
+    (128, 4, "0x1.6d844d1800000p-24", "0x1.2faa182422e00p-10"),
+    (128, 5, "0x1.6e01fd8000000p-28", "0x1.2faa0ec9d6400p-10"),
+    (128, 6, "0x1.1b1fe70000000p-29", "0x1.2faa064628400p-10"),
+    (256, 1, "0x1.194ff20d67600p-10", "0x1.315dbee687c00p-11"),
+    (256, 2, "0x1.46d5683a60000p-18", "0x1.2e6e5f221f000p-11"),
+    (256, 3, "0x1.9f441f4800000p-24", "0x1.2e6e4555f2000p-11"),
+    (256, 4, "0x1.70719e8000000p-28", "0x1.2e6e863df0400p-11"),
+    (256, 5, "0x1.6750e00000000p-34", "0x1.2e6e84fceb800p-11"),
+    (256, 6, "0x1.1e9f400000000p-35", "0x1.2e6e84c6ff400p-11"),
+]
 CONFIG_FIELDS = [(cls, f.name) for cls in CONFIG_ARGS for f in dataclasses.fields(cls)]
 
 
@@ -101,6 +126,13 @@ class TestFitSlope:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             fit_slope([2, 4, 8], [1.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="sizes must be finite"):
+            fit_slope([2, bad, 8], [1.0, 0.5, 0.25])
+        with pytest.raises(ValueError, match="values must be finite"):
+            fit_slope([2, 4, 8], [1.0, bad, 0.25])
 
 
 class TestExperimentConfig:
@@ -188,6 +220,26 @@ class TestRunBinaryExact:
         assert all(r["abs_bias"] == 0.0 for r in rows)
         assert fits[1]["abs_bias"] is None
         assert fits[1]["variance"] is None
+
+    @pytest.mark.parametrize("g_override", [None, lambda x: np.sin(3.0 * x[1]) + x[0] ** 2])
+    def test_rows_equal_exact_bias_and_variance(self, g_override):
+        # One shared iterate stack per n gives the per-(n, k) values exactly.
+        cfg = default_binary_config(n_grid=(16, 64), k_values=(3, 1, 2))
+        rows, _ = run_binary_exact(cfg, g_override=g_override)
+        g = _binary_bayes_map(cfg).component(1) if g_override is None else g_override
+        q = ProbVector([1.0 - cfg.q, cfg.q])
+        assert [(r["n"], r["k"]) for r in rows] == [(n, k) for n in (16, 64) for k in (3, 1, 2)]
+        for r in rows:
+            assert r["abs_bias"] == abs(exact_bias(g, q, r["n"], r["k"]))
+            assert r["variance"] == exact_variance(g, q, r["n"], r["k"])
+
+    def test_golden_values(self):
+        # float.hex of |bias| and variance, recorded before the exact path
+        # shared its iterate stacks; any change of rounding shows here.
+        cfg = default_binary_config(n_grid=(64, 128, 256), k_values=(1, 2, 3, 4, 5, 6))
+        rows, _ = run_binary_exact(cfg)
+        got = [(r["n"], r["k"], r["abs_bias"].hex(), r["variance"].hex()) for r in rows]
+        assert got == BINARY_EXACT_GOLDEN
 
     def test_cap_error_names_offending_n(self):
         from posterior_debias.errors import CapExceededError
@@ -598,6 +650,17 @@ class TestCli:
         else:
             assert code == 0
             assert json.loads(capsys.readouterr().out)["points_used"] == points_used
+
+    def test_fit_slope_non_finite_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        columns = ["n", "k", "abs_bias"]
+        table = [(8, 1, 0.5), (16, 1, "nan"), (32, 1, 0.125)]
+        write_csv(path, columns, [dict(zip(columns, r)) for r in table])
+        code = main(["fit-slope", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "values must be finite" in captured.err
+        assert captured.out == ""
 
     def test_fit_slope_bad_column(self, tmp_path, capsys):
         out = tmp_path / "bin2"

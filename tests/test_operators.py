@@ -104,6 +104,24 @@ class TestTransferMatrix:
         with pytest.raises(ValueError):
             transfer_matrix(4, 2).rows[0, 0] = 0.5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_row(self, bad):
+        lat = enumerate_lattice(2, 2)
+        rows = np.eye(3)
+        rows[1] = [bad, 0.5, 0.5]
+        with pytest.raises(ValueError, match="rows sum to 1"):
+            TransferMatrix(lattice=lat, rows=rows)
+
+    @pytest.mark.parametrize(
+        "n,m", [(1, 2), (7, 2), (1024, 2), (12, 3), (60, 3), (20, 4), (5, 5)]
+    )
+    def test_rows_are_the_pmf_bit_for_bit(self, n, m):
+        # Includes boundary rows, where the log-zero sentinel applies.
+        lat = enumerate_lattice(n, m)
+        M = transfer_matrix(n, m).rows
+        for i in range(lat.size):
+            assert np.array_equal(M[i], multinomial_pmf_vector(lat, lat.points[i] / n))
+
     def test_caller_array_copied(self):
         built = transfer_matrix(4, 2)
         mine = np.array(built.rows)  # writeable, owned by the caller

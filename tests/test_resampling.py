@@ -1,4 +1,4 @@
-from math import exp, sqrt
+from math import comb, exp, sqrt
 
 import numpy as np
 import pytest
@@ -144,6 +144,26 @@ class TestExhaustiveChainExpectation:
         enum = exhaustive_chain_expectation(functional, prior, 3, 2)
         exact = debiased_estimate_mean(g, prior, 3, 2)
         assert enum == pytest.approx(exact, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "ell,s,prior,n,k,expected",
+        [
+            ([0.8, 1.6, 1.1], 2, [0.3, 0.45, 0.25], 4, 3, "0x1.cc4592981648cp-3"),
+            ([1.0, exp(1.5)], 1, [0.6, 0.4], 6, 3, "0x1.8277a5c3afb8fp-1"),
+        ],
+    )
+    def test_functional_evaluated_once_per_lattice_point(self, ell, s, prior, n, k, expected):
+        functional = atom_prob_functional(ell, s)
+        calls = []
+
+        def counting(ws):
+            calls.append(ws)
+            return functional(ws)
+
+        got = exhaustive_chain_expectation(counting, ProbVector(prior), n, k)
+        assert got.hex() == expected  # recorded before the functional was memoized
+        assert len(calls) <= comb(n + len(prior) - 1, len(prior) - 1)
+        assert all(isinstance(ws, WeightedSampleSet) for ws in calls)
 
     def test_corrupted_weights_break_identity(self, corrupt_k2_weights):
         ell = [1.0, exp(1.5)]

@@ -99,7 +99,26 @@ class TestLattice:
         got = [tuple(int(v) for v in row) for row in enumerate_lattice(1, 3).points]
         assert got == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
-    @pytest.mark.parametrize("n,m", [(4, 2), (5, 3), (3, 4)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_same_order_as_recursive_enumeration(self, m):
+        def recursive(n, m):
+            if m == 1:
+                return np.array([[n]], dtype=np.int64)
+            blocks = []
+            for v in range(n + 1):
+                tail = recursive(n - v, m - 1)
+                head = np.full((tail.shape[0], 1), v, dtype=np.int64)
+                blocks.append(np.hstack([head, tail]))
+            return np.vstack(blocks)
+
+        for n in (1, 2, 5, 9):
+            points = enumerate_lattice(n, m).points
+            assert points.dtype == np.int64
+            assert np.array_equal(points, recursive(n, m))
+
+    @pytest.mark.parametrize(
+        "n,m", [(4, 2), (5, 3), (3, 4), (4096, 2), (60, 3), (20, 4)]
+    )
     def test_index_of_round_trips(self, n, m):
         lat = enumerate_lattice(n, m)
         for i in range(lat.size):
