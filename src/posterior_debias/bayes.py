@@ -191,12 +191,29 @@ class GaussianMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", var)
+        # The label cut points of rng.choice(size, p=weights): its cdf,
+        # normalised by its last entry, without that entry.
+        cdf = w.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cuts", cdf[:-1])
+        object.__setattr__(self, "_sds", np.sqrt(var))
 
     def sample(self, size: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Draws of the given size (an int or a shape) from the generator:
-        component labels first, then one standard normal per draw."""
-        comp = rng.choice(self.weights.size, size=size, p=self.weights)
-        return self.means[comp] + np.sqrt(self.variances[comp]) * rng.standard_normal(size)
+        component labels first, then one standard normal per draw.
+
+        A label is the number of cut points at or below one uniform, which
+        is what rng.choice(..., p=weights) computes with searchsorted from
+        the same uniforms, so the stream is unchanged."""
+        u = rng.random(size)
+        comp = np.zeros(u.shape, dtype=np.intp)
+        for cut in self._cuts:
+            comp += u >= cut
+        del u  # at most three draw-sized arrays alive from here on
+        x = rng.standard_normal(size)
+        x *= self._sds[comp]
+        x += self.means[comp]
+        return x
 
 
 def _normal_tail(z: float) -> float:

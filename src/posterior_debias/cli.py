@@ -19,6 +19,7 @@ import dataclasses
 import json
 import os
 import platform
+import resource
 import sys
 import time
 import typing
@@ -101,6 +102,8 @@ def _manifest(cfg, wall_time: float, extra: dict) -> dict:
         "provenance": _provenance(),
         "config": {"experiment": cfg.experiment, **dataclasses.asdict(cfg)},
         "wall_time_seconds": wall_time,
+        # Peak resident set of this process so far; ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         **extra,
     }
 

@@ -38,6 +38,11 @@ MAX_ORDER = 20  # the weights C(k, j+1) are exact in float64 up to here, but
 # the float64 floor of the alternating sum grows with k: the exact bias is off
 # by a relative 1.1e-1 at n = 1024, k = 6
 DEFAULT_MATRIX_ENTRY_CAP = 50_000_000
+# exp(x) rounds to exactly 0.0 for every float64 x below -745.14, and np.exp
+# is about 11 times slower on such inputs than on ones it can represent
+# (numpy 2.4 on a 2-core x86-64 host).
+_EXP_UNDERFLOW = -746.0
+_EXP_BLOCK = 1 << 16  # matrix entries per exp call, in whole rows
 
 
 @lru_cache(maxsize=MAX_ORDER)
@@ -74,7 +79,7 @@ class TransferMatrix:
         L = self.lattice.size
         if r.shape != (L, L):
             raise ValueError(f"expected {(L, L)} matrix, got {r.shape}")
-        if np.any(r < 0):
+        if r.min() < 0:  # as np.any(r < 0), NaN included, with no L x L mask
             raise ValueError("transfer matrix entries must be non-negative")
         row_err = np.abs(r.sum(axis=1) - 1.0).max()
         if not row_err <= 1e-10:  # also catches NaN, which every comparison fails
@@ -126,11 +131,21 @@ def transfer_matrix(n: int, m: int) -> TransferMatrix:
     pts = lat.points.astype(float)
     log_coef = _log_coef(lat)
     log_p = _log_probs(lat.points / n)
+    # The exp is taken once per block of rows, while the block is in cache,
+    # and only where the log mass is at or above _EXP_UNDERFLOW: below it exp
+    # is exactly 0.0, so the bits are those of exp over the whole matrix
+    # (over half the entries at n = 4096). A NaN is not below the cut-off
+    # and reaches TransferMatrix's row-sum check as before.
     rows = np.empty((size, size))
-    for i, row in enumerate(rows):
-        np.matmul(pts, log_p[i], out=row)
-        row += log_coef
-        np.exp(row, out=row)
+    per_block = max(1, _EXP_BLOCK // size)
+    for start in range(0, size, per_block):
+        blk = rows[start : start + per_block]
+        for i, row in enumerate(blk, start):
+            np.matmul(pts, log_p[i], out=row)
+            row += log_coef
+        dead = blk < _EXP_UNDERFLOW
+        np.exp(blk, out=blk, where=~dead)
+        blk[dead] = 0.0
     rows.flags.writeable = False  # TransferMatrix keeps it without a copy
     return TransferMatrix(lattice=lat, rows=rows)
 
@@ -154,9 +169,18 @@ def _cached_lattice(n: int, m: int) -> SimplexLattice:
     return enumerate_lattice(n, m)
 
 
-@lru_cache(maxsize=1)
+_matrix_slot: dict[tuple[int, int], TransferMatrix] = {}
+
+
 def _cached_matrix(n: int, m: int) -> TransferMatrix:
-    return transfer_matrix(n, m)
+    # A miss drops the resident matrix before building the next one, so two
+    # matrices are never alive at once (lru_cache would hold the old one
+    # while the new one is built).
+    M = _matrix_slot.get((n, m))
+    if M is None:
+        _matrix_slot.clear()
+        M = _matrix_slot[(n, m)] = transfer_matrix(n, m)
+    return M
 
 
 def _operator_iterates(g: Callable, n: int, m: int, k: int) -> list[np.ndarray]:

@@ -246,6 +246,22 @@ class TestGaussianMixture:
         assert np.array_equal(a, b)
         assert mix.sample((4, 37), np.random.default_rng(0)).shape == (4, 37)
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.3, 0.7], [0.2, 0.0, 0.8], [0.0, 0.5, 0.5], [0.5, 0.3, 0.2], [1.0]],
+    )
+    @pytest.mark.parametrize("size", [1000, (3, 5), (512, 16)])
+    def test_same_stream_as_choice(self, weights, size):
+        # Reference: labels from rng.choice with p=weights, then one standard
+        # normal per draw, scaled by the label's standard deviation.
+        m = len(weights)
+        mix = GaussianMixture(weights, np.arange(m) - 1.0, 0.5 + np.arange(m))
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            comp = rng.choice(m, size=size, p=mix.weights)
+            ref = mix.means[comp] + np.sqrt(mix.variances[comp]) * rng.standard_normal(size)
+            assert np.array_equal(mix.sample(size, np.random.default_rng(seed)), ref)
+
 
 class TestMixtureTailOracle:
     MIX = GaussianMixture([0.5, 0.5], [0.0, 1.0], [1.0, 1.0])

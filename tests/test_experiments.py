@@ -362,6 +362,12 @@ class TestCli:
         assert manifest["config"]["experiment"] == "binary_exact"
         assert "slope_fits" in manifest and "wall_time_seconds" in manifest
 
+    def test_manifest_records_peak_rss(self, tmp_path):
+        out = tmp_path / "bin"
+        assert main(["binary-exact", "--n-grid", "8,16", "--k-values", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["peak_rss_mb"] > 0
+
     def test_mixture_end_to_end(self, tmp_path):
         out = tmp_path / "mix"
         code = main(

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from fractions import Fraction
 from math import comb, exp
@@ -112,15 +113,36 @@ class TestTransferMatrix:
         with pytest.raises(ValueError, match="rows sum to 1"):
             TransferMatrix(lattice=lat, rows=rows)
 
+    def test_rejects_negative_entry(self):
+        lat = enumerate_lattice(2, 2)
+        rows = np.eye(3)
+        rows[1] = [-0.25, 0.75, 0.5]  # sums to 1
+        with pytest.raises(ValueError, match="non-negative"):
+            TransferMatrix(lattice=lat, rows=rows)
+
     @pytest.mark.parametrize(
-        "n,m", [(1, 2), (7, 2), (1024, 2), (12, 3), (60, 3), (20, 4), (5, 5)]
+        "n,m", [(1, 2), (7, 2), (1024, 2), (12, 3), (60, 3), (20, 4), (5, 5), (4096, 2)]
     )
     def test_rows_are_the_pmf_bit_for_bit(self, n, m):
-        # Includes boundary rows, where the log-zero sentinel applies.
+        # Includes boundary rows, where the log-zero sentinel applies, and at
+        # n = 4096 rows where over half the entries underflow to 0.
         lat = enumerate_lattice(n, m)
         M = transfer_matrix(n, m).rows
-        for i in range(lat.size):
+        if lat.size > 2000:
+            rows = sorted({0, 1, lat.size // 2, lat.size - 1, *range(0, lat.size, 97)})
+        else:
+            rows = range(lat.size)
+        for i in rows:
             assert np.array_equal(M[i], multinomial_pmf_vector(lat, lat.points[i] / n))
+
+    def test_build_allocates_only_the_matrix(self):
+        tracemalloc.start()
+        try:
+            M = transfer_matrix(512, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * M.rows.nbytes
 
     def test_caller_array_copied(self):
         built = transfer_matrix(4, 2)
@@ -350,3 +372,18 @@ class TestOperatorState:
         swept = [row(64, g_a), row(128, g_b), row(64, g_b)]
         uninterrupted = {n: row(n, fresh()) for n in (64, 128)}
         assert swept == [uninterrupted[64], uninterrupted[128], uninterrupted[64]]
+
+    def test_one_matrix_alive_while_the_next_is_built(self):
+        # The n = 256 matrix is dropped before the n = 512 one is built, so
+        # the traced peak is about one n = 512 matrix, not both of them.
+        g = DiscreteBayesMap((1.0, exp(1.5))).component(1)
+        q = ProbVector([0.6, 0.4])
+        tracemalloc.start()
+        try:
+            exact_bias(g, q, 256, 2)
+            tracemalloc.reset_peak()
+            exact_bias(g, q, 512, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 513 * 513 * 8
