@@ -12,6 +12,8 @@ import numpy as np
 from .errors import DegenerateError
 from .simplex import ProbVector
 
+_BLOCK = 2**14  # points per block of the plug-in expectation: 128 KiB of float64
+
 
 @dataclass(frozen=True)
 class BoundedLikelihood:
@@ -160,12 +162,68 @@ def plugin_posterior_prob(
 def plugin_expectation(
     samples: WeightedSampleSet, likelihood: BoundedLikelihood, h: Callable
 ) -> float:
-    """Plug-in posterior expectation sum_i l(X_i) h(X_i) / sum_i l(X_i)."""
-    w = _plugin_weights(samples.points, likelihood)
-    values = np.asarray(h(samples.points), dtype=float)
-    if values.shape != samples.points.shape:
-        raise ValueError("h must return one value per sample")
-    return float((w * values).sum() / w.sum())
+    """Plug-in posterior expectation sum_i l(X_i) h(X_i) / sum_i l(X_i).
+
+    ``likelihood.log`` and ``h`` are applied block by block, to slices of at
+    most 2^14 points, so both must act elementwise: one output per input
+    point, depending on that point only.
+    """
+    return _plugin_expectation(samples.points, likelihood, h)
+
+
+def _pairwise(block_sums: Callable, lo: int, hi: int) -> tuple[float, float]:
+    # Adds up the pairs block_sums(a, b) returns for pieces [a, b) of
+    # [lo, hi) of at most _BLOCK points. [lo, hi) is split and the halves
+    # added as numpy's pairwise sum does for more than 128 entries: halve,
+    # then round down to a multiple of 8. numpy sums a piece on its own as
+    # it sums that subtree of the whole array, so when block_sums returns
+    # .sum() of its piece, the result is bit for bit .sum() of the whole.
+    if hi - lo <= _BLOCK:
+        return block_sums(lo, hi)
+    half = (hi - lo) // 2
+    half -= half % 8
+    num_a, den_a = _pairwise(block_sums, lo, lo + half)
+    num_b, den_b = _pairwise(block_sums, lo + half, hi)
+    return num_a + num_b, den_a + den_b
+
+
+def _plugin_expectation(
+    points: np.ndarray, likelihood: BoundedLikelihood, h: Callable
+) -> float:
+    # Two passes over cache-sized blocks, with one reused work buffer and
+    # nothing n-sized allocated. The first takes the max-shift; the second
+    # sums the shifted weights and the weighted values, with the bits of
+    # summing n-sized arrays (see _pairwise). num and den take the same
+    # sums, so h identically 1 gives exactly 1.
+    n = points.size
+    shift = float("-inf")
+    for lo in range(0, n, _BLOCK):
+        x = points[lo : lo + _BLOCK]
+        log_w = likelihood.log(x)
+        if log_w.shape != x.shape:
+            raise ValueError("likelihood must return one value per sample")
+        top = log_w.max()
+        if np.isnan(top):
+            raise ValueError("likelihood returned NaN")
+        shift = max(shift, top)
+    if shift == float("-inf"):
+        raise DegenerateError("all sample likelihoods underflowed to zero")
+    work = np.empty(min(n, _BLOCK))
+
+    def block_sums(lo: int, hi: int) -> tuple[float, float]:
+        x = points[lo:hi]
+        w = work[: hi - lo]
+        np.subtract(likelihood.log(x), shift, out=w)
+        np.exp(w, out=w)
+        den = w.sum()
+        values = np.asarray(h(x), dtype=float)
+        if values.shape != x.shape:
+            raise ValueError("h must return one value per sample")
+        w *= values
+        return w.sum(), den
+
+    num, den = _pairwise(block_sums, 0, n)
+    return float(num / den)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,26 @@ def write_manifest(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _git_commit(git_dir: Path) -> str | None:
+    """The commit checked out in ``git_dir``, read from HEAD and the loose
+    or packed ref it names; None when any of it cannot be read."""
+    try:
+        head = (git_dir / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head or None  # a detached HEAD holds the commit itself
+        ref = head[len("ref: ") :]
+        loose = git_dir / ref
+        if loose.is_file():
+            return loose.read_text().strip() or None
+        for line in (git_dir / "packed-refs").read_text().splitlines():
+            commit, _, name = line.partition(" ")
+            if name == ref:
+                return commit
+    except (OSError, UnicodeDecodeError):
+        pass
+    return None
+
+
 def _provenance() -> dict:
     return {
         "python": platform.python_version(),
@@ -93,6 +113,8 @@ def _provenance() -> dict:
         "scipy": scipy.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
+        # The repository this package was loaded from (src/posterior_debias).
+        "commit": _git_commit(Path(__file__).resolve().parents[2] / ".git"),
     }
 
 

@@ -169,7 +169,7 @@ class MixtureConfig:
     experiment: ClassVar[str] = "mixture_mc"
 
     n_grid: tuple[int, ...] = _opt((8, 12, 16, 24, 32, 48, 64), "sample sizes")
-    k_values: tuple[int, ...] = _opt((1, 2), "correction orders")
+    k_values: tuple[int, ...] = _opt((1,), "correction orders")
     y_obs: float = _opt(0.8, "observed value")
     noise_var: float = _opt(1.0 / 16.0, "observation noise variance")
     threshold: float = _opt(0.5, "event is {x >= threshold}")

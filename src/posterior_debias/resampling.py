@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bayes import BoundedLikelihood, WeightedSampleSet, plugin_expectation
+from .bayes import _BLOCK, BoundedLikelihood, WeightedSampleSet, _plugin_expectation
 from .operators import MAX_ORDER, debias_weights, transfer_matrix
 from .simplex import ProbVector, multinomial_pmf_vector
 
@@ -36,22 +36,51 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _chain_stages(points: np.ndarray, k: int, seed: int):
+    """Checks k and the seed, then returns an iterator over the k stages of
+    the chain from ``points`` as plain arrays: stage 1 is ``points`` itself,
+    and each later stage is n uniform-with-replacement draws from the one
+    before, from the generator SeedSequence([seed]).
+
+    Later stages are written into at most two reused n-sized buffers, so a
+    stage is valid only until the next one is drawn. Each is filled in even
+    blocks of _BLOCK draws, and only the last block is short; the indices
+    are those of one rng.integers(0, n, size=n) call. Resampling finite
+    points keeps them finite, so no stage is checked again."""
+    if not 1 <= k <= MAX_ORDER:
+        raise ValueError(f"order k must be in [1, {MAX_ORDER}], got {k}")
+    seed = _check_seed(seed)
+
+    def draw():
+        yield points
+        if k == 1:
+            return
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        n = points.size
+        buffers = [np.empty(n) for _ in range(min(k - 1, 2))]
+        prev = points
+        for j in range(k - 1):
+            stage = buffers[j % 2]
+            for lo in range(0, n, _BLOCK):
+                hi = min(lo + _BLOCK, n)
+                # The indices are in range, so "clip" changes none of them
+                # and spares take its buffered copy of ``out``.
+                idx = rng.integers(0, n, size=hi - lo)
+                np.take(prev, idx, out=stage[lo:hi], mode="clip")
+            yield stage
+            prev = stage
+
+    return draw()
+
+
 def build_chain(data: WeightedSampleSet, k: int, seed: int) -> tuple[WeightedSampleSet, ...]:
     """Grow the k stages of the recursive bootstrap: stage 1 is the data
     verbatim, and each later stage is n uniform-with-replacement draws from
     the previous one. Fully reproducible from (data, k, seed)."""
-    if not 1 <= k <= MAX_ORDER:
-        raise ValueError(f"order k must be in [1, {MAX_ORDER}], got {k}")
-    seed = _check_seed(seed)
-    stages = [data]
-    if k > 1:
-        rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        pts = data.points
-        n = data.n
-        for _ in range(k - 1):
-            pts = pts[rng.integers(0, n, size=n)]
-            stages.append(WeightedSampleSet(pts))
-    return tuple(stages)
+    stages = _chain_stages(data.points, k, seed)
+    next(stages)  # stage 1, the data itself
+    # Each stage is copied before the generator overwrites its buffer.
+    return (data, *(WeightedSampleSet(stage) for stage in stages))
 
 
 def debiased_realization(
@@ -227,12 +256,19 @@ def debiased_expectation(
 ) -> float:
     """Single-dataset debiased estimate of a posterior expectation.
 
-    Combines plugin_expectation across chain stages with the signed weights;
-    h identically 1 returns exactly 1 (the signed mixture is normalized).
+    Combines plugin_expectation across the stages of build_chain(data, k,
+    seed) with the signed weights, bit for bit, but keeps at most two
+    n-sized stage buffers and evaluates each stage in blocks of 2^14 points:
+    ``likelihood.log`` and ``h`` must act elementwise. h identically 1
+    returns exactly 1 (the signed mixture is normalized).
     """
-    return debiased_realization(
-        build_chain(data, k, seed), lambda s: plugin_expectation(s, likelihood, h), k
-    )
+    # Each stage is evaluated before the next overwrites its buffer; the
+    # values then combine exactly as a built chain's would.
+    values = [
+        _plugin_expectation(stage, likelihood, h)
+        for stage in _chain_stages(data.points, k, seed)
+    ]
+    return debiased_realization(values, float, k)
 
 
 def exhaustive_chain_expectation(

@@ -8,6 +8,7 @@ from scipy import integrate, stats
 
 from posterior_debias.bayes import (
     BoundedLikelihood,
+    _pairwise,
     DiscreteBayesMap,
     GaussianMixture,
     WeightedSampleSet,
@@ -189,6 +190,85 @@ class TestPluginFunctionals:
         assert plugin_expectation(samples, lik, lambda x: x) == pytest.approx(
             ratio / (1 + ratio), rel=1e-13
         )
+
+
+B = 2**14  # block size of the plug-in expectation
+
+
+def plugin_expectation_whole(samples, likelihood, h):
+    """The plug-in expectation over whole arrays, as it was computed before
+    it moved to blocks."""
+    log_w = likelihood.log(samples.points)
+    shift = log_w.max(axis=-1, keepdims=True)
+    w = np.exp(log_w - shift)
+    values = np.asarray(h(samples.points), dtype=float)
+    return float((w * values).sum() / w.sum())
+
+
+class TestPluginExpectationBlocks:
+    @pytest.mark.parametrize("n", [1, 7, B - 1, B, B + 1, 3 * B + 5, 2**18])
+    def test_equals_whole_array_bit_for_bit(self, n):
+        rng = np.random.default_rng(np.random.SeedSequence([n]))
+        samples = WeightedSampleSet(rng.normal(0.5, 1.0, n))
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        for h in (lambda x: (x >= 0.5).astype(float), lambda x: x, np.sin):
+            assert plugin_expectation(samples, lik, h) == plugin_expectation_whole(
+                samples, lik, h
+            )
+
+    @pytest.mark.parametrize("n", [B + 1, 3 * B + 5, 3 * B + 21, 5 * B + 3, 100003, 2**18 + 13])
+    def test_block_sums_add_up_as_numpy_sums(self, n):
+        # Signed terms over 16 decades: nearly any change of summation order
+        # changes the rounding.
+        rng = np.random.default_rng(np.random.SeedSequence([n, 3]))
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        got = _pairwise(lambda lo, hi: (a[lo:hi].sum(), -a[lo:hi].sum()), 0, n)
+        assert got == (a.sum(), -a.sum())
+
+    def test_unit_function_is_exactly_one_over_blocks(self):
+        rng = np.random.default_rng(np.random.SeedSequence([5]))
+        samples = WeightedSampleSet(rng.normal(0.5, 1.0, 3 * B + 5))
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        assert plugin_expectation(samples, lik, lambda x: np.ones(np.shape(x))) == 1.0
+
+    def test_applies_likelihood_and_h_blockwise(self):
+        seen = []
+
+        def log_fn(x):
+            seen.append(x.size)
+            return -x * x
+
+        def h(x):
+            seen.append(x.size)
+            return x
+
+        samples = WeightedSampleSet(np.linspace(-1.0, 1.0, 3 * B + 5))
+        plugin_expectation(samples, BoundedLikelihood(log_fn=log_fn), h)
+        assert max(seen) <= B
+        # one pass for the shift, and one for the sums with h
+        assert sum(seen) == 3 * samples.n
+
+    def test_nan_in_last_block_raises(self):
+        pts = np.zeros(3 * B + 5)
+        pts[-1] = 9.0
+        lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, np.nan, 0.0))
+        with pytest.raises(ValueError, match="NaN"):
+            plugin_expectation(WeightedSampleSet(pts), lik, lambda x: x)
+
+    def test_all_underflow_raises_over_blocks(self):
+        neg_inf = BoundedLikelihood(log_fn=lambda x: np.full(np.shape(x), -np.inf))
+        with pytest.raises(DegenerateError):
+            plugin_expectation(WeightedSampleSet(np.zeros(3 * B + 5)), neg_inf, lambda x: x)
+
+    def test_bad_h_shape_raises_over_blocks(self):
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        with pytest.raises(ValueError, match="one value per sample"):
+            plugin_expectation(WeightedSampleSet(np.zeros(3 * B + 5)), lik, lambda x: x[:-1])
+
+    def test_bad_likelihood_shape_raises(self):
+        lik = BoundedLikelihood(log_fn=lambda x: 0.0)
+        with pytest.raises(ValueError, match="one value per sample"):
+            plugin_expectation(WeightedSampleSet(np.zeros(B + 1)), lik, lambda x: x)
 
 
 class TestPluginPosteriorRows:

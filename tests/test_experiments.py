@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import posterior_debias
-from posterior_debias.cli import build_parser, main, write_csv
+from posterior_debias.cli import _git_commit, build_parser, main, write_csv
 from posterior_debias.errors import UnderpoweredRunError
 from posterior_debias.experiments import (
     MC_RNG_SCHEME,
@@ -143,6 +143,11 @@ class TestExperimentConfig:
         mix = default_mixture_config()
         assert mix.n_grid == (8, 12, 16, 24, 32, 48, 64)
         assert mix.noise_var == pytest.approx(1 / 16)
+
+    def test_mixture_default_is_order_one(self):
+        # The default grid runs k = 1 only: at k = 2 the bias crosses zero
+        # between n = 8 and 16, so the default grid would trip the guard.
+        assert default_mixture_config().k_values == (1,)
 
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
@@ -394,7 +399,7 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["rng_scheme"] == MC_RNG_SCHEME
         assert set(manifest["provenance"]) == {
-            "python", "numpy", "scipy", "platform", "cpu_count"
+            "python", "numpy", "scipy", "platform", "cpu_count", "commit"
         }
         points = manifest["points"]
         assert [(p["n"], p["k"], p["N"]) for p in points] == [(8, 1, 2500), (12, 1, 2500)]
@@ -421,6 +426,29 @@ class TestCli:
         provenance = json.loads((tmp_path / manifest).read_text())["provenance"]
         assert provenance["numpy"] == np.__version__
         assert provenance["cpu_count"] == os.cpu_count()
+
+    def test_git_commit_read_from_loose_and_packed_refs(self, tmp_path):
+        git = tmp_path / ".git"
+        (git / "refs" / "heads").mkdir(parents=True)
+        loose, packed = "1" * 40, "2" * 40
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        (git / "refs" / "heads" / "main").write_text(loose + "\n")
+        (git / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{packed} refs/heads/other\n^{'3' * 40}\n"
+        )
+        assert _git_commit(git) == loose
+        (git / "HEAD").write_text("ref: refs/heads/other\n")
+        assert _git_commit(git) == packed
+        (git / "HEAD").write_text(packed + "\n")  # detached
+        assert _git_commit(git) == packed
+
+    def test_git_commit_none_when_unreadable(self, tmp_path):
+        assert _git_commit(tmp_path / ".git") is None
+        git = tmp_path / "repo" / ".git"
+        git.mkdir(parents=True)
+        (git / "HEAD").write_text("ref: refs/heads/gone\n")
+        assert _git_commit(git) is None
 
     def test_underpowered_exit_code(self, tmp_path):
         code = main(

@@ -11,7 +11,8 @@ from posterior_debias.bayes import (
     plugin_posterior_prob,
     plugin_posterior_rows,
 )
-from posterior_debias.operators import debias_weights, debiased_estimate_mean
+from posterior_debias.errors import DegenerateError
+from posterior_debias.operators import MAX_ORDER, debias_weights, debiased_estimate_mean
 from posterior_debias.resampling import (
     MCConfig,
     build_chain,
@@ -386,3 +387,104 @@ class TestDebiasedExpectation:
 
         got = debiased_expectation(data, lik, lambda x: x, 1, seed=0)
         assert got == pytest.approx(plugin_expectation(data, lik, lambda x: x), rel=1e-15)
+
+
+B = 2**14  # block size of the stages and of the plug-in expectation
+
+
+def build_chain_whole(data, k, seed):
+    """The chain with one n-sized index draw and gather per stage, as it was
+    drawn before it moved to blocks."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    stages, pts = [data], data.points
+    for _ in range(k - 1):
+        pts = pts[rng.integers(0, data.n, size=data.n)]
+        stages.append(WeightedSampleSet(pts))
+    return stages
+
+
+def plugin_expectation_whole(samples, likelihood, h):
+    """The plug-in expectation over whole arrays, as it was computed before
+    it moved to blocks."""
+    log_w = likelihood.log(samples.points)
+    shift = log_w.max(axis=-1, keepdims=True)
+    w = np.exp(log_w - shift)
+    values = np.asarray(h(samples.points), dtype=float)
+    return float((w * values).sum() / w.sum())
+
+
+class TestDebiasedExpectationBlocks:
+    @pytest.fixture(scope="class", params=[1, 7, B - 1, B, B + 1, 3 * B + 5, 2**18])
+    def data(self, request):
+        rng = np.random.default_rng(np.random.SeedSequence([request.param, 2]))
+        return WeightedSampleSet(rng.normal(0.5, 1.0, request.param))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_equals_whole_array_composition(self, data, k):
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        h = lambda x: (x >= 0.5).astype(float)
+        seed = 1000 + k
+        expected = debiased_realization(
+            build_chain_whole(data, k, seed),
+            lambda s: plugin_expectation_whole(s, lik, h),
+            k,
+        )
+        assert debiased_expectation(data, lik, h, k, seed) == expected
+
+    def test_build_chain_equals_whole_array_draws(self, data):
+        for got, want in zip(build_chain(data, 4, 77), build_chain_whole(data, 4, 77), strict=True):
+            assert np.array_equal(got.points, want.points)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_unit_function_is_exactly_one_over_blocks(self, k):
+        rng = np.random.default_rng(np.random.SeedSequence([22]))
+        data = WeightedSampleSet(rng.normal(0.5, 1.0, 3 * B + 5))
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        assert debiased_expectation(data, lik, lambda x: np.ones(np.shape(x)), k, seed=6) == 1.0
+
+    def test_blockwise_integers_equal_one_call(self):
+        # The stages draw their indices B at a time; numpy's bounded-integer
+        # path hands out 32-bit halves of 64-bit draws, so check that the
+        # blocks take the stream of a single call and leave it where one
+        # call leaves it.
+        n = 3 * B + 5
+        one = np.random.default_rng(np.random.SeedSequence([9]))
+        blocks = np.random.default_rng(np.random.SeedSequence([9]))
+        whole = one.integers(0, n, size=n)
+        pieces = [blocks.integers(0, n, size=min(B, n - lo)) for lo in range(0, n, B)]
+        assert np.array_equal(np.concatenate(pieces), whole)
+        assert np.array_equal(blocks.integers(0, n, size=5), one.integers(0, n, size=5))
+
+    def test_nan_in_last_block_of_a_stage_raises(self):
+        pts = np.zeros(3 * B + 5)
+        pts[-1] = 9.0
+        lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, np.nan, 0.0))
+        with pytest.raises(ValueError, match="NaN"):
+            debiased_expectation(WeightedSampleSet(pts), lik, lambda x: x, 2, seed=0)
+
+    def test_all_underflow_raises(self):
+        neg_inf = BoundedLikelihood(log_fn=lambda x: np.full(np.shape(x), -np.inf))
+        data = WeightedSampleSet(np.zeros(3 * B + 5))
+        with pytest.raises(DegenerateError):
+            debiased_expectation(data, neg_inf, lambda x: x, 2, seed=0)
+
+    def test_bad_h_shape_raises(self):
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        data = WeightedSampleSet(np.zeros(3 * B + 5))
+        with pytest.raises(ValueError, match="one value per sample"):
+            debiased_expectation(data, lik, lambda x: x[:1], 2, seed=0)
+
+    @pytest.mark.parametrize("k,seed", [(0, 1), (MAX_ORDER + 1, 1), (2, -1), (2, 2**64)])
+    def test_bad_order_or_seed_raises_before_any_work(self, k, seed):
+        calls = []
+
+        def log_fn(x):
+            calls.append(x.size)
+            return -x * x
+
+        data = WeightedSampleSet(np.zeros(B + 1))
+        with pytest.raises(ValueError):
+            debiased_expectation(data, BoundedLikelihood(log_fn=log_fn), lambda x: x, k, seed)
+        with pytest.raises(ValueError):
+            build_chain(data, k, seed)
+        assert calls == []
