@@ -164,9 +164,10 @@ def plugin_expectation(
 ) -> float:
     """Plug-in posterior expectation sum_i l(X_i) h(X_i) / sum_i l(X_i).
 
-    ``likelihood.log`` and ``h`` are applied block by block, to slices of at
-    most 2^14 points, so both must act elementwise: one output per input
-    point, depending on that point only.
+    ``likelihood.log`` and ``h`` are applied block by block, to consecutive
+    slices of at most 2^14 points, and ``likelihood.log`` twice per point
+    (once for the max-shift, once for the weights). So both must act
+    elementwise: one output per input point, depending on that point only.
     """
     return _plugin_expectation(samples.points, likelihood, h)
 

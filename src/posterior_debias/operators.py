@@ -62,12 +62,6 @@ def debias_weights(k: int) -> np.ndarray:
     return w
 
 
-def _check_row_sums(rows: np.ndarray) -> None:
-    row_err = np.abs(rows.sum(axis=1) - 1.0).max()
-    if not row_err <= 1e-10:  # also catches NaN, which every comparison fails
-        raise ValueError(f"transfer matrix rows sum to 1 +/- {row_err}")
-
-
 @dataclass(frozen=True)
 class TransferMatrix:
     """Exact operator restricted to lattice arguments.
@@ -87,7 +81,9 @@ class TransferMatrix:
             raise ValueError(f"expected {(L, L)} matrix, got {r.shape}")
         if r.min() < 0:  # as np.any(r < 0), NaN included, with no L x L mask
             raise ValueError("transfer matrix entries must be non-negative")
-        _check_row_sums(r)
+        row_err = np.abs(r.sum(axis=1) - 1.0).max()
+        if not row_err <= 1e-10:  # also catches NaN, which every comparison fails
+            raise ValueError(f"transfer matrix rows sum to 1 +/- {row_err}")
         if r.flags.writeable or not r.flags.owndata:
             r = r.copy()
             r.flags.writeable = False
@@ -150,16 +146,8 @@ def transfer_matrix(n: int, m: int) -> TransferMatrix:
         dead = blk < _EXP_UNDERFLOW
         np.exp(blk, out=blk, where=~dead)
         blk[dead] = 0.0
-        # TransferMatrix's checks, on the block while it is in cache: exp
-        # gives no negative entry, and a NaN fails the row-sum check.
-        _check_row_sums(blk)
-    rows.flags.writeable = False
-    # Checked above, so it skips TransferMatrix.__post_init__'s second read
-    # of the whole matrix, and it is kept without a copy.
-    M = object.__new__(TransferMatrix)
-    object.__setattr__(M, "lattice", lat)
-    object.__setattr__(M, "rows", rows)
-    return M
+    rows.flags.writeable = False  # TransferMatrix keeps it without a copy
+    return TransferMatrix(lattice=lat, rows=rows)
 
 
 def iterate_operator(g: LatticeFunction, M: TransferMatrix, j: int) -> LatticeFunction:

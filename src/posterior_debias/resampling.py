@@ -38,9 +38,9 @@ def _check_seed(seed: int) -> int:
 
 def _chain_stages(points: np.ndarray, k: int, seed: int):
     """Checks k and the seed, then returns an iterator over the k stages of
-    the chain from ``points`` as plain arrays: stage 1 is ``points`` itself,
-    and each later stage is n uniform-with-replacement draws from the one
-    before, from the generator SeedSequence([seed]).
+    build_chain's chain from ``points`` as plain read-only arrays: stage 1
+    is ``points`` itself, and each later stage holds the same draws as
+    build_chain's.
 
     Later stages are written into at most two reused n-sized buffers, so a
     stage is valid only until the next one is drawn. Each is filled in even
@@ -61,12 +61,16 @@ def _chain_stages(points: np.ndarray, k: int, seed: int):
         prev = points
         for j in range(k - 1):
             stage = buffers[j % 2]
+            stage.flags.writeable = True
             for lo in range(0, n, _BLOCK):
                 hi = min(lo + _BLOCK, n)
                 # The indices are in range, so "clip" changes none of them
                 # and spares take its buffered copy of ``out``.
                 idx = rng.integers(0, n, size=hi - lo)
                 np.take(prev, idx, out=stage[lo:hi], mode="clip")
+            # Read-only like a WeightedSampleSet's points: a callable that
+            # writes into its input raises instead of changing the draws.
+            stage.flags.writeable = False
             yield stage
             prev = stage
 
@@ -77,10 +81,18 @@ def build_chain(data: WeightedSampleSet, k: int, seed: int) -> tuple[WeightedSam
     """Grow the k stages of the recursive bootstrap: stage 1 is the data
     verbatim, and each later stage is n uniform-with-replacement draws from
     the previous one. Fully reproducible from (data, k, seed)."""
-    stages = _chain_stages(data.points, k, seed)
-    next(stages)  # stage 1, the data itself
-    # Each stage is copied before the generator overwrites its buffer.
-    return (data, *(WeightedSampleSet(stage) for stage in stages))
+    if not 1 <= k <= MAX_ORDER:
+        raise ValueError(f"order k must be in [1, {MAX_ORDER}], got {k}")
+    seed = _check_seed(seed)
+    stages = [data]
+    if k > 1:
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        pts = data.points
+        n = data.n
+        for _ in range(k - 1):
+            pts = pts[rng.integers(0, n, size=n)]
+            stages.append(WeightedSampleSet(pts))
+    return tuple(stages)
 
 
 def debiased_realization(

@@ -232,21 +232,44 @@ class TestPluginExpectationBlocks:
         assert plugin_expectation(samples, lik, lambda x: np.ones(np.shape(x))) == 1.0
 
     def test_applies_likelihood_and_h_blockwise(self):
-        seen = []
+        # The documented contract: log_fn sees consecutive slices of at most
+        # B points twice over (the shift pass, then the sums pass), and h
+        # sees the same slices once.
+        seen_log, seen_h = [], []
 
         def log_fn(x):
-            seen.append(x.size)
+            seen_log.append(x.copy())
             return -x * x
 
         def h(x):
-            seen.append(x.size)
+            seen_h.append(x.copy())
             return x
 
         samples = WeightedSampleSet(np.linspace(-1.0, 1.0, 3 * B + 5))
         plugin_expectation(samples, BoundedLikelihood(log_fn=log_fn), h)
-        assert max(seen) <= B
-        # one pass for the shift, and one for the sums with h
-        assert sum(seen) == 3 * samples.n
+        assert max(x.size for x in seen_log + seen_h) <= B
+        assert np.array_equal(np.concatenate(seen_h), samples.points)
+        assert np.array_equal(
+            np.concatenate(seen_log), np.concatenate([samples.points, samples.points])
+        )
+
+    def test_non_elementwise_h_is_applied_per_block(self):
+        # An h that is not elementwise is centred on each block it is given,
+        # not on the whole array: past one block the answer is that of the
+        # per-block h, and differs from the whole-array one.
+        samples = WeightedSampleSet(np.linspace(0.0, 1.0, 2 * B + 3))
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        pieces = []
+
+        def centred(x):
+            pieces.append(x - x.mean())
+            return pieces[-1]
+
+        got = plugin_expectation(samples, lik, centred)
+        assert len(pieces) > 1
+        per_block = np.concatenate(pieces)
+        assert got == plugin_expectation_whole(samples, lik, lambda x: per_block)
+        assert got != plugin_expectation_whole(samples, lik, lambda x: x - x.mean())
 
     def test_nan_in_last_block_raises(self):
         pts = np.zeros(3 * B + 5)

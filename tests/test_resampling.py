@@ -15,6 +15,7 @@ from posterior_debias.errors import DegenerateError
 from posterior_debias.operators import MAX_ORDER, debias_weights, debiased_estimate_mean
 from posterior_debias.resampling import (
     MCConfig,
+    _chain_stages,
     build_chain,
     debiased_expectation,
     debiased_realization,
@@ -393,8 +394,8 @@ B = 2**14  # block size of the stages and of the plug-in expectation
 
 
 def build_chain_whole(data, k, seed):
-    """The chain with one n-sized index draw and gather per stage, as it was
-    drawn before it moved to blocks."""
+    """The chain with one n-sized index draw and gather per stage, as
+    build_chain draws it and as the stages were drawn before blocks."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     stages, pts = [data], data.points
     for _ in range(k - 1):
@@ -431,9 +432,39 @@ class TestDebiasedExpectationBlocks:
         )
         assert debiased_expectation(data, lik, h, k, seed) == expected
 
-    def test_build_chain_equals_whole_array_draws(self, data):
-        for got, want in zip(build_chain(data, 4, 77), build_chain_whole(data, 4, 77), strict=True):
-            assert np.array_equal(got.points, want.points)
+    def test_stages_equal_build_chain_draws(self, data):
+        # Each stage is compared before the next overwrites its buffer.
+        for got, want in zip(_chain_stages(data.points, 4, 77), build_chain(data, 4, 77), strict=True):
+            assert np.array_equal(got, want.points)
+
+    @pytest.mark.parametrize("n", [7, 3 * B + 5])
+    def test_callable_writing_into_a_stage_raises(self, n):
+        # Stages are read-only, as a WeightedSampleSet's points are, so a
+        # callable that writes into its input cannot change later draws.
+        data = WeightedSampleSet(np.linspace(0.0, 1.0, n))
+        lik = gaussian_likelihood(0.8, 1 / 16)
+
+        # Stage 1 is the data's own read-only array; write only into the
+        # stages the chain draws.
+        def h(x):
+            if not np.shares_memory(x, data.points):
+                x += 1.0
+            return x
+
+        def log_fn(x):
+            if not np.shares_memory(x, data.points):
+                x *= 2.0
+            return -x * x
+
+        with pytest.raises(ValueError, match="read-only"):
+            debiased_expectation(data, lik, h, 3, seed=4)
+        with pytest.raises(ValueError, match="read-only"):
+            debiased_expectation(data, BoundedLikelihood(log_fn=log_fn), lambda x: x, 3, seed=4)
+
+    def test_every_stage_is_read_only(self):
+        data = WeightedSampleSet(np.linspace(0.0, 1.0, B + 1))
+        for stage in _chain_stages(data.points, 5, 8):
+            assert not stage.flags.writeable
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_unit_function_is_exactly_one_over_blocks(self, k):
