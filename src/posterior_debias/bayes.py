@@ -116,36 +116,18 @@ class WeightedSampleSet:
         return self.points.size
 
 
-def _plugin_weights(points: np.ndarray, likelihood: BoundedLikelihood) -> np.ndarray:
-    # Max-shifted in log space along the last axis: after the shift the
-    # largest weight of each sample set is 1, so a denominator cannot
-    # underflow unless every likelihood of that set is zero. The max of a
-    # set holding a NaN is NaN, and the min over the sets propagates it, so
-    # one scalar finds both faults.
-    log_w = likelihood.log(points)
-    shift = log_w.max(axis=-1, keepdims=True)
-    lowest = shift.min()
-    if np.isnan(lowest):
-        raise ValueError("likelihood returned NaN")
-    if lowest == float("-inf"):
-        raise DegenerateError("all sample likelihoods underflowed to zero")
-    return np.exp(log_w - shift)
-
-
 def plugin_posterior_rows(
     points: np.ndarray, likelihood: BoundedLikelihood, event: Callable
 ) -> np.ndarray:
     """Plug-in posterior probability of an event for each sample set along
     the last axis of ``points``: (..., n) -> (...).
 
-    Each entry is computed with the same float operations as
-    plugin_posterior_prob on that one set, so the two agree bit for bit.
+    Runs the code of plugin_posterior_prob on all sets at once, so each
+    entry equals plugin_posterior_prob on that one set bit for bit. Past
+    2^14 points per set, ``likelihood.log`` and ``event`` get slices, as
+    plugin_expectation describes.
     """
-    w = _plugin_weights(points, likelihood)
-    member = np.asarray(event(points), dtype=bool)
-    if member.shape != points.shape:
-        raise ValueError("event predicate must return one bool per sample")
-    return (w * member).sum(axis=-1) / w.sum(axis=-1)
+    return _plugin_expectation(points, likelihood, lambda x: np.asarray(event(x), dtype=bool))
 
 
 def plugin_posterior_prob(
@@ -155,6 +137,8 @@ def plugin_posterior_prob(
 
     Returns sum_i l(X_i) 1[X_i in A] / sum_i l(X_i), with the likelihood
     evaluated in log space and shifted by its max before exponentiation.
+    Past 2^14 points, ``likelihood.log`` and ``event`` get slices, as
+    plugin_expectation describes, so both must act elementwise.
     """
     return float(plugin_posterior_rows(samples.points, likelihood, event))
 
@@ -164,15 +148,16 @@ def plugin_expectation(
 ) -> float:
     """Plug-in posterior expectation sum_i l(X_i) h(X_i) / sum_i l(X_i).
 
-    ``likelihood.log`` and ``h`` are applied block by block, to consecutive
+    Up to 2^14 points, ``likelihood.log`` and ``h`` are applied once to the
+    whole set. Past that they are applied block by block, to consecutive
     slices of at most 2^14 points, and ``likelihood.log`` twice per point
     (once for the max-shift, once for the weights). So both must act
     elementwise: one output per input point, depending on that point only.
     """
-    return _plugin_expectation(samples.points, likelihood, h)
+    return float(_plugin_expectation(samples.points, likelihood, h))
 
 
-def _pairwise(block_sums: Callable, lo: int, hi: int) -> tuple[float, float]:
+def _pairwise(block_sums: Callable, lo: int, hi: int) -> tuple:
     # Adds up the pairs block_sums(a, b) returns for pieces [a, b) of
     # [lo, hi) of at most _BLOCK points. [lo, hi) is split and the halves
     # added as numpy's pairwise sum does for more than 128 entries: halve,
@@ -188,43 +173,62 @@ def _pairwise(block_sums: Callable, lo: int, hi: int) -> tuple[float, float]:
     return num_a + num_b, den_a + den_b
 
 
+def _log_weights(x: np.ndarray, likelihood: BoundedLikelihood) -> np.ndarray:
+    log_w = likelihood.log(x)
+    if log_w.shape != x.shape:
+        raise ValueError("likelihood must return one value per sample")
+    return log_w
+
+
+def _weighted_sums(x: np.ndarray, log_w: np.ndarray, shift, w: np.ndarray, h: Callable) -> tuple:
+    # Writes the shifted weights into w and returns (sum of w * h(x),
+    # sum of w) along the last axis.
+    np.subtract(log_w, shift, out=w)
+    np.exp(w, out=w)
+    den = w.sum(axis=-1)
+    values = np.asarray(h(x), dtype=float)
+    if values.shape != x.shape:
+        raise ValueError("h must return one value per sample")
+    w *= values
+    return w.sum(axis=-1), den
+
+
 def _plugin_expectation(
     points: np.ndarray, likelihood: BoundedLikelihood, h: Callable
-) -> float:
-    # Two passes over cache-sized blocks, with one reused work buffer and
-    # nothing n-sized allocated. The first takes the max-shift; the second
-    # sums the shifted weights and the weighted values, with the bits of
-    # summing n-sized arrays (see _pairwise). num and den take the same
-    # sums, so h identically 1 gives exactly 1.
-    n = points.size
-    shift = float("-inf")
-    for lo in range(0, n, _BLOCK):
-        x = points[lo : lo + _BLOCK]
-        log_w = likelihood.log(x)
-        if log_w.shape != x.shape:
-            raise ValueError("likelihood must return one value per sample")
-        top = log_w.max()
-        if np.isnan(top):
-            raise ValueError("likelihood returned NaN")
-        shift = max(shift, top)
-    if shift == float("-inf"):
+) -> np.ndarray:
+    # Plug-in expectation of h per sample set along the last axis: (..., n)
+    # -> (...). Log weights are shifted by each set's max, so a denominator
+    # underflows only if every likelihood of its set is zero; a NaN makes
+    # its set's max NaN, and the min over the sets finds both faults. Past
+    # one block, a first pass takes the shift and a second sums block by
+    # block in one work buffer, with the bits of whole-row sums (see
+    # _pairwise). num and den take the same sums, so h identically 1 gives 1.
+    n = points.shape[-1]
+    if n <= _BLOCK:
+        log_w = _log_weights(points, likelihood)
+        shift = log_w.max(axis=-1, keepdims=True)
+    else:
+        shift = np.full(points.shape[:-1] + (1,), -np.inf)
+        for lo in range(0, n, _BLOCK):
+            x = points[..., lo : lo + _BLOCK]
+            np.maximum(shift, _log_weights(x, likelihood).max(axis=-1, keepdims=True), out=shift)
+    lowest = shift.min()
+    if np.isnan(lowest):
+        raise ValueError("likelihood returned NaN")
+    if lowest == float("-inf"):
         raise DegenerateError("all sample likelihoods underflowed to zero")
-    work = np.empty(min(n, _BLOCK))
+    if n <= _BLOCK:
+        num, den = _weighted_sums(points, log_w, shift, np.empty(points.shape), h)
+    else:
+        work = np.empty(points.size // n * _BLOCK)
 
-    def block_sums(lo: int, hi: int) -> tuple[float, float]:
-        x = points[lo:hi]
-        w = work[: hi - lo]
-        np.subtract(likelihood.log(x), shift, out=w)
-        np.exp(w, out=w)
-        den = w.sum()
-        values = np.asarray(h(x), dtype=float)
-        if values.shape != x.shape:
-            raise ValueError("h must return one value per sample")
-        w *= values
-        return w.sum(), den
+        def block_sums(lo: int, hi: int) -> tuple:
+            x = points[..., lo:hi]
+            w = work[: x.size].reshape(x.shape)
+            return _weighted_sums(x, _log_weights(x, likelihood), shift, w, h)
 
-    num, den = _pairwise(block_sums, 0, n)
-    return float(num / den)
+        num, den = _pairwise(block_sums, 0, n)
+    return num / den
 
 
 @dataclass(frozen=True)

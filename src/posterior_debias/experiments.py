@@ -322,9 +322,11 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     """Monte Carlo bias/variance table for the Gaussian-mixture setting.
 
     Replication counts follow the configured rule, capped at ``mc_cap`` with
-    every capping recorded. Aborts with UnderpoweredRunError when the
-    standard error at a grid point exceeds a third of the estimated bias;
-    the error carries the rows finished before that point.
+    every capping recorded. Datasets are scored by plugin_posterior_rows,
+    which gives its elementwise likelihood and event slices past 2^14
+    points. Aborts with UnderpoweredRunError when the standard error at a
+    grid point exceeds a third of the estimated bias; the error carries the
+    rows finished before that point.
     """
     mix = GaussianMixture(
         np.array(cfg.mix_weights), np.array(cfg.mix_means), np.array(cfg.mix_variances)

@@ -1,8 +1,9 @@
 """Recursive resampling chains and the outer Monte Carlo driver.
 
-A chain starts at the observed data and repeatedly bootstraps itself; the
-order-k debiased realization combines the plug-in functional across the first
-k stages with the alternating binomial weights. Two outer drivers replicate
+A chain starts at the observed data and repeatedly bootstraps itself; one
+sampler draws it for both build_chain and debiased_expectation. The order-k
+debiased realization combines the plug-in functional across the first k
+stages with the alternating binomial weights. Two outer drivers replicate
 this over fresh datasets: outer_mc one replicate at a time, with one random
 stream per replicate, and outer_mc_batched one array of replicates at a time,
 with one random stream per fixed-size chunk. Both merge chunk moments in
@@ -12,6 +13,7 @@ many worker threads run.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bayes import _BLOCK, BoundedLikelihood, WeightedSampleSet, _plugin_expectation
-from .operators import MAX_ORDER, debias_weights, transfer_matrix
+from .operators import debias_weights, transfer_matrix
 from .simplex import ProbVector, multinomial_pmf_vector
 
 _SEED_LIMIT = 2**64
@@ -38,17 +40,16 @@ def _check_seed(seed: int) -> int:
 
 def _chain_stages(points: np.ndarray, k: int, seed: int):
     """Checks k and the seed, then returns an iterator over the k stages of
-    build_chain's chain from ``points`` as plain read-only arrays: stage 1
-    is ``points`` itself, and each later stage holds the same draws as
-    build_chain's.
+    the chain from ``points`` as plain read-only arrays: stage 1 is
+    ``points`` itself, and each later stage is n draws with replacement from
+    the one before, at the indices one rng.integers(0, n, size=n) call on
+    default_rng(SeedSequence([seed])) would give.
 
     Later stages are written into at most two reused n-sized buffers, so a
     stage is valid only until the next one is drawn. Each is filled in even
-    blocks of _BLOCK draws, and only the last block is short; the indices
-    are those of one rng.integers(0, n, size=n) call. Resampling finite
-    points keeps them finite, so no stage is checked again."""
-    if not 1 <= k <= MAX_ORDER:
-        raise ValueError(f"order k must be in [1, {MAX_ORDER}], got {k}")
+    blocks of _BLOCK draws, and only the last block is short. Resampling
+    finite points keeps them finite, so no stage is checked again."""
+    debias_weights(k)
     seed = _check_seed(seed)
 
     def draw():
@@ -67,7 +68,7 @@ def _chain_stages(points: np.ndarray, k: int, seed: int):
                 # The indices are in range, so "clip" changes none of them
                 # and spares take its buffered copy of ``out``.
                 idx = rng.integers(0, n, size=hi - lo)
-                np.take(prev, idx, out=stage[lo:hi], mode="clip")
+                prev.take(idx, out=stage[lo:hi], mode="clip")
             # Read-only like a WeightedSampleSet's points: a callable that
             # writes into its input raises instead of changing the draws.
             stage.flags.writeable = False
@@ -81,18 +82,10 @@ def build_chain(data: WeightedSampleSet, k: int, seed: int) -> tuple[WeightedSam
     """Grow the k stages of the recursive bootstrap: stage 1 is the data
     verbatim, and each later stage is n uniform-with-replacement draws from
     the previous one. Fully reproducible from (data, k, seed)."""
-    if not 1 <= k <= MAX_ORDER:
-        raise ValueError(f"order k must be in [1, {MAX_ORDER}], got {k}")
-    seed = _check_seed(seed)
-    stages = [data]
-    if k > 1:
-        rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        pts = data.points
-        n = data.n
-        for _ in range(k - 1):
-            pts = pts[rng.integers(0, n, size=n)]
-            stages.append(WeightedSampleSet(pts))
-    return tuple(stages)
+    stages = _chain_stages(data.points, k, seed)
+    next(stages)  # stage 1 is the data itself
+    # Each stage is copied into its own set before the next overwrites it.
+    return (data, *map(WeightedSampleSet, stages))
 
 
 def debiased_realization(
@@ -126,8 +119,7 @@ class MCConfig:
                 raise ValueError(f"{name!r} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 1 <= self.k <= MAX_ORDER:
-            raise ValueError(f"order k must be in [1, {MAX_ORDER}], got {self.k}")
+        debias_weights(self.k)
         if self.n_reps < 1:
             raise ValueError(f"n_reps must be >= 1, got {self.n_reps}")
         if self.threads < 1:
@@ -171,10 +163,11 @@ def _drive(run_span: Callable, n_reps: int, chunk: int, threads: int) -> MCResul
     """Split replicates 0..n_reps-1 into spans of ``chunk``, reduce each span
     to (count, mean, M2) with ``run_span(index, lo, hi)``, on a pool of
     ``threads`` when there is more than one span, and merge the partials in
-    span order, so the thread count changes no bit of the result."""
+    span order, so the thread count changes no bit of the result. The pool
+    has at most one thread per span and one per CPU."""
     start = time.perf_counter()
     spans = [(i, lo, min(lo + chunk, n_reps)) for i, lo in enumerate(range(0, n_reps, chunk))]
-    workers = min(threads, len(spans))
+    workers = min(threads, len(spans), os.cpu_count() or 1)
     if workers == 1:
         partials = [run_span(*span) for span in spans]
     else:

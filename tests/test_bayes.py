@@ -176,7 +176,7 @@ class TestPluginFunctionals:
         lik = gaussian_likelihood(0.8, 1 / 16)
         prob = plugin_posterior_prob(samples, lik, HALF)
         expect = plugin_expectation(samples, lik, lambda x: (x >= 0.5).astype(float))
-        assert prob == pytest.approx(expect, rel=1e-15)
+        assert prob == expect
 
     def test_expectation_constant_is_exact(self):
         samples = WeightedSampleSet(np.array([0.2, 0.7, 1.3]))
@@ -323,6 +323,35 @@ class TestPluginPosteriorRows:
         lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, np.nan, 0.0))
         with pytest.raises(ValueError):
             plugin_posterior_rows(np.array([[0.0, 1.0], [0.0, 9.0]]), lik, HALF)
+
+    def test_rows_past_one_block_equal_prob_and_whole_array(self):
+        rng = np.random.default_rng(np.random.SeedSequence([3, B]))
+        points = rng.normal(0.5, 1.0, (3, 3 * B + 5))
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        rows = plugin_posterior_rows(points, lik, HALF)
+        log_w = lik.log(points)
+        w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+        whole = (w * HALF(points)).sum(axis=-1) / w.sum(axis=-1)
+        assert rows.shape == (3,)
+        assert np.array_equal(rows, whole)
+        for i, row in enumerate(points):
+            assert rows[i] == plugin_posterior_prob(WeightedSampleSet(row), lik, HALF)
+
+    def test_nan_in_last_block_of_one_row_raises(self):
+        points = np.zeros((3, 3 * B + 5))
+        points[1, -1] = 9.0
+        lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, np.nan, 0.0))
+        with pytest.raises(ValueError, match="NaN"):
+            plugin_posterior_rows(points, lik, HALF)
+
+    def test_all_underflow_in_last_row_raises_past_one_block(self):
+        # Rows 0 and 1 are fine; every weight of row 2 is zero, across all
+        # four blocks.
+        points = np.zeros((3, 3 * B + 5))
+        points[2] = 9.0
+        lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, -np.inf, 0.0))
+        with pytest.raises(DegenerateError):
+            plugin_posterior_rows(points, lik, HALF)
 
 
 class TestGaussianMixture:

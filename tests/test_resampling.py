@@ -13,9 +13,11 @@ from posterior_debias.bayes import (
 )
 from posterior_debias.errors import DegenerateError
 from posterior_debias.operators import MAX_ORDER, debias_weights, debiased_estimate_mean
+from posterior_debias import resampling
 from posterior_debias.resampling import (
     MCConfig,
     _chain_stages,
+    _drive,
     build_chain,
     debiased_expectation,
     debiased_realization,
@@ -365,6 +367,32 @@ class TestOuterMCBatched:
         assert 1.4 < results[64] / results[128] < 2.6
         assert 1.4 < results[128] / results[256] < 2.6
 
+    @pytest.mark.parametrize("threads,pool", [(5000, 3), (2, 2)])
+    def test_pool_has_at_most_one_thread_per_cpu(self, monkeypatch, threads, pool):
+        # 10^7 replicates at n = 64 make 2,442 chunks: a pool of one thread
+        # per chunk would start 2,442 threads. The stub records the pool
+        # size and runs the chunks inline, starting no thread.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(resampling, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(resampling.os, "cpu_count", lambda: 3)
+        res = _drive(lambda c, lo, hi: (hi - lo, 1.5, 0.0), 10**7, _batch_rows(64), threads)
+        assert sizes == [pool]
+        assert (res.n_reps, res.mean, res.variance) == (10**7, 1.5, 0.0)
+
     def test_nan_functional_aborts(self):
         # two chunks on two threads: the worker's error reaches the caller
         cfg = MCConfig(n=3, k=1, n_reps=5000, root_seed=0, threads=2)
@@ -394,8 +422,8 @@ B = 2**14  # block size of the stages and of the plug-in expectation
 
 
 def build_chain_whole(data, k, seed):
-    """The chain with one n-sized index draw and gather per stage, as
-    build_chain draws it and as the stages were drawn before blocks."""
+    """The chain with one n-sized index draw and gather per stage: the
+    whole-array loop build_chain ran before it drew its stages in blocks."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     stages, pts = [data], data.points
     for _ in range(k - 1):
@@ -415,7 +443,7 @@ def plugin_expectation_whole(samples, likelihood, h):
 
 
 class TestDebiasedExpectationBlocks:
-    @pytest.fixture(scope="class", params=[1, 7, B - 1, B, B + 1, 3 * B + 5, 2**18])
+    @pytest.fixture(scope="class", params=[1, 7, 16, B - 1, B, B + 1, B + 3, 3 * B + 5, 2**18])
     def data(self, request):
         rng = np.random.default_rng(np.random.SeedSequence([request.param, 2]))
         return WeightedSampleSet(rng.normal(0.5, 1.0, request.param))
@@ -433,9 +461,10 @@ class TestDebiasedExpectationBlocks:
         assert debiased_expectation(data, lik, h, k, seed) == expected
 
     def test_stages_equal_build_chain_draws(self, data):
-        # Each stage is compared before the next overwrites its buffer.
-        for got, want in zip(_chain_stages(data.points, 4, 77), build_chain(data, 4, 77), strict=True):
-            assert np.array_equal(got, want.points)
+        got = build_chain(data, 4, 77)
+        assert got[0] is data
+        for stage, want in zip(got, build_chain_whole(data, 4, 77), strict=True):
+            assert np.array_equal(stage.points, want.points)
 
     @pytest.mark.parametrize("n", [7, 3 * B + 5])
     def test_callable_writing_into_a_stage_raises(self, n):
