@@ -44,7 +44,6 @@ from .experiments import (
     default_binary_config,
     default_identity_config,
     default_mixture_config,
-    default_rejection_config,
     fit_slope,
     run_binary_exact,
     run_identity_check,
@@ -107,7 +106,6 @@ __all__ = [
     "default_binary_config",
     "default_identity_config",
     "default_mixture_config",
-    "default_rejection_config",
     "discrete_bayes",
     "enumerate_lattice",
     "exact_bias",

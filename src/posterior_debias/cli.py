@@ -8,7 +8,7 @@ writes CSV/JSON outputs under --out and prints a short summary to stdout.
 
 Exit codes: 0 success (and identity pass), 2 bad configuration, 3 a size cap
 was hit, 4 a statistical guard tripped (underpowered run, identity failure).
-An underpowered mixture-mc run still writes the rows it finished.
+A sweep that a cap or guard stops still writes the rows it finished.
 """
 
 from __future__ import annotations
@@ -31,13 +31,15 @@ import scipy
 from ._version import __version__
 from .errors import CapExceededError, IterationCapError, UnderpoweredRunError
 from .experiments import (
-    MC_RNG_SCHEME,
+    _BINARY_FITS,
+    _MIXTURE_FITS,
     BinaryConfig,
     FitSlopeConfig,
     IdentityConfig,
     MixtureConfig,
     RejectionConfig,
     _field_type,
+    _slope_fits,
     fit_slope,
     run_binary_exact,
     run_identity_check,
@@ -211,60 +213,57 @@ def _resolve_config(args: argparse.Namespace, cls):
     return cls(**values)
 
 
+def _sweep(cfg, args, run, columns: list[str], fit_columns: dict) -> dict:
+    """Run a sweep and write its CSV and manifest, also when a cap or guard
+    stops it part-way: then the rows finished before the stop are written,
+    the manifest names the point that stopped it, and the error propagates
+    (main exits 3 or 4). Prints a slope line per k either way."""
+    out = args.out or Path("runs", cfg.experiment)
+    path = out / f"{cfg.experiment}.csv"
+    start = time.perf_counter()
+    stop = None
+    try:
+        rows, fits, info = run(cfg)
+    except (CapExceededError, UnderpoweredRunError) as exc:
+        rows, info, stop = exc.rows, exc.info, exc
+        fits = _slope_fits(rows, cfg.k_values, fit_columns)
+    wall = time.perf_counter() - start
+    write_csv(path, columns, rows)
+    write_manifest(out / "manifest.json", _manifest(cfg, wall, info))
+    for k in cfg.k_values:
+        bias, variance = (f"{f.slope:+.3f}" if f else "n/a" for f in fits[k].values())
+        print(f"k={k}: |bias| slope {bias}, variance slope {variance}")
+    if stop is not None:
+        print(f"wrote {path} ({len(rows)} finished rows)")
+        raise stop
+    print(f"wrote {path} ({len(rows)} rows, {wall:.2f}s)")
+    return info
+
+
 def _cmd_binary_exact(cfg: BinaryConfig, args) -> int:
     """Exact bias/variance sweep for the two-atom posterior."""
-    out = args.out or Path("runs", cfg.experiment)
-    start = time.perf_counter()
-    rows, fits = run_binary_exact(cfg)
-    wall = time.perf_counter() - start
-    write_csv(out / "binary_exact.csv", ["n", "k", "abs_bias", "variance"], rows)
-    write_manifest(out / "manifest.json", _manifest(cfg, wall, {"slope_fits": fits}))
-    for k in cfg.k_values:
-        bias_fit = fits[k]["abs_bias"]
-        var_fit = fits[k]["variance"]
-        bias_s = f"{bias_fit.slope:+.3f}" if bias_fit else "n/a"
-        var_s = f"{var_fit.slope:+.3f}" if var_fit else "n/a"
-        print(f"k={k}: |bias| slope {bias_s}, variance slope {var_s}")
-    print(f"wrote {out / 'binary_exact.csv'} ({len(rows)} rows, {wall:.2f}s)")
+
+    def run(cfg):
+        rows, fits = run_binary_exact(cfg)
+        return rows, fits, {"slope_fits": fits}
+
+    _sweep(cfg, args, run, ["n", "k", "abs_bias", "variance"], _BINARY_FITS)
     return EXIT_OK
-
-
-def _write_mixture_mc(out: Path, cfg: MixtureConfig, wall: float, rows, info) -> None:
-    write_csv(
-        out / "mixture_mc.csv",
-        ["n", "k", "N", "est_mean", "true_value", "est_bias", "est_variance",
-         "std_error"],
-        rows,
-    )
-    write_manifest(
-        out / "manifest.json", _manifest(cfg, wall, {"rng_scheme": MC_RNG_SCHEME, **info})
-    )
 
 
 def _cmd_mixture_mc(cfg: MixtureConfig, args) -> int:
     """Monte Carlo bias/variance sweep for the Gaussian-mixture setting."""
-    out = args.out or Path("runs", cfg.experiment)
-    start = time.perf_counter()
-    try:
+
+    def run(cfg):
         rows, info = run_mixture_mc(cfg)
-    except UnderpoweredRunError as exc:
-        # Keep the points finished before the guard tripped; main exits 4.
-        _write_mixture_mc(out, cfg, time.perf_counter() - start, exc.rows, exc.info)
-        print(f"wrote {out / 'mixture_mc.csv'} ({len(exc.rows)} finished rows)")
-        raise
-    wall = time.perf_counter() - start
-    _write_mixture_mc(out, cfg, wall, rows, info)
-    for k in cfg.k_values:
-        fit = info["fits"][k]
-        print(
-            f"k={k}: |bias| slope {fit['abs_bias'].slope:+.3f}, "
-            f"variance slope {fit['est_variance'].slope:+.3f}"
-        )
+        return rows, info["fits"], info
+
+    columns = ["n", "k", "N", "est_mean", "true_value", "est_bias", "est_variance", "std_error"]
+    info = _sweep(cfg, args, run, columns, _MIXTURE_FITS)
     if info["capped"]:
         capped = ", ".join(f"n={c['n']},k={c['k']}" for c in info["capped"])
         print(f"replicates capped at {cfg.mc_cap} for: {capped}")
     print(f"true value {info['true_value']:.12g}")
-    print(f"wrote {out / 'mixture_mc.csv'} ({len(rows)} rows, {wall:.2f}s)")
     return EXIT_OK
 
 

@@ -1,7 +1,19 @@
 """Exceptions shared across the package."""
 
 
-class CapExceededError(RuntimeError):
+class _StoppedRunError(RuntimeError):
+    """A run stopped part-way. ``rows`` holds the rows finished before it
+    stopped, and ``info`` what the run knows about itself, including the
+    point that stopped it, so a caller can still write out the finished work.
+    """
+
+    def __init__(self, message: str, rows: list[dict] | None = None, info: dict | None = None):
+        super().__init__(message)
+        self.rows = [] if rows is None else rows
+        self.info = {} if info is None else info
+
+
+class CapExceededError(_StoppedRunError):
     """An exact computation would exceed a configured size cap.
 
     No caller retries or falls back to Monte Carlo: the error names the
@@ -21,15 +33,5 @@ class IterationCapError(RuntimeError):
     """Rejection sampling exhausted its attempt budget."""
 
 
-class UnderpoweredRunError(RuntimeError):
-    """A Monte Carlo run's standard error is too large to resolve the bias.
-
-    ``rows`` holds the grid points finished before the guard tripped, and
-    ``info`` what the run knows about itself, including the point that
-    tripped, so a caller can still write out the finished work.
-    """
-
-    def __init__(self, message: str, rows: list[dict] | None = None, info: dict | None = None):
-        super().__init__(message)
-        self.rows = [] if rows is None else rows
-        self.info = {} if info is None else info
+class UnderpoweredRunError(_StoppedRunError):
+    """A Monte Carlo run's standard error is too large to resolve the bias."""

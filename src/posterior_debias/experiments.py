@@ -28,14 +28,14 @@ from .bayes import (
 from .errors import CapExceededError, UnderpoweredRunError
 from .operators import _exact_bias_variance, debiased_estimate, debiased_estimate_mean
 from .rejection import make_rejection_spec, rejection_sample_batch
-from .resampling import MCConfig, exhaustive_chain_expectation, outer_mc_batched
+from .resampling import _BATCH_SCHEME, MCConfig, exhaustive_chain_expectation, outer_mc_batched
 from .simplex import CountsVector, ProbVector
 
 IDENTITY_TOL = 1e-10
 # The random-stream layout of run_mixture_mc, recorded in its manifest.
 MC_RNG_SCHEME = (
-    "outer_mc_batched v1: chunk c of grid point (n, k) draws from "
-    "SeedSequence([_point_seed(root_seed, n, k), 1, c])"
+    f"outer_mc_batched v{_BATCH_SCHEME}: chunk c of grid point (n, k) draws from "
+    f"SeedSequence([_point_seed(root_seed, n, k), {_BATCH_SCHEME}, c])"
 )
 
 
@@ -90,6 +90,29 @@ def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
     return SlopeFit(
         slope=float(slope), intercept=float(intercept), r_squared=r2, points_used=ns.size
     )
+
+
+# The slope fits of each sweep: name in the manifest -> the row value fitted.
+_BINARY_FITS = {"abs_bias": lambda r: r["abs_bias"], "variance": lambda r: r["variance"]}
+_MIXTURE_FITS = {
+    "abs_bias": lambda r: abs(r["est_bias"]),
+    "est_variance": lambda r: r["est_variance"],
+}
+
+
+def _slope_fits(rows: list[dict], k_values, columns: dict) -> dict:
+    """Per k, fit_slope of each of ``columns`` against n. A column with a
+    non-positive value (an all-zero bias of a linear map) or fewer than 2
+    points (a stopped sweep) has no slope: None."""
+    fits = {}
+    for k in k_values:
+        sub = [r for r in rows if r["k"] == k]
+        fits[k] = {}
+        for name, value in columns.items():
+            vals = [value(r) for r in sub]
+            usable = len(vals) >= 2 and all(v > 0 for v in vals)
+            fits[k][name] = fit_slope([r["n"] for r in sub], vals) if usable else None
+    return fits
 
 
 def _opt(default, help: str, **meta):
@@ -256,7 +279,6 @@ class FitSlopeConfig:
 default_binary_config = BinaryConfig
 default_mixture_config = MixtureConfig
 default_identity_config = IdentityConfig
-default_rejection_config = RejectionConfig
 
 
 def _binary_bayes_map(cfg: BinaryConfig | RejectionConfig) -> DiscreteBayesMap:
@@ -272,8 +294,8 @@ def run_binary_exact(
 
     No sampling is involved, so the output is deterministic. Each n samples
     the map once and builds one iterate stack up to the largest k, shared by
-    every k and by bias and variance. Lattice-cap errors are re-raised naming
-    the offending n.
+    every k and by bias and variance. A lattice or matrix cap error is
+    re-raised naming the offending n and carrying the rows finished before it.
     """
     bmap = _binary_bayes_map(cfg)
     g = bmap.component(1) if g_override is None else g_override
@@ -283,23 +305,13 @@ def run_binary_exact(
         try:
             moments = _exact_bias_variance(g, prior, n, cfg.k_values)
         except CapExceededError as exc:
-            raise CapExceededError(f"n={n}: {exc}") from exc
+            raise CapExceededError(f"n={n}: {exc}", rows, {"cap_exceeded": {"n": n}}) from exc
         for k in cfg.k_values:
             bias, variance = moments[k]
             rows.append(
                 {"n": n, "k": k, "abs_bias": abs(bias), "variance": variance}
             )
-    fits = {}
-    for k in cfg.k_values:
-        sub = [r for r in rows if r["k"] == k]
-        fits[k] = {}
-        for col in ("abs_bias", "variance"):
-            vals = [r[col] for r in sub]
-            if all(v > 0 for v in vals):
-                fits[k][col] = fit_slope([r["n"] for r in sub], vals)
-            else:
-                fits[k][col] = None  # zero column (e.g. linear map) has no slope
-    return rows, fits
+    return rows, _slope_fits(rows, cfg.k_values, _BINARY_FITS)
 
 
 def _mc_reps(cfg: MixtureConfig, n: int, k: int) -> int:
@@ -326,7 +338,8 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     which gives its elementwise likelihood and event slices past 2^14
     points. Aborts with UnderpoweredRunError when the standard error at a
     grid point exceeds a third of the estimated bias; the error carries the
-    rows finished before that point.
+    rows finished before that point and the point that tripped. A slope over
+    a column with a zero (no spread at one replicate) is None.
     """
     mix = GaussianMixture(
         np.array(cfg.mix_weights), np.array(cfg.mix_means), np.array(cfg.mix_variances)
@@ -341,9 +354,8 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     def batch_functional(x: np.ndarray) -> np.ndarray:
         return plugin_posterior_rows(x, lik, lambda v: v >= threshold)
 
-    rows = []
-    capped = []
-    points = []
+    rows, capped, points = [], [], []
+    info = {"rng_scheme": MC_RNG_SCHEME, "capped": capped, "true_value": truth, "points": points}
     for k in cfg.k_values:
         for n in cfg.n_grid:
             want = _mc_reps(cfg, n, k)
@@ -362,51 +374,36 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
                 ),
             )
             est_bias = result.mean - truth
+            row = {
+                "n": n,
+                "k": k,
+                "N": n_reps,
+                "est_mean": result.mean,
+                "true_value": truth,
+                "est_bias": est_bias,
+                "est_variance": result.variance,
+                "std_error": result.std_error,
+            }
             if result.std_error > abs(est_bias) / 3:
-                point = {
-                    "n": n, "k": k, "N": n_reps,
-                    "std_error": result.std_error, "est_bias": est_bias,
-                }
+                point = {key: row[key] for key in ("n", "k", "N", "std_error", "est_bias")}
                 raise UnderpoweredRunError(
                     f"std_error {result.std_error:.4g} exceeds |bias|/3 = "
                     f"{abs(est_bias) / 3:.4g} at n={n}, k={k} (N={n_reps}); "
                     "the run cannot resolve the bias at this replication count",
                     rows,
-                    {
-                        "underpowered": point, "capped": capped,
-                        "true_value": truth, "points": points,
-                    },
+                    {"underpowered": point, **info},
                 )
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "N": n_reps,
-                    "est_mean": result.mean,
-                    "true_value": truth,
-                    "est_bias": est_bias,
-                    "est_variance": result.variance,
-                    "std_error": result.std_error,
-                }
-            )
+            rows.append(row)
             # Timings vary from run to run, so they stay out of the rows.
             points.append(
                 {
-                    "n": n, "k": k, "N": n_reps,
+                    **{key: row[key] for key in ("n", "k", "N")},
                     "wall_time_s": result.wall_time,
                     "reps_per_s": n_reps / result.wall_time,
                     "guard_margin": result.std_error / (abs(est_bias) / 3),
                 }
             )
-    fits = {}
-    for k in cfg.k_values:
-        sub = [r for r in rows if r["k"] == k]
-        ns = [r["n"] for r in sub]
-        fits[k] = {
-            "abs_bias": fit_slope(ns, [abs(r["est_bias"]) for r in sub]),
-            "est_variance": fit_slope(ns, [r["est_variance"] for r in sub]),
-        }
-    return rows, {"fits": fits, "capped": capped, "true_value": truth, "points": points}
+    return rows, {"fits": _slope_fits(rows, cfg.k_values, _MIXTURE_FITS), **info}
 
 
 def _lookup_likelihood(values: np.ndarray) -> BoundedLikelihood:

@@ -114,3 +114,13 @@ def chain_realization_mean(functional_values, q_fracs, n, k, weights):
 
 def binom_pmf_exact(n, j, p_frac):
     return comb(n, j) * Fraction(p_frac) ** j * (1 - Fraction(p_frac)) ** (n - j)
+
+
+def plugin_expectation_whole(samples, likelihood, h):
+    """The plug-in expectation over whole arrays, as it was computed before
+    it moved to blocks."""
+    log_w = likelihood.log(samples.points)
+    shift = log_w.max(axis=-1, keepdims=True)
+    w = np.exp(log_w - shift)
+    values = np.asarray(h(samples.points), dtype=float)
+    return float((w * values).sum() / w.sum())

@@ -22,6 +22,8 @@ from posterior_debias.bayes import (
 from posterior_debias.errors import DegenerateError
 from posterior_debias.simplex import ProbVector
 
+from oracles import plugin_expectation_whole
+
 HALF = lambda x: x >= 0.5
 
 
@@ -193,16 +195,6 @@ class TestPluginFunctionals:
 
 
 B = 2**14  # block size of the plug-in expectation
-
-
-def plugin_expectation_whole(samples, likelihood, h):
-    """The plug-in expectation over whole arrays, as it was computed before
-    it moved to blocks."""
-    log_w = likelihood.log(samples.points)
-    shift = log_w.max(axis=-1, keepdims=True)
-    w = np.exp(log_w - shift)
-    values = np.asarray(h(samples.points), dtype=float)
-    return float((w * values).sum() / w.sum())
 
 
 class TestPluginExpectationBlocks:

@@ -15,7 +15,7 @@ import pytest
 
 import posterior_debias
 from posterior_debias.cli import _git_commit, build_parser, main, write_csv
-from posterior_debias.errors import UnderpoweredRunError
+from posterior_debias.errors import CapExceededError, UnderpoweredRunError
 from posterior_debias.experiments import (
     MC_RNG_SCHEME,
     BinaryConfig,
@@ -26,7 +26,6 @@ from posterior_debias.experiments import (
     default_binary_config,
     default_identity_config,
     default_mixture_config,
-    default_rejection_config,
     fit_slope,
     run_binary_exact,
     run_identity_check,
@@ -185,7 +184,7 @@ class TestExperimentConfig:
             (default_binary_config, {"n_grid": (8.9, 16)}),  # used to run n = 8
             (default_mixture_config, {"threads": 2.5}),
             (default_mixture_config, {"n_rule": "fixed", "n_fixed": 300.7}),
-            (default_rejection_config, {"demo_n": 64.7}),
+            (RejectionConfig, {"demo_n": 64.7}),
         ],
     )
     def test_python_caller_meets_the_type_check(self, make, kwargs):
@@ -247,12 +246,19 @@ class TestRunBinaryExact:
         assert got == BINARY_EXACT_GOLDEN
 
     def test_cap_error_names_offending_n(self):
-        from posterior_debias.errors import CapExceededError
-
         # k = 1 never builds the operator matrix, so the cap needs k >= 2
         cfg = default_binary_config(n_grid=(16, 8000), k_values=(2,))
         with pytest.raises(CapExceededError, match="n=8000"):
             run_binary_exact(cfg)
+
+    def test_cap_error_carries_finished_rows(self):
+        finished, _ = run_binary_exact(default_binary_config(n_grid=(16, 32), k_values=(1, 2)))
+        cfg = default_binary_config(n_grid=(16, 32, 8000), k_values=(1, 2))
+        with pytest.raises(CapExceededError) as exc:
+            run_binary_exact(cfg)
+        assert len(exc.value.rows) == 4
+        assert exc.value.rows == finished
+        assert exc.value.info == {"cap_exceeded": {"n": 8000}}
 
 
 class TestRunMixtureMC:
@@ -293,6 +299,14 @@ class TestRunMixtureMC:
         with pytest.raises(UnderpoweredRunError):
             run_mixture_mc(cfg)
 
+    def test_zero_variance_has_no_slope(self):
+        # One replicate per point: the variance column is all zero.
+        cfg = default_mixture_config(n_grid=(8, 12), k_values=(1,), n_rule="fixed", n_fixed=1)
+        rows, info = run_mixture_mc(cfg)
+        assert [r["est_variance"] for r in rows] == [0.0, 0.0]
+        assert info["fits"][1]["est_variance"] is None
+        assert info["fits"][1]["abs_bias"] is not None
+
     def test_thread_invariance(self):
         kwargs = dict(n_grid=(8, 12), k_values=(1,), n_rule="fixed", n_fixed=2000)
         rows_1, _ = run_mixture_mc(default_mixture_config(threads=1, **kwargs))
@@ -321,7 +335,7 @@ class TestRunIdentityCheck:
 
 class TestRunRejectionDemo:
     def test_report_contents(self):
-        report = run_rejection_demo(default_rejection_config(demo_draws=20_000))
+        report = run_rejection_demo(RejectionConfig(demo_draws=20_000))
         assert report["n"] == 64 and report["k"] == 2
         assert sum(report["counts"]) == 64
         assert report["ratio_bound"] >= 1.0
@@ -480,6 +494,31 @@ class TestCli:
         assert (tripped["n"], tripped["k"], tripped["N"]) == (8, 2, 4000)
         assert tripped["std_error"] > abs(tripped["est_bias"]) / 3
 
+    def test_zero_variance_slope_is_null(self, tmp_path, capsys):
+        out = tmp_path / "z"
+        code = main(
+            ["mixture-mc", "--n-grid", "8,12", "--n-rule", "fixed", "--n-fixed", "1",
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert "variance slope n/a" in capsys.readouterr().out
+        with open(out / "mixture_mc.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 2
+        fits = json.loads((out / "manifest.json").read_text())["fits"]
+        assert fits["1"]["est_variance"] is None
+
+    def test_cap_keeps_finished_rows(self, tmp_path, capsys):
+        grid = ["--k-values", "1,2", "--out"]
+        assert main(["binary-exact", "--n-grid", "16,32", *grid, str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        code = main(["binary-exact", "--n-grid", "16,32,8000", *grid, str(tmp_path / "b")])
+        assert code == 3
+        assert "k=2: |bias| slope" in capsys.readouterr().out
+        csvs = [(tmp_path / d / "binary_exact.csv").read_bytes() for d in ("a", "b")]
+        assert csvs[0] == csvs[1]
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["cap_exceeded"] == {"n": 8000}
+
     def test_cap_exit_code(self, tmp_path):
         code = main(
             ["binary-exact", "--n-grid", "16,8000", "--k-values", "2",
@@ -522,7 +561,7 @@ class TestCli:
             "binary-exact": default_binary_config(),
             "mixture-mc": default_mixture_config(),
             "identity-check": default_identity_config(),
-            "rejection-demo": default_rejection_config(),
+            "rejection-demo": RejectionConfig(),
             "fit-slope": FitSlopeConfig(),
         }
         assert set(subparsers.choices) == set(configs)

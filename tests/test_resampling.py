@@ -28,7 +28,7 @@ from posterior_debias.resampling import (
 )
 from posterior_debias.simplex import ProbVector
 
-from oracles import chain_realization_mean, to_fractions
+from oracles import chain_realization_mean, plugin_expectation_whole, to_fractions
 
 
 def lookup_likelihood(values):
@@ -430,16 +430,6 @@ def build_chain_whole(data, k, seed):
         pts = pts[rng.integers(0, data.n, size=data.n)]
         stages.append(WeightedSampleSet(pts))
     return stages
-
-
-def plugin_expectation_whole(samples, likelihood, h):
-    """The plug-in expectation over whole arrays, as it was computed before
-    it moved to blocks."""
-    log_w = likelihood.log(samples.points)
-    shift = log_w.max(axis=-1, keepdims=True)
-    w = np.exp(log_w - shift)
-    values = np.asarray(h(samples.points), dtype=float)
-    return float((w * values).sum() / w.sum())
 
 
 class TestDebiasedExpectationBlocks:
