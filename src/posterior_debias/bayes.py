@@ -33,7 +33,12 @@ def gaussian_likelihood(y_obs: float, noise_var: float) -> BoundedLikelihood:
     inv2v = 0.5 / noise_var
 
     def log_fn(x):
-        return const - (y_obs - x) ** 2 * inv2v
+        # const - (y_obs - x) ** 2 * inv2v, the same operations in the same
+        # order, built in one temporary (an array even for a 0-d x).
+        d = np.subtract(y_obs, x, out=np.empty(np.shape(x)))
+        d *= d
+        d *= inv2v
+        return np.subtract(const, d, out=d)
 
     return BoundedLikelihood(log_fn=log_fn)
 
@@ -186,10 +191,12 @@ def _weighted_sums(x: np.ndarray, log_w: np.ndarray, shift, w: np.ndarray, h: Ca
     np.subtract(log_w, shift, out=w)
     np.exp(w, out=w)
     den = w.sum(axis=-1)
-    values = np.asarray(h(x), dtype=float)
+    values = np.asarray(h(x))
     if values.shape != x.shape:
         raise ValueError("h must return one value per sample")
-    w *= values
+    # w times a boolean mask is w times its 0.0/1.0 copy, bit for bit, so
+    # an event multiplies in as it is; any other h goes through float.
+    w *= values if values.dtype == bool else values.astype(float, copy=False)
     return w.sum(axis=-1), den
 
 
@@ -247,9 +254,9 @@ class GaussianMixture:
             arr.flags.writeable = False
         if not (w.shape == mu.shape == var.shape) or w.ndim != 1 or w.size == 0:
             raise ValueError("weights, means, variances must share a nonempty 1-d shape")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must be non-negative and sum to 1")
-        if np.any(var <= 0):
+        if (var <= 0).any():
             raise ValueError("component variances must be positive")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
@@ -274,8 +281,8 @@ class GaussianMixture:
             comp += u >= cut
         del u  # at most three draw-sized arrays alive from here on
         x = rng.standard_normal(size)
-        x *= self._sds[comp]
-        x += self.means[comp]
+        x *= self._sds.take(comp)
+        x += self.means.take(comp)
         return x
 
 

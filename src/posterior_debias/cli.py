@@ -108,7 +108,13 @@ def _git_commit(git_dir: Path) -> str | None:
     return None
 
 
+# The settings that pick the BLAS thread count. Summation order inside BLAS
+# can follow it, so exact-path bits hold for one build and one setting.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _provenance() -> dict:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -117,6 +123,8 @@ def _provenance() -> dict:
         "cpu_count": os.cpu_count(),
         # The repository this package was loaded from (src/posterior_debias).
         "commit": _git_commit(Path(__file__).resolve().parents[2] / ".git"),
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
     }
 
 

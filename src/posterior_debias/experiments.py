@@ -69,16 +69,16 @@ def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
         raise ValueError("sizes and values must be 1-d and the same length")
     for name, arr in (("sizes", ns), ("values", vs)):
         bad = ~np.isfinite(arr)
-        if np.any(bad):
+        if bad.any():
             raise ValueError(f"{name} must be finite, got {arr[bad].tolist()}")
     if drop_smallest and ns.size:
         keep = ns != ns.min()
         ns, vs = ns[keep], vs[keep]
     if ns.size < 2:
         raise ValueError("slope fit needs at least 2 points")
-    if np.any(ns <= 0):
+    if (ns <= 0).any():
         raise ValueError("sizes must be positive")
-    if np.any(vs <= 0):
+    if (vs <= 0).any():
         raise ValueError("slope fit needs positive values")
     x = np.log(ns)
     y = np.log(vs)
@@ -336,10 +336,11 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     Replication counts follow the configured rule, capped at ``mc_cap`` with
     every capping recorded. Datasets are scored by plugin_posterior_rows,
     which gives its elementwise likelihood and event slices past 2^14
-    points. Aborts with UnderpoweredRunError when the standard error at a
-    grid point exceeds a third of the estimated bias; the error carries the
-    rows finished before that point and the point that tripped. A slope over
-    a column with a zero (no spread at one replicate) is None.
+    points. Aborts with UnderpoweredRunError when a grid point has fewer
+    than 2 replicates or its standard error exceeds a third of the estimated
+    bias; the error carries the rows finished before that point and the
+    point that tripped. A slope over a column with a zero (replicates that
+    all agree) is None.
     """
     mix = GaussianMixture(
         np.array(cfg.mix_weights), np.array(cfg.mix_means), np.array(cfg.mix_variances)
@@ -384,11 +385,18 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
                 "est_variance": result.variance,
                 "std_error": result.std_error,
             }
-            if result.std_error > abs(est_bias) / 3:
+            # One replicate has no spread, so its standard error of 0 says
+            # nothing about the noise of the bias estimate.
+            if n_reps < 2 or result.std_error > abs(est_bias) / 3:
                 point = {key: row[key] for key in ("n", "k", "N", "std_error", "est_bias")}
+                why = (
+                    "one replicate gives no standard error"
+                    if n_reps < 2
+                    else f"std_error {result.std_error:.4g} exceeds |bias|/3 = "
+                    f"{abs(est_bias) / 3:.4g}"
+                )
                 raise UnderpoweredRunError(
-                    f"std_error {result.std_error:.4g} exceeds |bias|/3 = "
-                    f"{abs(est_bias) / 3:.4g} at n={n}, k={k} (N={n_reps}); "
+                    f"{why} at n={n}, k={k} (N={n_reps}); "
                     "the run cannot resolve the bias at this replication count",
                     rows,
                     {"underpowered": point, **info},

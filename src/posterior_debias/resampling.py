@@ -167,7 +167,9 @@ def _drive(run_span: Callable, n_reps: int, chunk: int, threads: int) -> MCResul
     has at most one thread per span and one per CPU."""
     start = time.perf_counter()
     spans = [(i, lo, min(lo + chunk, n_reps)) for i, lo in enumerate(range(0, n_reps, chunk))]
-    workers = min(threads, len(spans), os.cpu_count() or 1)
+    workers = min(threads, len(spans))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers == 1:
         partials = [run_span(*span) for span in spans]
     else:
@@ -240,11 +242,16 @@ def outer_mc_batched(
         )
         stage = batch_sampler(b, n, rng)
         values = np.zeros(b)
+        # Row i of a stage starts at entry i * n of the flattened stage, so
+        # one flat take gathers what take_along_axis(stage, idx, axis=1) does.
+        offsets = np.arange(0, b * n, n)[:, None]
         for j in range(k):
             if j > 0:
-                stage = np.take_along_axis(stage, rng.integers(0, n, size=(b, n)), axis=1)
+                idx = rng.integers(0, n, size=(b, n))
+                idx += offsets
+                stage = stage.take(idx)
             values += weights[j] * batch_functional(stage)
-        if np.any(np.isnan(values)):
+        if np.isnan(values).any():
             raise FloatingPointError(f"functional returned NaN in replicates {lo}..{hi - 1}")
         mean = values.mean()
         return b, float(mean), float(((values - mean) ** 2).sum())

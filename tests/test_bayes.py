@@ -1,4 +1,4 @@
-from math import exp, sqrt
+from math import exp, log, pi, sqrt
 
 import numpy as np
 import pytest
@@ -54,6 +54,27 @@ class TestGaussianLikelihood:
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError):
             gaussian_likelihood(0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.random.default_rng(3).normal(0.0, 10.0, 1000),
+            np.arange(-6.0, 6.0).reshape(3, 4),
+            np.float64(0.3),
+            np.array(-1.25),
+            2.0,
+            [0.1, 0.8, 2.5],
+        ],
+    )
+    def test_log_equals_plain_expression_bitwise(self, x):
+        # The log is built in place in one temporary; the operations and
+        # their order are those of the plain expression, so are the bits.
+        y_obs, v = 0.8, 1 / 16
+        xa = np.asarray(x, dtype=float)
+        ref = np.asarray(-0.5 * log(2 * pi * v) - (y_obs - xa) ** 2 * (0.5 / v))
+        got = gaussian_likelihood(y_obs, v).log(x)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestDiscreteBayesMap:
@@ -344,6 +365,19 @@ class TestPluginPosteriorRows:
         lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, -np.inf, 0.0))
         with pytest.raises(DegenerateError):
             plugin_posterior_rows(points, lik, HALF)
+
+    @pytest.mark.parametrize("n", [7, B, B + 5])
+    def test_boolean_event_equals_float_event_bitwise(self, n):
+        # A boolean event multiplies the weights as it is; a float h goes
+        # through its float values. Both give the same bits.
+        pts = np.random.default_rng(n).normal(0.5, 1.0, size=(3, n))
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        rows = plugin_posterior_rows(pts, lik, HALF)
+        ref = [
+            plugin_expectation(WeightedSampleSet(r), lik, lambda x: HALF(x).astype(float))
+            for r in pts
+        ]
+        assert [v.hex() for v in rows] == [v.hex() for v in ref]
 
 
 class TestGaussianMixture:

@@ -300,18 +300,52 @@ class TestRunMixtureMC:
             run_mixture_mc(cfg)
 
     def test_zero_variance_has_no_slope(self):
-        # One replicate per point: the variance column is all zero.
-        cfg = default_mixture_config(n_grid=(8, 12), k_values=(1,), n_rule="fixed", n_fixed=1)
+        # No draw at n <= 12 reaches the threshold 6, so every plug-in value
+        # is exactly 0: the variance column is all zero, the bias is not.
+        cfg = default_mixture_config(
+            n_grid=(8, 12), k_values=(1,), n_rule="fixed", n_fixed=2,
+            y_obs=6.0, noise_var=1.0, threshold=6.0,
+        )
         rows, info = run_mixture_mc(cfg)
+        assert [r["est_mean"] for r in rows] == [0.0, 0.0]
         assert [r["est_variance"] for r in rows] == [0.0, 0.0]
+        assert rows[0]["est_bias"] == pytest.approx(-1.9191348895e-4, rel=1e-9)
         assert info["fits"][1]["est_variance"] is None
         assert info["fits"][1]["abs_bias"] is not None
 
+    def test_one_replicate_is_underpowered(self):
+        cfg = default_mixture_config(n_grid=(8, 12), k_values=(1,), n_rule="fixed", n_fixed=1)
+        with pytest.raises(UnderpoweredRunError, match="one replicate") as exc:
+            run_mixture_mc(cfg)
+        assert exc.value.rows == []
+        assert exc.value.info["underpowered"]["N"] == 1
+
     def test_thread_invariance(self):
-        kwargs = dict(n_grid=(8, 12), k_values=(1,), n_rule="fixed", n_fixed=2000)
+        # 9000 replicates are 3 chunks of at most 4096, so threads=4 runs a pool.
+        kwargs = dict(n_grid=(8, 12), k_values=(1,), n_rule="fixed", n_fixed=9000)
         rows_1, _ = run_mixture_mc(default_mixture_config(threads=1, **kwargs))
         rows_4, _ = run_mixture_mc(default_mixture_config(threads=4, **kwargs))
         assert rows_1 == rows_4
+
+    # est_mean and est_variance of each (n, k) as float.hex, recorded with
+    # numpy 2.4.6: 9000 replicates are 3 chunks per point, so this pins the
+    # batched stream (MC_RNG_SCHEME) and every reduction on it, bit for bit.
+    PINNED_BATCHED = [
+        (16, 1, "0x1.45bc8679cdffep-4", "0x1.22d293140c06bp-4"),
+        (32, 1, "0x1.2e78321600e4cp-3", "0x1.de7e2f2f7f074p-4"),
+        (16, 2, "0x1.f2c6f3f5e5560p-4", "0x1.587ff734d78a0p-3"),
+        (32, 2, "0x1.9117e9db0b4b5p-3", "0x1.f79cc65d02f48p-3"),
+    ]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_batched_stream_bits_are_pinned(self, threads):
+        cfg = default_mixture_config(
+            n_grid=(16, 32), k_values=(1, 2), n_rule="fixed", n_fixed=9000,
+            y_obs=3.5, threshold=3.3, threads=threads,
+        )
+        rows, _ = run_mixture_mc(cfg)
+        got = [(r["n"], r["k"], r["est_mean"].hex(), r["est_variance"].hex()) for r in rows]
+        assert got == self.PINNED_BATCHED
 
 
 class TestRunIdentityCheck:
@@ -413,7 +447,7 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["rng_scheme"] == MC_RNG_SCHEME
         assert set(manifest["provenance"]) == {
-            "python", "numpy", "scipy", "platform", "cpu_count", "commit"
+            "python", "numpy", "scipy", "platform", "cpu_count", "commit", "blas", "blas_threads"
         }
         points = manifest["points"]
         assert [(p["n"], p["k"], p["N"]) for p in points] == [(8, 1, 2500), (12, 1, 2500)]
@@ -435,11 +469,19 @@ class TestCli:
             (["rejection-demo", "--demo-draws", "100"], "rejection_report.json"),
         ],
     )
-    def test_manifest_provenance(self, tmp_path, argv, manifest):
+    def test_manifest_provenance(self, tmp_path, monkeypatch, argv, manifest):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
         assert main(argv + ["--out", str(tmp_path)]) == 0
         provenance = json.loads((tmp_path / manifest).read_text())["provenance"]
         assert provenance["numpy"] == np.__version__
         assert provenance["cpu_count"] == os.cpu_count()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert provenance["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert provenance["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2"
+        }
 
     def test_git_commit_read_from_loose_and_packed_refs(self, tmp_path):
         git = tmp_path / ".git"
@@ -474,6 +516,16 @@ class TestCli:
         )
         assert code == 4
 
+    def test_one_replicate_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "one"
+        code = main(
+            ["mixture-mc", "--n-grid", "8,12", "--n-rule", "fixed", "--n-fixed", "1",
+             "--out", str(out)]
+        )
+        assert code == 4
+        assert "one replicate gives no standard error" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["underpowered"]["N"] == 1
+
     def test_underpowered_keeps_finished_rows(self, tmp_path):
         # k=2 at n=8 cannot resolve its bias with 4000 replicates
         out = tmp_path / "u"
@@ -495,10 +547,11 @@ class TestCli:
         assert tripped["std_error"] > abs(tripped["est_bias"]) / 3
 
     def test_zero_variance_slope_is_null(self, tmp_path, capsys):
+        # Every plug-in value is exactly 0 here (see TestRunMixtureMC).
         out = tmp_path / "z"
         code = main(
-            ["mixture-mc", "--n-grid", "8,12", "--n-rule", "fixed", "--n-fixed", "1",
-             "--out", str(out)]
+            ["mixture-mc", "--n-grid", "8,12", "--n-rule", "fixed", "--n-fixed", "2",
+             "--y-obs", "6", "--noise-var", "1", "--threshold", "6", "--out", str(out)]
         )
         assert code == 0
         assert "variance slope n/a" in capsys.readouterr().out

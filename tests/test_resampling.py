@@ -333,6 +333,35 @@ class TestOuterMCBatched:
         assert res.variance == pytest.approx(vals.var(ddof=1), rel=1e-12)
         assert res.std_error == pytest.approx(sqrt(res.variance / reps), rel=1e-15)
 
+    def test_later_stages_equal_take_along_axis(self):
+        # Each later stage is take_along_axis of the stage before with the
+        # chunk's next (b, n) integer draw, bit for bit; two chunks.
+        n, k, seed = 7, 3, 5
+        reps = _batch_rows(n) + 10
+        seen = []
+
+        def sampler(b, n, rng):
+            return rng.normal(size=(b, n))
+
+        def functional(x):
+            seen.append(x.copy())
+            return np.zeros(x.shape[0])
+
+        outer_mc_batched(sampler, functional, MCConfig(n=n, k=k, n_reps=reps, root_seed=seed))
+        expected = []
+        for c, lo in enumerate(range(0, reps, _batch_rows(n))):
+            b = min(_batch_rows(n), reps - lo)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 1, c]))
+            stage = sampler(b, n, rng)
+            expected.append(stage)
+            for _ in range(k - 1):
+                stage = np.take_along_axis(stage, rng.integers(0, n, size=(b, n)), axis=1)
+                expected.append(stage)
+        assert len(seen) == len(expected) == 2 * k
+        for got, ref in zip(seen, expected):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("threads", [1, 3, 4, 16])
     def test_thread_count_invariance(self, threads):
         # three chunks of 4096, 4096 and 808 replicates
