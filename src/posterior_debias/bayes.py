@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateError
-from .simplex import ProbVector
+from .simplex import ProbVector, _checked_vector
 
 _BLOCK = 2**14  # points per block of the plug-in expectation: 128 KiB of float64
 
@@ -54,22 +54,22 @@ class DiscreteBayesMap:
     likelihoods: np.ndarray
 
     def __post_init__(self):
-        ell = np.array(self.likelihoods, dtype=float)
-        ell.flags.writeable = False
-        if ell.ndim != 1 or ell.size == 0:
-            raise ValueError("likelihoods must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(ell)) or np.any(ell <= 0):
-            raise ValueError("likelihood values must be finite and > 0")
+        ell = _checked_vector(self.likelihoods, "likelihoods")
+        if np.any(ell <= 0):
+            raise ValueError("likelihoods must be > 0")
         object.__setattr__(self, "likelihoods", ell)
 
     @property
     def m(self) -> int:
         return self.likelihoods.size
 
-    def posterior(self, q) -> ProbVector:
-        p = np.asarray(q.probs if isinstance(q, ProbVector) else q, dtype=float)
-        if p.shape != (self.m,):
-            raise ValueError(f"expected {self.m} prior entries, got shape {p.shape}")
+    def posterior(self, q: ProbVector) -> ProbVector:
+        """Posterior of the prior q: a ProbVector or anything its constructor
+        accepts, with one entry per support index. A prior that is not a
+        distribution raises ValueError; none is renormalised."""
+        p = ProbVector(q).probs
+        if p.size != self.m:
+            raise ValueError(f"expected {self.m} prior entries, got {p.size}")
         weighted = self.likelihoods * p
         denom = weighted.sum()
         if denom == 0.0:
@@ -108,13 +108,7 @@ class WeightedSampleSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        pts.flags.writeable = False
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("need at least one sample point")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("sample points must be finite")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _checked_vector(self.points, "points"))
 
     @property
     def n(self) -> int:
@@ -240,22 +234,19 @@ def _plugin_expectation(
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Finite Gaussian mixture prior on the real line."""
+    """Finite Gaussian mixture prior on the real line; the weights are a
+    distribution, so they also pass ProbVector's checks."""
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        mu = np.array(self.means, dtype=float)
-        var = np.array(self.variances, dtype=float)
-        for arr in (w, mu, var):
-            arr.flags.writeable = False
-        if not (w.shape == mu.shape == var.shape) or w.ndim != 1 or w.size == 0:
-            raise ValueError("weights, means, variances must share a nonempty 1-d shape")
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("mixture weights must be non-negative and sum to 1")
+        w = ProbVector(_checked_vector(self.weights, "weights")).probs
+        mu = _checked_vector(self.means, "means")
+        var = _checked_vector(self.variances, "variances")
+        if not w.size == mu.size == var.size:
+            raise ValueError("weights, means, variances must have the same length")
         if (var <= 0).any():
             raise ValueError("component variances must be positive")
         object.__setattr__(self, "weights", w)

@@ -31,15 +31,12 @@ import scipy
 from ._version import __version__
 from .errors import CapExceededError, IterationCapError, UnderpoweredRunError
 from .experiments import (
-    _BINARY_FITS,
-    _MIXTURE_FITS,
     BinaryConfig,
     FitSlopeConfig,
     IdentityConfig,
     MixtureConfig,
     RejectionConfig,
     _field_type,
-    _slope_fits,
     fit_slope,
     run_binary_exact,
     run_identity_check,
@@ -84,7 +81,8 @@ def _jsonable(obj):
 def write_manifest(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        # Strict JSON: a non-finite number raises instead of becoming NaN.
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -221,25 +219,27 @@ def _resolve_config(args: argparse.Namespace, cls):
     return cls(**values)
 
 
-def _sweep(cfg, args, run, columns: list[str], fit_columns: dict) -> dict:
-    """Run a sweep and write its CSV and manifest, also when a cap or guard
-    stops it part-way: then the rows finished before the stop are written,
-    the manifest names the point that stopped it, and the error propagates
-    (main exits 3 or 4). Prints a slope line per k either way."""
+def _sweep(cfg, args, run, columns: list[str], fits_key: str) -> dict:
+    """Run a sweep, which returns (rows, info) with its slope fits in
+    ``info[fits_key]``, and write its CSV and manifest, also when a cap or
+    guard stops it part-way: then the rows finished before the stop and
+    their fits are written, the manifest names the point that stopped it,
+    and the error propagates (main exits 3 or 4). Prints a slope line per k
+    either way."""
     out = args.out or Path("runs", cfg.experiment)
     path = out / f"{cfg.experiment}.csv"
     start = time.perf_counter()
     stop = None
     try:
-        rows, fits, info = run(cfg)
+        rows, info = run(cfg)
     except (CapExceededError, UnderpoweredRunError) as exc:
         rows, info, stop = exc.rows, exc.info, exc
-        fits = _slope_fits(rows, cfg.k_values, fit_columns)
     wall = time.perf_counter() - start
     write_csv(path, columns, rows)
     write_manifest(out / "manifest.json", _manifest(cfg, wall, info))
     for k in cfg.k_values:
-        bias, variance = (f"{f.slope:+.3f}" if f else "n/a" for f in fits[k].values())
+        fits = info[fits_key][k].values()
+        bias, variance = (f"{f.slope:+.3f}" if f else "n/a" for f in fits)
         print(f"k={k}: |bias| slope {bias}, variance slope {variance}")
     if stop is not None:
         print(f"wrote {path} ({len(rows)} finished rows)")
@@ -253,21 +253,16 @@ def _cmd_binary_exact(cfg: BinaryConfig, args) -> int:
 
     def run(cfg):
         rows, fits = run_binary_exact(cfg)
-        return rows, fits, {"slope_fits": fits}
+        return rows, {"slope_fits": fits}
 
-    _sweep(cfg, args, run, ["n", "k", "abs_bias", "variance"], _BINARY_FITS)
+    _sweep(cfg, args, run, ["n", "k", "abs_bias", "variance"], "slope_fits")
     return EXIT_OK
 
 
 def _cmd_mixture_mc(cfg: MixtureConfig, args) -> int:
     """Monte Carlo bias/variance sweep for the Gaussian-mixture setting."""
-
-    def run(cfg):
-        rows, info = run_mixture_mc(cfg)
-        return rows, info["fits"], info
-
     columns = ["n", "k", "N", "est_mean", "true_value", "est_bias", "est_variance", "std_error"]
-    info = _sweep(cfg, args, run, columns, _MIXTURE_FITS)
+    info = _sweep(cfg, args, run_mixture_mc, columns, "fits")
     if info["capped"]:
         capped = ", ".join(f"n={c['n']},k={c['k']}" for c in info["capped"])
         print(f"replicates capped at {cfg.mc_cap} for: {capped}")
@@ -335,7 +330,7 @@ def _cmd_fit_slope(cfg: FitSlopeConfig, args) -> int:
     if cfg.abs:
         ys = [abs(y) for y in ys]
     fit = fit_slope(xs, ys, drop_smallest=cfg.drop_smallest)
-    payload = json.dumps(_jsonable(fit), indent=2, sort_keys=True)
+    payload = json.dumps(_jsonable(fit), indent=2, sort_keys=True, allow_nan=False)
     print(payload)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -295,7 +295,8 @@ def run_binary_exact(
     No sampling is involved, so the output is deterministic. Each n samples
     the map once and builds one iterate stack up to the largest k, shared by
     every k and by bias and variance. A lattice or matrix cap error is
-    re-raised naming the offending n and carrying the rows finished before it.
+    re-raised naming the offending n and carrying the rows finished before it
+    and their slope fits.
     """
     bmap = _binary_bayes_map(cfg)
     g = bmap.component(1) if g_override is None else g_override
@@ -305,7 +306,9 @@ def run_binary_exact(
         try:
             moments = _exact_bias_variance(g, prior, n, cfg.k_values)
         except CapExceededError as exc:
-            raise CapExceededError(f"n={n}: {exc}", rows, {"cap_exceeded": {"n": n}}) from exc
+            fits = _slope_fits(rows, cfg.k_values, _BINARY_FITS)
+            info = {"cap_exceeded": {"n": n}, "slope_fits": fits}
+            raise CapExceededError(f"n={n}: {exc}", rows, info) from exc
         for k in cfg.k_values:
             bias, variance = moments[k]
             rows.append(
@@ -338,9 +341,10 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     which gives its elementwise likelihood and event slices past 2^14
     points. Aborts with UnderpoweredRunError when a grid point has fewer
     than 2 replicates or its standard error exceeds a third of the estimated
-    bias; the error carries the rows finished before that point and the
-    point that tripped. A slope over a column with a zero (replicates that
-    all agree) is None.
+    bias; the error carries the rows finished before that point, their fits
+    and the point that tripped. A slope over a column with a zero (replicates
+    that all agree) is None, and so is the guard margin of a point whose bias
+    and standard error are both 0.
     """
     mix = GaussianMixture(
         np.array(cfg.mix_weights), np.array(cfg.mix_means), np.array(cfg.mix_variances)
@@ -375,6 +379,7 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
                 ),
             )
             est_bias = result.mean - truth
+            bound = abs(est_bias) / 3
             row = {
                 "n": n,
                 "k": k,
@@ -387,19 +392,19 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
             }
             # One replicate has no spread, so its standard error of 0 says
             # nothing about the noise of the bias estimate.
-            if n_reps < 2 or result.std_error > abs(est_bias) / 3:
+            if n_reps < 2 or result.std_error > bound:
                 point = {key: row[key] for key in ("n", "k", "N", "std_error", "est_bias")}
                 why = (
                     "one replicate gives no standard error"
                     if n_reps < 2
-                    else f"std_error {result.std_error:.4g} exceeds |bias|/3 = "
-                    f"{abs(est_bias) / 3:.4g}"
+                    else f"std_error {result.std_error:.4g} exceeds |bias|/3 = {bound:.4g}"
                 )
+                fits = _slope_fits(rows, cfg.k_values, _MIXTURE_FITS)
                 raise UnderpoweredRunError(
                     f"{why} at n={n}, k={k} (N={n_reps}); "
                     "the run cannot resolve the bias at this replication count",
                     rows,
-                    {"underpowered": point, **info},
+                    {"underpowered": point, "fits": fits, **info},
                 )
             rows.append(row)
             # Timings vary from run to run, so they stay out of the rows.
@@ -408,7 +413,8 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
                     **{key: row[key] for key in ("n", "k", "N")},
                     "wall_time_s": result.wall_time,
                     "reps_per_s": n_reps / result.wall_time,
-                    "guard_margin": result.std_error / (abs(est_bias) / 3),
+                    # 0/0 where every replicate equals the truth: no margin.
+                    "guard_margin": result.std_error / bound if bound else None,
                 }
             )
     return rows, {"fits": _slope_fits(rows, cfg.k_values, _MIXTURE_FITS), **info}

@@ -27,6 +27,7 @@ from .simplex import (
     CountsVector,
     ProbVector,
     SimplexLattice,
+    _checked_vector,
     _log_coef,
     _log_probs,
     enumerate_lattice,
@@ -98,14 +99,9 @@ class LatticeFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        v.flags.writeable = False
-        if v.shape != (self.lattice.size,):
-            raise ValueError(
-                f"expected {self.lattice.size} values, got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("lattice function values must be finite")
+        v = _checked_vector(self.values, "values")
+        if v.size != self.lattice.size:
+            raise ValueError(f"expected {self.lattice.size} values, got {v.size}")
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -238,7 +234,7 @@ def debiased_estimate(g: Callable, T: CountsVector, k: int) -> float:
     Returns sum_j weights[j] * (B^j g)(T/n) with the alternating binomial
     weights; k = 1 reduces to the plug-in value g(T/n).
     """
-    T = T if isinstance(T, CountsVector) else CountsVector(T)
+    T = CountsVector(T)
     idx = _cached_lattice(T.n, T.m).index_of(T.counts)
     return float(_combination(_operator_iterates(g, T.n, T.m, k), k)[idx])
 
@@ -249,21 +245,19 @@ def debiased_estimate_mean(g: Callable, q: ProbVector, n: int, k: int) -> float:
     Equals sum_{j=1}^{k} C(k,j)(-1)^{j-1} (B^j g)(q): applying the operator
     once to the debiasing combination telescopes into this alternating sum.
     """
-    q = q if isinstance(q, ProbVector) else ProbVector(q)
+    q = ProbVector(q)
     iters = _operator_iterates(g, n, q.m, k)
     return _mean(multinomial_pmf_vector(_cached_lattice(n, q.m), q), iters, k)
 
 
 def exact_bias(g: Callable, q: ProbVector, n: int, k: int) -> float:
     """Exact bias of the order-k debiased estimate at the true prior q."""
-    q = q if isinstance(q, ProbVector) else ProbVector(q)
-    return _exact_bias_variance(g, q, n, (k,))[k][0]
+    return _exact_bias_variance(g, ProbVector(q), n, (k,))[k][0]
 
 
 def exact_variance(g: Callable, q: ProbVector, n: int, k: int) -> float:
     """Exact variance of the order-k debiased estimate over T ~ Multinomial(n, q)."""
-    q = q if isinstance(q, ProbVector) else ProbVector(q)
-    return _exact_bias_variance(g, q, n, (k,))[k][1]
+    return _exact_bias_variance(g, ProbVector(q), n, (k,))[k][1]
 
 
 def central_moment(n: int, q: ProbVector, alpha) -> float:
@@ -272,7 +266,7 @@ def central_moment(n: int, q: ProbVector, alpha) -> float:
     The multi-index is capped at |alpha|_1 <= 8; higher orders are outside
     the validated range of the scaling diagnostics.
     """
-    q = q if isinstance(q, ProbVector) else ProbVector(q)
+    q = ProbVector(q)
     a = np.asarray(alpha, dtype=np.int64)
     if a.shape != (q.m,):
         raise ValueError(f"multi-index must have length {q.m}, got shape {a.shape}")

@@ -32,14 +32,8 @@ def make_rejection_spec(proposal, target) -> RejectionSpec:
     The bound is computed exactly from the distributions (0/0 counts as 0),
     so the acceptance rate is the best achievable, 1/bound.
     """
-    prop = np.asarray(
-        proposal.probs if isinstance(proposal, ProbVector) else ProbVector(proposal).probs,
-        dtype=float,
-    )
-    raw = np.asarray(
-        target.values if isinstance(target, SignedProbVector) else SignedProbVector(target).values,
-        dtype=float,
-    )
+    prop = ProbVector(proposal).probs
+    raw = SignedProbVector(target).values
     if raw.shape != prop.shape:
         raise ValueError(f"target shape {raw.shape} != proposal shape {prop.shape}")
     clamped = np.maximum(raw, 0.0)
@@ -51,7 +45,7 @@ def make_rejection_spec(proposal, target) -> RejectionSpec:
     if np.any((tgt > 0) & (prop == 0)):
         raise SupportError("clamped target has mass where the proposal is zero")
     ratio = np.divide(tgt, prop, out=np.zeros_like(tgt), where=prop > 0)
-    for arr in (prop, tgt, ratio):
+    for arr in (tgt, ratio):  # prop is the ProbVector's read-only copy
         arr.flags.writeable = False
     return RejectionSpec(
         proposal=prop,

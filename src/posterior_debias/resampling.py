@@ -300,7 +300,7 @@ def exhaustive_chain_expectation(
     driver. The functional must be pure: it is evaluated at most once per
     lattice point.
     """
-    prior = prior if isinstance(prior, ProbVector) else ProbVector(prior)
+    prior = ProbVector(prior)
     M = transfer_matrix(n, prior.m)
     lat, step = M.lattice, M.rows
     pts = np.arange(prior.m, dtype=float)

@@ -28,6 +28,18 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def _checked_vector(values, name: str) -> np.ndarray:
+    """The rule every vector value type keeps: a read-only float copy of
+    ``values``, which must be a nonempty 1-d vector of finite entries. The
+    ValueError otherwise names the field."""
+    v = _frozen_array(values, float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-d vector")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 @dataclass(frozen=True)
 class ProbVector:
     """Point on the probability simplex: entries >= 0 summing to 1 (tol 1e-12)."""
@@ -35,11 +47,7 @@ class ProbVector:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = _frozen_array(self.probs, float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probs must be finite")
+        p = _checked_vector(self.probs, "probs")
         if np.any(p < 0):
             raise ValueError(f"negative probability entry: min={p.min()}")
         total = float(p.sum())
@@ -66,11 +74,7 @@ class SignedProbVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen_array(self.values, float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("values must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
+        v = _checked_vector(self.values, "values")
         total = float(v.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"signed entries sum to {total!r}, not 1")
@@ -150,9 +154,7 @@ class SimplexLattice:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.int64)
-        pts = _frozen_array(pts, np.int64)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _frozen_array(self.points, np.int64))
 
     @property
     def size(self) -> int:
@@ -210,18 +212,19 @@ def enumerate_lattice(n: int, m: int) -> SimplexLattice:
     return SimplexLattice(n=n, m=m, points=_lattice_points(n, m))
 
 
-def multinomial_pmf_vector(lattice: SimplexLattice, q) -> np.ndarray:
+def multinomial_pmf_vector(lattice: SimplexLattice, q: ProbVector) -> np.ndarray:
     """Pmf of every lattice point under q, as one vectorized evaluation.
 
+    q is a ProbVector or anything its constructor accepts, so a vector that
+    is not a distribution (a NaN or negative entry, a sum other than 1)
+    raises ValueError; it must have one entry per category of the lattice.
     Each entry is the multinomial pmf n!/(nu_1! ... nu_m!) * prod q_j^{nu_j},
     computed with log-gamma; categories with q_j = 0 get exact 0 mass through
-    the log-zero sentinel. NaN probabilities are rejected.
+    the log-zero sentinel.
     """
-    p = np.asarray(q.probs if isinstance(q, ProbVector) else q, dtype=float)
-    if p.shape != (lattice.m,):
-        raise ValueError(f"expected {lattice.m} probabilities, got shape {p.shape}")
-    if np.any(np.isnan(p)):
-        raise ValueError("NaN in probability vector")
+    p = ProbVector(q).probs
+    if p.size != lattice.m:
+        raise ValueError(f"expected {lattice.m} probabilities, got {p.size}")
     return np.exp(lattice.points @ _log_probs(p) + _log_coef(lattice))
 
 

@@ -133,6 +133,15 @@ class TestDiscreteBayesMap:
         with pytest.raises(ValueError):
             DiscreteBayesMap([1.0, 0.0])
 
+    @pytest.mark.parametrize("q", [[0.5, 0.7], [-0.5, 1.5], [0.5, np.nan]])
+    def test_posterior_rejects_a_prior_that_is_no_distribution(self, q):
+        with pytest.raises(ValueError):
+            DiscreteBayesMap([1.0, 2.0]).posterior(q)
+
+    def test_posterior_rejects_wrong_support_size(self):
+        with pytest.raises(ValueError, match="expected 2 prior entries"):
+            DiscreteBayesMap([1.0, 2.0]).posterior(ProbVector([0.2, 0.3, 0.5]))
+
     def test_discrete_bayes_wrapper(self):
         bmap = DiscreteBayesMap([1.0, 2.0])
         q = ProbVector([0.5, 0.5])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import posterior_debias
-from posterior_debias.cli import _git_commit, build_parser, main, write_csv
+from posterior_debias.cli import _git_commit, build_parser, main, write_csv, write_manifest
 from posterior_debias.errors import CapExceededError, UnderpoweredRunError
 from posterior_debias.experiments import (
     MC_RNG_SCHEME,
@@ -252,13 +252,13 @@ class TestRunBinaryExact:
             run_binary_exact(cfg)
 
     def test_cap_error_carries_finished_rows(self):
-        finished, _ = run_binary_exact(default_binary_config(n_grid=(16, 32), k_values=(1, 2)))
+        finished, fits = run_binary_exact(default_binary_config(n_grid=(16, 32), k_values=(1, 2)))
         cfg = default_binary_config(n_grid=(16, 32, 8000), k_values=(1, 2))
         with pytest.raises(CapExceededError) as exc:
             run_binary_exact(cfg)
         assert len(exc.value.rows) == 4
         assert exc.value.rows == finished
-        assert exc.value.info == {"cap_exceeded": {"n": 8000}}
+        assert exc.value.info == {"cap_exceeded": {"n": 8000}, "slope_fits": fits}
 
 
 class TestRunMixtureMC:
@@ -312,6 +312,17 @@ class TestRunMixtureMC:
         assert rows[0]["est_bias"] == pytest.approx(-1.9191348895e-4, rel=1e-9)
         assert info["fits"][1]["est_variance"] is None
         assert info["fits"][1]["abs_bias"] is not None
+
+    def test_zero_bias_and_spread_has_no_guard_margin(self):
+        # Every draw clears the threshold -100, so each plug-in value and
+        # the truth are exactly 1: bias and standard error are both 0.
+        cfg = default_mixture_config(
+            n_grid=(8, 12), k_values=(1,), n_rule="fixed", n_fixed=10, threshold=-100.0
+        )
+        rows, info = run_mixture_mc(cfg)
+        assert [(r["est_bias"], r["std_error"]) for r in rows] == [(0.0, 0.0), (0.0, 0.0)]
+        assert [p["guard_margin"] for p in info["points"]] == [None, None]
+        assert info["fits"][1] == {"abs_bias": None, "est_variance": None}
 
     def test_one_replicate_is_underpowered(self):
         cfg = default_mixture_config(n_grid=(8, 12), k_values=(1,), n_rule="fixed", n_fixed=1)
@@ -545,6 +556,10 @@ class TestCli:
         assert set(tripped) == {"n", "k", "N", "std_error", "est_bias"}
         assert (tripped["n"], tripped["k"], tripped["N"]) == (8, 2, 4000)
         assert tripped["std_error"] > abs(tripped["est_bias"]) / 3
+        # The fits of the finished k=1 rows; k=2 has no row to fit.
+        fits = manifest["fits"]
+        assert fits["1"]["abs_bias"]["points_used"] == 2
+        assert fits["2"] == {"abs_bias": None, "est_variance": None}
 
     def test_zero_variance_slope_is_null(self, tmp_path, capsys):
         # Every plug-in value is exactly 0 here (see TestRunMixtureMC).
@@ -560,6 +575,64 @@ class TestCli:
         fits = json.loads((out / "manifest.json").read_text())["fits"]
         assert fits["1"]["est_variance"] is None
 
+    def test_zero_bias_point_exit_code(self, tmp_path, capsys):
+        # Bias and standard error are both 0 here (see TestRunMixtureMC).
+        out = tmp_path / "zb"
+        code = main(
+            ["mixture-mc", "--threshold", "-100", "--n-grid", "8,12", "--n-rule", "fixed",
+             "--n-fixed", "10", "--out", str(out)]
+        )
+        assert code == 0
+        assert "k=1: |bias| slope n/a, variance slope n/a" in capsys.readouterr().out
+        points = json.loads((out / "manifest.json").read_text())["points"]
+        assert [p["guard_margin"] for p in points] == [None, None]
+
+    def test_nan_mix_weight_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "nw"
+        code = main(
+            ["mixture-mc", "--mix-weights", "nan,0.5", "--n-grid", "8,12", "--n-rule", "fixed",
+             "--n-fixed", "500", "--out", str(out)]
+        )
+        assert code == 2
+        assert "weights must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def _strict_json(path: Path):
+        def refuse(constant):
+            raise ValueError(f"{path.name} holds the non-standard constant {constant}")
+
+        return json.loads(path.read_text(), parse_constant=refuse)
+
+    @pytest.mark.parametrize(
+        "argv,written,code",
+        [
+            (["binary-exact", "--n-grid", "8,16", "--k-values", "1,2"], "manifest.json", 0),
+            (["binary-exact", "--n-grid", "16,8000", "--k-values", "2"], "manifest.json", 3),
+            (["mixture-mc", "--n-grid", "8,12", "--n-rule", "fixed", "--n-fixed", "1"],
+             "manifest.json", 4),
+            (["mixture-mc", "--threshold", "-100", "--n-grid", "8,12", "--n-rule", "fixed",
+              "--n-fixed", "10"], "manifest.json", 0),
+            (["identity-check", "--n-grid", "2,3", "--k-values", "1", "--m-values", "2"],
+             "identity_report.json", 0),
+            (["rejection-demo", "--demo-draws", "100"], "rejection_report.json", 0),
+        ],
+    )
+    def test_manifests_are_strict_json(self, tmp_path, argv, written, code):
+        assert main(argv + ["--out", str(tmp_path)]) == code
+        assert self._strict_json(tmp_path / written)["version"]
+
+    def test_fit_slope_output_is_strict_json(self, tmp_path):
+        table = tmp_path / "t.csv"
+        write_csv(table, ["n", "abs_bias"], [{"n": n, "abs_bias": 1 / n} for n in (8, 16, 32)])
+        assert main(["fit-slope", str(table), "--out", str(tmp_path)]) == 0
+        assert self._strict_json(tmp_path / "slope_fit.json")["points_used"] == 3
+
+    def test_write_manifest_refuses_non_finite_numbers(self, tmp_path):
+        for bad in (float("nan"), float("inf"), np.float64("-inf")):
+            with pytest.raises(ValueError):
+                write_manifest(tmp_path / "m.json", {"value": bad})
+
     def test_cap_keeps_finished_rows(self, tmp_path, capsys):
         grid = ["--k-values", "1,2", "--out"]
         assert main(["binary-exact", "--n-grid", "16,32", *grid, str(tmp_path / "a")]) == 0
@@ -571,6 +644,8 @@ class TestCli:
         assert csvs[0] == csvs[1]
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert manifest["cap_exceeded"] == {"n": 8000}
+        finished = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["slope_fits"] == finished["slope_fits"]
 
     def test_cap_exit_code(self, tmp_path):
         code = main(

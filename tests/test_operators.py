@@ -252,6 +252,16 @@ class TestDebiasedMean:
 
 
 class TestBiasAndVariance:
+    def test_raw_prior_gives_the_prob_vector_bits(self):
+        raw = np.array([0.35, 0.65])
+        for n, k in [(16, 1), (40, 3)]:
+            assert exact_bias(G_BINARY, raw, n, k) == exact_bias(G_BINARY, ProbVector(raw), n, k)
+
+    def test_rejects_a_prior_that_is_no_distribution(self):
+        for public in (exact_bias, exact_variance, debiased_estimate_mean):
+            with pytest.raises(ValueError):
+                public(G_BINARY, [0.5, 0.7], 8, 2)
+
     def test_bias_matches_oracle(self):
         q = to_fractions([0.4, 0.6])
         for n, k in [(3, 1), (4, 2)]:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from posterior_debias.bayes import DiscreteBayesMap, GaussianMixture, WeightedSampleSet
 from posterior_debias.errors import CapExceededError
+from posterior_debias.operators import LatticeFunction
 from posterior_debias.simplex import (
     CountsVector,
     ProbVector,
@@ -12,6 +14,50 @@ from posterior_debias.simplex import (
 )
 
 from oracles import brute_lattice, exact_multinomial_pmf, to_fractions
+
+# Each float vector value type with a valid value for every field; the
+# fields named in VECTOR_FIELDS must each be a nonempty 1-d finite vector.
+VALID_VALUES = {
+    ProbVector: {"probs": [0.25, 0.75]},
+    SignedProbVector: {"values": [1.5, -0.5]},
+    WeightedSampleSet: {"points": [0.5, -1.0, 2.0]},
+    DiscreteBayesMap: {"likelihoods": [1.0, 2.0]},
+    LatticeFunction: {"lattice": enumerate_lattice(1, 2), "values": [0.5, 1.5]},
+    GaussianMixture: {"weights": [0.25, 0.75], "means": [0.0, 1.0], "variances": [1.0, 2.0]},
+}
+VECTOR_FIELDS = [
+    (cls, name) for cls, values in VALID_VALUES.items() for name in values if name != "lattice"
+]
+
+
+def with_field(cls, name, value):
+    return cls(**{**VALID_VALUES[cls], name: value})
+
+
+# Ways to spoil a valid vector v, each of which breaks the rule.
+SPOILED = {
+    "nan": lambda v: [np.nan, *v[1:]],
+    "inf": lambda v: [np.inf, *v[1:]],
+    "empty": lambda v: [],
+    "2d": lambda v: [v],
+}
+
+
+class TestVectorRule:
+    @pytest.mark.parametrize("cls,name", VECTOR_FIELDS)
+    @pytest.mark.parametrize("spoil", SPOILED.values(), ids=SPOILED.keys())
+    def test_rejects_and_names_the_field(self, cls, name, spoil):
+        with pytest.raises(ValueError, match=name):
+            with_field(cls, name, np.array(spoil(VALID_VALUES[cls][name]), dtype=float))
+
+    @pytest.mark.parametrize("cls,name", VECTOR_FIELDS)
+    def test_keeps_a_read_only_copy(self, cls, name):
+        given = np.array(VALID_VALUES[cls][name], dtype=float)
+        kept = getattr(with_field(cls, name, given), name)
+        assert np.array_equal(kept, given)
+        assert not kept.flags.writeable
+        assert not np.shares_memory(kept, given)
+        assert given.flags.writeable  # the caller's array is left as it was
 
 
 class TestProbVector:
@@ -157,6 +203,22 @@ class TestMultinomialPmf:
             exact = float(exact_multinomial_pmf(lat.point(i).counts, fracs))
             assert probs[i] == pytest.approx(exact, rel=1e-12)
         assert probs.sum() == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("q", [[-0.5, 1.5], [0.5, 0.7], [np.nan, 1.0]])
+    def test_rejects_a_vector_that_is_no_distribution(self, q):
+        with pytest.raises(ValueError):
+            multinomial_pmf_vector(enumerate_lattice(4, 2), q)
+
+    def test_rejects_wrong_category_count(self):
+        with pytest.raises(ValueError, match="expected 3 probabilities"):
+            multinomial_pmf_vector(enumerate_lattice(4, 3), ProbVector([0.5, 0.5]))
+
+    def test_raw_vector_gives_the_prob_vector_bits(self):
+        lat = enumerate_lattice(9, 3)
+        raw = np.array([0.2, 0.45, 0.35])
+        assert np.array_equal(
+            multinomial_pmf_vector(lat, raw), multinomial_pmf_vector(lat, ProbVector(raw))
+        )
 
     def test_zero_prior_entry_gives_exact_zeros(self):
         lat = enumerate_lattice(4, 3)
