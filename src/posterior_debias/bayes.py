@@ -115,20 +115,6 @@ class WeightedSampleSet:
         return self.points.size
 
 
-def plugin_posterior_rows(
-    points: np.ndarray, likelihood: BoundedLikelihood, event: Callable
-) -> np.ndarray:
-    """Plug-in posterior probability of an event for each sample set along
-    the last axis of ``points``: (..., n) -> (...).
-
-    Runs the code of plugin_posterior_prob on all sets at once, so each
-    entry equals plugin_posterior_prob on that one set bit for bit. Past
-    2^14 points per set, ``likelihood.log`` and ``event`` get slices, as
-    plugin_expectation describes.
-    """
-    return _plugin_expectation(points, likelihood, lambda x: np.asarray(event(x), dtype=bool))
-
-
 def plugin_posterior_prob(
     samples: WeightedSampleSet, likelihood: BoundedLikelihood, event: Callable
 ) -> float:
@@ -139,7 +125,9 @@ def plugin_posterior_prob(
     Past 2^14 points, ``likelihood.log`` and ``event`` get slices, as
     plugin_expectation describes, so both must act elementwise.
     """
-    return float(plugin_posterior_rows(samples.points, likelihood, event))
+    return float(
+        _plugin_expectation(samples.points, likelihood, lambda x: np.asarray(event(x), bool))
+    )
 
 
 def plugin_expectation(
@@ -292,7 +280,8 @@ def mixture_posterior_tail_prob(
     variance (1/sigma^2 + 1/noise_var)^{-1}; component weights are
     proportional to prior weight times the marginal density of y_obs under
     that component (variance sigma^2 + noise_var). Weights are combined in
-    log space; tails use the complementary normal CDF.
+    log space; tails use the complementary normal CDF. A y_obs at which every
+    component weight underflows to zero raises DegenerateError.
 
     Parameters
     ----------
@@ -313,14 +302,17 @@ def mixture_posterior_tail_prob(
     for i in range(prior.weights.size):
         w, mu, s2 = prior.weights[i], prior.means[i], prior.variances[i]
         marginal_var = s2 + noise_var
-        log_w[i] = (
-            (log(w) if w > 0 else -np.inf)
-            - 0.5 * log(2 * pi * marginal_var)
-            - (y_obs - mu) ** 2 / (2 * marginal_var)
-        )
+        with np.errstate(over="ignore"):  # a y_obs this far out gives weight 0
+            log_w[i] = (
+                (log(w) if w > 0 else -np.inf)
+                - 0.5 * log(2 * pi * marginal_var)
+                - (y_obs - mu) ** 2 / (2 * marginal_var)
+            )
         v = 1.0 / (1.0 / s2 + 1.0 / noise_var)
         post_var[i] = v
         post_mean[i] = v * (mu / s2 + y_obs / noise_var)
+    if log_w.max() == -np.inf:
+        raise DegenerateError(f"no mixture component has a nonzero weight at y_obs={y_obs!r}")
     log_w -= log_w.max()
     w_post = np.exp(log_w)
     w_post /= w_post.sum()

@@ -6,8 +6,9 @@ frozen config dataclass, and a JSON --config file takes the same field names;
 a key or flag the subcommand does not use is a configuration error. Each
 writes CSV/JSON outputs under --out and prints a short summary to stdout.
 
-Exit codes: 0 success (and identity pass), 2 bad configuration, 3 a size cap
-was hit, 4 a statistical guard tripped (underpowered run, identity failure).
+Exit codes: 0 success (and identity pass), 2 bad configuration (a degenerate
+observation included), 3 a size cap was hit, 4 a statistical guard tripped
+(underpowered run, identity failure).
 A sweep that a cap or guard stops still writes the rows it finished.
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 import scipy
 
 from ._version import __version__
-from .errors import CapExceededError, IterationCapError, UnderpoweredRunError
+from .errors import CapExceededError, DegenerateError, IterationCapError, UnderpoweredRunError
 from .experiments import (
     BinaryConfig,
     FitSlopeConfig,
@@ -352,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     cls, handler = _COMMANDS[args.command]
     try:
         return handler(_resolve_config(args, cls), args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, DegenerateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CapExceededError, IterationCapError) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, get_args, get_origin, get_type_hints
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -22,11 +22,11 @@ from .bayes import (
     gaussian_likelihood,
     mixture_posterior_tail_prob,
     plugin_posterior_prob,
-    plugin_posterior_rows,
     BoundedLikelihood,
+    _plugin_expectation,
 )
 from .errors import CapExceededError, UnderpoweredRunError
-from .operators import _exact_bias_variance, debiased_estimate, debiased_estimate_mean
+from .operators import MAX_ORDER, _exact_bias_variance, debiased_estimate, debiased_estimate_mean
 from .rejection import make_rejection_spec, rejection_sample_batch
 from .resampling import _BATCH_SCHEME, MCConfig, exhaustive_chain_expectation, outer_mc_batched
 from .simplex import CountsVector, ProbVector
@@ -74,8 +74,8 @@ def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
     if drop_smallest and ns.size:
         keep = ns != ns.min()
         ns, vs = ns[keep], vs[keep]
-    if ns.size < 2:
-        raise ValueError("slope fit needs at least 2 points")
+    if np.unique(ns).size < 2:
+        raise ValueError("slope fit needs at least 2 points at distinct sizes")
     if (ns <= 0).any():
         raise ValueError("sizes must be positive")
     if (vs <= 0).any():
@@ -145,13 +145,17 @@ def _fits(hint, value) -> bool:
 
 
 def _check_fields(cfg) -> None:
-    """Raise ValueError on a field value of another type than its annotation
-    (flags, files and Python callers alike); store a list as a tuple."""
+    """Raise ValueError on a field value of another type than its annotation,
+    or below the ``min`` its field declares (flags, files and Python callers
+    alike); store a list as a tuple."""
     hints = get_type_hints(type(cfg))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not _fits(hints[f.name], value):
             raise ValueError(f"config field {f.name!r} needs {f.type}, got {value!r}")
+        low = f.metadata.get("min")
+        if low is not None and value < low:
+            raise ValueError(f"config field {f.name!r} must be >= {low}, got {value!r}")
         if isinstance(value, list):
             object.__setattr__(cfg, f.name, tuple(value))
 
@@ -164,8 +168,8 @@ def _check_grid(cfg) -> None:
         raise ValueError("n_grid must be strictly increasing")
     if grid[0] < 1:
         raise ValueError("n_grid entries must be >= 1")
-    if not cfg.k_values or any(k < 1 for k in cfg.k_values):
-        raise ValueError("k_values must be non-empty positive integers")
+    if not cfg.k_values or any(not 1 <= k <= MAX_ORDER for k in cfg.k_values):
+        raise ValueError(f"k_values must be non-empty integers in [1, {MAX_ORDER}]")
 
 
 @dataclass(frozen=True)
@@ -205,13 +209,13 @@ class MixtureConfig:
         "default n^3 for k=1, n^4 otherwise",
     )
     n_fixed: int | None = _opt(None, "replicates when --n-rule fixed")
-    mc_cap: int = _opt(10_000_000, "hard cap on replicates per point")
+    mc_cap: int = _opt(10_000_000, "hard cap on replicates per point", min=1)
     threads: int = _opt(
         1,
         "worker threads; they speed up a grid point that spans more than one "
         "chunk of replicates, and results are identical for any count",
     )
-    root_seed: int = _opt(0, "root seed", flag="--seed")
+    root_seed: int = _opt(0, "root seed", flag="--seed", min=0)
 
     def __post_init__(self):
         _check_fields(self)
@@ -233,7 +237,7 @@ class IdentityConfig:
     n_grid: tuple[int, ...] = _opt((4, 6), "sample sizes (keep small)")
     k_values: tuple[int, ...] = _opt((1, 2), "correction orders")
     m_values: tuple[int, ...] = _opt((2, 3), "support sizes, each >= 2")
-    root_seed: int = _opt(0, "root seed", flag="--seed")
+    root_seed: int = _opt(0, "root seed", flag="--seed", min=0)
 
     def __post_init__(self):
         _check_fields(self)
@@ -252,10 +256,10 @@ class RejectionConfig:
     q: float = _opt(0.4, "prior mass on atom 1")
     y_obs: float = _opt(2.0, "observed value")
     noise_var: float = _opt(1.0, "observation noise variance")
-    demo_n: int = _opt(64, "sample size of the dataset")
-    demo_k: int = _opt(2, "correction order")
-    demo_draws: int = _opt(100_000, "accepted draws to collect")
-    root_seed: int = _opt(0, "root seed", flag="--seed")
+    demo_n: int = _opt(64, "sample size of the dataset", min=1)
+    demo_k: int = _opt(2, "correction order", min=1)
+    demo_draws: int = _opt(100_000, "accepted draws to collect", min=1)
+    root_seed: int = _opt(0, "root seed", flag="--seed", min=0)
 
     def __post_init__(self):
         _check_fields(self)
@@ -287,9 +291,7 @@ def _binary_bayes_map(cfg: BinaryConfig | RejectionConfig) -> DiscreteBayesMap:
     return DiscreteBayesMap(np.exp(lik.log(np.array([0.0, 1.0]))))
 
 
-def run_binary_exact(
-    cfg: BinaryConfig, g_override: Callable | None = None
-) -> tuple[list[dict], dict]:
+def run_binary_exact(cfg: BinaryConfig) -> tuple[list[dict], dict]:
     """Exact |bias| and variance per (n, k) for the two-atom posterior map.
 
     No sampling is involved, so the output is deterministic. Each n samples
@@ -298,8 +300,7 @@ def run_binary_exact(
     re-raised naming the offending n and carrying the rows finished before it
     and their slope fits.
     """
-    bmap = _binary_bayes_map(cfg)
-    g = bmap.component(1) if g_override is None else g_override
+    g = _binary_bayes_map(cfg).component(1)
     prior = ProbVector(np.array([1.0 - cfg.q, cfg.q]))
     rows = []
     for n in cfg.n_grid:
@@ -337,12 +338,12 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     """Monte Carlo bias/variance table for the Gaussian-mixture setting.
 
     Replication counts follow the configured rule, capped at ``mc_cap`` with
-    every capping recorded. Datasets are scored by plugin_posterior_rows,
-    which gives its elementwise likelihood and event slices past 2^14
-    points. Aborts with UnderpoweredRunError when a grid point has fewer
-    than 2 replicates or its standard error exceeds a third of the estimated
-    bias; the error carries the rows finished before that point, their fits
-    and the point that tripped. A slope over a column with a zero (replicates
+    every capping recorded. Datasets are scored by the plug-in kernel, which
+    gives its elementwise likelihood and event slices past 2^14 points.
+    Aborts with UnderpoweredRunError when a grid point has fewer than 2
+    replicates or its standard error exceeds a third of the estimated bias;
+    the error carries the rows finished before that point, their fits and
+    the point that tripped. A slope over a column with a zero (replicates
     that all agree) is None, and so is the guard margin of a point whose bias
     and standard error are both 0.
     """
@@ -357,7 +358,7 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
         return mix.sample((b, n), rng)
 
     def batch_functional(x: np.ndarray) -> np.ndarray:
-        return plugin_posterior_rows(x, lik, lambda v: v >= threshold)
+        return _plugin_expectation(x, lik, lambda v: v >= threshold)
 
     rows, capped, points = [], [], []
     info = {"rng_scheme": MC_RNG_SCHEME, "capped": capped, "true_value": truth, "points": points}

@@ -119,7 +119,7 @@ def transfer_matrix(n: int, m: int) -> TransferMatrix:
             f"transfer matrix for n={n}, m={m} needs {size * size} entries, "
             f"over the cap of {DEFAULT_MATRIX_ENTRY_CAP}"
         )
-    lat = enumerate_lattice(n, m)
+    lat = _cached_lattice(n, m)  # the lattice the exact functions share
     # Row i is multinomial_pmf_vector(lat, points[i] / n), with its
     # coefficients and log-probabilities computed once for all rows and built
     # in place. Each row keeps its own matrix-vector product: one

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bayes import _BLOCK, BoundedLikelihood, WeightedSampleSet, _plugin_expectation
-from .operators import debias_weights, transfer_matrix
+from .operators import _cached_lattice, _cached_matrix, debias_weights
 from .simplex import ProbVector, multinomial_pmf_vector
 
 _SEED_LIMIT = 2**64
@@ -89,12 +89,10 @@ def build_chain(data: WeightedSampleSet, k: int, seed: int) -> tuple[WeightedSam
 
 
 def debiased_realization(
-    stages: Sequence[WeightedSampleSet], functional: Callable, k: int | None = None
+    stages: Sequence[WeightedSampleSet], functional: Callable, k: int
 ) -> float:
     """Signed combination sum_j weights[j] * functional(stages[j]) over the
-    first k stages of a chain; k defaults to the number of stages."""
-    if k is None:
-        k = len(stages)
+    first k stages of a chain."""
     if len(stages) < k:
         raise ValueError(f"chain has {len(stages)} stages, needs at least {k}")
     w = debias_weights(k)
@@ -294,15 +292,17 @@ def exhaustive_chain_expectation(
     Enumerates every data multiset and every chain outcome (no sampling):
     counts for stage 1 follow Multinomial(n, prior), and each later stage
     follows Multinomial(n, previous/n), which is row ``previous`` of the
-    transfer matrix. Stages are expanded into literal sample sets on the
-    points 0..m-1, and the leaves combine them with debiased_realization, so
-    the realization goes through the same code path as the Monte Carlo
-    driver. The functional must be pure: it is evaluated at most once per
-    lattice point.
+    transfer matrix. The lattice, and for k > 1 the matrix, are the ones the
+    exact functions hold for (n, m). Stages are expanded into literal sample
+    sets on the points 0..m-1, and the leaves combine them with
+    debiased_realization, so the realization goes through the same code path
+    as the Monte Carlo driver. The functional must be pure: it is evaluated at
+    most once per lattice point.
     """
     prior = ProbVector(prior)
-    M = transfer_matrix(n, prior.m)
-    lat, step = M.lattice, M.rows
+    debias_weights(k)  # checks k before any lattice is built
+    lat = _cached_lattice(n, prior.m)
+    step = _cached_matrix(n, prior.m).rows if k > 1 else None
     pts = np.arange(prior.m, dtype=float)
 
     class StageValues(dict):

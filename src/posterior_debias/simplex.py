@@ -95,20 +95,14 @@ class CountsVector:
     counts: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.counts)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("counts must be a nonempty 1-d vector")
-        if not np.issubdtype(c.dtype, np.integer):
-            rounded = np.rint(np.asarray(c, float))
-            if not np.array_equal(rounded, np.asarray(c, float)):
-                raise ValueError("counts must be integers")
-            c = rounded
-        c = _frozen_array(c, np.int64)
+        c = _checked_vector(self.counts, "counts")
+        if not np.array_equal(c, np.rint(c)):
+            raise ValueError("counts must be integers")
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
         if c.sum() < 1:
             raise ValueError("counts must sum to at least 1")
-        object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "counts", _frozen_array(c, np.int64))
 
     @property
     def n(self) -> int:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posterior_debias import resampling
+from posterior_debias import operators, resampling
 
 
 @pytest.fixture
@@ -15,3 +15,26 @@ def corrupt_k2_weights(monkeypatch):
         "debias_weights",
         lambda k: np.array([2.0, -1.01]) if k == 2 else true_weights(k),
     )
+
+
+@pytest.fixture
+def exact_builds(monkeypatch):
+    """Counts of the transfer matrices and lattices built from here on, by
+    any route, starting from empty exact-path caches."""
+    counts = {"matrices": 0, "lattices": 0}
+    check_matrix = operators.TransferMatrix.__post_init__
+    enumerate_lattice = operators.enumerate_lattice
+
+    def matrix_built(self):
+        counts["matrices"] += 1
+        check_matrix(self)
+
+    def lattice_built(n, m):
+        counts["lattices"] += 1
+        return enumerate_lattice(n, m)
+
+    monkeypatch.setattr(operators.TransferMatrix, "__post_init__", matrix_built)
+    monkeypatch.setattr(operators, "enumerate_lattice", lattice_built)
+    operators._cached_lattice.cache_clear()
+    operators._matrix_slot.clear()
+    return counts

@@ -9,6 +9,7 @@ from scipy import integrate, stats
 from posterior_debias.bayes import (
     BoundedLikelihood,
     _pairwise,
+    _plugin_expectation,
     DiscreteBayesMap,
     GaussianMixture,
     WeightedSampleSet,
@@ -17,7 +18,6 @@ from posterior_debias.bayes import (
     mixture_posterior_tail_prob,
     plugin_expectation,
     plugin_posterior_prob,
-    plugin_posterior_rows,
 )
 from posterior_debias.errors import DegenerateError
 from posterior_debias.simplex import ProbVector
@@ -317,6 +317,9 @@ class TestPluginExpectationBlocks:
 
 
 class TestPluginPosteriorRows:
+    """The plug-in kernel over a stack of sample sets, one per row, with a
+    boolean event as h: what run_mixture_mc's batch functional computes."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         points=arrays(
@@ -330,7 +333,7 @@ class TestPluginPosteriorRows:
     def test_each_row_equals_plugin_prob_bitwise(self, points, y_obs, threshold):
         lik = gaussian_likelihood(y_obs, 1 / 16)
         event = lambda x: x >= threshold
-        rows = plugin_posterior_rows(points, lik, event)
+        rows = _plugin_expectation(points, lik, event)
         assert rows.shape == points.shape[:1]
         for i, row in enumerate(points):
             assert rows[i] == plugin_posterior_prob(WeightedSampleSet(row), lik, event)
@@ -339,18 +342,18 @@ class TestPluginPosteriorRows:
         # only the second row has every likelihood at zero
         lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, -np.inf, 0.0))
         with pytest.raises(DegenerateError):
-            plugin_posterior_rows(np.array([[0.0, 9.0], [9.0, 9.0]]), lik, HALF)
+            _plugin_expectation(np.array([[0.0, 9.0], [9.0, 9.0]]), lik, HALF)
 
     def test_nan_likelihood_raises(self):
         lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, np.nan, 0.0))
         with pytest.raises(ValueError):
-            plugin_posterior_rows(np.array([[0.0, 1.0], [0.0, 9.0]]), lik, HALF)
+            _plugin_expectation(np.array([[0.0, 1.0], [0.0, 9.0]]), lik, HALF)
 
     def test_rows_past_one_block_equal_prob_and_whole_array(self):
         rng = np.random.default_rng(np.random.SeedSequence([3, B]))
         points = rng.normal(0.5, 1.0, (3, 3 * B + 5))
         lik = gaussian_likelihood(0.8, 1 / 16)
-        rows = plugin_posterior_rows(points, lik, HALF)
+        rows = _plugin_expectation(points, lik, HALF)
         log_w = lik.log(points)
         w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
         whole = (w * HALF(points)).sum(axis=-1) / w.sum(axis=-1)
@@ -364,7 +367,7 @@ class TestPluginPosteriorRows:
         points[1, -1] = 9.0
         lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, np.nan, 0.0))
         with pytest.raises(ValueError, match="NaN"):
-            plugin_posterior_rows(points, lik, HALF)
+            _plugin_expectation(points, lik, HALF)
 
     def test_all_underflow_in_last_row_raises_past_one_block(self):
         # Rows 0 and 1 are fine; every weight of row 2 is zero, across all
@@ -373,7 +376,7 @@ class TestPluginPosteriorRows:
         points[2] = 9.0
         lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, -np.inf, 0.0))
         with pytest.raises(DegenerateError):
-            plugin_posterior_rows(points, lik, HALF)
+            _plugin_expectation(points, lik, HALF)
 
     @pytest.mark.parametrize("n", [7, B, B + 5])
     def test_boolean_event_equals_float_event_bitwise(self, n):
@@ -381,7 +384,7 @@ class TestPluginPosteriorRows:
         # through its float values. Both give the same bits.
         pts = np.random.default_rng(n).normal(0.5, 1.0, size=(3, n))
         lik = gaussian_likelihood(0.8, 1 / 16)
-        rows = plugin_posterior_rows(pts, lik, HALF)
+        rows = _plugin_expectation(pts, lik, HALF)
         ref = [
             plugin_expectation(WeightedSampleSet(r), lik, lambda x: HALF(x).astype(float))
             for r in pts
@@ -471,3 +474,9 @@ class TestMixtureTailOracle:
     def test_rejects_bad_noise(self):
         with pytest.raises(ValueError):
             mixture_posterior_tail_prob(self.MIX, 0.0, 0.8, 0.5)
+
+    def test_degenerate_observation_raises(self):
+        # (y_obs - mu)^2 overflows for every component, so no log weight is
+        # finite; the probability used to come out NaN.
+        with pytest.raises(DegenerateError, match="no mixture component"):
+            mixture_posterior_tail_prob(self.MIX, 1 / 16, 1e200, 0.5)

@@ -31,10 +31,12 @@ from posterior_debias.experiments import (
     run_identity_check,
     run_mixture_mc,
     run_rejection_demo,
+    _BINARY_FITS,
     _binary_bayes_map,
     _mc_reps,
+    _slope_fits,
 )
-from posterior_debias.operators import exact_bias, exact_variance
+from posterior_debias.operators import _exact_bias_variance, exact_bias, exact_variance
 from posterior_debias.resampling import MCConfig
 from posterior_debias.simplex import ProbVector
 
@@ -121,6 +123,11 @@ class TestFitSlope:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             fit_slope([4], [1.0])
+        # points at one size have no slope, also after drop_smallest
+        with pytest.raises(ValueError, match="distinct sizes"):
+            fit_slope([8, 8, 8], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="distinct sizes"):
+            fit_slope([8, 16, 16], [1.0, 2.0, 3.0], drop_smallest=True)
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -171,6 +178,28 @@ class TestExperimentConfig:
 
 
     @pytest.mark.parametrize(
+        "cls, kwargs",
+        [
+            (BinaryConfig, {"k_values": (1, 21)}),
+            (MixtureConfig, {"k_values": (1, 25)}),
+            (IdentityConfig, {"k_values": (21,)}),
+            (MixtureConfig, {"mc_cap": 0}),
+            (MixtureConfig, {"root_seed": -1}),
+            (IdentityConfig, {"root_seed": -1}),
+            (RejectionConfig, {"root_seed": -1}),
+            (RejectionConfig, {"demo_n": 0}),
+            (RejectionConfig, {"demo_k": 0}),
+            (RejectionConfig, {"demo_draws": 0}),
+        ],
+    )
+    def test_out_of_range_value_names_field(self, cls, kwargs):
+        # Each used to pass the config and fail at a grid point, if at all
+        # under its own name.
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            cls(**kwargs)
+
+    @pytest.mark.parametrize(
         "cls, name", CONFIG_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in CONFIG_FIELDS]
     )
     def test_wrong_type_names_field(self, cls, name):
@@ -213,25 +242,39 @@ class TestRunBinaryExact:
         assert all(r["abs_bias"] > 0 and r["variance"] > 0 for r in rows)
         assert fits[1]["abs_bias"].slope < -0.5
 
+    @staticmethod
+    def _rows(g, q, n_grid, k_values):
+        # The rows run_binary_exact builds, for any map g.
+        return [
+            {"n": n, "k": k, "abs_bias": abs(bias), "variance": variance}
+            for n in n_grid
+            for k, (bias, variance) in _exact_bias_variance(g, q, n, k_values).items()
+        ]
+
     def test_linear_map_all_zero_bias(self):
-        cfg = default_binary_config(n_grid=(8, 16), k_values=(1, 2))
-        rows, _ = run_binary_exact(cfg, g_override=lambda x: 0.25 + 0.5 * x[1])
+        rows = self._rows(lambda x: 0.25 + 0.5 * x[1], ProbVector([0.6, 0.4]), (8, 16), (1, 2))
+        assert len(rows) == 4
         assert all(r["abs_bias"] < 1e-13 for r in rows)
 
     def test_zero_map_has_no_slope_fit(self):
-        cfg = default_binary_config(n_grid=(8, 16), k_values=(1,))
-        rows, fits = run_binary_exact(cfg, g_override=lambda x: 0.0)
+        rows = self._rows(lambda x: 0.0, ProbVector([0.6, 0.4]), (8, 16), (1,))
         assert all(r["abs_bias"] == 0.0 for r in rows)
+        fits = _slope_fits(rows, (1,), _BINARY_FITS)
         assert fits[1]["abs_bias"] is None
         assert fits[1]["variance"] is None
 
-    @pytest.mark.parametrize("g_override", [None, lambda x: np.sin(3.0 * x[1]) + x[0] ** 2])
-    def test_rows_equal_exact_bias_and_variance(self, g_override):
-        # One shared iterate stack per n gives the per-(n, k) values exactly.
+    @pytest.mark.parametrize("g", [None, lambda x: np.sin(3.0 * x[1]) + x[0] ** 2])
+    def test_rows_equal_exact_bias_and_variance(self, g):
+        # One shared iterate stack per n gives the per-(n, k) values exactly:
+        # the default map through run_binary_exact, another map through the
+        # _exact_bias_variance call it makes.
         cfg = default_binary_config(n_grid=(16, 64), k_values=(3, 1, 2))
-        rows, _ = run_binary_exact(cfg, g_override=g_override)
-        g = _binary_bayes_map(cfg).component(1) if g_override is None else g_override
         q = ProbVector([1.0 - cfg.q, cfg.q])
+        if g is None:
+            rows, _ = run_binary_exact(cfg)
+            g = _binary_bayes_map(cfg).component(1)
+        else:
+            rows = self._rows(g, q, cfg.n_grid, cfg.k_values)
         assert [(r["n"], r["k"]) for r in rows] == [(n, k) for n in (16, 64) for k in (3, 1, 2)]
         for r in rows:
             assert r["abs_bias"] == abs(exact_bias(g, q, r["n"], r["k"]))
@@ -376,6 +419,14 @@ class TestRunIdentityCheck:
         report = run_identity_check(default_identity_config(k_values=(2,)))
         assert not report["pass"]
         assert report["max_discrepancy"] > 1e-4
+
+    def test_one_lattice_and_one_matrix_per_n_m(self, exact_builds):
+        # The enumeration and the operator mean share the exact path's one
+        # lattice and one matrix per (n, m): 6 pairs here, where a matrix per
+        # enumerated case made 24 matrices and 30 lattices.
+        cfg = default_identity_config(n_grid=(4, 6, 8), k_values=(1, 2, 3), m_values=(2, 3))
+        assert run_identity_check(cfg)["pass"]
+        assert exact_builds == {"matrices": 6, "lattices": 6}
 
 
 class TestRunRejectionDemo:
@@ -851,6 +902,49 @@ class TestCli:
         else:
             assert code == 0
             assert json.loads(capsys.readouterr().out)["points_used"] == points_used
+
+    def test_fit_slope_one_size_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bin"
+        main(["binary-exact", "--n-grid", "64,128", "--k-values", "1,2,3", "--out", str(out)])
+        capsys.readouterr()
+        code = main(["fit-slope", str(out / "binary_exact.csv"), "--where", "n=64"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "distinct sizes" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--k-values", "1,25"], "k_values"),
+            (["--mc-cap", "0"], "mc_cap"),
+            (["--seed", "-1"], "root_seed"),
+        ],
+    )
+    def test_out_of_range_flag_exits_2_before_any_point(
+        self, tmp_path, capsys, monkeypatch, flags, name
+    ):
+        ran = []
+        record = lambda *args: ran.append(args)
+        monkeypatch.setattr(posterior_debias.experiments, "outer_mc_batched", record)
+        out = tmp_path / "mc"
+        argv = ["mixture-mc", "--n-grid", "8,12", "--n-rule", "fixed", "--n-fixed", "10"]
+        assert main([*argv, *flags, "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert ran == [] and not out.exists()
+
+    def test_degenerate_observation_exit_code(self, tmp_path, capsys):
+        # No mixture component has a nonzero weight at this y_obs: one error
+        # line and exit 2, where a traceback and exit 1 used to be.
+        out = tmp_path / "deg"
+        code = main(
+            ["mixture-mc", "--y-obs", "1e200", "--n-grid", "8,12", "--n-rule", "fixed",
+             "--n-fixed", "10", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no mixture component") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_fit_slope_non_finite_value_exits_2(self, tmp_path, capsys):
         path = tmp_path / "t.csv"

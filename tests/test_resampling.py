@@ -7,9 +7,9 @@ from posterior_debias.bayes import (
     BoundedLikelihood,
     DiscreteBayesMap,
     WeightedSampleSet,
+    _plugin_expectation,
     gaussian_likelihood,
     plugin_posterior_prob,
-    plugin_posterior_rows,
 )
 from posterior_debias.errors import DegenerateError
 from posterior_debias.operators import MAX_ORDER, debias_weights, debiased_estimate_mean
@@ -89,7 +89,7 @@ class TestDebiasedRealization:
         data = WeightedSampleSet(np.array([0.0, 1.0, 1.0, 0.0]))
         functional = atom_prob_functional([1.0, 3.0], 1)
         chain = build_chain(data, 1, seed=5)
-        assert debiased_realization(chain, functional) == pytest.approx(
+        assert debiased_realization(chain, functional, 1) == pytest.approx(
             functional(data), rel=1e-15
         )
 
@@ -97,7 +97,7 @@ class TestDebiasedRealization:
     def test_constant_functional(self, k):
         data = WeightedSampleSet(np.arange(5.0))
         chain = build_chain(data, k, seed=11)
-        assert debiased_realization(chain, lambda ws: 0.625) == 0.625
+        assert debiased_realization(chain, lambda ws: 0.625, k) == 0.625
 
     def test_manual_weighted_sum(self):
         data = WeightedSampleSet(np.array([0.0, 0.0, 1.0]))
@@ -105,7 +105,7 @@ class TestDebiasedRealization:
         chain = build_chain(data, 3, seed=9)
         w = debias_weights(3)
         expected = sum(w[j] * functional(chain[j]) for j in range(3))
-        assert debiased_realization(chain, functional) == pytest.approx(expected, rel=1e-14)
+        assert debiased_realization(chain, functional, 3) == pytest.approx(expected, rel=1e-14)
 
     def test_requires_enough_stages(self):
         data = WeightedSampleSet(np.arange(4.0))
@@ -168,6 +168,15 @@ class TestExhaustiveChainExpectation:
         assert got.hex() == expected  # recorded before the functional was memoized
         assert len(calls) <= comb(n + len(prior) - 1, len(prior) - 1)
         assert all(isinstance(ws, WeightedSampleSet) for ws in calls)
+
+    def test_k1_builds_no_matrix(self, exact_builds):
+        # k = 1 reads only the pmf of the prior, on the lattice the operator
+        # mean then reuses; a matrix at n = 2000 would take 32 MB.
+        ell, prior = [1.0, exp(1.5)], ProbVector([0.6, 0.4])
+        enum = exhaustive_chain_expectation(atom_prob_functional(ell, 1), prior, 2000, 1)
+        exact = debiased_estimate_mean(DiscreteBayesMap(ell).component(1), prior, 2000, 1)
+        assert exact_builds == {"matrices": 0, "lattices": 1}
+        assert enum == pytest.approx(exact, abs=1e-12)
 
     def test_corrupted_weights_break_identity(self, corrupt_k2_weights):
         ell = [1.0, exp(1.5)]
@@ -296,7 +305,7 @@ class TestOuterMCBatched:
     @classmethod
     def _functional(cls, x):
         lik = lookup_likelihood(cls.ELL)
-        return plugin_posterior_rows(x, lik, lambda v: np.rint(v).astype(int) == 1)
+        return _plugin_expectation(x, lik, lambda v: np.rint(v).astype(int) == 1)
 
     def test_chunk_rows_depend_on_n_only(self):
         assert _batch_rows(1) == 4096
@@ -387,7 +396,7 @@ class TestOuterMCBatched:
             return rng.choice([0.0, 1.0], size=(b, n), p=[1 - q, q])
 
         def functional(x):
-            return plugin_posterior_rows(x, lik, lambda v: np.rint(v).astype(int) == 1)
+            return _plugin_expectation(x, lik, lambda v: np.rint(v).astype(int) == 1)
 
         results = {}
         for n in (64, 128, 256):

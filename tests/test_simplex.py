@@ -15,9 +15,10 @@ from posterior_debias.simplex import (
 
 from oracles import brute_lattice, exact_multinomial_pmf, to_fractions
 
-# Each float vector value type with a valid value for every field; the
-# fields named in VECTOR_FIELDS must each be a nonempty 1-d finite vector.
+# Each vector value type with a valid value for every field; the fields
+# named in VECTOR_FIELDS must each be a nonempty 1-d finite vector.
 VALID_VALUES = {
+    CountsVector: {"counts": [3.0, 2.0]},
     ProbVector: {"probs": [0.25, 0.75]},
     SignedProbVector: {"values": [1.5, -0.5]},
     WeightedSampleSet: {"points": [0.5, -1.0, 2.0]},
@@ -122,6 +123,11 @@ class TestCountsVector:
     def test_rejects_empty_sum(self):
         with pytest.raises(ValueError):
             CountsVector([0, 0])
+
+    def test_nan_count_reads_not_finite(self):
+        # The shared vector rule runs first; a NaN used to read "not integers".
+        with pytest.raises(ValueError, match="counts must be finite"):
+            CountsVector([np.nan, 2.0])
 
 
 class TestLattice:
