@@ -24,10 +24,10 @@ import resource
 import sys
 import time
 import typing
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from ._version import __version__
 from .errors import CapExceededError, DegenerateError, IterationCapError, UnderpoweredRunError
@@ -80,11 +80,11 @@ def _jsonable(obj):
 
 
 def write_manifest(path: Path, payload: dict) -> None:
+    # Strict JSON: a non-finite number raises instead of becoming NaN, and
+    # it raises before the file is opened, so no truncated manifest is left.
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        # Strict JSON: a non-finite number raises instead of becoming NaN.
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    path.write_text(text + "\n")
 
 
 def _git_commit(git_dir: Path) -> str | None:
@@ -112,12 +112,21 @@ def _git_commit(git_dir: Path) -> str | None:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _installed_version(dist: str) -> str | None:
+    """The installed version of distribution ``dist``, without importing it;
+    None when it is not installed."""
+    try:
+        return metadata.version(dist)
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def _provenance() -> dict:
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _installed_version("scipy"),  # a test dependency only
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         # The repository this package was loaded from (src/posterior_debias).

@@ -9,6 +9,7 @@ layer so every number is formatted once, with round-trip-exact precision.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, get_args, get_origin, get_type_hints
@@ -144,15 +145,29 @@ def _fits(hint, value) -> bool:
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(hint, hint))
 
 
+def _floats(hint, value) -> tuple:
+    """The float values held by ``value``, which has the type of a field
+    annotated ``hint``: itself, the items of a float tuple, or none."""
+    hint, _ = _field_type(hint)
+    if hint is float:
+        return (value,)
+    if get_origin(hint) is tuple and get_args(hint)[0] is float:
+        return tuple(value)
+    return ()
+
+
 def _check_fields(cfg) -> None:
     """Raise ValueError on a field value of another type than its annotation,
-    or below the ``min`` its field declares (flags, files and Python callers
-    alike); store a list as a tuple."""
+    on a float that is NaN or infinite, or on a value below the ``min`` its
+    field declares (flags, files and Python callers alike); store a list as
+    a tuple."""
     hints = get_type_hints(type(cfg))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not _fits(hints[f.name], value):
             raise ValueError(f"config field {f.name!r} needs {f.type}, got {value!r}")
+        if not all(math.isfinite(v) for v in _floats(hints[f.name], value)):
+            raise ValueError(f"config field {f.name} must be finite, got {value!r}")
         low = f.metadata.get("min")
         if low is not None and value < low:
             raise ValueError(f"config field {f.name!r} must be >= {low}, got {value!r}")

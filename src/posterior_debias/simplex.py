@@ -1,17 +1,17 @@
 """Discrete probability simplex: value types, count lattices, multinomial mass.
 
-All probability-mass arithmetic is done in log space with log-gamma so that
-lattice sizes up to DEFAULT_LATTICE_CAP stay overflow-free.
+All probability-mass arithmetic is done in log space, with multinomial
+coefficients taken from a table of log j!, so that lattice sizes up to
+DEFAULT_LATTICE_CAP stay overflow-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import comb
+from math import comb, factorial, log
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CapExceededError
 
@@ -213,7 +213,7 @@ def multinomial_pmf_vector(lattice: SimplexLattice, q: ProbVector) -> np.ndarray
     is not a distribution (a NaN or negative entry, a sum other than 1)
     raises ValueError; it must have one entry per category of the lattice.
     Each entry is the multinomial pmf n!/(nu_1! ... nu_m!) * prod q_j^{nu_j},
-    computed with log-gamma; categories with q_j = 0 get exact 0 mass through
+    computed in log space; categories with q_j = 0 get exact 0 mass through
     the log-zero sentinel.
     """
     p = ProbVector(q).probs
@@ -224,7 +224,65 @@ def multinomial_pmf_vector(lattice: SimplexLattice, q: ProbVector) -> np.ndarray
 
 def _log_coef(lattice: SimplexLattice) -> np.ndarray:
     # log n!/(nu_1! ... nu_m!) at every lattice point.
-    return gammaln(lattice.n + 1) - gammaln(lattice.points + 1).sum(axis=1)
+    t = _log_factorials(lattice.n)
+    return t[lattice.n] - t[lattice.points].sum(axis=1)
+
+
+# log(sqrt(2 pi)) and the coefficients of Stirling's series in 1/x^2, as
+# Cephes lgam has them.
+_LS2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _log_factorial(j: int) -> float:
+    """log j!, as log Gamma(x) at x = j + 1 by Cephes lgam, the algorithm of
+    scipy.special.gammaln, and with the same bits for j < 10^8 (above, Cephes
+    drops the series): every operation is the same correctly rounded float64
+    step, and math.log calls the C library's log, as Cephes does (a
+    vectorised np.log differs in the last bit at some x)."""
+    if j < 12:  # x < 13: Cephes takes the log of (x-1)(x-2)...2, exact here
+        return log(float(factorial(j)))
+    x = j + 1.0
+    q = (x - 0.5) * log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        series = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+        return q + (series + 0.0833333333333333333333) / x
+    a = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        a = a * p + c
+    return q + a / x
+
+
+# The one table of log j!, j = 0, 1, ...: never rebuilt, and grown only as
+# far as asked, so it holds 8(n + 1) bytes for the largest n asked for. n
+# stays below DEFAULT_LATTICE_CAP, which bounds it at 40 MB: a lattice with
+# m >= 2 has more than n points, and _log_factorials refuses a larger n.
+_log_factorial_table = np.empty(0)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """The read-only table of log j!, with at least the entries j = 0..n."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    if table.size <= n:
+        if n >= DEFAULT_LATTICE_CAP:
+            raise CapExceededError(
+                f"log-factorial table up to n={n} needs {n + 1} entries, "
+                f"over the cap of {DEFAULT_LATTICE_CAP}"
+            )
+        grown = np.empty(n + 1)
+        grown[: table.size] = table
+        grown[table.size :] = [_log_factorial(j) for j in range(table.size, n + 1)]
+        grown.flags.writeable = False
+        _log_factorial_table = table = grown
+    return table
 
 
 def _log_probs(p: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import posterior_debias
+from posterior_debias import cli
 from posterior_debias.cli import _git_commit, build_parser, main, write_csv, write_manifest
 from posterior_debias.errors import CapExceededError, UnderpoweredRunError
 from posterior_debias.experiments import (
@@ -74,6 +75,17 @@ BINARY_EXACT_GOLDEN = [
     (256, 6, "0x1.1e9f400000000p-35", "0x1.2e6e84c6ff400p-11"),
 ]
 CONFIG_FIELDS = [(cls, f.name) for cls in CONFIG_ARGS for f in dataclasses.fields(cls)]
+
+
+# Every field that holds floats, with a non-finite value of its type.
+NON_FINITE_FIELDS = [
+    (cls, name, value)
+    for cls, name in CONFIG_FIELDS
+    for hint in [typing.get_type_hints(cls)[name]]
+    for value in {float: [np.nan, -np.inf], tuple[float, ...]: [(1.0, np.inf), (np.nan,)]}.get(
+        hint, []
+    )
+]
 
 
 def wrong_value(hint):
@@ -205,6 +217,15 @@ class TestExperimentConfig:
     def test_wrong_type_names_field(self, cls, name):
         value = wrong_value(typing.get_type_hints(cls)[name])
         with pytest.raises(ValueError, match=re.escape(repr(name))):
+            cls(**{**CONFIG_ARGS[cls], name: value})
+
+    @pytest.mark.parametrize(
+        "cls, name, value",
+        NON_FINITE_FIELDS,
+        ids=[f"{c.__name__}.{n}={v!r}" for c, n, v in NON_FINITE_FIELDS],
+    )
+    def test_non_finite_float_names_field(self, cls, name, value):
+        with pytest.raises(ValueError, match=f"field {name} must be finite"):
             cls(**{**CONFIG_ARGS[cls], name: value})
 
     @pytest.mark.parametrize(
@@ -684,6 +705,32 @@ class TestCli:
             with pytest.raises(ValueError):
                 write_manifest(tmp_path / "m.json", {"value": bad})
 
+    def test_refused_manifest_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        write_manifest(path, {"value": 1.5})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_manifest(path, {"ok": 1.0, "value": float("nan")})
+        assert path.read_bytes() == before
+
+    def test_non_finite_flag_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # It used to run, write a CSV of NaN and a manifest cut off at the
+        # NaN, and only then exit 2.
+        out = tmp_path / "mix"
+        argv = ["mixture-mc", "--threshold", "nan", "--n-grid", "8,12", "--n-rule", "fixed"]
+        assert main(argv + ["--n-fixed", "10", "--out", str(out)]) == 2
+        assert "field threshold must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_provenance_scipy_is_none_when_not_installed(self, monkeypatch):
+        def not_installed(dist):
+            raise cli.metadata.PackageNotFoundError(dist)
+
+        monkeypatch.setattr(cli.metadata, "version", not_installed)
+        provenance = cli._provenance()
+        assert provenance["scipy"] is None
+        assert provenance["numpy"] == np.__version__
+
     def test_cap_keeps_finished_rows(self, tmp_path, capsys):
         grid = ["--k-values", "1,2", "--out"]
         assert main(["binary-exact", "--n-grid", "16,32", *grid, str(tmp_path / "a")]) == 0
@@ -964,7 +1011,8 @@ class TestCli:
         code = main(["fit-slope", str(out / "binary_exact.csv"), "--y-col", "nope"])
         assert code == 2
 
-    def test_module_entry_point(self, tmp_path):
+    @staticmethod
+    def _run_python(args: list[str]) -> subprocess.CompletedProcess:
         # The subprocess imports the same package this process imported.
         package_dir = str(Path(posterior_debias.__file__).resolve().parents[1])
         inherited = os.environ.get("PYTHONPATH")
@@ -972,12 +1020,21 @@ class TestCli:
             os.environ,
             PYTHONPATH=os.pathsep.join([package_dir, inherited] if inherited else [package_dir]),
         )
-        proc = subprocess.run(
-            [sys.executable, "-m", "posterior_debias", "binary-exact",
-             "--n-grid", "8,16", "--k-values", "1", "--out", str(tmp_path / "m")],
-            capture_output=True,
-            text=True,
-            env=env,
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+    def test_module_entry_point(self, tmp_path):
+        proc = self._run_python(
+            ["-m", "posterior_debias", "binary-exact",
+             "--n-grid", "8,16", "--k-values", "1", "--out", str(tmp_path / "m")]
         )
         assert proc.returncode == 0
         assert "slope" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test dependency; the package and its CLI run without it.
+        proc = self._run_python(
+            ["-c", "import sys, posterior_debias.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
+from posterior_debias import simplex
 from posterior_debias.bayes import DiscreteBayesMap, GaussianMixture, WeightedSampleSet
 from posterior_debias.errors import CapExceededError
 from posterior_debias.operators import LatticeFunction
 from posterior_debias.simplex import (
+    DEFAULT_LATTICE_CAP,
     CountsVector,
     ProbVector,
     SignedProbVector,
     enumerate_lattice,
     lattice_size,
     multinomial_pmf_vector,
+    _log_coef,
+    _log_factorial,
+    _log_factorials,
 )
 
 from oracles import brute_lattice, exact_multinomial_pmf, to_fractions
@@ -238,3 +244,46 @@ class TestMultinomialPmf:
         for i in np.flatnonzero(~off_support):
             exact = float(exact_multinomial_pmf(counts[i, 1:], fracs))
             assert probs[i] == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """A fresh log-factorial table slot for one test; the old one is put back."""
+    monkeypatch.setattr(simplex, "_log_factorial_table", np.empty(0))
+
+
+class TestLogFactorials:
+    # The table replaces scipy.special.gammaln, so it must keep its bits: the
+    # exact path and its golden values rest on them.
+    def test_table_equals_gammaln_bitwise(self, empty_table):
+        j = np.arange(2**16 + 1)
+        assert np.array_equal(_log_factorials(2**16)[: j.size], gammaln(j + 1.0))
+
+    @pytest.mark.parametrize(
+        "x",
+        # Cephes' branch edges (x < 13, x < 1000), the first x where a
+        # vectorised np.log misses a bit, and sizes up to the lattice cap.
+        [1, 2, 3, 12, 13, 14, 999, 1000, 1001, 9170, 9171, 65537, 10**6, 4_999_999, 5_000_001],
+    )
+    def test_spot_values_equal_gammaln_bitwise(self, x):
+        assert _log_factorial(x - 1) == gammaln(float(x))
+
+    @pytest.mark.parametrize("n,m", [(4096, 2), (60, 3), (20, 4), (1, 5)])
+    def test_log_coef_keeps_the_gammaln_bits(self, n, m):
+        lat = enumerate_lattice(n, m)
+        expected = gammaln(n + 1) - gammaln(lat.points + 1).sum(axis=1)
+        assert np.array_equal(_log_coef(lat), expected)
+
+    def test_grows_only_as_far_as_asked(self, empty_table):
+        first = _log_factorials(10)
+        assert first.size == 11
+        assert _log_factorials(5) is first
+        grown = _log_factorials(20)
+        assert grown.size == 21
+        assert grown[:11].tobytes() == first.tobytes()
+        assert not grown.flags.writeable
+
+    def test_table_is_capped(self, empty_table):
+        with pytest.raises(CapExceededError):
+            _log_factorials(DEFAULT_LATTICE_CAP)
+        assert simplex._log_factorial_table.size == 0
