@@ -85,13 +85,16 @@ class DiscreteBayesMap:
         if not 0 <= s < self.m:
             raise IndexError(f"component {s} outside support range [0, {self.m})")
         ell = self.likelihoods
+        ell_s = float(ell[s])
 
+        # The bits of float(ell[s] * x[s]) / float(ell @ x), with less numpy
+        # dispatch per call: the exact path calls this at every lattice point.
         def g_s(x) -> float:
             x = np.asarray(x, dtype=float)
-            denom = float(ell @ x)
+            denom = float(ell.dot(x))
             if denom == 0.0:
                 raise DegenerateError("posterior denominator underflowed to zero")
-            return float(ell[s] * x[s]) / denom
+            return ell_s * x.item(s) / denom
 
         return g_s
 

@@ -30,7 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .errors import CapExceededError, DegenerateError, IterationCapError, UnderpoweredRunError
+from .errors import (
+    CapExceededError,
+    DegenerateError,
+    IterationCapError,
+    UnderpoweredRunError,
+    _StoppedRunError,
+)
 from .experiments import (
     BinaryConfig,
     FitSlopeConfig,
@@ -231,18 +237,18 @@ def _resolve_config(args: argparse.Namespace, cls):
 
 def _sweep(cfg, args, run, columns: list[str], fits_key: str) -> dict:
     """Run a sweep, which returns (rows, info) with its slope fits in
-    ``info[fits_key]``, and write its CSV and manifest, also when a cap or
-    guard stops it part-way: then the rows finished before the stop and
-    their fits are written, the manifest names the point that stopped it,
-    and the error propagates (main exits 3 or 4). Prints a slope line per k
-    either way."""
+    ``info[fits_key]``, and write its CSV and manifest, also when a cap, a
+    guard or a degenerate point stops it part-way: then the rows finished
+    before the stop and their fits are written, the manifest names the point
+    that stopped it, and the error propagates (main exits 3, 4 or 2). Prints
+    a slope line per k either way."""
     out = args.out or Path("runs", cfg.experiment)
     path = out / f"{cfg.experiment}.csv"
     start = time.perf_counter()
     stop = None
     try:
         rows, info = run(cfg)
-    except (CapExceededError, UnderpoweredRunError) as exc:
+    except _StoppedRunError as exc:
         rows, info, stop = exc.rows, exc.info, exc
     wall = time.perf_counter() - start
     write_csv(path, columns, rows)

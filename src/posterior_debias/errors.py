@@ -25,6 +25,11 @@ class DegenerateError(ArithmeticError):
     """A normalizing denominator underflowed to zero."""
 
 
+class DegeneratePointError(_StoppedRunError, DegenerateError):
+    """A DegenerateError raised at one point of a sweep, carrying the rows
+    finished before that point; the CLI writes them and exits 2."""
+
+
 class SupportError(ValueError):
     """A target distribution puts mass where the proposal has none."""
 

@@ -26,7 +26,7 @@ from .bayes import (
     BoundedLikelihood,
     _plugin_expectation,
 )
-from .errors import CapExceededError, UnderpoweredRunError
+from .errors import CapExceededError, DegenerateError, DegeneratePointError, UnderpoweredRunError
 from .operators import MAX_ORDER, _exact_bias_variance, debiased_estimate, debiased_estimate_mean
 from .rejection import make_rejection_spec, rejection_sample_batch
 from .resampling import _BATCH_SCHEME, MCConfig, exhaustive_chain_expectation, outer_mc_batched
@@ -75,7 +75,9 @@ def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
     if drop_smallest and ns.size:
         keep = ns != ns.min()
         ns, vs = ns[keep], vs[keep]
-    if np.unique(ns).size < 2:
+    # A set, not np.unique: np.unique imports numpy.ma on its first call,
+    # about 15 ms of a cold binary-exact sweep.
+    if len(set(ns.tolist())) < 2:
         raise ValueError("slope fit needs at least 2 points at distinct sizes")
     if (ns <= 0).any():
         raise ValueError("sizes must be positive")
@@ -356,11 +358,12 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     every capping recorded. Datasets are scored by the plug-in kernel, which
     gives its elementwise likelihood and event slices past 2^14 points.
     Aborts with UnderpoweredRunError when a grid point has fewer than 2
-    replicates or its standard error exceeds a third of the estimated bias;
-    the error carries the rows finished before that point, their fits and
-    the point that tripped. A slope over a column with a zero (replicates
-    that all agree) is None, and so is the guard margin of a point whose bias
-    and standard error are both 0.
+    replicates or its standard error exceeds a third of the estimated bias,
+    and with DegeneratePointError when a plug-in denominator underflows at a
+    grid point; either error carries the rows finished before that point,
+    their fits and the point that stopped the run. A slope over a column
+    with a zero (replicates that all agree) is None, and so is the guard
+    margin of a point whose bias and standard error are both 0.
     """
     mix = GaussianMixture(
         np.array(cfg.mix_weights), np.array(cfg.mix_means), np.array(cfg.mix_variances)
@@ -383,17 +386,20 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
             n_reps = min(want, cfg.mc_cap)
             if n_reps < want:
                 capped.append({"n": n, "k": k, "requested": want, "effective": n_reps})
-            result = outer_mc_batched(
-                batch_sampler,
-                batch_functional,
-                MCConfig(
-                    n=n,
-                    k=k,
-                    n_reps=n_reps,
-                    root_seed=_point_seed(cfg.root_seed, n, k),
-                    threads=cfg.threads,
-                ),
-            )
+            seed = _point_seed(cfg.root_seed, n, k)
+            mc_cfg = MCConfig(n=n, k=k, n_reps=n_reps, root_seed=seed, threads=cfg.threads)
+            try:
+                result = outer_mc_batched(batch_sampler, batch_functional, mc_cfg)
+            except DegenerateError as exc:
+                raise DegeneratePointError(
+                    f"{exc} at n={n}, k={k} (N={n_reps})",
+                    rows,
+                    {
+                        "degenerate": {"n": n, "k": k, "N": n_reps},
+                        "fits": _slope_fits(rows, cfg.k_values, _MIXTURE_FITS),
+                        **info,
+                    },
+                ) from exc
             est_bias = result.mean - truth
             bound = abs(est_bias) / 3
             row = {

@@ -92,11 +92,15 @@ def debiased_realization(
     stages: Sequence[WeightedSampleSet], functional: Callable, k: int
 ) -> float:
     """Signed combination sum_j weights[j] * functional(stages[j]) over the
-    first k stages of a chain."""
+    first k stages of a chain, added up left to right."""
     if len(stages) < k:
         raise ValueError(f"chain has {len(stages)} stages, needs at least {k}")
-    w = debias_weights(k)
-    return float(sum(w[j] * float(functional(stages[j])) for j in range(k)))
+    # An explicit loop on Python floats: builtin sum() of floats compensates
+    # its rounding on Python >= 3.12, which would change the bits.
+    total = 0.0
+    for j, w in enumerate(debias_weights(k).tolist()):
+        total += w * float(functional(stages[j]))
+    return total
 
 
 @dataclass(frozen=True)
@@ -297,7 +301,8 @@ def exhaustive_chain_expectation(
     sets on the points 0..m-1, and the leaves combine them with
     debiased_realization, so the realization goes through the same code path
     as the Monte Carlo driver. The functional must be pure: it is evaluated at
-    most once per lattice point.
+    most once per lattice point. Each node adds its children up left to
+    right, in lattice order.
     """
     prior = ProbVector(prior)
     debias_weights(k)  # checks k before any lattice is built
@@ -312,21 +317,27 @@ def exhaustive_chain_expectation(
             value = self[i] = functional(WeightedSampleSet(np.repeat(pts, lat.points[i])))
             return value
 
-    values = StageValues()
-    first = multinomial_pmf_vector(lat, prior)
+    class Support(dict):
+        # The (index, probability) pairs of row i's nonzero entries, listed
+        # on first lookup: a chain can only move to these points.
+        def __missing__(self, i: int):
+            pairs = self[i] = [(j, p) for j, p in enumerate(step[i].tolist()) if p > 0.0]
+            return pairs
+
+    values, support = StageValues(), Support()
 
     def recurse(prefix: list[int], prob: float) -> float:
         if prob == 0.0:
             return 0.0
         if len(prefix) == k:
             return prob * debiased_realization(prefix, values.__getitem__, k)
-        cond = step[prefix[-1]]
-        return sum(
-            recurse(prefix + [j], prob * cond[j])
-            for j in range(lat.size)
-            if cond[j] > 0.0
-        )
+        total = 0.0
+        for j, p in support[prefix[-1]]:
+            total += recurse(prefix + [j], prob * p)
+        return total
 
-    return sum(
-        recurse([i], float(first[i])) for i in range(lat.size) if first[i] > 0.0
-    )
+    total = 0.0
+    for i, p in enumerate(multinomial_pmf_vector(lat, prior).tolist()):
+        if p > 0.0:
+            total += recurse([i], p)
+    return total

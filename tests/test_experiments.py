@@ -16,7 +16,7 @@ import pytest
 import posterior_debias
 from posterior_debias import cli
 from posterior_debias.cli import _git_commit, build_parser, main, write_csv, write_manifest
-from posterior_debias.errors import CapExceededError, UnderpoweredRunError
+from posterior_debias.errors import CapExceededError, DegenerateError, UnderpoweredRunError
 from posterior_debias.experiments import (
     MC_RNG_SCHEME,
     BinaryConfig,
@@ -38,7 +38,7 @@ from posterior_debias.experiments import (
     _slope_fits,
 )
 from posterior_debias.operators import _exact_bias_variance, exact_bias, exact_variance
-from posterior_debias.resampling import MCConfig
+from posterior_debias.resampling import MCConfig, outer_mc_batched
 from posterior_debias.simplex import ProbVector
 
 # Every config class with the arguments it needs, and one value of the wrong
@@ -423,6 +423,34 @@ class TestRunMixtureMC:
         assert got == self.PINNED_BATCHED
 
 
+# Every case run_identity_check returns for the default root seed, as
+# (m, n, k, enumerated.hex(), exact_mean.hex()), recorded before the exact
+# path's dispatch was trimmed: the grid of the benchmark's exact pass, then
+# one case at k = 4, m = 4.
+IDENTITY_GOLDEN = [
+    (2, 4, 1, "0x1.ba4f1e01bd52cp-1", "0x1.ba4f1e01bd52cp-1"),
+    (2, 4, 2, "0x1.9abe43906b4d3p-1", "0x1.9abe43906b4d3p-1"),
+    (2, 4, 3, "0x1.c7119399922d4p-3", "0x1.c7119399922d1p-3"),
+    (2, 6, 1, "0x1.5ec92ac460127p-1", "0x1.5ec92ac460126p-1"),
+    (2, 6, 2, "0x1.1d656cc630a28p-2", "0x1.1d656cc630a2ap-2"),
+    (2, 6, 3, "0x1.174fc7e16ca52p-2", "0x1.174fc7e16ca51p-2"),
+    (2, 8, 1, "0x1.6a338550f1662p-2", "0x1.6a338550f1661p-2"),
+    (2, 8, 2, "0x1.4619c66bcc9fap-1", "0x1.4619c66bcc9f8p-1"),
+    (2, 8, 3, "0x1.4dd4a3774fc5fp-2", "0x1.4dd4a3774fc57p-2"),
+    (3, 4, 1, "0x1.0d3b6ec7b16afp-2", "0x1.0d3b6ec7b16b0p-2"),
+    (3, 4, 2, "0x1.800318c287c5cp-2", "0x1.800318c287c58p-2"),
+    (3, 4, 3, "0x1.5adab6db83f6cp-2", "0x1.5adab6db83f67p-2"),
+    (3, 6, 1, "0x1.3b48f4123edccp-1", "0x1.3b48f4123edcbp-1"),
+    (3, 6, 2, "0x1.b0c7992303916p-2", "0x1.b0c7992303918p-2"),
+    (3, 6, 3, "0x1.28abcca0c680ap-1", "0x1.28abcca0c680fp-1"),
+    (3, 8, 1, "0x1.479ee2071e1c1p-1", "0x1.479ee2071e1c1p-1"),
+    (3, 8, 2, "0x1.40f955616f095p-3", "0x1.40f955616f08ep-3"),
+    (3, 8, 3, "0x1.498eb14c7276ep-1", "0x1.498eb14c72762p-1"),
+    (4, 3, 4, "0x1.62b330d188639p-3", "0x1.62b330d188641p-3"),
+    (4, 4, 4, "0x1.2a8b640a0d776p-4", "0x1.2a8b640a0d76ap-4"),
+]
+
+
 class TestRunIdentityCheck:
     def test_default_passes(self):
         report = run_identity_check(default_identity_config())
@@ -435,6 +463,19 @@ class TestRunIdentityCheck:
             default_identity_config(n_grid=(4, 6), k_values=(2,), m_values=(2,))
         )
         assert report["pass"]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [dict(n_grid=(4, 6, 8), k_values=(1, 2, 3), m_values=(2, 3)),
+         dict(n_grid=(3, 4), k_values=(4,), m_values=(4,))],
+    )
+    def test_golden_values(self, grid):
+        report = run_identity_check(default_identity_config(**grid))
+        got = [
+            (c["m"], c["n"], c["k"], c["enumerated"].hex(), c["exact_mean"].hex())
+            for c in report["cases"]
+        ]
+        assert got == [case for case in IDENTITY_GOLDEN if case[0] in grid["m_values"]]
 
     def test_corrupted_weights_fail(self, corrupt_k2_weights):
         report = run_identity_check(default_identity_config(k_values=(2,)))
@@ -632,6 +673,34 @@ class TestCli:
         fits = manifest["fits"]
         assert fits["1"]["abs_bias"]["points_used"] == 2
         assert fits["2"] == {"abs_bias": None, "est_variance": None}
+
+    def test_degenerate_point_keeps_finished_rows(self, tmp_path, capsys, monkeypatch):
+        # The second grid point's plug-in underflows: as at a guard, the
+        # first row, its fits and the stopping point are written, and the
+        # run still exits 2 with one error line.
+        calls = []
+
+        def second_point_underflows(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise DegenerateError("all sample likelihoods underflowed to zero")
+            return outer_mc_batched(*args)
+
+        monkeypatch.setattr(
+            posterior_debias.experiments, "outer_mc_batched", second_point_underflows
+        )
+        out = tmp_path / "deg"
+        argv = ["mixture-mc", "--n-grid", "8,12,16", "--n-rule", "fixed", "--n-fixed", "1000"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: all sample likelihoods underflowed to zero at n=12, k=1 (N=1000)\n"
+        with open(out / "mixture_mc.csv", newline="") as fh:
+            assert [(r["n"], r["k"]) for r in csv.DictReader(fh)] == [("8", "1")]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["degenerate"] == {"n": 12, "k": 1, "N": 1000}
+        assert [(p["n"], p["k"]) for p in manifest["points"]] == [(8, 1)]
+        assert manifest["fits"]["1"] == {"abs_bias": None, "est_variance": None}
+        assert len(calls) == 2
 
     def test_zero_variance_slope_is_null(self, tmp_path, capsys):
         # Every plug-in value is exactly 0 here (see TestRunMixtureMC).

@@ -251,7 +251,47 @@ class TestDebiasedMean:
         assert avg == pytest.approx(debiased_estimate_mean(G_BINARY, q, n, k), abs=1e-12)
 
 
+# exact_bias and exact_variance of the last posterior component of a
+# DiscreteBayesMap at m = 3 and m = 4, k = 1..4, as float.hex, recorded before
+# the exact path's dispatch was trimmed: (n, likelihoods, prior, rows of
+# (k, bias.hex(), variance.hex())).
+EXACT_GOLDEN_M34 = [
+    (
+        12,
+        [0.8, 1.6, 1.1],
+        [0.3, 0.45, 0.25],
+        [
+            (1, "0x1.c62fbdc4a7f00p-9", "0x1.caf654ff419f0p-7"),
+            (2, "0x1.ff5dd42cf8e00p-12", "0x1.c42535ef011b0p-7"),
+            (3, "0x1.9f3de23bae000p-15", "0x1.c2afe023b2d0cp-7"),
+            (4, "-0x1.85e161ba64000p-17", "0x1.c259f89ef1a90p-7"),
+        ],
+    ),
+    (
+        8,
+        [0.7, 1.3, 1.9, 0.9],
+        [0.1, 0.2, 0.3, 0.4],
+        [
+            (1, "0x1.f268d79c0d140p-7", "0x1.94354343b5b0cp-6"),
+            (2, "0x1.f2b90cd5b6e00p-10", "0x1.840ac1c2d09acp-6"),
+            (3, "0x1.a12dff47f2000p-15", "0x1.7eb4d7628c4f0p-6"),
+            (4, "-0x1.6612cfd6a5000p-13", "0x1.7cbcaa5f3cef0p-6"),
+        ],
+    ),
+]
+
+
 class TestBiasAndVariance:
+    @pytest.mark.parametrize("n,ell,prior,golden", EXACT_GOLDEN_M34)
+    def test_golden_values_m3_m4(self, n, ell, prior, golden):
+        g = DiscreteBayesMap(ell).component(len(ell) - 1)
+        q = ProbVector(prior)
+        got = [
+            (k, exact_bias(g, q, n, k).hex(), exact_variance(g, q, n, k).hex())
+            for k, _, _ in golden
+        ]
+        assert got == golden
+
     def test_raw_prior_gives_the_prob_vector_bits(self):
         raw = np.array([0.35, 0.65])
         for n, k in [(16, 1), (40, 3)]:

@@ -107,6 +107,16 @@ class TestDebiasedRealization:
         expected = sum(w[j] * functional(chain[j]) for j in range(3))
         assert debiased_realization(chain, functional, 3) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "k,expected", [(1, "0x1.1c37937e08000p+53"), (2, "0x1.1c37937e08000p+54"),
+                       (3, "0x1.1c37937e07fffp+54")],
+    )
+    def test_adds_left_to_right(self, k, expected):
+        # 3e16 - 3 rounds to 3e16 - 4 before -1e16 is added; any other order,
+        # or a compensated sum, gives 2e16 - 2 or 2e16 - 3 instead.
+        got = debiased_realization([1e16, 1.0, -1e16], float, k)
+        assert type(got) is float and got.hex() == expected
+
     def test_requires_enough_stages(self):
         data = WeightedSampleSet(np.arange(4.0))
         chain = build_chain(data, 2, seed=1)
