@@ -9,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _workspace
 from .errors import DegenerateError
 from .simplex import ProbVector, _checked_vector
 
@@ -195,6 +196,7 @@ def _plugin_expectation(
     # one block, a first pass takes the shift and a second sums block by
     # block in one work buffer, with the bits of whole-row sums (see
     # _pairwise). num and den take the same sums, so h identically 1 gives 1.
+    # The weights go into a work buffer checked out of the shared pool.
     n = points.shape[-1]
     if n <= _BLOCK:
         log_w = _log_weights(points, likelihood)
@@ -209,17 +211,20 @@ def _plugin_expectation(
         raise ValueError("likelihood returned NaN")
     if lowest == float("-inf"):
         raise DegenerateError("all sample likelihoods underflowed to zero")
-    if n <= _BLOCK:
-        num, den = _weighted_sums(points, log_w, shift, np.empty(points.shape), h)
-    else:
-        work = np.empty(points.size // n * _BLOCK)
+    work = _workspace.checkout(points.size // n * min(n, _BLOCK))
+    try:
+        if n <= _BLOCK:
+            num, den = _weighted_sums(points, log_w, shift, work.reshape(points.shape), h)
+        else:
 
-        def block_sums(lo: int, hi: int) -> tuple:
-            x = points[..., lo:hi]
-            w = work[: x.size].reshape(x.shape)
-            return _weighted_sums(x, _log_weights(x, likelihood), shift, w, h)
+            def block_sums(lo: int, hi: int) -> tuple:
+                x = points[..., lo:hi]
+                w = work[: x.size].reshape(x.shape)
+                return _weighted_sums(x, _log_weights(x, likelihood), shift, w, h)
 
-        num, den = _pairwise(block_sums, 0, n)
+            num, den = _pairwise(block_sums, 0, n)
+    finally:
+        _workspace.release(work)
     return num / den
 
 
@@ -257,15 +262,37 @@ class GaussianMixture:
         A label is the number of cut points at or below one uniform, which
         is what rng.choice(..., p=weights) computes with searchsorted from
         the same uniforms, so the stream is unchanged."""
-        u = rng.random(size)
-        comp = np.zeros(u.shape, dtype=np.intp)
-        for cut in self._cuts:
-            comp += u >= cut
-        del u  # at most three draw-sized arrays alive from here on
-        x = rng.standard_normal(size)
-        x *= self._sds.take(comp)
-        x += self.means.take(comp)
-        return x
+        out = np.empty(size)
+        self._fill(out, rng)
+        return out
+
+    def _fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        # sample(out.shape, rng) written into the C-contiguous float64 out
+        # (a generator raises on any other). out holds the uniforms until
+        # they are labelled, then the normals; the labels and the mask are
+        # work buffers, and each block's gathered scales, then means, go
+        # into one block-sized work buffer.
+        size = out.size
+        comp = _workspace.checkout(size, np.intp)
+        mask = _workspace.checkout(size, bool)
+        gathered = _workspace.checkout(min(size, _BLOCK))
+        try:
+            rng.random(out=out)
+            x = out.reshape(size)
+            comp.fill(0)
+            for cut in self._cuts:
+                np.greater_equal(x, cut, mask)
+                comp += mask
+            rng.standard_normal(out=out)
+            for lo in range(0, size, _BLOCK):
+                part, labels = x[lo : lo + _BLOCK], comp[lo : lo + _BLOCK]
+                g = gathered[: part.size]
+                # The labels are in range, so "clip" changes none of them
+                # and spares take its buffered copy of ``out``.
+                part *= self._sds.take(labels, out=g, mode="clip")
+                part += self.means.take(labels, out=g, mode="clip")
+        finally:
+            _workspace.release(comp, mask, gathered)
 
 
 def _normal_tail(z: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import resource
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, get_args, get_origin, get_type_hints
 
@@ -68,31 +69,38 @@ def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
     vs = np.asarray(values, dtype=float)
     if ns.ndim != 1 or ns.shape != vs.shape:
         raise ValueError("sizes and values must be 1-d and the same length")
-    for name, arr in (("sizes", ns), ("values", vs)):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            raise ValueError(f"{name} must be finite, got {arr[bad].tolist()}")
-    if drop_smallest and ns.size:
-        keep = ns != ns.min()
+    # The checks run on Python floats: a sweep fits a handful of points,
+    # where one numpy call costs more than the loop it replaces.
+    n_list, v_list = ns.tolist(), vs.tolist()
+    for name, items in (("sizes", n_list), ("values", v_list)):
+        bad = [v for v in items if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"{name} must be finite, got {bad}")
+    if drop_smallest and n_list:
+        low = min(n_list)
+        keep = [i for i, v in enumerate(n_list) if v != low]
+        n_list, v_list = [n_list[i] for i in keep], [v_list[i] for i in keep]
         ns, vs = ns[keep], vs[keep]
     # A set, not np.unique: np.unique imports numpy.ma on its first call,
     # about 15 ms of a cold binary-exact sweep.
-    if len(set(ns.tolist())) < 2:
+    if len(set(n_list)) < 2:
         raise ValueError("slope fit needs at least 2 points at distinct sizes")
-    if (ns <= 0).any():
+    if min(n_list) <= 0:
         raise ValueError("sizes must be positive")
-    if (vs <= 0).any():
+    if min(v_list) <= 0:
         raise ValueError("slope fit needs positive values")
     x = np.log(ns)
     y = np.log(vs)
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = np.polyfit(x, y, 1).tolist()
     resid = y - (slope * x + intercept)
     ss_res = float(resid @ resid)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
+    # y.mean() is this sum over this count, and y.sum() this reduce, without
+    # their dispatch; squaring in place is what ** 2 computes.
+    dev = y - np.add.reduce(y) / y.size
+    dev *= dev
+    ss_tot = float(np.add.reduce(dev))
     r2 = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
-    return SlopeFit(
-        slope=float(slope), intercept=float(intercept), r_squared=r2, points_used=ns.size
-    )
+    return SlopeFit(slope=slope, intercept=intercept, r_squared=r2, points_used=len(n_list))
 
 
 # The slope fits of each sweep: name in the manifest -> the row value fitted.
@@ -346,6 +354,11 @@ def _mc_reps(cfg: MixtureConfig, n: int, k: int) -> int:
     return int(cfg.n_fixed)
 
 
+def _minor_faults() -> int:
+    # Minor page faults of this process so far, all threads included.
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _point_seed(root_seed: int, n: int, k: int) -> int:
     # Distinct deterministic stream key per grid point.
     return int(np.random.SeedSequence([root_seed, n, k]).generate_state(1, np.uint64)[0])
@@ -372,9 +385,6 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     truth = mixture_posterior_tail_prob(mix, cfg.noise_var, cfg.y_obs, cfg.threshold)
     threshold = cfg.threshold
 
-    def batch_sampler(b: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return mix.sample((b, n), rng)
-
     def batch_functional(x: np.ndarray) -> np.ndarray:
         return _plugin_expectation(x, lik, lambda v: v >= threshold)
 
@@ -388,8 +398,10 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
                 capped.append({"n": n, "k": k, "requested": want, "effective": n_reps})
             seed = _point_seed(cfg.root_seed, n, k)
             mc_cfg = MCConfig(n=n, k=k, n_reps=n_reps, root_seed=seed, threads=cfg.threads)
+            faults = _minor_faults()
             try:
-                result = outer_mc_batched(batch_sampler, batch_functional, mc_cfg)
+                result = outer_mc_batched(mix._fill, batch_functional, mc_cfg)
+                faults = _minor_faults() - faults
             except DegenerateError as exc:
                 raise DegeneratePointError(
                     f"{exc} at n={n}, k={k} (N={n_reps})",
@@ -437,6 +449,7 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
                     "reps_per_s": n_reps / result.wall_time,
                     # 0/0 where every replicate equals the truth: no margin.
                     "guard_margin": result.std_error / bound if bound else None,
+                    "minor_faults": faults,
                 }
             )
     return rows, {"fits": _slope_fits(rows, cfg.k_values, _MIXTURE_FITS), **info}

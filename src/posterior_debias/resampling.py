@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _workspace
 from .bayes import _BLOCK, BoundedLikelihood, WeightedSampleSet, _plugin_expectation
 from .operators import _cached_lattice, _cached_matrix, debias_weights
 from .simplex import ProbVector, multinomial_pmf_vector
@@ -38,6 +39,33 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _resample(prev: np.ndarray, stage: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill the (b, n) array ``stage`` row by row with n draws with
+    replacement from the same row of ``prev``, at the indices one
+    rng.integers(0, n, size=(b, n)) call would give. The indices are drawn in
+    blocks of at most _BLOCK, in row-major order: whole rows when more than
+    one row fits in a block, pieces of one row otherwise. Blocks take the
+    stream of one call, so the draws do not depend on the block size. The
+    indices are in range, so take's "clip" changes none of them and spares it
+    a buffered copy of ``out``."""
+    b, n = prev.shape
+    rows = _BLOCK // n
+    if rows == 0 or b == 1:
+        for r in range(b):
+            for lo in range(0, n, _BLOCK):
+                dst = stage[r, lo : lo + _BLOCK]
+                prev[r].take(rng.integers(0, n, size=dst.size), out=dst, mode="clip")
+        return
+    # Row i of a block starts at entry i * n of the block, so one flat take
+    # gathers what take_along_axis(block, idx, axis=1) does.
+    offsets = np.arange(0, min(rows, b) * n, n)[:, None]
+    for r in range(0, b, rows):
+        dst = stage[r : r + rows]
+        idx = rng.integers(0, n, size=dst.shape)
+        idx += offsets[: len(dst)]
+        prev[r : r + rows].take(idx, out=dst, mode="clip")
+
+
 def _chain_stages(points: np.ndarray, k: int, seed: int):
     """Checks k and the seed, then returns an iterator over the k stages of
     the chain from ``points`` as plain read-only arrays: stage 1 is
@@ -45,10 +73,10 @@ def _chain_stages(points: np.ndarray, k: int, seed: int):
     the one before, at the indices one rng.integers(0, n, size=n) call on
     default_rng(SeedSequence([seed])) would give.
 
-    Later stages are written into at most two reused n-sized buffers, so a
-    stage is valid only until the next one is drawn. Each is filled in even
-    blocks of _BLOCK draws, and only the last block is short. Resampling
-    finite points keeps them finite, so no stage is checked again."""
+    Later stages are written into at most two n-sized work buffers, so a
+    stage is valid only until the next one is drawn; the buffers go back to
+    the pool when the iterator ends or is dropped. Resampling finite points
+    keeps them finite, so no stage is checked again."""
     debias_weights(k)
     seed = _check_seed(seed)
 
@@ -58,22 +86,19 @@ def _chain_stages(points: np.ndarray, k: int, seed: int):
             return
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
         n = points.size
-        buffers = [np.empty(n) for _ in range(min(k - 1, 2))]
-        prev = points
-        for j in range(k - 1):
-            stage = buffers[j % 2]
-            stage.flags.writeable = True
-            for lo in range(0, n, _BLOCK):
-                hi = min(lo + _BLOCK, n)
-                # The indices are in range, so "clip" changes none of them
-                # and spares take its buffered copy of ``out``.
-                idx = rng.integers(0, n, size=hi - lo)
-                prev.take(idx, out=stage[lo:hi], mode="clip")
-            # Read-only like a WeightedSampleSet's points: a callable that
-            # writes into its input raises instead of changing the draws.
-            stage.flags.writeable = False
-            yield stage
-            prev = stage
+        buffers = [_workspace.checkout(n) for _ in range(min(k - 1, 2))]
+        try:
+            prev = points
+            for j in range(k - 1):
+                stage = buffers[j % 2]
+                _resample(prev.reshape(1, n), stage.reshape(1, n), rng)
+                # Read-only like a WeightedSampleSet's points: a callable that
+                # writes into its input raises instead of changing the draws.
+                prev = stage.view()
+                prev.flags.writeable = False
+                yield prev
+        finally:
+            _workspace.release(*buffers)
 
     return draw()
 
@@ -225,9 +250,12 @@ def outer_mc_batched(
 ) -> MCResult:
     """outer_mc with each chunk of replicates held as one (rows, n) array.
 
-    batch_sampler(b, n, rng) must return a (b, n) array of b datasets drawn
-    with the given generator and nothing else; batch_functional maps a (b, n)
-    array to the b plug-in values and must be pure. Chunk c draws from
+    batch_sampler(out, rng) must fill the C-contiguous (b, n) float64 array
+    ``out`` with b datasets drawn with the given generator and nothing else;
+    batch_functional maps a read-only (b, n) array to the b plug-in values
+    and must be pure. Both get views of work buffers that the kernel reuses:
+    a stage is valid only during the call it is passed to, so a callable
+    that keeps one must copy it. Chunk c draws from
     SeedSequence([root_seed, 1, c]) (the 1 is the layout's version): first
     the sampler's draws, then for each later stage one (b, n) array of
     resample indices into the stage before. A NaN value aborts the run.
@@ -242,17 +270,23 @@ def outer_mc_batched(
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.root_seed, _BATCH_SCHEME, chunk])
         )
-        stage = batch_sampler(b, n, rng)
-        values = np.zeros(b)
-        # Row i of a stage starts at entry i * n of the flattened stage, so
-        # one flat take gathers what take_along_axis(stage, idx, axis=1) does.
-        offsets = np.arange(0, b * n, n)[:, None]
-        for j in range(k):
-            if j > 0:
-                idx = rng.integers(0, n, size=(b, n))
-                idx += offsets
-                stage = stage.take(idx)
-            values += weights[j] * batch_functional(stage)
+        # Two (b, n) stage buffers, used in turn: stage j + 1 is drawn from
+        # stage j into the other one.
+        flat = [_workspace.checkout(b * n) for _ in range(min(k, 2))]
+        buffers = [f.reshape(b, n) for f in flat]
+        try:
+            stage = buffers[0]
+            batch_sampler(stage, rng)
+            values = np.zeros(b)
+            for j in range(k):
+                if j > 0:
+                    _resample(stage, buffers[j % 2], rng)
+                    stage = buffers[j % 2]
+                view = stage.view()
+                view.flags.writeable = False
+                values += weights[j] * batch_functional(view)
+        finally:
+            _workspace.release(*flat)
         if np.isnan(values).any():
             raise FloatingPointError(f"functional returned NaN in replicates {lo}..{hi - 1}")
         mean = values.mean()
@@ -273,8 +307,10 @@ def debiased_expectation(
     Combines plugin_expectation across the stages of build_chain(data, k,
     seed) with the signed weights, bit for bit, but keeps at most two
     n-sized stage buffers and evaluates each stage in blocks of 2^14 points:
-    ``likelihood.log`` and ``h`` must act elementwise. h identically 1
-    returns exactly 1 (the signed mixture is normalized).
+    ``likelihood.log`` and ``h`` must act elementwise. The buffers are
+    reused work buffers, so the read-only slices those two get are valid
+    only during the call. h identically 1 returns exactly 1 (the signed
+    mixture is normalized).
     """
     # Each stage is evaluated before the next overwrites its buffer; the
     # values then combine exactly as a built chain's would.

@@ -152,6 +152,81 @@ class TestFitSlope:
         with pytest.raises(ValueError, match="values must be finite"):
             fit_slope([2, 4, 8], [1.0, bad, 0.25])
 
+    @staticmethod
+    def _numpy_fit(sizes, values, drop_smallest=False):
+        # fit_slope as it was written with numpy throughout, kept as the
+        # reference for its bits and its errors.
+        ns = np.asarray(sizes, dtype=float)
+        vs = np.asarray(values, dtype=float)
+        if ns.ndim != 1 or ns.shape != vs.shape:
+            raise ValueError("sizes and values must be 1-d and the same length")
+        for name, arr in (("sizes", ns), ("values", vs)):
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                raise ValueError(f"{name} must be finite, got {arr[bad].tolist()}")
+        if drop_smallest and ns.size:
+            keep = ns != ns.min()
+            ns, vs = ns[keep], vs[keep]
+        if len(set(ns.tolist())) < 2:
+            raise ValueError("slope fit needs at least 2 points at distinct sizes")
+        if (ns <= 0).any():
+            raise ValueError("sizes must be positive")
+        if (vs <= 0).any():
+            raise ValueError("slope fit needs positive values")
+        x = np.log(ns)
+        y = np.log(vs)
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = y - (slope * x + intercept)
+        ss_res = float(resid @ resid)
+        ss_tot = float(((y - y.mean()) ** 2).sum())
+        r2 = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
+        return float(slope), float(intercept), r2, ns.size
+
+    @pytest.mark.parametrize("drop_smallest", [False, True])
+    def test_bits_equal_numpy_reference(self, drop_smallest):
+        # 1,200 seeded fits per setting: 2 to 19 points, sizes drawn with
+        # repeats (so dropping the smallest can remove several), values
+        # spread over 30 decades, some constant.
+        rng = np.random.default_rng(np.random.SeedSequence([2024, drop_smallest]))
+        for case in range(1200):
+            m = int(rng.integers(2, 20))
+            sizes = rng.integers(1, 5000, size=m)
+            if case % 3 == 0:
+                sizes = np.sort(rng.choice([8, 16, 32, 64, 128], size=m))
+            values = 10.0 ** rng.uniform(-20, 10, size=m)
+            if case % 50 == 0:
+                values[:] = 0.25
+            args = (sizes.tolist(), values.tolist()) if case % 2 else (sizes, values)
+            try:
+                want = self._numpy_fit(*args, drop_smallest=drop_smallest)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    fit_slope(*args, drop_smallest=drop_smallest)
+                continue
+            fit = fit_slope(*args, drop_smallest=drop_smallest)
+            got = (fit.slope, fit.intercept, fit.r_squared, fit.points_used)
+            assert [float(v).hex() for v in got[:3]] == [v.hex() for v in want[:3]], case
+            assert type(got[0]) is type(got[1]) is float and got[3] == want[3]
+
+    @pytest.mark.parametrize(
+        "sizes, values",
+        [
+            ([2, np.nan, 8, np.inf], [1.0, 0.5, 0.25, 0.1]),
+            ([2, 4, 8], [1.0, -np.inf, np.nan]),
+            ([-1, 4], [1.0, 1.0]),
+            ([2, 4], [1.0, 0.0]),
+            ([4, 4], [1.0, 2.0]),
+            ([[2, 4]], [[1.0, 2.0]]),
+            ([], []),
+        ],
+    )
+    @pytest.mark.parametrize("drop_smallest", [False, True])
+    def test_errors_equal_numpy_reference(self, sizes, values, drop_smallest):
+        with pytest.raises(ValueError) as want:
+            self._numpy_fit(sizes, values, drop_smallest)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            fit_slope(sizes, values, drop_smallest)
+
 
 class TestExperimentConfig:
     def test_defaults(self):
@@ -583,6 +658,9 @@ class TestCli:
             assert point["guard_margin"] == pytest.approx(
                 float(row["std_error"]) / (abs(float(row["est_bias"])) / 3)
             )
+            # getrusage's fault count over the point; the value depends on
+            # the process, so only its type and sign are fixed.
+            assert type(point["minor_faults"]) is int and point["minor_faults"] >= 0
 
     @pytest.mark.parametrize(
         "argv,manifest",

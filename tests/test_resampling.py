@@ -309,8 +309,12 @@ class TestOuterMCBatched:
     ELL = [1.0, 2.0]
 
     @classmethod
-    def _sampler(cls, b, n, rng):
+    def _draw(cls, b, n, rng):
         return rng.choice([0.0, 1.0], size=(b, n), p=[1 - cls.Q, cls.Q])
+
+    @classmethod
+    def _sampler(cls, out, rng):
+        out[...] = cls._draw(*out.shape, rng)
 
     @classmethod
     def _functional(cls, x):
@@ -340,7 +344,7 @@ class TestOuterMCBatched:
         for c, lo in enumerate(range(0, reps, rows)):
             b = min(rows, reps - lo)
             rng = np.random.default_rng(np.random.SeedSequence([seed, 1, c]))
-            data = self._sampler(b, n, rng)
+            data = self._draw(b, n, rng)
             idx = rng.integers(0, n, size=(b, n))
             for i in range(b):
                 first = functional(WeightedSampleSet(data[i]))
@@ -359,8 +363,8 @@ class TestOuterMCBatched:
         reps = _batch_rows(n) + 10
         seen = []
 
-        def sampler(b, n, rng):
-            return rng.normal(size=(b, n))
+        def sampler(out, rng):
+            rng.standard_normal(out=out)
 
         def functional(x):
             seen.append(x.copy())
@@ -371,7 +375,7 @@ class TestOuterMCBatched:
         for c, lo in enumerate(range(0, reps, _batch_rows(n))):
             b = min(_batch_rows(n), reps - lo)
             rng = np.random.default_rng(np.random.SeedSequence([seed, 1, c]))
-            stage = sampler(b, n, rng)
+            stage = rng.standard_normal((b, n))
             expected.append(stage)
             for _ in range(k - 1):
                 stage = np.take_along_axis(stage, rng.integers(0, n, size=(b, n)), axis=1)
@@ -402,8 +406,8 @@ class TestOuterMCBatched:
         q = 0.4
         lik = lookup_likelihood([1.0, exp(1.5)])
 
-        def sampler(b, n, rng):
-            return rng.choice([0.0, 1.0], size=(b, n), p=[1 - q, q])
+        def sampler(out, rng):
+            out[...] = rng.choice([0.0, 1.0], size=out.shape, p=[1 - q, q])
 
         def functional(x):
             return _plugin_expectation(x, lik, lambda v: np.rint(v).astype(int) == 1)
