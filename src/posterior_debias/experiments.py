@@ -34,6 +34,11 @@ from .resampling import _BATCH_SCHEME, MCConfig, exhaustive_chain_expectation, o
 from .simplex import CountsVector, ProbVector
 
 IDENTITY_TOL = 1e-10
+# Most proposals, ratio bound times draws, that the rejection demo expects to
+# use. Its sampler holds blocks of up to twice that many (about 270 MB of
+# work arrays at the cap); a near-degenerate plug-in proposal can push the
+# bound past 1e60.
+_DEMO_PROPOSAL_CAP = 2**22
 # The random-stream layout of run_mixture_mc, recorded in its manifest.
 MC_RNG_SCHEME = (
     f"outer_mc_batched v{_BATCH_SCHEME}: chunk c of grid point (n, k) draws from "
@@ -311,9 +316,12 @@ default_identity_config = IdentityConfig
 
 
 def _binary_bayes_map(cfg: BinaryConfig | RejectionConfig) -> DiscreteBayesMap:
-    # Support {0, 1}; likelihood values of the observation at each atom.
+    # Support {0, 1}; likelihood values of the observation at each atom. An
+    # extreme y_obs or noise_var overflows the log-likelihood to -inf or NaN
+    # without a warning, and DiscreteBayesMap rejects the 0 or NaN it gives.
     lik = gaussian_likelihood(cfg.y_obs, cfg.noise_var)
-    return DiscreteBayesMap(np.exp(lik.log(np.array([0.0, 1.0]))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return DiscreteBayesMap(np.exp(lik.log(np.array([0.0, 1.0]))))
 
 
 def run_binary_exact(cfg: BinaryConfig) -> tuple[list[dict], dict]:
@@ -516,7 +524,8 @@ def run_rejection_demo(cfg: RejectionConfig) -> dict:
 
     Reports the ratio bound, expected and observed acceptance rates, clamped
     mass, and empirical frequencies. Nothing here is asserted against ground
-    truth; the output is diagnostic.
+    truth; the output is diagnostic. Raises CapExceededError before any
+    draw when the expected proposals, bound times draws, exceed 2^22.
     """
     n, k = cfg.demo_n, cfg.demo_k
     bmap = _binary_bayes_map(cfg)
@@ -527,6 +536,11 @@ def run_rejection_demo(cfg: RejectionConfig) -> dict:
         [debiased_estimate(bmap.component(s), counts, k) for s in range(2)]
     )
     spec = make_rejection_spec(proposal, target_values)
+    if spec.bound * cfg.demo_draws > _DEMO_PROPOSAL_CAP:
+        raise CapExceededError(
+            f"{cfg.demo_draws} draws at ratio bound {spec.bound:.6g} need about "
+            f"{spec.bound * cfg.demo_draws:.6g} proposals, over the cap of {_DEMO_PROPOSAL_CAP}"
+        )
     draw_seed = _point_seed(cfg.root_seed, n, k)
     indices, attempts = rejection_sample_batch(spec, cfg.demo_draws, seed=draw_seed)
     freq = np.bincount(indices, minlength=2) / cfg.demo_draws

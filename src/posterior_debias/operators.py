@@ -133,26 +133,34 @@ def transfer_matrix(n: int, m: int) -> TransferMatrix:
     # Row i is multinomial_pmf_vector(lat, points[i] / n), with its
     # coefficients and log-probabilities computed once for all rows and built
     # in place. Each row keeps its own matrix-vector product: one
-    # (L, m) @ (m, L) product rounds differently. np.dot makes the same
-    # matrix-vector BLAS call as np.matmul, with less dispatch per row.
+    # (L, m) @ (m, L) product rounds differently. A block's rows come from one
+    # stacked np.matmul of pts with the block's (m, 1) log-probability
+    # columns, for which numpy makes the same BLAS dgemv call per row that a
+    # per-row np.dot makes, with one dispatch per block instead of per row.
     pts = lat.points.astype(float)
     log_coef = _log_coef(lat)
     log_p = _log_probs(lat.points / n)
     # The exp is taken once per block of rows, while the block is in cache,
     # and only where the log mass is at or above _EXP_UNDERFLOW: below it exp
     # is exactly 0.0, so the bits are those of exp over the whole matrix
-    # (over half the entries at n = 4096). A NaN is not below the cut-off
-    # and reaches TransferMatrix's row-sum check as before.
+    # (over half the entries at n = 4096). One block-sized mask, reused for
+    # every block, flags the live entries for the exp, then the dead ones
+    # for the zeroing, so no matrix-sized temporary is made. A NaN is live,
+    # as it is not below the cut-off, and reaches TransferMatrix's row-sum
+    # check as before.
     rows = np.empty((size, size))
     per_block = max(1, _ROW_BLOCK // size)
+    mask = np.empty((min(per_block, size), size), dtype=bool)
     for start in range(0, size, per_block):
         blk = rows[start : start + per_block]
-        for i, row in enumerate(blk, start):
-            np.dot(pts, log_p[i], out=row)
+        np.matmul(pts, log_p[start : start + per_block, :, None], out=blk[:, :, None])
         blk += log_coef
-        dead = blk < _EXP_UNDERFLOW
-        np.exp(blk, out=blk, where=~dead)
-        blk[dead] = 0.0
+        flag = mask[: len(blk)]
+        np.less(blk, _EXP_UNDERFLOW, out=flag)  # dead
+        np.logical_not(flag, out=flag)  # live
+        np.exp(blk, out=blk, where=flag)
+        np.logical_not(flag, out=flag)  # dead
+        np.copyto(blk, 0.0, where=flag)
     rows.flags.writeable = False  # TransferMatrix keeps it without a copy
     return TransferMatrix(lattice=lat, rows=rows)
 

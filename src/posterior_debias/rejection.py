@@ -8,10 +8,13 @@ as a diagnostic since it is itself of the order of the bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 
 import numpy as np
 
+from .bayes import _choice_cuts, _choice_labels
 from .errors import IterationCapError, SupportError
+from .resampling import _check_seed
 from .simplex import ProbVector, SignedProbVector
 
 
@@ -56,6 +59,41 @@ def make_rejection_spec(proposal, target) -> RejectionSpec:
     )
 
 
+def _check_count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _proposal_cuts(proposal) -> np.ndarray:
+    """The label cut points of rng.choice(m, p=proposal), after the checks
+    rng.choice makes on p, each a ValueError: a hand-built RejectionSpec
+    has not been through make_rejection_spec."""
+    atol = np.sqrt(np.finfo(np.float64).eps)
+    if isinstance(proposal, np.ndarray) and np.issubdtype(proposal.dtype, np.floating):
+        atol = max(atol, np.sqrt(np.finfo(proposal.dtype).eps))
+    p = np.ascontiguousarray(proposal, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("proposal must be 1-dimensional")
+    if p.size == 0:
+        raise ValueError("proposal must not be empty")
+    # rng.choice's sum: Kahan's, left to right, on Python floats.
+    first, *rest = p.tolist()
+    total, carry = first, 0.0
+    for x in rest:
+        y = x - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    if isnan(total):
+        raise ValueError("proposal contains NaN")
+    if (p < 0).any():
+        raise ValueError("proposal has negative entries")
+    if abs(total - 1.0) > atol:
+        raise ValueError(f"proposal sums to {total!r}, not 1")
+    return _choice_cuts(p)
+
+
 def rejection_sample_batch(
     spec: RejectionSpec,
     size: int,
@@ -65,19 +103,26 @@ def rejection_sample_batch(
     """Draw ``size`` accepted indices; also report proposal draws consumed.
 
     Proposals and uniforms are drawn in blocks from a single seeded stream,
-    so output is deterministic given (spec, size, seed). The reported count
-    runs up to and including the draw that produced the last acceptance.
+    so output is deterministic given (spec, size, seed). Each block takes
+    the labels rng.choice(m, size=block, p=spec.proposal) would give (from
+    the same uniforms, counted against the same cut points), then its
+    acceptance uniforms. The reported count runs up to and including the
+    draw that produced the last acceptance.
 
     Raises IterationCapError once ``attempt_cap`` proposals have been used
     without filling the request. The default cap, ten times the expected
     ``bound * size`` proposals, only stops a sampler that is genuinely stuck.
+    ``size`` and ``attempt_cap`` must be integers >= 1 and ``seed`` an
+    unsigned 64-bit integer.
     """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    size = _check_count("size", size)
+    seed = _check_seed(seed)
     if attempt_cap is None:
         attempt_cap = int(10 * spec.bound * size)
+    else:
+        attempt_cap = _check_count("attempt_cap", attempt_cap)
+    cuts = _proposal_cuts(spec.proposal)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    m = spec.proposal.size
     out = np.empty(size, dtype=np.int64)
     filled = 0
     attempts = 0
@@ -87,7 +132,8 @@ def rejection_sample_batch(
             max(128, int(2 * want * spec.bound)),
             max(1, attempt_cap - attempts),
         )
-        draws = rng.choice(m, size=block, p=spec.proposal)
+        draws = np.empty(block, dtype=np.int64)
+        _choice_labels(rng.random(block), cuts, draws, np.empty(block, dtype=bool))
         u = rng.uniform(0.0, spec.bound, size=block)
         hits = np.flatnonzero(u < spec.ratio[draws])
         if hits.size >= want:

@@ -34,8 +34,11 @@ _BATCH_SCHEME = 1  # version of outer_mc_batched's stream layout; bump on any ch
 
 
 def _check_seed(seed: int) -> int:
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    # The one seed check of every seeded API. A float or a bool is no seed:
+    # int() would truncate the one and SeedSequence takes the other as 0 or 1.
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (integer and 0 <= seed < _SEED_LIMIT):
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return int(seed)
 
 
@@ -334,23 +337,29 @@ def exhaustive_chain_expectation(
     follows Multinomial(n, previous/n), which is row ``previous`` of the
     transfer matrix. The lattice, and for k > 1 the matrix, are the ones the
     exact functions hold for (n, m). Stages are expanded into literal sample
-    sets on the points 0..m-1, and the leaves combine them with
-    debiased_realization, so the realization goes through the same code path
-    as the Monte Carlo driver. The functional must be pure: it is evaluated at
-    most once per lattice point. Each node adds its children up left to
-    right, in lattice order.
+    sets on the points 0..m-1. The functional must be pure: it is evaluated
+    at most once per lattice point, on first use, and never at a point no
+    chain of nonzero probability reaches.
+
+    Each node adds its children up left to right, in lattice order, and a
+    child of probability 0.0 adds nothing. A node at depth k - 1 sums its
+    leaves itself: it adds w[j] * value over its own k - 1 stages once, left
+    to right from 0.0, then each leaf j adds prob * (partial + w[k-1] *
+    value_j). debiased_realization makes the same floating-point operations
+    in the same order for each leaf, so every leaf, and the total, has the
+    bits that combining each chain with debiased_realization gives.
     """
     prior = ProbVector(prior)
-    debias_weights(k)  # checks k before any lattice is built
+    w = debias_weights(k).tolist()  # checks k before any lattice is built
     lat = _cached_lattice(n, prior.m)
     step = _cached_matrix(n, prior.m).rows if k > 1 else None
     pts = np.arange(prior.m, dtype=float)
 
     class StageValues(dict):
-        # functional(stage set of lattice point i), evaluated on first lookup:
-        # once per point at most, and never for a point no chain reaches.
+        # float(functional(stage set of lattice point i)), evaluated on first
+        # lookup: once per point at most, and never for a point no chain reaches.
         def __missing__(self, i: int):
-            value = self[i] = functional(WeightedSampleSet(np.repeat(pts, lat.points[i])))
+            value = self[i] = float(functional(WeightedSampleSet(np.repeat(pts, lat.points[i]))))
             return value
 
     class Support(dict):
@@ -361,19 +370,35 @@ def exhaustive_chain_expectation(
             return pairs
 
     values, support = StageValues(), Support()
+    last = w[-1]
 
-    def recurse(prefix: list[int], prob: float) -> float:
-        if prob == 0.0:
-            return 0.0
-        if len(prefix) == k:
-            return prob * debiased_realization(prefix, values.__getitem__, k)
+    def leaves(prefix: list[int], prob: float, children) -> float:
+        # The k - 1 stages of ``prefix`` are shared by all its leaves; their
+        # partial sum is taken at the first leaf of nonzero probability, so
+        # the functional runs at the points and in the order it would with
+        # one debiased_realization per leaf.
         total = 0.0
-        for j, p in support[prefix[-1]]:
-            total += recurse(prefix + [j], prob * p)
+        partial = None
+        for j, p in children:
+            leaf = prob * p
+            if leaf == 0.0:
+                continue
+            if partial is None:
+                partial = 0.0
+                for wi, i in zip(w, prefix):
+                    partial += wi * values[i]
+            total += leaf * (partial + last * values[j])
         return total
 
-    total = 0.0
-    for i, p in enumerate(multinomial_pmf_vector(lat, prior).tolist()):
-        if p > 0.0:
-            total += recurse([i], p)
-    return total
+    def recurse(prefix: list[int], prob: float, children) -> float:
+        if len(prefix) == k - 1:
+            return leaves(prefix, prob, children)
+        total = 0.0
+        for j, p in children:
+            child = prob * p
+            if child != 0.0:
+                total += recurse(prefix + [j], child, support[j])
+        return total
+
+    # The root has probability 1.0, so its children's are the pmf's own.
+    return recurse([], 1.0, enumerate(multinomial_pmf_vector(lat, prior).tolist()))

@@ -432,6 +432,19 @@ class TestGaussianMixture:
             ref = mix.means[comp] + np.sqrt(mix.variances[comp]) * rng.standard_normal(size)
             assert np.array_equal(mix.sample(size, np.random.default_rng(seed)), ref)
 
+    @pytest.mark.parametrize("m", [33, 34, 100])
+    def test_many_components_same_labels_as_choice(self, m):
+        # Past 32 cut points the labels come from a binary search over the
+        # cuts instead of one counting pass per cut: the same labels.
+        weights = np.random.default_rng(m).dirichlet(np.ones(m))
+        weights[::5] = 0.0
+        mix = GaussianMixture(weights / weights.sum(), np.arange(m) * 0.5, np.ones(m))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            comp = rng.choice(m, size=5000, p=mix.weights)
+            ref = mix.means[comp] + np.sqrt(mix.variances[comp]) * rng.standard_normal(5000)
+            assert np.array_equal(mix.sample(5000, np.random.default_rng(seed)), ref)
+
 
 class TestMixtureTailOracle:
     MIX = GaussianMixture([0.5, 0.5], [0.0, 1.0], [1.0, 1.0])

@@ -1050,6 +1050,29 @@ class TestCli:
         code = main(["rejection-demo", "--demo-draws", "1000000", "--out", str(tmp_path / "r")])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "flags", [["--y-obs", "1e200"], ["--y-obs", "0", "--noise-var", "5e-324"]]
+    )
+    def test_rejection_demo_overflowing_likelihood_exits_2(self, tmp_path, capsys, flags):
+        # The log-likelihood overflows to -inf or NaN: a configuration
+        # error, with no RuntimeWarning on the way.
+        assert main(["rejection-demo", *flags, "--out", str(tmp_path)]) == 2
+        assert "likelihoods" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--noise-var", "0.01", "--demo-n", "7", "--demo-k", "3"],  # bound about 3e63
+            ["--noise-var", "0.01", "--y-obs", "0", "--demo-k", "3"],  # bound about 4e7
+            ["--demo-draws", "4200000"],  # bound about 1.006, past 2^22 proposals
+        ],
+    )
+    def test_rejection_demo_past_the_proposal_cap_exits_3(self, tmp_path, capsys, flags):
+        assert main(["rejection-demo", *flags, "--out", str(tmp_path)]) == 3
+        assert "over the cap of 4194304" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_fit_slope_subcommand(self, tmp_path, capsys):
         out = tmp_path / "bin"
         main(["binary-exact", "--n-grid", "32,64,128,256", "--k-values", "2",

@@ -22,7 +22,16 @@ from posterior_debias.operators import (
     iterate_operator,
     transfer_matrix,
 )
-from posterior_debias.simplex import CountsVector, ProbVector, enumerate_lattice, multinomial_pmf_vector
+from posterior_debias import operators
+from posterior_debias.simplex import (
+    CountsVector,
+    ProbVector,
+    _log_coef,
+    _log_probs,
+    enumerate_lattice,
+    lattice_size,
+    multinomial_pmf_vector,
+)
 
 from oracles import (
     debias_combination_at,
@@ -134,6 +143,30 @@ class TestTransferMatrix:
             rows = range(lat.size)
         for i in rows:
             assert np.array_equal(M[i], multinomial_pmf_vector(lat, lat.points[i] / n))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 255, 1024])
+    def test_rows_equal_the_per_row_dot_build(self, n, m):
+        # The build as it was with one np.dot per row and boolean-indexed
+        # zeroing: the stacked matmul and the mask keep every bit of it.
+        L = lattice_size(n, m)
+        if L * L > operators.DEFAULT_MATRIX_ENTRY_CAP:
+            with pytest.raises(CapExceededError):
+                transfer_matrix(n, m)
+            return
+        lat = enumerate_lattice(n, m)
+        pts, log_coef, log_p = lat.points.astype(float), _log_coef(lat), _log_probs(lat.points / n)
+        ref = np.empty((L, L))
+        per_block = max(1, operators._ROW_BLOCK // L)
+        for start in range(0, L, per_block):
+            blk = ref[start : start + per_block]
+            for i, row in enumerate(blk, start):
+                np.dot(pts, log_p[i], out=row)
+            blk += log_coef
+            dead = blk < operators._EXP_UNDERFLOW
+            np.exp(blk, out=blk, where=~dead)
+            blk[dead] = 0.0
+        assert transfer_matrix(n, m).rows.tobytes() == ref.tobytes()
 
     def test_build_allocates_only_the_matrix(self):
         tracemalloc.start()

@@ -4,6 +4,7 @@ from scipy import stats
 
 from posterior_debias.errors import IterationCapError, SupportError
 from posterior_debias.rejection import (
+    RejectionSpec,
     make_rejection_spec,
     rejection_sample_batch,
 )
@@ -125,3 +126,147 @@ class TestSampling:
         size = 50_000
         _, attempts = rejection_sample_batch(spec, size, seed=9)
         assert attempts / size == pytest.approx(spec.bound, rel=0.05)
+
+
+def choice_loop_reference(spec, size, seed, attempt_cap=None):
+    """The sampler as it drew its labels with rng.choice, one call per
+    block: the stream the labels counted against cut points must equal.
+    Also returns the number of blocks drawn."""
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    if attempt_cap is None:
+        attempt_cap = int(10 * spec.bound * size)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    m = spec.proposal.size
+    out = np.empty(size, dtype=np.int64)
+    filled = attempts = blocks = 0
+    while filled < size:
+        want = size - filled
+        block = min(max(128, int(2 * want * spec.bound)), max(1, attempt_cap - attempts))
+        blocks += 1
+        draws = rng.choice(m, size=block, p=spec.proposal)
+        u = rng.uniform(0.0, spec.bound, size=block)
+        hits = np.flatnonzero(u < spec.ratio[draws])
+        if hits.size >= want:
+            out[filled:] = draws[hits[:want]]
+            attempts += int(hits[want - 1]) + 1
+            break
+        out[filled : filled + hits.size] = draws[hits]
+        filled += hits.size
+        attempts += block
+        if attempts >= attempt_cap:
+            raise IterationCapError(
+                f"{attempts} proposal draws produced only {filled}/{size} accepts"
+            )
+    return out, attempts, blocks
+
+
+def seeded_specs(count, seed):
+    for child in np.random.SeedSequence([seed]).spawn(count):
+        rng = np.random.default_rng(child)
+        m = int(rng.integers(2, 9))
+        proposal = 0.5 * rng.dirichlet(np.ones(m)) + 0.5 / m  # ratio bound <= 2m
+        proposal /= proposal.sum()
+        signed = rng.dirichlet(np.ones(m)) * 1.2
+        signed[rng.integers(0, m)] -= 0.2 * signed.sum()  # something to clamp
+        yield make_rejection_spec(proposal, signed / signed.sum())
+
+
+def hand_built(proposal, bound=1.0):
+    p = np.asarray(proposal, dtype=float)
+    return RejectionSpec(proposal=p, target=p, ratio=np.ones(p.shape), bound=bound, clamped_mass=0.0)
+
+
+class TestSamePinnedStream:
+    """The labels are counted against rng.choice's cut points instead of
+    searched for; indices, dtype and attempts stay those of the choice loop."""
+
+    @pytest.mark.parametrize("size", [1, 7, 1000, 50_000])
+    def test_seeded_specs(self, size):
+        for trial, spec in enumerate(seeded_specs(32, 4242)):
+            seed = 31 * trial + size
+            ref, ref_attempts, _ = choice_loop_reference(spec, size, seed)
+            got, attempts = rejection_sample_batch(spec, size, seed=seed)
+            assert got.dtype == ref.dtype == np.int64
+            assert np.array_equal(got, ref) and attempts == ref_attempts, trial
+
+    def test_many_atoms(self):
+        # Past 32 cut points the labels come from a binary search instead.
+        rng = np.random.default_rng(60)
+        proposal = 0.5 * rng.dirichlet(np.ones(60)) + 0.5 / 60
+        spec = make_rejection_spec(proposal / proposal.sum(), rng.dirichlet(np.ones(60)))
+        ref, ref_attempts, _ = choice_loop_reference(spec, 5000, 11)
+        got, attempts = rejection_sample_batch(spec, 5000, seed=11)
+        assert np.array_equal(got, ref) and attempts == ref_attempts
+
+    def test_multi_block_requests(self):
+        # Acceptance about 1/40: a 128-proposal block often yields no accept.
+        spec = make_rejection_spec(ProbVector([0.975, 0.025]), SignedProbVector([0.0, 1.0]))
+        blocks = []
+        for seed in range(40):
+            ref, ref_attempts, n_blocks = choice_loop_reference(spec, 1, seed)
+            got, attempts = rejection_sample_batch(spec, 1, seed=seed)
+            assert np.array_equal(got, ref) and attempts == ref_attempts
+            blocks.append(n_blocks)
+        assert max(blocks) >= 2
+
+    def test_iteration_cap_reached_at_the_same_draw(self):
+        eps = 1e-3
+        spec = make_rejection_spec(ProbVector([1 - eps, eps]), SignedProbVector([0.0, 1.0]))
+        for seed, cap in [(4, 50), (5, 300), (6, 1)]:
+            with pytest.raises(IterationCapError) as ref:
+                choice_loop_reference(spec, 3, seed, attempt_cap=cap)
+            with pytest.raises(IterationCapError) as got:
+                rejection_sample_batch(spec, 3, seed=seed, attempt_cap=cap)
+            assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize(
+        "proposal",
+        [
+            [[0.5, 0.5]],  # not 1-d
+            [0.5, np.nan],
+            [1.5, -0.5],  # negative entry
+            [0.5, 0.4],  # sum off by more than sqrt(eps)
+            [],
+        ],
+    )
+    def test_bad_hand_built_specs_raise_value_error(self, proposal):
+        spec = hand_built(proposal)
+        with pytest.raises(ValueError):
+            choice_loop_reference(spec, 10, seed=1)
+        with pytest.raises(ValueError):
+            rejection_sample_batch(spec, 10, seed=1)
+
+    def test_sum_within_tolerance_is_accepted_as_by_choice(self):
+        spec = hand_built([0.5, 0.5 + 1e-9])
+        ref, ref_attempts, _ = choice_loop_reference(spec, 500, seed=3)
+        got, attempts = rejection_sample_batch(spec, 500, seed=3)
+        assert np.array_equal(got, ref) and attempts == ref_attempts
+
+
+class TestSamplerInputChecks:
+    SPEC = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.6, 0.4]))
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 1.5, True])
+    def test_seed_goes_through_the_package_check(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            rejection_sample_batch(self.SPEC, 10, seed=seed)
+
+    def test_largest_seed_is_accepted(self):
+        idx, _ = rejection_sample_batch(self.SPEC, 10, seed=2**64 - 1)
+        assert idx.size == 10
+
+    @pytest.mark.parametrize("size", [True, 2.0, 0, -3])
+    def test_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ValueError, match="size"):
+            rejection_sample_batch(self.SPEC, size, seed=1)
+
+    @pytest.mark.parametrize("cap", [0, -1, 50.0, True])
+    def test_attempt_cap_must_be_a_positive_integer(self, cap):
+        with pytest.raises(ValueError, match="attempt_cap"):
+            rejection_sample_batch(self.SPEC, 5, seed=1, attempt_cap=cap)
+
+    def test_numpy_integers_are_accepted(self):
+        a, na = rejection_sample_batch(self.SPEC, np.int64(50), seed=np.uint64(7), attempt_cap=np.int32(10_000))
+        b, nb = rejection_sample_batch(self.SPEC, 50, seed=7, attempt_cap=10_000)
+        assert np.array_equal(a, b) and na == nb

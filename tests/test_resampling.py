@@ -198,6 +198,86 @@ class TestExhaustiveChainExpectation:
         assert abs(bad - exact) > 1e-4
 
 
+def leaf_by_leaf_reference(functional, prior, n, k):
+    """exhaustive_chain_expectation as it combined every chain on its own
+    with debiased_realization, one recursion level per stage."""
+    prior = ProbVector(prior)
+    lat = resampling._cached_lattice(n, prior.m)
+    step = resampling._cached_matrix(n, prior.m).rows if k > 1 else None
+    pts = np.arange(prior.m, dtype=float)
+    values = {}
+
+    def value(i):
+        if i not in values:
+            values[i] = functional(WeightedSampleSet(np.repeat(pts, lat.points[i])))
+        return values[i]
+
+    def recurse(prefix, prob):
+        if prob == 0.0:
+            return 0.0
+        if len(prefix) == k:
+            return prob * debiased_realization(prefix, value, k)
+        total = 0.0
+        for j, p in enumerate(step[prefix[-1]].tolist()):
+            if p > 0.0:
+                total += recurse(prefix + [j], prob * p)
+        return total
+
+    total = 0.0
+    for i, p in enumerate(resampling.multinomial_pmf_vector(lat, prior).tolist()):
+        if p > 0.0:
+            total += recurse([i], p)
+    return total
+
+
+class TestExhaustiveLeafSums:
+    """Leaves summed at their parent keep the bits of one
+    debiased_realization per chain, and the functional's calls."""
+
+    @staticmethod
+    def table_functional(m, seed, calls):
+        # Signed values with zeros of both signs, keyed on the counts, and
+        # alternately a numpy and a Python float.
+        rng = np.random.default_rng(seed)
+
+        def functional(ws):
+            counts = tuple(np.bincount(ws.points.astype(int), minlength=m).tolist())
+            calls.append(counts)
+            h = hash(counts) % 7
+            if h == 0:
+                return 0.0
+            if h == 1:
+                return -0.0
+            v = float(np.random.default_rng([seed, *counts]).normal(scale=3.0))
+            return np.float64(v) if h % 2 else v
+
+        return functional
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "prior",
+        [[0.25, 0.75], [0.6, 0.4], [0.2, 0.5, 0.3], [0.0, 0.45, 0.55], [0.1, 0.2, 0.3, 0.4],
+         [0.5, 0.0, 0.25, 0.25]],
+    )
+    def test_bits_and_calls_equal_the_leaf_by_leaf_sum(self, prior, k):
+        m = len(prior)
+        n = {2: 6, 3: 3, 4: 2}[m]
+        ref_calls, calls = [], []
+        ref = leaf_by_leaf_reference(self.table_functional(m, 5, ref_calls), prior, n, k)
+        got = exhaustive_chain_expectation(self.table_functional(m, 5, calls), ProbVector(prior), n, k)
+        assert got.hex() == ref.hex()
+        assert calls == ref_calls  # the same points, once each, in the same order
+        assert len(set(calls)) == len(calls)
+
+    def test_unreached_points_are_not_evaluated(self):
+        # A prior with an empty atom: no chain reaches a point that puts
+        # counts on it, so the functional never sees one.
+        calls = []
+        got = exhaustive_chain_expectation(self.table_functional(3, 9, calls), ProbVector([0.0, 0.5, 0.5]), 3, 3)
+        assert calls and all(c[0] == 0 for c in calls)
+        assert np.isfinite(got)
+
+
 class TestOuterMC:
     @staticmethod
     def _binary_sampler(q):
@@ -576,7 +656,9 @@ class TestDebiasedExpectationBlocks:
         with pytest.raises(ValueError, match="one value per sample"):
             debiased_expectation(data, lik, lambda x: x[:1], 2, seed=0)
 
-    @pytest.mark.parametrize("k,seed", [(0, 1), (MAX_ORDER + 1, 1), (2, -1), (2, 2**64)])
+    @pytest.mark.parametrize(
+        "k,seed", [(0, 1), (MAX_ORDER + 1, 1), (2, -1), (2, 2**64), (2, 1.5), (2, True)]
+    )
     def test_bad_order_or_seed_raises_before_any_work(self, k, seed):
         calls = []
 
