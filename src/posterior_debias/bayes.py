@@ -78,27 +78,46 @@ class DiscreteBayesMap:
             raise DegenerateError("posterior denominator underflowed to zero")
         return ProbVector(weighted / denom)
 
-    def component(self, s: int) -> Callable:
+    def component(self, s: int) -> "_PosteriorComponent":
         """Scalar map q -> posterior probability of support index s.
 
         The returned callable accepts any point of the simplex (not only
-        lattice points), so it plugs directly into the exact operator module.
+        lattice points), so it plugs directly into the exact operator module,
+        which evaluates it over a whole lattice at once.
         """
         if not 0 <= s < self.m:
             raise IndexError(f"component {s} outside support range [0, {self.m})")
-        ell = self.likelihoods
-        ell_s = float(ell[s])
+        return _PosteriorComponent(self.likelihoods, s)
 
+
+class _PosteriorComponent:
+    """q -> l_s q_s / sum_j l_j q_j for one support index s, at one point
+    (a call) or at every row of a grid (on_grid), with the same bits."""
+
+    def __init__(self, likelihoods: np.ndarray, s: int):
+        self._ell = likelihoods
+        self._s = s
+        self._ell_s = float(likelihoods[s])
+
+    def __call__(self, x) -> float:
         # The bits of float(ell[s] * x[s]) / float(ell @ x), with less numpy
-        # dispatch per call: the exact path calls this at every lattice point.
-        def g_s(x) -> float:
-            x = np.asarray(x, dtype=float)
-            denom = float(ell.dot(x))
-            if denom == 0.0:
-                raise DegenerateError("posterior denominator underflowed to zero")
-            return ell_s * x.item(s) / denom
+        # dispatch per call.
+        x = np.asarray(x, dtype=float)
+        denom = float(self._ell.dot(x))
+        if denom == 0.0:
+            raise DegenerateError("posterior denominator underflowed to zero")
+        return self._ell_s * x.item(self._s) / denom
 
-        return g_s
+    def on_grid(self, grid: np.ndarray) -> np.ndarray:
+        """The call at every row of the (L, m) float array ``grid``. np.vecdot
+        makes the same per-row BLAS ddot that ell.dot(x) makes (grid @ ell
+        and einsum round differently), and ell_s * x_s is x_s * ell_s."""
+        denom = np.vecdot(grid, self._ell)
+        if (denom == 0.0).any():
+            raise DegenerateError("posterior denominator underflowed to zero")
+        vals = grid[:, self._s] * self._ell_s
+        vals /= denom
+        return vals
 
 
 def discrete_bayes(bayes_map: DiscreteBayesMap, q) -> ProbVector:

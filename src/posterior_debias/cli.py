@@ -290,7 +290,11 @@ def _cmd_identity_check(cfg: IdentityConfig, args) -> int:
     """Enumerate chains exhaustively and compare with the exact operator mean."""
     out = args.out or Path("runs", cfg.experiment)
     start = time.perf_counter()
-    report = run_identity_check(cfg)
+    stop = None
+    try:
+        report = run_identity_check(cfg)
+    except CapExceededError as exc:  # the report of the finished cases
+        report, stop = exc.info, exc
     wall = time.perf_counter() - start
     write_manifest(out / "identity_report.json", _manifest(cfg, wall, report))
     for case in report["cases"]:
@@ -298,6 +302,9 @@ def _cmd_identity_check(cfg: IdentityConfig, args) -> int:
             f"m={case['m']} n={case['n']} k={case['k']}: "
             f"discrepancy {case['discrepancy']:.3e}"
         )
+    if stop is not None:
+        print(f"identity check stopped after {len(report['cases'])} finished cases")
+        raise stop
     verdict = "PASS" if report["pass"] else "FAIL"
     print(
         f"identity check {verdict}: max discrepancy {report['max_discrepancy']:.3e} "

@@ -31,13 +31,16 @@ from .errors import CapExceededError, DegenerateError, DegeneratePointError, Und
 from .operators import MAX_ORDER, _exact_bias_variance, debiased_estimate, debiased_estimate_mean
 from .rejection import make_rejection_spec, rejection_sample_batch
 from .resampling import _BATCH_SCHEME, MCConfig, exhaustive_chain_expectation, outer_mc_batched
-from .simplex import CountsVector, ProbVector
+from .simplex import CountsVector, ProbVector, lattice_size
 
 IDENTITY_TOL = 1e-10
+# Most chains, L^k for lattice size L, that one identity-check case may
+# enumerate. A case just under it (m = 3, k = 3, n = 19: 9.3e6) took 0.6 s on
+# a 2-core x86-64 host; n = 64 there bounds 9.9e9 chains.
+IDENTITY_LEAF_CAP = 10**7
 # Most proposals, ratio bound times draws, that the rejection demo expects to
-# use. Its sampler holds blocks of up to twice that many (about 270 MB of
-# work arrays at the cap); a near-degenerate plug-in proposal can push the
-# bound past 1e60.
+# use: a near-degenerate plug-in proposal can push the bound past 1e60, and
+# the sampler would draw for as long as the bound says.
 _DEMO_PROPOSAL_CAP = 2**22
 # The random-stream layout of run_mixture_mc, recorded in its manifest.
 MC_RNG_SCHEME = (
@@ -478,11 +481,25 @@ def run_identity_check(cfg: IdentityConfig) -> dict:
     expectation of the debiased realization with the exact operator mean.
 
     Passes iff the max discrepancy over all (m, n, k) cases is < 1e-10.
+    Before a case is enumerated, its chains are bounded by L^k; past
+    IDENTITY_LEAF_CAP, CapExceededError is raised carrying the finished
+    cases as its rows and their report as its info.
     """
     cases = []
     for m in cfg.m_values:
         for n in cfg.n_grid:
             for k in cfg.k_values:
+                leaves = lattice_size(n, m) ** k
+                if leaves > IDENTITY_LEAF_CAP:
+                    raise CapExceededError(
+                        f"m={m} n={n} k={k}: up to {leaves} chains to enumerate, "
+                        f"over the cap of {IDENTITY_LEAF_CAP}",
+                        cases,
+                        {
+                            **_identity_report(cases),
+                            "cap_exceeded": {"m": m, "n": n, "k": k, "leaves": leaves},
+                        },
+                    )
                 rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.root_seed, m, n, k])
                 )
@@ -510,12 +527,17 @@ def run_identity_check(cfg: IdentityConfig) -> dict:
                         "discrepancy": abs(enumerated - exact),
                     }
                 )
-    max_disc = max(c["discrepancy"] for c in cases)
+    return _identity_report(cases)
+
+
+def _identity_report(cases: list[dict]) -> dict:
+    # A run stopped before its first case has no discrepancy and no pass.
+    max_disc = max((c["discrepancy"] for c in cases), default=None)
     return {
         "cases": cases,
         "max_discrepancy": max_disc,
         "tolerance": IDENTITY_TOL,
-        "pass": bool(max_disc < IDENTITY_TOL),
+        "pass": max_disc is not None and max_disc < IDENTITY_TOL,
     }
 
 

@@ -7,15 +7,19 @@ as a diagnostic since it is itself of the order of the bias.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import isnan
 
 import numpy as np
 
+from . import _workspace
 from .bayes import _choice_cuts, _choice_labels
 from .errors import IterationCapError, SupportError
 from .resampling import _check_seed
 from .simplex import ProbVector, SignedProbVector
+
+_PIECE = 2**16  # most proposals of a block that the sampler holds at once
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,47 @@ def _proposal_cuts(proposal) -> np.ndarray:
     return _choice_cuts(p)
 
 
+def _walk_block(rng, block: int, cuts, ratio, bound: float, dest: np.ndarray) -> tuple[int, int]:
+    """Draw one block of ``block`` proposals and write its accepts into
+    ``dest`` until it is full; return (accepts, proposals used).
+
+    The block's stream is its label uniforms, then its acceptance uniforms
+    (uniform(0, bound) is 0.0 + bound * u, which is bound * u bit for bit).
+    It is walked in pieces of at most _PIECE proposals in pooled work
+    buffers: each piece takes its label uniforms from ``rng`` in order, and
+    its acceptance uniforms from a copy of the bit generator advanced past
+    the labels. A block that fills ``dest`` stops where it does; a whole
+    block leaves ``rng`` past its acceptance uniforms."""
+    accept = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(block))
+    step = min(block, _PIECE)
+    u = _workspace.checkout(step)
+    gathered = _workspace.checkout(step)
+    labels = _workspace.checkout(step, np.intp)
+    mask = _workspace.checkout(step, bool)
+    filled = 0
+    try:
+        for lo in range(0, block, step):
+            k = min(step, block - lo)
+            pu, pg, pl, pm = u[:k], gathered[:k], labels[:k], mask[:k]
+            rng.random(out=pu)
+            _choice_labels(pu, cuts, pl, pm)
+            accept.random(out=pu)
+            pu *= bound
+            # Labels are counts of cut points, so "clip" changes none of them.
+            np.less(pu, ratio.take(pl, out=pg, mode="clip"), out=pm)
+            hits = np.flatnonzero(pm)
+            need = dest.size - filled
+            if hits.size >= need:
+                pl.take(hits[:need], out=dest[filled:], mode="clip")
+                return dest.size, lo + int(hits[need - 1]) + 1
+            pl.take(hits, out=dest[filled : filled + hits.size], mode="clip")
+            filled += hits.size
+    finally:
+        _workspace.release(u, gathered, labels, mask)
+    rng.bit_generator.advance(block)
+    return filled, block
+
+
 def rejection_sample_batch(
     spec: RejectionSpec,
     size: int,
@@ -106,8 +151,10 @@ def rejection_sample_batch(
     so output is deterministic given (spec, size, seed). Each block takes
     the labels rng.choice(m, size=block, p=spec.proposal) would give (from
     the same uniforms, counted against the same cut points), then its
-    acceptance uniforms. The reported count runs up to and including the
-    draw that produced the last acceptance.
+    acceptance uniforms rng.uniform(0, spec.bound, size=block). A block is
+    walked in pieces of at most 2^16 proposals, so the sampler's work memory
+    is bounded whatever the block size. The reported count runs up to and
+    including the draw that produced the last acceptance.
 
     Raises IterationCapError once ``attempt_cap`` proposals have been used
     without filling the request. The default cap, ten times the expected
@@ -121,30 +168,27 @@ def rejection_sample_batch(
         attempt_cap = int(10 * spec.bound * size)
     else:
         attempt_cap = _check_count("attempt_cap", attempt_cap)
+    # The checks uniform(0, bound) and the ratio lookup made on a hand-built
+    # spec, before the first draw.
+    if not spec.bound >= 0:
+        raise ValueError(f"ratio bound must be >= 0, got {spec.bound!r}")
     cuts = _proposal_cuts(spec.proposal)
+    ratio = np.asarray(spec.ratio, dtype=float)
+    if ratio.shape != (cuts.size + 1,):
+        raise ValueError(f"ratio has shape {ratio.shape}, not one entry per proposal atom")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     out = np.empty(size, dtype=np.int64)
     filled = 0
     attempts = 0
     while filled < size:
-        want = size - filled
         block = min(
-            max(128, int(2 * want * spec.bound)),
+            max(128, int(2 * (size - filled) * spec.bound)),
             max(1, attempt_cap - attempts),
         )
-        draws = np.empty(block, dtype=np.int64)
-        _choice_labels(rng.random(block), cuts, draws, np.empty(block, dtype=bool))
-        u = rng.uniform(0.0, spec.bound, size=block)
-        hits = np.flatnonzero(u < spec.ratio[draws])
-        if hits.size >= want:
-            out[filled:] = draws[hits[:want]]
-            attempts += int(hits[want - 1]) + 1
-            filled = size
-            break
-        out[filled : filled + hits.size] = draws[hits]
-        filled += hits.size
-        attempts += block
-        if attempts >= attempt_cap:
+        accepted, used = _walk_block(rng, block, cuts, ratio, spec.bound, out[filled:])
+        filled += accepted
+        attempts += used
+        if filled < size and attempts >= attempt_cap:
             raise IterationCapError(
                 f"{attempts} proposal draws produced only {filled}/{size} accepts"
             )

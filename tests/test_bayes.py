@@ -20,7 +20,8 @@ from posterior_debias.bayes import (
     plugin_posterior_prob,
 )
 from posterior_debias.errors import DegenerateError
-from posterior_debias.simplex import ProbVector
+from posterior_debias.operators import LatticeFunction
+from posterior_debias.simplex import ProbVector, enumerate_lattice
 
 from oracles import plugin_expectation_whole
 
@@ -128,6 +129,31 @@ class TestDiscreteBayesMap:
         g = DiscreteBayesMap([1.0, 1.0]).component(0)
         with pytest.raises(DegenerateError):
             g(np.array([0.0, 0.0]))
+
+    def test_component_on_grid_has_the_per_point_bits(self):
+        # Likelihoods from e^-700 to e^700, lattices of m = 2..8 atoms.
+        rng = np.random.default_rng(np.random.SeedSequence([21]))
+        sizes = {2: 300, 3: 40, 4: 16, 5: 10, 6: 7, 7: 6, 8: 5}
+        for trial in range(120):
+            m = int(rng.integers(2, 9))
+            spread = [1.0, 50.0, 700.0][trial % 3]
+            g = DiscreteBayesMap(np.exp(rng.uniform(-spread, spread, m))).component(
+                int(rng.integers(0, m))
+            )
+            lat = enumerate_lattice(int(rng.integers(1, sizes[m] + 1)), m)
+            per_point = np.array([float(g(x)) for x in lat.grid()])
+            assert g.on_grid(lat.grid()).tobytes() == per_point.tobytes(), trial
+            sampled = LatticeFunction.from_callable(g, lat).values
+            assert sampled.tobytes() == per_point.tobytes(), trial
+
+    def test_component_on_grid_degenerate(self):
+        # At (2, 2)/4 both terms round to 0.0: 0.5 * 5e-324 is a tie, to even.
+        g = DiscreteBayesMap([5e-324, 5e-324]).component(1)
+        grid = enumerate_lattice(4, 2).grid()
+        with pytest.raises(DegenerateError):
+            [g(x) for x in grid]
+        with pytest.raises(DegenerateError):
+            g.on_grid(grid)
 
     def test_rejects_nonpositive_likelihood(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import typing
 from pathlib import Path
 
@@ -1037,6 +1038,21 @@ class TestCli:
             )
             == 4
         )
+
+    def test_identity_check_past_the_leaf_cap_exits_3(self, tmp_path):
+        # At n = 64, m = 3 the lattice has L = 2,145 points, so k = 3 bounds
+        # 9.9e9 chains: the run stops before enumerating them and keeps n = 4.
+        out = tmp_path / "id"
+        start = time.perf_counter()
+        code = main(
+            ["identity-check", "--n-grid", "4,64", "--m-values", "3", "--k-values", "3",
+             "--out", str(out)]
+        )
+        assert code == 3 and time.perf_counter() - start < 1.0
+        report = json.loads((out / "identity_report.json").read_text())
+        assert [(c["m"], c["n"], c["k"]) for c in report["cases"]] == [(3, 4, 3)]
+        assert report["cap_exceeded"] == {"m": 3, "n": 64, "k": 3, "leaves": 2145**3}
+        assert report["pass"] and report["max_discrepancy"] < 1e-10
 
     def test_rejection_demo(self, tmp_path):
         out = tmp_path / "rej"

@@ -1,8 +1,14 @@
 import gc
+import mmap
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
 from fractions import Fraction
 from math import comb, exp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +47,40 @@ from oracles import (
     resample_power,
     to_fractions,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# In a fresh interpreter: how far transfer_matrix(4096, 2) raises VmRSS, and
+# the sha256 of its rows and of a per-row np.dot build, hashed row by row so
+# that the reference holds no second dense matrix.
+RSS_PROBE = """
+import hashlib
+import numpy as np
+from posterior_debias import operators
+from posterior_debias.simplex import _log_coef, _log_probs
+
+def vm_rss_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+
+n, m = 4096, 2
+lat = operators._cached_lattice(n, m)
+before = vm_rss_kib()
+M = operators.transfer_matrix(n, m)
+rise = vm_rss_kib() - before
+built = hashlib.sha256(M.rows).hexdigest()  # read through the buffer, no copy
+pts, log_coef, log_p = lat.points.astype(float), _log_coef(lat), _log_probs(lat.points / n)
+ref, row = hashlib.sha256(), np.empty(lat.size)
+for i in range(lat.size):
+    np.dot(pts, log_p[i], out=row)
+    row += log_coef
+    dead = row < operators._EXP_UNDERFLOW
+    np.exp(row, out=row, where=~dead)
+    row[dead] = 0.0
+    ref.update(row.tobytes())
+print(rise, M.rows.nbytes, built == ref.hexdigest())
+"""
 
 
 def binary_posterior_map(alpha):
@@ -184,6 +224,44 @@ class TestTransferMatrix:
         mine[:] = 0.0
         assert np.array_equal(M.rows, built.rows)
         assert not M.rows.flags.writeable
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_all_zero_pages_stay_off_the_resident_set(self):
+        # 43% of the 128 MB matrix's pages hold only zeros: they are never
+        # written, and read as the kernel's shared zero page.
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(RSS_PROBE)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        rise_kib, nbytes, same_bits = proc.stdout.split()
+        assert int(nbytes) == 4097 * 4097 * 8
+        assert int(rise_kib) < 90 * 1024, f"VmRSS rose by {int(rise_kib) / 1024:.1f} MB"
+        assert same_bits == "True"
+
+    def test_built_matrix_kept_without_a_copy(self):
+        built = transfer_matrix(64, 2)
+        M = TransferMatrix(lattice=built.lattice, rows=built.rows)
+        assert np.shares_memory(M.rows, built.rows)
+
+    @pytest.mark.parametrize("kind", ["view", "own_mapping"])
+    def test_read_only_caller_array_copied(self, kind):
+        # A read-only view of a caller's array, or an array on a mapping of
+        # the caller's own, can still change under the matrix: both are copied.
+        built = transfer_matrix(4, 2)
+        if kind == "view":
+            mine = np.array(built.rows)
+            shown = mine[:]
+        else:
+            pages = mmap.mmap(-1, built.rows.nbytes)
+            mine = np.ndarray(built.rows.shape, buffer=pages)
+            mine[:] = built.rows
+            shown = np.ndarray(built.rows.shape, buffer=pages)
+        shown.flags.writeable = False
+        M = TransferMatrix(lattice=built.lattice, rows=shown)
+        assert not np.shares_memory(M.rows, mine)
+        mine[:] = 0.0
+        assert np.array_equal(M.rows, built.rows)
 
 
 class TestOperatorAction:
@@ -470,3 +548,20 @@ class TestOperatorState:
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * 513 * 513 * 8
+
+    def test_old_matrix_gone_when_the_next_build_starts(self, monkeypatch):
+        # tracemalloc does not see the matrix's own mapping, so this checks
+        # the drop directly: no reference to the n = 256 matrix is left.
+        g = DiscreteBayesMap((1.0, exp(1.5))).component(1)
+        q = ProbVector([0.6, 0.4])
+        exact_bias(g, q, 256, 2)
+        old = weakref.ref(operators._matrix_slot[(256, 2)])
+        build, alive = operators.transfer_matrix, []
+
+        def spy(n, m):
+            alive.append(old() is not None)
+            return build(n, m)
+
+        monkeypatch.setattr(operators, "transfer_matrix", spy)
+        exact_bias(g, q, 512, 2)
+        assert alive == [False]

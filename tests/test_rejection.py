@@ -177,6 +177,39 @@ def hand_built(proposal, bound=1.0):
     return RejectionSpec(proposal=p, target=p, ratio=np.ones(p.shape), bound=bound, clamped_mass=0.0)
 
 
+class TestPiecewiseBlocks:
+    """A block is walked in pieces of at most 2^16 proposals; the stream,
+    the draws and the attempts stay those of the choice loop."""
+
+    def test_block_of_many_pieces(self):
+        # At bound 3, 3e5 draws make one block of 1.8e6 proposals (28
+        # pieces), of which about 9e5 are walked before it fills.
+        spec = make_rejection_spec(
+            ProbVector([0.5, 0.25, 0.25]), SignedProbVector([0.125, 0.125, 0.75])
+        )
+        assert spec.bound == 3.0
+        ref, ref_attempts, blocks = choice_loop_reference(spec, 300_000, 19)
+        got, attempts = rejection_sample_batch(spec, 300_000, seed=19)
+        assert np.array_equal(got, ref) and attempts == ref_attempts
+        assert blocks == 1 and attempts > 10 * 2**16
+
+    def test_capped_blocks_of_many_pieces(self):
+        spec = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.9, 0.1]))
+        for seed, cap in [(2, 150_000), (3, 250_001)]:
+            with pytest.raises(IterationCapError) as ref:
+                choice_loop_reference(spec, 200_000, seed, attempt_cap=cap)
+            with pytest.raises(IterationCapError) as got:
+                rejection_sample_batch(spec, 200_000, seed=seed, attempt_cap=cap)
+            assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("bound", [-1.0, np.nan])
+    def test_bad_hand_built_bound_raises_value_error(self, bound):
+        spec = hand_built([0.5, 0.5], bound=bound)
+        for sample in (choice_loop_reference, rejection_sample_batch):
+            with pytest.raises(ValueError):
+                sample(spec, 10, seed=1, attempt_cap=100)
+
+
 class TestSamePinnedStream:
     """The labels are counted against rng.choice's cut points instead of
     searched for; indices, dtype and attempts stay those of the choice loop."""
