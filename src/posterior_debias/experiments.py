@@ -38,10 +38,6 @@ IDENTITY_TOL = 1e-10
 # enumerate. A case just under it (m = 3, k = 3, n = 19: 9.3e6) took 0.6 s on
 # a 2-core x86-64 host; n = 64 there bounds 9.9e9 chains.
 IDENTITY_LEAF_CAP = 10**7
-# Most proposals, ratio bound times draws, that the rejection demo expects to
-# use: a near-degenerate plug-in proposal can push the bound past 1e60, and
-# the sampler would draw for as long as the bound says.
-_DEMO_PROPOSAL_CAP = 2**22
 # The random-stream layout of run_mixture_mc, recorded in its manifest.
 MC_RNG_SCHEME = (
     f"outer_mc_batched v{_BATCH_SCHEME}: chunk c of grid point (n, k) draws from "
@@ -482,52 +478,54 @@ def run_identity_check(cfg: IdentityConfig) -> dict:
 
     Passes iff the max discrepancy over all (m, n, k) cases is < 1e-10.
     Before a case is enumerated, its chains are bounded by L^k; past
-    IDENTITY_LEAF_CAP, CapExceededError is raised carrying the finished
-    cases as its rows and their report as its info.
+    IDENTITY_LEAF_CAP, or past a lattice or matrix cap on the way, the case
+    stops with a CapExceededError carrying the finished cases as its rows
+    and their report, naming the stopped case, as its info.
     """
     cases = []
     for m in cfg.m_values:
         for n in cfg.n_grid:
             for k in cfg.k_values:
-                leaves = lattice_size(n, m) ** k
-                if leaves > IDENTITY_LEAF_CAP:
+                try:
+                    cases.append(_identity_case(cfg.root_seed, m, n, k))
+                except CapExceededError as exc:
+                    stopped = {"m": m, "n": n, "k": k, **exc.info.get("cap_exceeded", {})}
                     raise CapExceededError(
-                        f"m={m} n={n} k={k}: up to {leaves} chains to enumerate, "
-                        f"over the cap of {IDENTITY_LEAF_CAP}",
+                        f"m={m} n={n} k={k}: {exc}",
                         cases,
-                        {
-                            **_identity_report(cases),
-                            "cap_exceeded": {"m": m, "n": n, "k": k, "leaves": leaves},
-                        },
-                    )
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([cfg.root_seed, m, n, k])
-                )
-                raw = rng.dirichlet(np.ones(m))
-                prior = ProbVector((raw + 0.1) / (1.0 + 0.1 * m))  # off the boundary
-                ell = rng.uniform(0.5, 2.0, size=m)
-                bmap = DiscreteBayesMap(ell)
-                s = m - 1
-                lik = _lookup_likelihood(ell)
-
-                def functional(ws, lik=lik, s=s):
-                    return plugin_posterior_prob(
-                        ws, lik, lambda x: np.rint(x).astype(int) == s
-                    )
-
-                enumerated = exhaustive_chain_expectation(functional, prior, n, k)
-                exact = debiased_estimate_mean(bmap.component(s), prior, n, k)
-                cases.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "k": k,
-                        "enumerated": enumerated,
-                        "exact_mean": exact,
-                        "discrepancy": abs(enumerated - exact),
-                    }
-                )
+                        {**_identity_report(cases), "cap_exceeded": stopped},
+                    ) from exc
     return _identity_report(cases)
+
+
+def _identity_case(root_seed: int, m: int, n: int, k: int) -> dict:
+    leaves = lattice_size(n, m) ** k
+    if leaves > IDENTITY_LEAF_CAP:
+        raise CapExceededError(
+            f"up to {leaves} chains to enumerate, over the cap of {IDENTITY_LEAF_CAP}",
+            info={"cap_exceeded": {"leaves": leaves}},
+        )
+    rng = np.random.default_rng(np.random.SeedSequence([root_seed, m, n, k]))
+    raw = rng.dirichlet(np.ones(m))
+    prior = ProbVector((raw + 0.1) / (1.0 + 0.1 * m))  # off the boundary
+    ell = rng.uniform(0.5, 2.0, size=m)
+    bmap = DiscreteBayesMap(ell)
+    s = m - 1
+    lik = _lookup_likelihood(ell)
+
+    def functional(ws):
+        return plugin_posterior_prob(ws, lik, lambda x: np.rint(x).astype(int) == s)
+
+    enumerated = exhaustive_chain_expectation(functional, prior, n, k)
+    exact = debiased_estimate_mean(bmap.component(s), prior, n, k)
+    return {
+        "m": m,
+        "n": n,
+        "k": k,
+        "enumerated": enumerated,
+        "exact_mean": exact,
+        "discrepancy": abs(enumerated - exact),
+    }
 
 
 def _identity_report(cases: list[dict]) -> dict:
@@ -546,8 +544,9 @@ def run_rejection_demo(cfg: RejectionConfig) -> dict:
 
     Reports the ratio bound, expected and observed acceptance rates, clamped
     mass, and empirical frequencies. Nothing here is asserted against ground
-    truth; the output is diagnostic. Raises CapExceededError before any
-    draw when the expected proposals, bound times draws, exceed 2^22.
+    truth; the output is diagnostic. The sampler raises CapExceededError
+    before any draw when the expected proposals, bound times draws, exceed
+    its PROPOSAL_CAP.
     """
     n, k = cfg.demo_n, cfg.demo_k
     bmap = _binary_bayes_map(cfg)
@@ -558,11 +557,6 @@ def run_rejection_demo(cfg: RejectionConfig) -> dict:
         [debiased_estimate(bmap.component(s), counts, k) for s in range(2)]
     )
     spec = make_rejection_spec(proposal, target_values)
-    if spec.bound * cfg.demo_draws > _DEMO_PROPOSAL_CAP:
-        raise CapExceededError(
-            f"{cfg.demo_draws} draws at ratio bound {spec.bound:.6g} need about "
-            f"{spec.bound * cfg.demo_draws:.6g} proposals, over the cap of {_DEMO_PROPOSAL_CAP}"
-        )
     draw_seed = _point_seed(cfg.root_seed, n, k)
     indices, attempts = rejection_sample_batch(spec, cfg.demo_draws, seed=draw_seed)
     freq = np.bincount(indices, minlength=2) / cfg.demo_draws

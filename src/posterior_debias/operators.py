@@ -15,6 +15,7 @@ is filled row by row from coefficients computed once per lattice.
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 from dataclasses import dataclass
 from functools import lru_cache
@@ -141,7 +142,11 @@ class _ZeroPages(mmap.mmap):
     def __new__(cls, nbytes: int):
         pages = super().__new__(cls, -1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux, where huge pages may be the default
-            pages.madvise(mmap.MADV_NOHUGEPAGE)
+            # Best effort: a kernel without transparent huge pages refuses
+            # the advice (EINVAL), and has no huge pages to advise against.
+            # The advice only changes which pages are resident, never a bit.
+            with contextlib.suppress(OSError):
+                pages.madvise(mmap.MADV_NOHUGEPAGE)
         return pages
 
 

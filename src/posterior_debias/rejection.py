@@ -15,11 +15,15 @@ import numpy as np
 
 from . import _workspace
 from .bayes import _choice_cuts, _choice_labels
-from .errors import IterationCapError, SupportError
+from .errors import CapExceededError, IterationCapError, SupportError
 from .resampling import _check_seed
 from .simplex import ProbVector, SignedProbVector
 
 _PIECE = 2**16  # most proposals of a block that the sampler holds at once
+# Most proposals, ratio bound times draws, that one call may expect to use: a
+# near-degenerate proposal can push the bound past 1e60, and the sampler
+# would draw for as long as the bound says.
+PROPOSAL_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -156,22 +160,29 @@ def rejection_sample_batch(
     is bounded whatever the block size. The reported count runs up to and
     including the draw that produced the last acceptance.
 
-    Raises IterationCapError once ``attempt_cap`` proposals have been used
-    without filling the request. The default cap, ten times the expected
-    ``bound * size`` proposals, only stops a sampler that is genuinely stuck.
+    Raises CapExceededError before any draw when the expected proposals,
+    ``bound * size``, exceed PROPOSAL_CAP. Raises IterationCapError once
+    ``attempt_cap`` proposals have been used without filling the request.
+    The default cap, ten times the expected proposals, only stops a sampler
+    that is genuinely stuck.
     ``size`` and ``attempt_cap`` must be integers >= 1 and ``seed`` an
     unsigned 64-bit integer.
     """
     size = _check_count("size", size)
     seed = _check_seed(seed)
-    if attempt_cap is None:
-        attempt_cap = int(10 * spec.bound * size)
-    else:
+    if attempt_cap is not None:
         attempt_cap = _check_count("attempt_cap", attempt_cap)
     # The checks uniform(0, bound) and the ratio lookup made on a hand-built
     # spec, before the first draw.
     if not spec.bound >= 0:
         raise ValueError(f"ratio bound must be >= 0, got {spec.bound!r}")
+    if spec.bound * size > PROPOSAL_CAP:
+        raise CapExceededError(
+            f"{size} draws at ratio bound {spec.bound:.6g} need about "
+            f"{spec.bound * size:.6g} proposals, over the cap of {PROPOSAL_CAP}"
+        )
+    if attempt_cap is None:
+        attempt_cap = int(10 * spec.bound * size)
     cuts = _proposal_cuts(spec.proposal)
     ratio = np.asarray(spec.ratio, dtype=float)
     if ratio.shape != (cuts.size + 1,):

@@ -1042,16 +1042,32 @@ class TestCli:
     def test_identity_check_past_the_leaf_cap_exits_3(self, tmp_path):
         # At n = 64, m = 3 the lattice has L = 2,145 points, so k = 3 bounds
         # 9.9e9 chains: the run stops before enumerating them and keeps n = 4.
+        # The generous time bound only catches a run that enumerates them.
         out = tmp_path / "id"
         start = time.perf_counter()
         code = main(
             ["identity-check", "--n-grid", "4,64", "--m-values", "3", "--k-values", "3",
              "--out", str(out)]
         )
-        assert code == 3 and time.perf_counter() - start < 1.0
+        assert code == 3 and time.perf_counter() - start < 30.0
         report = json.loads((out / "identity_report.json").read_text())
         assert [(c["m"], c["n"], c["k"]) for c in report["cases"]] == [(3, 4, 3)]
         assert report["cap_exceeded"] == {"m": 3, "n": 64, "k": 3, "leaves": 2145**3}
+        assert report["pass"] and report["max_discrepancy"] < 1e-10
+
+    def test_identity_check_past_the_lattice_cap_exits_3(self, tmp_path, capsys):
+        # At n = 6e6, m = 2, k = 1 the case bounds L = 6,000,001 chains, under
+        # the leaf cap, but its lattice is over the lattice cap of 5e6 points.
+        out = tmp_path / "id"
+        code = main(
+            ["identity-check", "--n-grid", "4,6000000", "--m-values", "2", "--k-values", "1",
+             "--out", str(out)]
+        )
+        assert code == 3
+        assert "m=2 n=6000000 k=1: lattice for n=6000000" in capsys.readouterr().err
+        report = json.loads((out / "identity_report.json").read_text())
+        assert [(c["m"], c["n"], c["k"]) for c in report["cases"]] == [(2, 4, 1)]
+        assert report["cap_exceeded"] == {"m": 2, "n": 6_000_000, "k": 1}
         assert report["pass"] and report["max_discrepancy"] < 1e-10
 
     def test_rejection_demo(self, tmp_path):

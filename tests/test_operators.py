@@ -239,6 +239,17 @@ class TestTransferMatrix:
         assert int(rise_kib) < 90 * 1024, f"VmRSS rose by {int(rise_kib) / 1024:.1f} MB"
         assert same_bits == "True"
 
+    def test_refused_huge_page_advice_is_ignored(self, monkeypatch):
+        # A kernel without transparent huge pages rejects the advice with
+        # EINVAL; the matrix is built all the same, with the same bits.
+        def refuse(self, *args):
+            raise OSError(22, "Invalid argument")
+
+        want = transfer_matrix(16, 2).rows
+        monkeypatch.setattr(mmap, "MADV_NOHUGEPAGE", 15, raising=False)
+        monkeypatch.setattr(operators._ZeroPages, "madvise", refuse)
+        assert np.array_equal(transfer_matrix(16, 2).rows, want)
+
     def test_built_matrix_kept_without_a_copy(self):
         built = transfer_matrix(64, 2)
         M = TransferMatrix(lattice=built.lattice, rows=built.rows)

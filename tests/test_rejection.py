@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from posterior_debias.errors import IterationCapError, SupportError
+from posterior_debias.errors import CapExceededError, IterationCapError, SupportError
 from posterior_debias.rejection import (
+    PROPOSAL_CAP,
     RejectionSpec,
     make_rejection_spec,
     rejection_sample_batch,
@@ -293,6 +294,21 @@ class TestSamplerInputChecks:
     def test_size_must_be_a_positive_integer(self, size):
         with pytest.raises(ValueError, match="size"):
             rejection_sample_batch(self.SPEC, size, seed=1)
+
+    def test_past_the_proposal_cap_raises_before_any_draw(self):
+        # Bound 4e7 at 10^5 draws expects 4e12 proposals.
+        spec = make_rejection_spec(ProbVector([1 - 2.5e-8, 2.5e-8]), SignedProbVector([0.0, 1.0]))
+        with pytest.raises(CapExceededError, match=f"over the cap of {PROPOSAL_CAP}"):
+            rejection_sample_batch(spec, 100_000, seed=1)
+
+    @pytest.mark.parametrize(
+        "bound, size", [(2.0, PROPOSAL_CAP // 2 + 1), (np.inf, 1)]
+    )
+    def test_proposal_cap_holds_for_any_attempt_cap(self, bound, size):
+        spec = hand_built([0.5, 0.5], bound=bound)
+        for attempt_cap in (None, 100):
+            with pytest.raises(CapExceededError):
+                rejection_sample_batch(spec, size, seed=1, attempt_cap=attempt_cap)
 
     @pytest.mark.parametrize("cap", [0, -1, 50.0, True])
     def test_attempt_cap_must_be_a_positive_integer(self, cap):
