@@ -67,7 +67,6 @@ from .resampling import (
 from .simplex import (
     CountsVector,
     ProbVector,
-    SignedProbVector,
     SimplexLattice,
     enumerate_lattice,
     lattice_size,
@@ -88,7 +87,6 @@ __all__ = [
     "MCResult",
     "ProbVector",
     "RejectionSpec",
-    "SignedProbVector",
     "SimplexLattice",
     "SlopeFit",
     "SupportError",

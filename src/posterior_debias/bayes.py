@@ -4,7 +4,7 @@ oracles for the Gaussian-mixture setting."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import erfc, log, pi, sqrt
+from math import erfc, isnan, log, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -338,6 +338,7 @@ def _normal_tail(z: float) -> float:
     return 0.5 * erfc(z / sqrt(2.0))
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def mixture_posterior_tail_prob(
     prior: GaussianMixture, noise_var: float, y_obs: float, threshold: float
 ) -> float:
@@ -348,8 +349,10 @@ def mixture_posterior_tail_prob(
     variance (1/sigma^2 + 1/noise_var)^{-1}; component weights are
     proportional to prior weight times the marginal density of y_obs under
     that component (variance sigma^2 + noise_var). Weights are combined in
-    log space; tails use the complementary normal CDF. A y_obs at which every
-    component weight underflows to zero raises DegenerateError.
+    log space; tails use the complementary normal CDF. Overflows give IEEE
+    results without a warning. A y_obs at which every component weight
+    underflows to zero, or a probability left NaN (0 * inf), raises
+    DegenerateError.
 
     Parameters
     ----------
@@ -370,12 +373,11 @@ def mixture_posterior_tail_prob(
     for i in range(prior.weights.size):
         w, mu, s2 = prior.weights[i], prior.means[i], prior.variances[i]
         marginal_var = s2 + noise_var
-        with np.errstate(over="ignore"):  # a y_obs this far out gives weight 0
-            log_w[i] = (
-                (log(w) if w > 0 else -np.inf)
-                - 0.5 * log(2 * pi * marginal_var)
-                - (y_obs - mu) ** 2 / (2 * marginal_var)
-            )
+        log_w[i] = (
+            (log(w) if w > 0 else -np.inf)
+            - 0.5 * log(2 * pi * marginal_var)
+            - (y_obs - mu) ** 2 / (2 * marginal_var)
+        )
         v = 1.0 / (1.0 / s2 + 1.0 / noise_var)
         post_var[i] = v
         post_mean[i] = v * (mu / s2 + y_obs / noise_var)
@@ -388,4 +390,7 @@ def mixture_posterior_tail_prob(
         _normal_tail((threshold - post_mean[i]) / sqrt(post_var[i]))
         for i in range(w_post.size)
     ]
-    return float(w_post @ tails)
+    prob = float(w_post @ tails)
+    if isnan(prob):
+        raise DegenerateError("the posterior tail probability is NaN at these mixture parameters")
+    return prob

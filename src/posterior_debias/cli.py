@@ -334,8 +334,14 @@ def _cmd_rejection_demo(cfg: RejectionConfig, args) -> int:
 
 def _cmd_fit_slope(cfg: FitSlopeConfig, args) -> int:
     """Fit log-log slope on columns of a results CSV."""
+    rows = []
     with open(args.csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        for row in reader:  # a short row has None values, a long one a None key
+            if None in row or None in row.values():
+                width = len(reader.fieldnames)
+                raise ValueError(f"{args.csv} line {reader.line_num}: expected {width} fields")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{args.csv} has no data rows")
     if cfg.where:

@@ -407,7 +407,10 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
             mc_cfg = MCConfig(n=n, k=k, n_reps=n_reps, root_seed=seed, threads=cfg.threads)
             faults = _minor_faults()
             try:
-                result = outer_mc_batched(mix._fill, batch_functional, mc_cfg)
+                # An infinite draw or distance has likelihood 0; the kernel
+                # raises on all-zero or NaN weights, on any worker thread.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    result = outer_mc_batched(mix._fill, batch_functional, mc_cfg)
                 faults = _minor_faults() - faults
             except DegenerateError as exc:
                 raise DegeneratePointError(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from math import isnan
+from numbers import Real
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import _workspace
 from .bayes import _choice_cuts, _choice_labels
 from .errors import CapExceededError, IterationCapError, SupportError
 from .resampling import _check_seed
-from .simplex import ProbVector, SignedProbVector
+from .simplex import ProbVector, _checked_vector
 
 _PIECE = 2**16  # most proposals of a block that the sampler holds at once
 # Most proposals, ratio bound times draws, that one call may expect to use: a
@@ -28,7 +28,13 @@ PROPOSAL_CAP = 2**22
 
 @dataclass(frozen=True)
 class RejectionSpec:
-    """Frozen sampling plan: proposal, clamped target, and the ratio bound."""
+    """Frozen sampling plan: proposal, clamped target, and the ratio bound.
+
+    It checks what the sampler relies on, each a ValueError: the proposal
+    keeps ProbVector's rule, the ratio is a finite 1-d vector with one entry
+    per proposal atom (both kept as read-only copies), and the bound is a
+    number >= 0. The cut points of rng.choice(m, p=proposal) are kept too.
+    """
 
     proposal: np.ndarray
     target: np.ndarray
@@ -36,15 +42,32 @@ class RejectionSpec:
     bound: float  # max of ratio; acceptance threshold scale M
     clamped_mass: float  # negative mass removed from the raw target
 
+    def __post_init__(self):
+        p = ProbVector(self.proposal).probs
+        ratio = _checked_vector(self.ratio, "ratio")
+        if ratio.shape != p.shape:
+            raise ValueError(f"ratio has shape {ratio.shape}, not one entry per proposal atom")
+        if not (isinstance(self.bound, Real) and self.bound >= 0):
+            raise ValueError(f"ratio bound must be a number >= 0, got {self.bound!r}")
+        object.__setattr__(self, "proposal", p)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "bound", float(self.bound))
+        object.__setattr__(self, "_cuts", _choice_cuts(p))
+
 
 def make_rejection_spec(proposal, target) -> RejectionSpec:
     """Clamp the signed target at zero, renormalize, and bound the ratio.
 
-    The bound is computed exactly from the distributions (0/0 counts as 0),
-    so the acceptance rate is the best achievable, 1/bound.
+    ``target`` is a signed measure: a nonempty 1-d finite vector whose
+    entries sum to 1 (tol 1e-10) and may be negative. The bound is computed
+    exactly from the distributions (0/0 counts as 0), so the acceptance
+    rate is the best achievable, 1/bound.
     """
     prop = ProbVector(proposal).probs
-    raw = SignedProbVector(target).values
+    raw = _checked_vector(target, "target")
+    total = float(raw.sum())
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"signed entries sum to {total!r}, not 1")
     if raw.shape != prop.shape:
         raise ValueError(f"target shape {raw.shape} != proposal shape {prop.shape}")
     clamped = np.maximum(raw, 0.0)
@@ -55,9 +78,10 @@ def make_rejection_spec(proposal, target) -> RejectionSpec:
     tgt = clamped / total
     if np.any((tgt > 0) & (prop == 0)):
         raise SupportError("clamped target has mass where the proposal is zero")
-    ratio = np.divide(tgt, prop, out=np.zeros_like(tgt), where=prop > 0)
-    for arr in (tgt, ratio):  # prop is the ProbVector's read-only copy
-        arr.flags.writeable = False
+    # A subnormal proposal entry can overflow the ratio; the spec rejects it.
+    with np.errstate(over="ignore"):
+        ratio = np.divide(tgt, prop, out=np.zeros_like(tgt), where=prop > 0)
+    tgt.flags.writeable = False
     return RejectionSpec(
         proposal=prop,
         target=tgt,
@@ -73,36 +97,7 @@ def _check_count(name: str, value) -> int:
     return int(value)
 
 
-def _proposal_cuts(proposal) -> np.ndarray:
-    """The label cut points of rng.choice(m, p=proposal), after the checks
-    rng.choice makes on p, each a ValueError: a hand-built RejectionSpec
-    has not been through make_rejection_spec."""
-    atol = np.sqrt(np.finfo(np.float64).eps)
-    if isinstance(proposal, np.ndarray) and np.issubdtype(proposal.dtype, np.floating):
-        atol = max(atol, np.sqrt(np.finfo(proposal.dtype).eps))
-    p = np.ascontiguousarray(proposal, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("proposal must be 1-dimensional")
-    if p.size == 0:
-        raise ValueError("proposal must not be empty")
-    # rng.choice's sum: Kahan's, left to right, on Python floats.
-    first, *rest = p.tolist()
-    total, carry = first, 0.0
-    for x in rest:
-        y = x - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    if isnan(total):
-        raise ValueError("proposal contains NaN")
-    if (p < 0).any():
-        raise ValueError("proposal has negative entries")
-    if abs(total - 1.0) > atol:
-        raise ValueError(f"proposal sums to {total!r}, not 1")
-    return _choice_cuts(p)
-
-
-def _walk_block(rng, block: int, cuts, ratio, bound: float, dest: np.ndarray) -> tuple[int, int]:
+def _walk_block(rng, block: int, spec: RejectionSpec, dest: np.ndarray) -> tuple[int, int]:
     """Draw one block of ``block`` proposals and write its accepts into
     ``dest`` until it is full; return (accepts, proposals used).
 
@@ -125,11 +120,11 @@ def _walk_block(rng, block: int, cuts, ratio, bound: float, dest: np.ndarray) ->
             k = min(step, block - lo)
             pu, pg, pl, pm = u[:k], gathered[:k], labels[:k], mask[:k]
             rng.random(out=pu)
-            _choice_labels(pu, cuts, pl, pm)
+            _choice_labels(pu, spec._cuts, pl, pm)
             accept.random(out=pu)
-            pu *= bound
+            pu *= spec.bound
             # Labels are counts of cut points, so "clip" changes none of them.
-            np.less(pu, ratio.take(pl, out=pg, mode="clip"), out=pm)
+            np.less(pu, spec.ratio.take(pl, out=pg, mode="clip"), out=pm)
             hits = np.flatnonzero(pm)
             need = dest.size - filled
             if hits.size >= need:
@@ -172,10 +167,6 @@ def rejection_sample_batch(
     seed = _check_seed(seed)
     if attempt_cap is not None:
         attempt_cap = _check_count("attempt_cap", attempt_cap)
-    # The checks uniform(0, bound) and the ratio lookup made on a hand-built
-    # spec, before the first draw.
-    if not spec.bound >= 0:
-        raise ValueError(f"ratio bound must be >= 0, got {spec.bound!r}")
     if spec.bound * size > PROPOSAL_CAP:
         raise CapExceededError(
             f"{size} draws at ratio bound {spec.bound:.6g} need about "
@@ -183,10 +174,6 @@ def rejection_sample_batch(
         )
     if attempt_cap is None:
         attempt_cap = int(10 * spec.bound * size)
-    cuts = _proposal_cuts(spec.proposal)
-    ratio = np.asarray(spec.ratio, dtype=float)
-    if ratio.shape != (cuts.size + 1,):
-        raise ValueError(f"ratio has shape {ratio.shape}, not one entry per proposal atom")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     out = np.empty(size, dtype=np.int64)
     filled = 0
@@ -196,7 +183,7 @@ def rejection_sample_batch(
             max(128, int(2 * (size - filled) * spec.bound)),
             max(1, attempt_cap - attempts),
         )
-        accepted, used = _walk_block(rng, block, cuts, ratio, spec.bound, out[filled:])
+        accepted, used = _walk_block(rng, block, spec, out[filled:])
         filled += accepted
         attempts += used
         if filled < size and attempts >= attempt_cap:

@@ -13,6 +13,7 @@ many worker threads run.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -194,7 +195,8 @@ def _drive(run_span: Callable, n_reps: int, chunk: int, threads: int) -> MCResul
     to (count, mean, M2) with ``run_span(index, lo, hi)``, on a pool of
     ``threads`` when there is more than one span, and merge the partials in
     span order, so the thread count changes no bit of the result. The pool
-    has at most one thread per span and one per CPU."""
+    has at most one thread per span and one per CPU, and runs each span in
+    a copy of the caller's context, so np.errstate holds there too."""
     start = time.perf_counter()
     spans = [(i, lo, min(lo + chunk, n_reps)) for i, lo in enumerate(range(0, n_reps, chunk))]
     workers = min(threads, len(spans))
@@ -203,8 +205,9 @@ def _drive(run_span: Callable, n_reps: int, chunk: int, threads: int) -> MCResul
     if workers == 1:
         partials = [run_span(*span) for span in spans]
     else:
+        context = contextvars.copy_context()  # holds the caller's np.errstate
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda span: run_span(*span), spans))
+            partials = list(pool.map(lambda span: context.copy().run(run_span, *span), spans))
     count, mean, m2 = 0, 0.0, 0.0
     for part in partials:
         count, mean, m2 = _merge((count, mean, m2), part)

@@ -64,31 +64,6 @@ class ProbVector:
 
 
 @dataclass(frozen=True)
-class SignedProbVector:
-    """Signed measure on m atoms whose entries sum to 1 (tol 1e-10).
-
-    Entries may be negative; this is the natural output type of the debiasing
-    combination applied to a probability vector.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _checked_vector(self.values, "values")
-        total = float(v.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"signed entries sum to {total!r}, not 1")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
-
-@dataclass(frozen=True)
 class CountsVector:
     """Empirical counts over m categories; sum of entries is the sample size n."""
 

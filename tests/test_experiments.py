@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1194,6 +1195,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: no mixture component") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--mix-means", "1e300,0"], 2),  # every likelihood of a dataset overflows to 0
+            (["--threshold", "1e308"], 0),  # the tail's z-score overflows to inf
+            (["--mix-variances", "1e-320,1"], 0),  # 1/sigma^2 overflows: a point mass
+            (["--mix-variances", "1e-320,1", "--mix-means", "1,0"], 2),  # NaN truth
+            # Overflowing draws on both worker threads of a 3-chunk point.
+            (["--mix-weights", "0.01,0.99", "--mix-means", "1e300,0", "--threads", "2",
+              "--n-grid", "8,16", "--n-fixed", "9000"], 0),
+        ],
+    )
+    def test_mixture_extreme_parameters_warn_nothing(self, tmp_path, capsys, flags, code):
+        argv = ["mixture-mc", "--n-grid", "1,2", "--n-rule", "fixed", "--n-fixed", "50"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, *flags, "--out", str(tmp_path)]) == code
+        assert not caught
+        assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_row", ["32,1,0.25,extra", "32,1"])
+    def test_fit_slope_row_with_a_wrong_field_count_exits_2(self, tmp_path, capsys, bad_row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"n,k,abs_bias\n16,1,0.5\n{bad_row}\n64,1,0.125\n")
+        assert main(["fit-slope", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{path} line 3: expected 3 fields" in captured.err
+        assert captured.out == ""
 
     def test_fit_slope_non_finite_value_exits_2(self, tmp_path, capsys):
         path = tmp_path / "t.csv"

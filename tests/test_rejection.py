@@ -9,33 +9,33 @@ from posterior_debias.rejection import (
     make_rejection_spec,
     rejection_sample_batch,
 )
-from posterior_debias.simplex import ProbVector, SignedProbVector
+from posterior_debias.simplex import ProbVector
 
 
 class TestMakeSpec:
     def test_target_equals_proposal(self):
-        spec = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.5, 0.5]))
+        spec = make_rejection_spec(ProbVector([0.5, 0.5]), [0.5, 0.5])
         assert spec.bound == pytest.approx(1.0, rel=1e-15)
         assert 1.0 / spec.bound == pytest.approx(1.0, rel=1e-15)
         assert spec.clamped_mass == 0.0
 
     def test_direct_ratio(self):
-        spec = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.6, 0.4]))
+        spec = make_rejection_spec(ProbVector([0.5, 0.5]), [0.6, 0.4])
         assert spec.bound == pytest.approx(1.2, rel=1e-14)
         assert np.allclose(spec.target, [0.6, 0.4])
 
     def test_clamp_and_renormalize(self):
-        spec = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([1.1, -0.1]))
+        spec = make_rejection_spec(ProbVector([0.5, 0.5]), [1.1, -0.1])
         assert np.allclose(spec.target, [1.0, 0.0])
         assert spec.clamped_mass == pytest.approx(0.1, rel=1e-12)
         assert spec.bound == pytest.approx(2.0, rel=1e-12)
 
     def test_support_error(self):
         with pytest.raises(SupportError):
-            make_rejection_spec(ProbVector([1.0, 0.0]), SignedProbVector([0.5, 0.5]))
+            make_rejection_spec(ProbVector([1.0, 0.0]), [0.5, 0.5])
 
     def test_zero_zero_ratio_ignored(self):
-        spec = make_rejection_spec(ProbVector([1.0, 0.0]), SignedProbVector([1.0, 0.0]))
+        spec = make_rejection_spec(ProbVector([1.0, 0.0]), [1.0, 0.0])
         assert spec.bound == pytest.approx(1.0, rel=1e-15)
         assert spec.ratio[1] == 0.0
 
@@ -43,26 +43,44 @@ class TestMakeSpec:
         spec = make_rejection_spec(np.array([0.25, 0.75]), np.array([0.5, 0.5]))
         assert spec.bound == pytest.approx(2.0, rel=1e-14)
 
+    def test_target_entries_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="signed entries sum to"):
+            make_rejection_spec([0.5, 0.5], [0.7, 0.2])
+        make_rejection_spec([0.5, 0.5], [0.7, 0.3 + 5e-11])  # within 1e-10
+
+    @pytest.mark.parametrize("target", [[1.5, np.nan], [np.inf, 0.0], [], [[0.5, 0.5]]])
+    def test_target_keeps_the_vector_rule(self, target):
+        with pytest.raises(ValueError, match="target"):
+            make_rejection_spec([0.5, 0.5], target)
+
+    def test_arrays_are_read_only_copies(self):
+        proposal, target = np.array([0.5, 0.5]), np.array([0.6, 0.4])
+        spec = make_rejection_spec(proposal, target)
+        for kept in (spec.proposal, spec.target, spec.ratio):
+            assert not kept.flags.writeable
+            assert not np.shares_memory(kept, proposal) and not np.shares_memory(kept, target)
+        assert proposal.flags.writeable and target.flags.writeable
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
-            make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.4, 0.3, 0.3]))
+            make_rejection_spec(ProbVector([0.5, 0.5]), [0.4, 0.3, 0.3])
 
 
 class TestSampling:
     def test_identical_target_accepts_first_draw(self):
-        spec = make_rejection_spec(ProbVector([0.3, 0.7]), SignedProbVector([0.3, 0.7]))
+        spec = make_rejection_spec(ProbVector([0.3, 0.7]), [0.3, 0.7])
         idx, attempts = rejection_sample_batch(spec, 1000, seed=8)
         assert attempts == 1000
 
     def test_point_mass_target(self):
         spec = make_rejection_spec(
-            ProbVector([0.25, 0.25, 0.25, 0.25]), SignedProbVector([0.0, 0.0, 1.0, 0.0])
+            ProbVector([0.25, 0.25, 0.25, 0.25]), [0.0, 0.0, 1.0, 0.0]
         )
         idx, _ = rejection_sample_batch(spec, 500, seed=3)
         assert np.all(idx == 2)
 
     def test_binomial_three_sigma(self):
-        spec = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.7, 0.3]))
+        spec = make_rejection_spec(ProbVector([0.5, 0.5]), [0.7, 0.3])
         size = 100_000
         idx, _ = rejection_sample_batch(spec, size, seed=12)
         ones = int((idx == 0).sum())
@@ -70,7 +88,7 @@ class TestSampling:
         assert abs(ones - 0.7 * size) < 3 * sigma
 
     def test_deterministic_given_seed(self):
-        spec = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.8, 0.2]))
+        spec = make_rejection_spec(ProbVector([0.5, 0.5]), [0.8, 0.2])
         a, na = rejection_sample_batch(spec, 200, seed=5)
         b, nb = rejection_sample_batch(spec, 200, seed=5)
         c, _ = rejection_sample_batch(spec, 200, seed=6)
@@ -81,19 +99,19 @@ class TestSampling:
         # acceptance probability 1e-4; 50 attempts will practically never hit it
         eps = 1e-4
         spec = make_rejection_spec(
-            ProbVector([1 - eps, eps]), SignedProbVector([0.0, 1.0])
+            ProbVector([1 - eps, eps]), [0.0, 1.0]
         )
         with pytest.raises(IterationCapError):
             rejection_sample_batch(spec, 1, seed=4, attempt_cap=50)
 
     def test_default_cap_scales_with_request(self):
         # More accepts than a fixed budget of 10^6 proposals could give.
-        spec = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.5, 0.5]))
+        spec = make_rejection_spec(ProbVector([0.5, 0.5]), [0.5, 0.5])
         idx, attempts = rejection_sample_batch(spec, 1_000_001, seed=0)
         assert idx.size == attempts == 1_000_001
 
     def test_size_validation(self):
-        spec = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.5, 0.5]))
+        spec = make_rejection_spec(ProbVector([0.5, 0.5]), [0.5, 0.5])
         with pytest.raises(ValueError):
             rejection_sample_batch(spec, 0, seed=1)
 
@@ -123,7 +141,7 @@ class TestSampling:
 
     def test_attempt_accounting_unbiased(self):
         # mean attempts per acceptance converges to the ratio bound
-        spec = make_rejection_spec(ProbVector([0.8, 0.2]), SignedProbVector([0.3, 0.7]))
+        spec = make_rejection_spec(ProbVector([0.8, 0.2]), [0.3, 0.7])
         size = 50_000
         _, attempts = rejection_sample_batch(spec, size, seed=9)
         assert attempts / size == pytest.approx(spec.bound, rel=0.05)
@@ -186,7 +204,7 @@ class TestPiecewiseBlocks:
         # At bound 3, 3e5 draws make one block of 1.8e6 proposals (28
         # pieces), of which about 9e5 are walked before it fills.
         spec = make_rejection_spec(
-            ProbVector([0.5, 0.25, 0.25]), SignedProbVector([0.125, 0.125, 0.75])
+            ProbVector([0.5, 0.25, 0.25]), [0.125, 0.125, 0.75]
         )
         assert spec.bound == 3.0
         ref, ref_attempts, blocks = choice_loop_reference(spec, 300_000, 19)
@@ -195,20 +213,13 @@ class TestPiecewiseBlocks:
         assert blocks == 1 and attempts > 10 * 2**16
 
     def test_capped_blocks_of_many_pieces(self):
-        spec = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.9, 0.1]))
+        spec = make_rejection_spec(ProbVector([0.5, 0.5]), [0.9, 0.1])
         for seed, cap in [(2, 150_000), (3, 250_001)]:
             with pytest.raises(IterationCapError) as ref:
                 choice_loop_reference(spec, 200_000, seed, attempt_cap=cap)
             with pytest.raises(IterationCapError) as got:
                 rejection_sample_batch(spec, 200_000, seed=seed, attempt_cap=cap)
             assert str(got.value) == str(ref.value)
-
-    @pytest.mark.parametrize("bound", [-1.0, np.nan])
-    def test_bad_hand_built_bound_raises_value_error(self, bound):
-        spec = hand_built([0.5, 0.5], bound=bound)
-        for sample in (choice_loop_reference, rejection_sample_batch):
-            with pytest.raises(ValueError):
-                sample(spec, 10, seed=1, attempt_cap=100)
 
 
 class TestSamePinnedStream:
@@ -235,7 +246,7 @@ class TestSamePinnedStream:
 
     def test_multi_block_requests(self):
         # Acceptance about 1/40: a 128-proposal block often yields no accept.
-        spec = make_rejection_spec(ProbVector([0.975, 0.025]), SignedProbVector([0.0, 1.0]))
+        spec = make_rejection_spec(ProbVector([0.975, 0.025]), [0.0, 1.0])
         blocks = []
         for seed in range(40):
             ref, ref_attempts, n_blocks = choice_loop_reference(spec, 1, seed)
@@ -246,7 +257,7 @@ class TestSamePinnedStream:
 
     def test_iteration_cap_reached_at_the_same_draw(self):
         eps = 1e-3
-        spec = make_rejection_spec(ProbVector([1 - eps, eps]), SignedProbVector([0.0, 1.0]))
+        spec = make_rejection_spec(ProbVector([1 - eps, eps]), [0.0, 1.0])
         for seed, cap in [(4, 50), (5, 300), (6, 1)]:
             with pytest.raises(IterationCapError) as ref:
                 choice_loop_reference(spec, 3, seed, attempt_cap=cap)
@@ -254,32 +265,58 @@ class TestSamePinnedStream:
                 rejection_sample_batch(spec, 3, seed=seed, attempt_cap=cap)
             assert str(got.value) == str(ref.value)
 
+
+class TestSpecChecksItself:
+    """A hand-built RejectionSpec is checked when it is built, so the
+    sampler takes any spec as it is."""
+
     @pytest.mark.parametrize(
         "proposal",
         [
             [[0.5, 0.5]],  # not 1-d
             [0.5, np.nan],
             [1.5, -0.5],  # negative entry
-            [0.5, 0.4],  # sum off by more than sqrt(eps)
+            [0.5, 0.4],  # sum off by more than 1e-12
+            [0.5, 0.5 + 1e-9],  # within rng.choice's sqrt(eps), not ProbVector's 1e-12
             [],
         ],
     )
-    def test_bad_hand_built_specs_raise_value_error(self, proposal):
-        spec = hand_built(proposal)
+    def test_proposal_keeps_the_probvector_rule(self, proposal):
         with pytest.raises(ValueError):
-            choice_loop_reference(spec, 10, seed=1)
-        with pytest.raises(ValueError):
-            rejection_sample_batch(spec, 10, seed=1)
+            hand_built(proposal)
 
-    def test_sum_within_tolerance_is_accepted_as_by_choice(self):
-        spec = hand_built([0.5, 0.5 + 1e-9])
-        ref, ref_attempts, _ = choice_loop_reference(spec, 500, seed=3)
-        got, attempts = rejection_sample_batch(spec, 500, seed=3)
-        assert np.array_equal(got, ref) and attempts == ref_attempts
+    @pytest.mark.parametrize(
+        "ratio", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0, np.nan], [1.0, np.inf]]
+    )
+    def test_ratio_is_finite_with_one_entry_per_atom(self, ratio):
+        with pytest.raises(ValueError, match="ratio"):
+            RejectionSpec(
+                proposal=[0.5, 0.5], target=[0.5, 0.5], ratio=ratio, bound=1.0, clamped_mass=0.0
+            )
+
+    @pytest.mark.parametrize("bound", [-1.0, np.nan, "1", None])
+    def test_bound_is_a_number_at_least_zero(self, bound):
+        with pytest.raises(ValueError, match="bound"):
+            hand_built([0.5, 0.5], bound=bound)
+
+    def test_keeps_read_only_copies(self):
+        proposal, ratio = np.array([0.25, 0.75]), np.array([2.0, 0.0])
+        spec = RejectionSpec(
+            proposal=proposal, target=[1.0, 0.0], ratio=ratio, bound=np.float64(2), clamped_mass=0.0
+        )
+        for kept, given in ((spec.proposal, proposal), (spec.ratio, ratio)):
+            assert np.array_equal(kept, given) and not np.shares_memory(kept, given)
+            assert not kept.flags.writeable
+        assert type(spec.bound) is float and spec.bound == 2.0
+
+    def test_ratio_overflow_raises_when_built(self):
+        # A subnormal proposal entry under a unit target mass: 1/5e-324 is inf.
+        with pytest.raises(ValueError, match="ratio must be finite"):
+            make_rejection_spec([1.0, 5e-324], [0.0, 1.0])
 
 
 class TestSamplerInputChecks:
-    SPEC = make_rejection_spec(ProbVector([0.5, 0.5]), SignedProbVector([0.6, 0.4]))
+    SPEC = make_rejection_spec(ProbVector([0.5, 0.5]), [0.6, 0.4])
 
     @pytest.mark.parametrize("seed", [2**64, -1, 1.5, True])
     def test_seed_goes_through_the_package_check(self, seed):
@@ -297,7 +334,7 @@ class TestSamplerInputChecks:
 
     def test_past_the_proposal_cap_raises_before_any_draw(self):
         # Bound 4e7 at 10^5 draws expects 4e12 proposals.
-        spec = make_rejection_spec(ProbVector([1 - 2.5e-8, 2.5e-8]), SignedProbVector([0.0, 1.0]))
+        spec = make_rejection_spec(ProbVector([1 - 2.5e-8, 2.5e-8]), [0.0, 1.0])
         with pytest.raises(CapExceededError, match=f"over the cap of {PROPOSAL_CAP}"):
             rejection_sample_batch(spec, 100_000, seed=1)
 

@@ -10,7 +10,6 @@ from posterior_debias.simplex import (
     DEFAULT_LATTICE_CAP,
     CountsVector,
     ProbVector,
-    SignedProbVector,
     enumerate_lattice,
     lattice_size,
     multinomial_pmf_vector,
@@ -26,7 +25,6 @@ from oracles import brute_lattice, exact_multinomial_pmf, to_fractions
 VALID_VALUES = {
     CountsVector: {"counts": [3.0, 2.0]},
     ProbVector: {"probs": [0.25, 0.75]},
-    SignedProbVector: {"values": [1.5, -0.5]},
     WeightedSampleSet: {"points": [0.5, -1.0, 2.0]},
     DiscreteBayesMap: {"likelihoods": [1.0, 2.0]},
     LatticeFunction: {"lattice": enumerate_lattice(1, 2), "values": [0.5, 1.5]},
@@ -95,16 +93,6 @@ class TestProbVector:
         p = ProbVector(raw)
         raw[0] = 0.9
         assert p.probs[0] == 0.5
-
-
-class TestSignedProbVector:
-    def test_negative_entries_allowed(self):
-        v = SignedProbVector([1.2, -0.2])
-        assert v.m == 2
-
-    def test_sum_must_be_one(self):
-        with pytest.raises(ValueError):
-            SignedProbVector([0.7, 0.2])
 
 
 class TestCountsVector:
