@@ -1,11 +1,12 @@
 """A private free list of flat work buffers for the Monte Carlo kernels.
 
-The batched outer loop, the single-chain stages, the mixture sampler and the
-plug-in write their large intermediates into buffers checked out here, so in
-steady state they allocate no large array of their own and the process takes
-no page faults for them. Every buffer is float64; a caller that needs integer
-labels or a boolean mask views one (``checkout(size, np.intp)``), so one list
-serves all three.
+The chain stage generator (for the batched outer loop and the single-chain
+functions alike), the mixture sampler and the plug-in write their large
+intermediates into buffers checked out here, so in steady state they
+allocate no large array of their own and the process takes no page faults
+for them. Every buffer is float64; a caller that needs integer labels or a
+boolean mask views one (``checkout(size, np.intp)``), so one list serves all
+three.
 
 A checked-out buffer belongs to its caller alone until it is released, so
 nested callers (a functional that itself runs a kernel) and concurrent
@@ -26,9 +27,10 @@ _BUDGET = 2**18  # float64 elements per kept buffer: 2 MB, one full outer_mc_bat
 # serves them from its free lists, and the pool's bookkeeping would cost more
 # than it saves on the per-replicate path.
 _SMALL = 2**12
-# Buffers one batched chunk holds at once: two chain stages, and the
-# sampler's labels, mask and gather block (or the plug-in's weights). Five
-# per CPU keep at most 10 MB per CPU.
+# Buffers one batched chunk holds at once: while the sampler runs, the first
+# stage and the sampler's labels, mask and gather block; after it, at most two
+# chain stages and the plug-in's weights. Five per CPU, one more than a chunk
+# holds, keep at most 10 MB per CPU.
 _PER_CPU = 5
 _MAX_KEPT = _PER_CPU * (os.cpu_count() or 1)  # read once: the call costs microseconds
 

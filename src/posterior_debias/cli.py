@@ -334,28 +334,41 @@ def _cmd_rejection_demo(cfg: RejectionConfig, args) -> int:
 
 def _cmd_fit_slope(cfg: FitSlopeConfig, args) -> int:
     """Fit log-log slope on columns of a results CSV."""
-    rows = []
+    rows = []  # (line number, row)
     with open(args.csv, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:  # a short row has None values, a long one a None key
             if None in row or None in row.values():
                 width = len(reader.fieldnames)
                 raise ValueError(f"{args.csv} line {reader.line_num}: expected {width} fields")
-            rows.append(row)
+            rows.append((reader.line_num, row))
     if not rows:
         raise ValueError(f"{args.csv} has no data rows")
+
+    def number(line: int, row: dict, col: str) -> float:
+        try:
+            return float(row[col])
+        except ValueError:
+            raise ValueError(
+                f"{args.csv} line {line}: column {col!r} is not a number: {row[col]!r}"
+            ) from None
+
     if cfg.where:
         col, _, value = cfg.where.partition("=")
         if not value:
             raise ValueError("--where expects COL=VALUE")
-        rows = [r for r in rows if col in r and float(r[col]) == float(value)]
+        try:
+            value = float(value)
+        except ValueError:
+            raise ValueError(f"--where value is not a number: {value!r}") from None
+        rows = [(i, r) for i, r in rows if col in r and number(i, r, col) == value]
         if not rows:
             raise ValueError(f"no rows match --where {cfg.where}")
     for col in (cfg.x_col, cfg.y_col):
-        if col not in rows[0]:
-            raise ValueError(f"column {col!r} not in {sorted(rows[0])}")
-    xs = [float(r[cfg.x_col]) for r in rows]
-    ys = [float(r[cfg.y_col]) for r in rows]
+        if col not in rows[0][1]:
+            raise ValueError(f"column {col!r} not in {sorted(rows[0][1])}")
+    xs = [number(i, r, cfg.x_col) for i, r in rows]
+    ys = [number(i, r, cfg.y_col) for i, r in rows]
     if cfg.abs:
         ys = [abs(y) for y in ys]
     fit = fit_slope(xs, ys, drop_smallest=cfg.drop_smallest)

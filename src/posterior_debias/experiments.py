@@ -199,6 +199,14 @@ def _check_grid(cfg) -> None:
         raise ValueError("n_grid entries must be >= 1")
     if not cfg.k_values or any(not 1 <= k <= MAX_ORDER for k in cfg.k_values):
         raise ValueError(f"k_values must be non-empty integers in [1, {MAX_ORDER}]")
+    _check_distinct(cfg, "k_values")
+
+
+def _check_distinct(cfg, name: str) -> None:
+    # A repeated entry would run, write and fit its grid points twice.
+    values = getattr(cfg, name)
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must not repeat an entry, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -274,6 +282,7 @@ class IdentityConfig:
         # A one-atom posterior is identically 1, so m = 1 compares nothing.
         if not self.m_values or any(m < 2 for m in self.m_values):
             raise ValueError("m_values must be non-empty integers >= 2")
+        _check_distinct(self, "m_values")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 """Recursive resampling chains and the outer Monte Carlo driver.
 
 A chain starts at the observed data and repeatedly bootstraps itself; one
-sampler draws it for both build_chain and debiased_expectation. The order-k
-debiased realization combines the plug-in functional across the first k
-stages with the alternating binomial weights. Two outer drivers replicate
-this over fresh datasets: outer_mc one replicate at a time, with one random
-stream per replicate, and outer_mc_batched one array of replicates at a time,
-with one random stream per fixed-size chunk. Both merge chunk moments in
-chunk order, so results are bit-identical for a fixed root seed no matter how
-many worker threads run.
+stage generator draws it for build_chain and debiased_expectation, and a
+whole chunk of chains at once for outer_mc_batched. The order-k debiased
+realization combines the plug-in functional across the first k stages with
+the alternating binomial weights. Two outer drivers replicate this over
+fresh datasets: outer_mc one replicate at a time, with one random stream per
+replicate, and outer_mc_batched one array of replicates at a time, with one
+random stream per fixed-size chunk. Both merge chunk moments in chunk order,
+so results are bit-identical for a fixed root seed no matter how many worker
+threads run.
 """
 
 from __future__ import annotations
@@ -70,51 +71,45 @@ def _resample(prev: np.ndarray, stage: np.ndarray, rng: np.random.Generator) -> 
         prev[r : r + rows].take(idx, out=dst, mode="clip")
 
 
-def _chain_stages(points: np.ndarray, k: int, seed: int):
-    """Checks k and the seed, then returns an iterator over the k stages of
-    the chain from ``points`` as plain read-only arrays: stage 1 is
-    ``points`` itself, and each later stage is n draws with replacement from
-    the one before, at the indices one rng.integers(0, n, size=n) call on
-    default_rng(SeedSequence([seed])) would give.
-
-    Later stages are written into at most two n-sized work buffers, so a
-    stage is valid only until the next one is drawn; the buffers go back to
-    the pool when the iterator ends or is dropped. Resampling finite points
-    keeps them finite, so no stage is checked again."""
-    debias_weights(k)
-    seed = _check_seed(seed)
-
-    def draw():
-        yield points
-        if k == 1:
-            return
-        rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        n = points.size
-        buffers = [_workspace.checkout(n) for _ in range(min(k - 1, 2))]
-        try:
-            prev = points
-            for j in range(k - 1):
-                stage = buffers[j % 2]
-                _resample(prev.reshape(1, n), stage.reshape(1, n), rng)
-                # Read-only like a WeightedSampleSet's points: a callable that
-                # writes into its input raises instead of changing the draws.
-                prev = stage.view()
-                prev.flags.writeable = False
-                yield prev
-        finally:
-            _workspace.release(*buffers)
-
-    return draw()
+def _stages(first: np.ndarray, k: int, rng: np.random.Generator | None):
+    """Yield stages 1..k of the chains whose first stages are the rows of
+    the (b, n) array ``first``, as read-only views; each later stage is
+    drawn from the one before by _resample. This is the one place chain
+    stages are drawn. Later stages go into pooled work buffers, and a
+    writable ``first`` is the caller's own work buffer, which stage 3
+    overwrites, so at most two (b, n) buffers are in use. A stage is valid
+    only until the next one is drawn; the buffers go back to the pool when
+    the generator ends or is dropped. Resampling finite points keeps them
+    finite, so no stage is checked again."""
+    prev = first.view()
+    # Read-only like a WeightedSampleSet's points: a callable that writes
+    # into its input raises instead of changing the draws.
+    prev.flags.writeable = False
+    yield prev
+    flat = [_workspace.checkout(first.size) for _ in range(min(k - 1, 2 - first.flags.writeable))]
+    buffers = [f.reshape(first.shape) for f in flat] + [first]
+    try:
+        for j in range(k - 1):
+            stage = buffers[j % 2]
+            _resample(prev, stage, rng)
+            prev = stage.view()
+            prev.flags.writeable = False
+            yield prev
+    finally:
+        _workspace.release(*flat)
 
 
 def build_chain(data: WeightedSampleSet, k: int, seed: int) -> tuple[WeightedSampleSet, ...]:
     """Grow the k stages of the recursive bootstrap: stage 1 is the data
     verbatim, and each later stage is n uniform-with-replacement draws from
     the previous one. Fully reproducible from (data, k, seed)."""
-    stages = _chain_stages(data.points, k, seed)
+    debias_weights(k)
+    seed = _check_seed(seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed])) if k > 1 else None
+    stages = _stages(data.points.reshape(1, -1), k, rng)
     next(stages)  # stage 1 is the data itself
     # Each stage is copied into its own set before the next overwrites it.
-    return (data, *map(WeightedSampleSet, stages))
+    return (data, *(WeightedSampleSet(stage[0]) for stage in stages))
 
 
 def debiased_realization(
@@ -276,23 +271,17 @@ def outer_mc_batched(
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.root_seed, _BATCH_SCHEME, chunk])
         )
-        # Two (b, n) stage buffers, used in turn: stage j + 1 is drawn from
-        # stage j into the other one.
-        flat = [_workspace.checkout(b * n) for _ in range(min(k, 2))]
-        buffers = [f.reshape(b, n) for f in flat]
+        # Stage 1 is drawn into a writable buffer, which _stages takes as
+        # one of its two.
+        flat = _workspace.checkout(b * n)
         try:
-            stage = buffers[0]
-            batch_sampler(stage, rng)
+            first = flat.reshape(b, n)
+            batch_sampler(first, rng)
             values = np.zeros(b)
-            for j in range(k):
-                if j > 0:
-                    _resample(stage, buffers[j % 2], rng)
-                    stage = buffers[j % 2]
-                view = stage.view()
-                view.flags.writeable = False
-                values += weights[j] * batch_functional(view)
+            for stage, w in zip(_stages(first, k, rng), weights):
+                values += w * batch_functional(stage)
         finally:
-            _workspace.release(*flat)
+            _workspace.release(flat)
         if np.isnan(values).any():
             raise FloatingPointError(f"functional returned NaN in replicates {lo}..{hi - 1}")
         mean = values.mean()
@@ -318,12 +307,13 @@ def debiased_expectation(
     only during the call. h identically 1 returns exactly 1 (the signed
     mixture is normalized).
     """
+    debias_weights(k)
+    seed = _check_seed(seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed])) if k > 1 else None
     # Each stage is evaluated before the next overwrites its buffer; the
     # values then combine exactly as a built chain's would.
-    values = [
-        _plugin_expectation(stage, likelihood, h)
-        for stage in _chain_stages(data.points, k, seed)
-    ]
+    stages = _stages(data.points.reshape(1, -1), k, rng)
+    values = [_plugin_expectation(stage[0], likelihood, h) for stage in stages]
     return debiased_realization(values, float, k)
 
 

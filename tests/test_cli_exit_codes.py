@@ -41,6 +41,9 @@ INT_BOUNDS = {
     "mc_cap": (1, 256),
     "threads": (0, 2),
 }
+# Orders and support sizes, which must not repeat an entry: their valid
+# lists sometimes give one entry twice.
+REPEATABLE = {"k_values", "m_values"}
 # Fields every example sets (their strategies may draw None): the default
 # grid of binary-exact reaches n = 1024, the default replicate cap of 10^7
 # is no bound, and the replicate rule and count go together.
@@ -99,8 +102,11 @@ def field_strategy(name: str, hint) -> st.SearchStrategy:
         # Grids and orders; three in four strictly increasing, of valid sizes.
         low, high = INT_BOUNDS[name]
         valid = st.lists(st.integers(max(low, 1), high), min_size=2, max_size=3, unique=True)
+        valid = valid.map(sorted)
+        if name in REPEATABLE:  # one in four of these gives its first entry twice
+            valid = mostly(valid, valid.map(lambda v: [v[0], *v]))
         raw = st.lists(st.integers(low, high), max_size=3)
-        return mostly(valid.map(sorted), raw).map(tuple)
+        return mostly(valid, raw).map(tuple)
     if base is bool:
         return st.booleans()
     if base is int:
@@ -156,6 +162,17 @@ def run_cli(argv: list[str], table: str | None = None):
     return code, err.getvalue(), caught, files
 
 
+def repeats_an_entry(argv: list[str]) -> bool:
+    """Whether ``argv`` gives an order or support size twice."""
+    for arg in argv:
+        flag, _, text = arg.partition("=")
+        entries = text.split(",")
+        repeatable = flag.removeprefix("--").replace("-", "_") in REPEATABLE
+        if repeatable and len(set(entries)) < len(entries):
+            return True
+    return False
+
+
 def strict(constant: str):
     raise ValueError(f"manifest holds {constant}, which is not JSON")
 
@@ -195,6 +212,8 @@ def test_every_input_ends_in_a_documented_exit_code(command, cls, monkeypatch):
         code, err, caught, files = run_cli(argv, table)
         assert code in {0, 2, 3, 4}, (argv, code, err)
         assert "Traceback" not in err, (argv, err)
+        if repeats_an_entry(argv):
+            assert code == 2, (argv, code, err)
         assert not caught, (argv, [str(w.message) for w in caught])
         manifests = {name: text for name, text in files.items() if name.endswith(".json")}
         if code in (0, 4):

@@ -256,6 +256,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             default_binary_config(k_values=(0,))
 
+    @pytest.mark.parametrize(
+        "cls, kwargs",
+        [
+            (BinaryConfig, {"k_values": (2, 2)}),
+            (MixtureConfig, {"k_values": (1, 2, 1)}),
+            (IdentityConfig, {"k_values": (1, 1)}),
+            (IdentityConfig, {"m_values": (2, 2)}),
+        ],
+    )
+    def test_rejects_repeated_order_or_support(self, cls, kwargs):
+        # A repeated entry used to run, write and fit each of its points twice.
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must not repeat"):
+            cls(**kwargs)
+
     def test_rejects_bad_rule(self):
         with pytest.raises(ValueError):
             default_mixture_config(n_rule="n_pow5")
@@ -1001,6 +1016,21 @@ class TestCli:
         assert main(["identity-check", "--m-values", "1", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["binary-exact", "--n-grid", "8,16", "--k-values", "2,2"], "k_values"),
+            (["mixture-mc", "--n-grid", "8,12", "--k-values", "1,1"], "k_values"),
+            (["identity-check", "--m-values", "2,2"], "m_values"),
+        ],
+    )
+    def test_repeated_grid_entry_exit_code(self, tmp_path, capsys, argv, name):
+        # Each repeated order or support size used to run, and write, twice.
+        out = tmp_path / "rep"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"{name} must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_commands_parse(self):
         # Every command-line example in the README uses flags that exist.
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -1224,6 +1254,32 @@ class TestCli:
         captured = capsys.readouterr()
         assert f"{path} line 3: expected 3 fields" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "bad_row, col, flags",
+        [
+            ("32,1,abc", "abs_bias", []),
+            ("3x2,1,0.25", "n", []),
+            ("32,one,0.25", "k", ["--where", "k=1"]),
+        ],
+    )
+    def test_fit_slope_cell_that_is_not_a_number_exits_2(
+        self, tmp_path, capsys, bad_row, col, flags
+    ):
+        # The y column, the x column and the --where column alike.
+        path = tmp_path / "t.csv"
+        path.write_text(f"n,k,abs_bias\n16,1,0.5\n{bad_row}\n64,1,0.125\n")
+        assert main(["fit-slope", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        cell = bad_row.split(",")[["n", "k", "abs_bias"].index(col)]
+        assert f"{path} line 3: column {col!r} is not a number: {cell!r}" in captured.err
+        assert captured.out == ""
+
+    def test_fit_slope_where_value_that_is_not_a_number_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("n,k,abs_bias\n16,1,0.5\n64,1,0.125\n")
+        assert main(["fit-slope", str(path), "--where", "k=one"]) == 2
+        assert "--where value is not a number: 'one'" in capsys.readouterr().err
 
     def test_fit_slope_non_finite_value_exits_2(self, tmp_path, capsys):
         path = tmp_path / "t.csv"

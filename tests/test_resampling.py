@@ -16,8 +16,8 @@ from posterior_debias.operators import MAX_ORDER, debias_weights, debiased_estim
 from posterior_debias import resampling
 from posterior_debias.resampling import (
     MCConfig,
-    _chain_stages,
     _drive,
+    _stages,
     build_chain,
     debiased_expectation,
     debiased_realization,
@@ -525,6 +525,18 @@ class TestOuterMCBatched:
         assert sizes == [pool]
         assert (res.n_reps, res.mean, res.variance) == (10**7, 1.5, 0.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_functional_writing_into_a_stage_raises(self, k):
+        # Every stage, the sampler's own included, reaches the functional
+        # read-only, so it cannot change the draws of a later stage.
+        def functional(x):
+            x += 1.0
+            return np.zeros(x.shape[0])
+
+        cfg = MCConfig(n=8, k=k, n_reps=10, root_seed=2)
+        with pytest.raises(ValueError, match="read-only"):
+            outer_mc_batched(self._sampler, functional, cfg)
+
     def test_nan_functional_aborts(self):
         # two chunks on two threads: the worker's error reaches the caller
         cfg = MCConfig(n=3, k=1, n_reps=5000, root_seed=0, threads=2)
@@ -613,9 +625,12 @@ class TestDebiasedExpectationBlocks:
             debiased_expectation(data, BoundedLikelihood(log_fn=log_fn), lambda x: x, 3, seed=4)
 
     def test_every_stage_is_read_only(self):
-        data = WeightedSampleSet(np.linspace(0.0, 1.0, B + 1))
-        for stage in _chain_stages(data.points, 5, 8):
-            assert not stage.flags.writeable
+        # A data set's points are read-only; a writable first stage is a
+        # caller's work buffer. Either way every stage is handed out read-only.
+        points = WeightedSampleSet(np.linspace(0.0, 1.0, B + 1)).points.reshape(1, -1)
+        for first in (points, points.copy()):
+            for stage in _stages(first, 5, np.random.default_rng(8)):
+                assert not stage.flags.writeable
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_unit_function_is_exactly_one_over_blocks(self, k):
