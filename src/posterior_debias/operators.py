@@ -7,10 +7,13 @@ the L^j of naive nested sums). On top of it sit the alternating debiasing
 combination, its exact mean over datasets, and exact bias/variance.
 
 Every exact quantity is built from one iterate stack [g, Bg, ..., B^{k-1} g]
-and the pmf of q. A public call builds its own stack; a sweep over k shares
-one stack per n through _exact_bias_variance, with the same floating-point
-operations, so its values equal the per-call ones bit for bit. The matrix
-is filled row by row from coefficients computed once per lattice.
+and the pmf of q. The last stack is kept beside the one cached matrix, keyed
+by g's lattice values byte for byte, and extended on demand, so a later call
+at the same (n, m) and g, at any k, makes only the matrix-vector products no
+earlier call made. Each iterate is the same product of the same operands as
+a fresh stack's, so every value is the same bit for bit. The matrix is
+filled block by block from coefficients computed once per lattice, and each
+block is checked while it is built.
 """
 
 from __future__ import annotations
@@ -75,7 +78,9 @@ class TransferMatrix:
     points[i]/n, so rows are non-negative and sum to 1. A read-only array
     that owns its data, or that transfer_matrix built on its own private
     mapping, is kept as is; any other array is copied. The check reads each
-    block of rows once, for its smallest entry and its row sums.
+    block of rows once, for its smallest entry and its row sums. The whole
+    read-only matrix on transfer_matrix's own mapping is not read again:
+    transfer_matrix checked each block as it built it.
     """
 
     lattice: SimplexLattice
@@ -86,24 +91,29 @@ class TransferMatrix:
         L = self.lattice.size
         if r.shape != (L, L):
             raise ValueError(f"expected {(L, L)} matrix, got {r.shape}")
-        # The verdicts of r.min() and of the whole matrix's row sums, with no
-        # L x L temporary: np.minimum and np.maximum carry a NaN through, so a
-        # NaN anywhere skips the sign check (as r.min() < 0 does) and fails
-        # the row-sum check.
-        lowest, row_err = np.inf, 0.0
-        per_block = max(1, _ROW_BLOCK // L)
-        for start in range(0, L, per_block):
-            blk = r[start : start + per_block]
-            lowest = np.minimum(lowest, blk.min())
-            row_err = np.maximum(row_err, np.abs(blk.sum(axis=1) - 1.0).max())
-        if lowest < 0:
-            raise ValueError("transfer matrix entries must be non-negative")
-        if not row_err <= 1e-10:  # also catches NaN, which every comparison fails
-            raise ValueError(f"transfer matrix rows sum to 1 +/- {row_err}")
-        if r.flags.writeable or not (r.flags.owndata or isinstance(r.base, _ZeroPages)):
+        ours = isinstance(r.base, _ZeroPages)  # a view's base is the array it views
+        if not (ours and not r.flags.writeable):
+            per_block = max(1, _ROW_BLOCK // L)
+            _check_rows(r[start : start + per_block] for start in range(0, L, per_block))
+        if r.flags.writeable or not (r.flags.owndata or ours):
             r = r.copy()
             r.flags.writeable = False
         object.__setattr__(self, "rows", r)
+
+
+def _check_rows(blocks) -> None:
+    # The verdicts of r.min() and of every row sum of r, from r's blocks of
+    # whole rows, with no L x L temporary: np.minimum and np.maximum carry a
+    # NaN through, so a NaN anywhere skips the sign check (as r.min() < 0
+    # does) and fails the row-sum check.
+    lowest, row_err = np.inf, 0.0
+    for blk in blocks:
+        lowest = np.minimum(lowest, blk.min())
+        row_err = np.maximum(row_err, np.abs(blk.sum(axis=1) - 1.0).max())
+    if lowest < 0:
+        raise ValueError("transfer matrix entries must be non-negative")
+    if not row_err <= 1e-10:  # also catches NaN, which every comparison fails
+        raise ValueError(f"transfer matrix rows sum to 1 +/- {row_err}")
 
 
 @dataclass(frozen=True)
@@ -175,30 +185,37 @@ def transfer_matrix(n: int, m: int) -> TransferMatrix:
     # (over half the entries at n = 4096). One block-sized mask, reused for
     # every block, flags the live entries for the exp, then the dead ones
     # for the zeroing, so no matrix-sized temporary is made. A NaN is live,
-    # as it is not below the cut-off, and reaches TransferMatrix's row-sum
-    # check as before. Each block is built in one reused scratch block, and
-    # only its columns from the first to the last live entry are copied into
-    # the matrix: the pages outside them are never written and read as +0.0,
-    # the value the zeroing gives (43% of the pages at n = 4096).
+    # as it is not below the cut-off, and fails the row-sum check. Each block
+    # is built in one reused scratch block, and only its columns from the
+    # first to the last live entry are copied into the matrix: the pages
+    # outside them are never written and read as +0.0, the value the zeroing
+    # gives (43% of the pages at n = 4096). So the scratch block holds the
+    # matrix's block bit for bit, and the check reads it there, while it is
+    # in cache, with TransferMatrix's blocks, values and messages.
     rows = np.ndarray((size, size), buffer=_ZeroPages(size * size * 8))
     per_block = max(1, _ROW_BLOCK // size)
     scratch = np.empty((min(per_block, size), size))
     mask = np.empty(scratch.shape, dtype=bool)
-    for start in range(0, size, per_block):
-        blk = scratch[: min(per_block, size - start)]
-        np.matmul(pts, log_p[start : start + len(blk), :, None], out=blk[:, :, None])
-        blk += log_coef
-        flag = mask[: len(blk)]
-        np.less(blk, _EXP_UNDERFLOW, out=flag)  # dead
-        np.logical_not(flag, out=flag)  # live
-        np.exp(blk, out=blk, where=flag)
-        live = flag.any(axis=0)
-        lo, hi = live.argmax(), size - live[::-1].argmax()
-        np.logical_not(flag, out=flag)  # dead
-        np.copyto(blk, 0.0, where=flag)
-        if live[lo]:
-            rows[start : start + len(blk), lo:hi] = blk[:, lo:hi]
-    rows.flags.writeable = False  # TransferMatrix keeps it without a copy
+
+    def built_blocks():
+        for start in range(0, size, per_block):
+            blk = scratch[: min(per_block, size - start)]
+            np.matmul(pts, log_p[start : start + len(blk), :, None], out=blk[:, :, None])
+            blk += log_coef
+            flag = mask[: len(blk)]
+            np.less(blk, _EXP_UNDERFLOW, out=flag)  # dead
+            np.logical_not(flag, out=flag)  # live
+            np.exp(blk, out=blk, where=flag)
+            live = flag.any(axis=0)
+            lo, hi = live.argmax(), size - live[::-1].argmax()
+            np.logical_not(flag, out=flag)  # dead
+            np.copyto(blk, 0.0, where=flag)
+            if live[lo]:
+                rows[start : start + len(blk), lo:hi] = blk[:, lo:hi]
+            yield blk
+
+    _check_rows(built_blocks())
+    rows.flags.writeable = False  # TransferMatrix keeps it without a check or a copy
     return TransferMatrix(lattice=lat, rows=rows)
 
 
@@ -215,39 +232,57 @@ def iterate_operator(g: LatticeFunction, M: TransferMatrix, j: int) -> LatticeFu
 
 
 # One slot each: callers sweep (n, m) in their outermost loop, so memory stays
-# at one lattice plus one matrix. Nothing here is keyed on a caller's callable.
-@lru_cache(maxsize=1)
+# at one lattice plus one matrix and its iterate stack. Nothing here is keyed
+# on a caller's callable. The lattice is typed, so that True or 4.0 is checked
+# as an n of its own, not taken for the cached 1 or 4.
+@lru_cache(maxsize=1, typed=True)
 def _cached_lattice(n: int, m: int) -> SimplexLattice:
     return enumerate_lattice(n, m)
 
 
 _matrix_slot: dict[tuple[int, int], TransferMatrix] = {}
+# The iterate stack (g, Bg, ..., B^j g) of the last g sampled with k > 1, as
+# read-only vectors, under the (n, m) of its matrix: at most MAX_ORDER
+# vectors of L floats. A call reads it once and replaces it whole, so a
+# concurrent call can cost a matvec again but never mixes two stacks.
+_iterate_slot: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
 
 def _cached_matrix(n: int, m: int) -> TransferMatrix:
-    # A miss drops the resident matrix before building the next one, so two
-    # matrices are never alive at once (lru_cache would hold the old one
-    # while the new one is built).
+    # A miss drops the resident matrix and its iterate stack before building
+    # the next one, so two matrices are never alive at once (lru_cache would
+    # hold the old one while the new one is built).
     M = _matrix_slot.get((n, m))
     if M is None:
         _matrix_slot.clear()
+        _iterate_slot.clear()
         M = _matrix_slot[(n, m)] = transfer_matrix(n, m)
     return M
 
 
 def _operator_iterates(g: Callable, n: int, m: int, k: int) -> list[np.ndarray]:
-    # [g, Bg, ..., B^{k-1} g] as lattice value vectors: every iterate an
-    # order-k estimate combines, so one stack up to the largest k serves every
-    # smaller k too. k is checked as an order first; g must be deterministic,
-    # as it is sampled onto the lattice once per call; the matrix is built
-    # only when k > 1.
+    # [g, Bg, ..., B^{k-1} g] as read-only lattice value vectors: every
+    # iterate an order-k estimate combines, so one stack up to the largest k
+    # serves every smaller k too. k is checked as an order first; g must be
+    # deterministic, as it is sampled onto the lattice once per call. For
+    # k > 1 the matrix is built and the kept stack is used when its first
+    # vector has g's bytes (+0.0 and -0.0 differ), and extended to k; k = 1
+    # touches neither.
     debias_weights(k)
-    out = [LatticeFunction.from_callable(g, _cached_lattice(n, m)).values]
-    if k > 1:
-        M = _cached_matrix(n, m).rows
-        for _ in range(k - 1):
-            out.append(M @ out[-1])
-    return out
+    values = LatticeFunction.from_callable(g, _cached_lattice(n, m)).values
+    if k == 1:
+        return [values]
+    M = _cached_matrix(n, m).rows
+    stack = _iterate_slot.get((n, m), ())
+    if not stack or stack[0].tobytes() != values.tobytes():
+        stack = (values,)
+    if len(stack) < k:
+        grown = list(stack)
+        while len(grown) < k:
+            grown.append(M @ grown[-1])
+            grown[-1].flags.writeable = False
+        stack = _iterate_slot[(n, m)] = tuple(grown)
+    return list(stack[:k])
 
 
 def _combination(iters: list[np.ndarray], k: int) -> np.ndarray:
@@ -345,8 +380,9 @@ def contraction_norm(g: Callable, n: int, m: int, r: int) -> float:
     """
     if r < 1:
         raise ValueError(f"repetition count must be >= 1, got {r}")
+    g_values, Bg = _operator_iterates(g, n, m, 2)
+    v = Bg - g_values
     M = _cached_matrix(n, m).rows
-    v = _operator_iterates(g, n, m, 1)[0]
-    for _ in range(r):
+    for _ in range(r - 1):
         v = M @ v - v
     return float(np.abs(v).max())

@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextvars
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isnan, sqrt
 from typing import Callable, Sequence
@@ -200,6 +199,10 @@ def _drive(run_span: Callable, n_reps: int, chunk: int, threads: int) -> MCResul
     if workers == 1:
         partials = [run_span(*span) for span in spans]
     else:
+        # Imported here: concurrent.futures loads logging and queue, which a
+        # serial run, and the package import, do without.
+        from concurrent.futures import ThreadPoolExecutor
+
         context = contextvars.copy_context()  # holds the caller's np.errstate
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(lambda span: context.copy().run(run_span, *span), spans))

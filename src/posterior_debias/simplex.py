@@ -159,8 +159,21 @@ class SimplexLattice:
         return rank
 
 
+def _checked_dims(n, m) -> tuple[int, int]:
+    # The (n, m) of a lattice as ints: both must be integers >= 1. A numpy
+    # integer is one; a bool or a float is not, even when it equals one.
+    integers = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, m))
+    if not integers or n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n!r}, m={m!r}")
+    return int(n), int(m)
+
+
 def lattice_size(n: int, m: int) -> int:
-    """Number of count vectors of length m summing to n: C(n+m-1, m-1)."""
+    """Number of count vectors of length m summing to n: C(n+m-1, m-1).
+
+    n and m must be integers >= 1; anything else raises ValueError.
+    """
+    n, m = _checked_dims(n, m)
     return comb(n + m - 1, m - 1)
 
 
@@ -170,8 +183,7 @@ def enumerate_lattice(n: int, m: int) -> SimplexLattice:
     A lattice of more than DEFAULT_LATTICE_CAP points raises
     :class:`CapExceededError` instead of being built; the CLI exits 3.
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    n, m = _checked_dims(n, m)
     size = lattice_size(n, m)
     if size > DEFAULT_LATTICE_CAP:
         raise CapExceededError(

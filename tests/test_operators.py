@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posterior_debias.bayes import DiscreteBayesMap
 from posterior_debias.errors import CapExceededError
@@ -168,6 +169,34 @@ class TestTransferMatrix:
         rows[1] = [-0.25, 0.75, 0.5]  # sums to 1
         with pytest.raises(ValueError, match="non-negative"):
             TransferMatrix(lattice=lat, rows=rows)
+
+    def test_nan_row_fails_the_in_build_check(self, monkeypatch):
+        # A NaN log-probability makes one whole row NaN, in the third block
+        # of rows at n = 512; the build itself raises TransferMatrix's error.
+        n, bad = 512, 300
+        log_probs = operators._log_probs
+
+        def one_nan_row(p):
+            out = log_probs(p)
+            out[bad] = np.nan
+            return out
+
+        monkeypatch.setattr(operators, "_log_probs", one_nan_row)
+        with pytest.raises(ValueError, match=r"^transfer matrix rows sum to 1 \+/- nan$"):
+            transfer_matrix(n, 2)
+
+    @pytest.mark.parametrize("kind", ["transposed", "part"])
+    def test_views_of_a_built_matrix_are_checked(self, kind):
+        # Read-only views of a built matrix that are not the matrix itself
+        # get the full check.
+        built = transfer_matrix(4, 2).rows
+        if kind == "transposed":
+            lat, shown = enumerate_lattice(4, 2), built.T
+        else:
+            lat, shown = enumerate_lattice(2, 2), built.reshape(-1)[:9].reshape(3, 3)
+        assert np.shares_memory(shown, built) and not shown.flags.writeable
+        with pytest.raises(ValueError, match="rows sum to 1"):
+            TransferMatrix(lattice=lat, rows=shown)
 
     @pytest.mark.parametrize(
         "n,m", [(1, 2), (7, 2), (1024, 2), (12, 3), (60, 3), (20, 4), (5, 5), (4096, 2)]
@@ -576,3 +605,131 @@ class TestOperatorState:
         monkeypatch.setattr(operators, "transfer_matrix", spy)
         exact_bias(g, q, 512, 2)
         assert alive == [False]
+
+    def test_byte_equal_values_from_another_callable_reuse_the_stack(self):
+        g = DiscreteBayesMap((1.0, exp(1.5))).component(1)
+        kept = operators._operator_iterates(g, 24, 2, 3)
+        again = operators._operator_iterates(lambda x: g(x), 24, 2, 4)
+        assert all(a is b for a, b in zip(kept, again))
+        assert np.array_equal(again[3], operators._cached_matrix(24, 2).rows @ kept[2])
+
+    @pytest.mark.parametrize(
+        "nudge", [lambda v: np.nextafter(v, np.inf), lambda v: -v], ids=["one_ulp", "zero_sign"]
+    )
+    def test_values_off_at_one_point_get_a_stack_of_their_own(self, nudge):
+        # One ulp at one lattice point, or the sign of a zero: bytes differ.
+        n, point = 24, 7
+        lat = operators._cached_lattice(n, 2)
+        g = DiscreteBayesMap((1.0, exp(1.5))).component(1)
+        base = np.where(np.arange(lat.size) == point, 0.0, g.on_grid(lat.grid()))
+        changed = base.copy()
+        changed[point] = nudge(changed[point])
+
+        def on(values):
+            return lambda x: values[lat.index_of(np.rint(np.asarray(x) * n))]
+
+        kept = operators._operator_iterates(on(base), n, 2, 3)
+        other = operators._operator_iterates(on(changed), n, 2, 3)
+        assert not any(a is b for a, b in zip(kept, other))
+        assert other[0].tobytes() == changed.tobytes()
+        M = operators._cached_matrix(n, 2).rows
+        assert other[1].tobytes() == (M @ changed).tobytes()
+        assert other[2].tobytes() == (M @ (M @ changed)).tobytes()
+
+    def test_kept_iterates_are_read_only(self):
+        for iterate in operators._operator_iterates(G_BINARY, 16, 2, 4):
+            with pytest.raises(ValueError):
+                iterate[0] = 0.5
+
+    def test_order_one_builds_no_matrix_and_evicts_none(self):
+        operators._operator_iterates(G_BINARY, 16, 2, 3)
+        M, stack = operators._matrix_slot[(16, 2)], operators._iterate_slot[(16, 2)]
+        assert len(operators._operator_iterates(G_BINARY, 32, 2, 1)) == 1
+        assert list(operators._matrix_slot) == list(operators._iterate_slot) == [(16, 2)]
+        assert operators._matrix_slot[(16, 2)] is M and operators._iterate_slot[(16, 2)] is stack
+
+
+def random_g(kind: str, coef: list, m: int):
+    """A posterior component, which is sampled onto the lattice in one call,
+    or a plain function, which is called once per lattice point."""
+    if kind == "posterior":
+        return DiscreteBayesMap(0.5 + 1.5 * np.array(coef[:m])).component(m - 1)
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return coef[0] * x[0] ** 2 + coef[1] * np.sin(x[-1]) + coef[2] * x[0] * x[-1]
+
+    return g
+
+
+COEF = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+EXACT_CALLS = ("exact_bias", "exact_variance", "debiased_estimate", "debiased_estimate_mean", "contraction_norm")
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(
+    points=st.lists(
+        st.tuples(st.sampled_from(["posterior", "plain"]), COEF, st.integers(1, 40), st.sampled_from([2, 3])),
+        min_size=1,
+        max_size=2,
+    ),
+    calls=st.lists(
+        st.tuples(st.sampled_from(EXACT_CALLS), st.integers(0, 1), st.integers(1, 5), COEF, st.integers(0, 10**6)),
+        min_size=2,
+        max_size=8,
+    ),
+)
+def test_interleaved_calls_equal_calls_after_the_slot_is_cleared(points, calls):
+    def run(call):
+        name, which, k, q_coef, at = call
+        kind, coef, n, m = points[which % len(points)]
+        g = random_g(kind, coef, m)
+        q = ProbVector((np.array(q_coef[:m]) + 0.1) / (sum(q_coef[:m]) + 0.1 * m))
+        if name == "debiased_estimate":
+            lat = enumerate_lattice(n, m)
+            return debiased_estimate(g, lat.point(at % lat.size), k)
+        if name == "contraction_norm":
+            return contraction_norm(g, n, m, k)
+        return {"exact_bias": exact_bias, "exact_variance": exact_variance}.get(
+            name, debiased_estimate_mean
+        )(g, q, n, k)
+
+    warm = [run(call).hex() for call in calls]
+    for call, got in zip(calls, warm):
+        operators._matrix_slot.clear()
+        operators._iterate_slot.clear()
+        assert run(call).hex() == got, call
+
+
+BAD_DIMS = [(-2, 3), (0, 2), (4, 0), (3, -1), (True, 2), (2, True), (np.True_, 2), (1.5, 2), (4.0, 2), (4, 2.0)]
+
+
+@pytest.mark.parametrize(
+    "call,n,m",
+    [(c, n, m) for c in ("lattice_size", "enumerate_lattice", "transfer_matrix") for n, m in BAD_DIMS]
+    + [(c, n, 2) for c in ("exact_bias", "central_moment") for n, m in BAD_DIMS if m == 2 and type(m) is int],
+)
+def test_lattice_dims_must_be_integers_at_least_one(call, n, m):
+    q = ProbVector([0.4, 0.6])
+    if type(m) is int and m == 2 and n == int(n) >= 1:
+        # The one-lattice and one-matrix slots hold the (n, m) the bad n equals.
+        exact_bias(G_BINARY, q, int(n), 2)
+    calls = {
+        "lattice_size": lambda: lattice_size(n, m),
+        "enumerate_lattice": lambda: enumerate_lattice(n, m),
+        "transfer_matrix": lambda: transfer_matrix(n, m),
+        "exact_bias": lambda: exact_bias(G_BINARY, q, n, 2),
+        "central_moment": lambda: central_moment(n, q, (2, 0)),
+    }
+    with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
+        calls[call]()
+
+
+def test_numpy_integer_dims_are_accepted():
+    n, m = np.int64(6), np.int32(2)
+    assert lattice_size(n, m) == 7
+    lat = enumerate_lattice(n, m)
+    assert (type(lat.n), type(lat.m)) == (int, int)
+    assert transfer_matrix(n, m).rows.tobytes() == transfer_matrix(6, 2).rows.tobytes()
+    q = ProbVector([0.4, 0.6])
+    assert exact_bias(G_BINARY, q, n, 3) == exact_bias(G_BINARY, q, 6, 3)

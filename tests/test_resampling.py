@@ -1,4 +1,9 @@
+import concurrent.futures
+import os
+import subprocess
+import sys
 from math import comb, exp, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,11 +524,27 @@ class TestOuterMCBatched:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(resampling, "ThreadPoolExecutor", InlinePool)
+        # _drive imports the pool class from concurrent.futures when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(resampling.os, "cpu_count", lambda: 3)
         res = _drive(lambda c, lo, hi: (hi - lo, 1.5, 0.0), 10**7, _batch_rows(64), threads)
         assert sizes == [pool]
         assert (res.n_reps, res.mean, res.variance) == (10**7, 1.5, 0.0)
+
+    def test_package_import_loads_no_thread_pool(self):
+        # concurrent.futures, and the logging and queue it loads, come in only
+        # when a run asks for more than one worker.
+        probe = (
+            "import sys, posterior_debias; "
+            "print(*[m for m in ('concurrent.futures', 'logging', 'queue') if m in sys.modules])"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_functional_writing_into_a_stage_raises(self, k):
