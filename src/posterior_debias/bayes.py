@@ -23,26 +23,45 @@ class BoundedLikelihood:
 
     log_fn: Callable
 
-    def log(self, x) -> np.ndarray:
-        return np.asarray(self.log_fn(np.asarray(x, dtype=float)), dtype=float)
+    def log(self, x, out=None) -> np.ndarray:
+        """log_fn at the points x, as a float array. With ``out``, a writable
+        float64 array of x's shape, the values go there and out is returned:
+        the built-in Gaussian computes into it, and any other log_fn's result
+        must hold one value per point and is copied in."""
+        x = np.asarray(x, dtype=float)
+        if isinstance(self.log_fn, _GaussianLog):
+            return self.log_fn(x, out)
+        values = np.asarray(self.log_fn(x), dtype=float)
+        if out is None:
+            return values
+        if values.shape != x.shape:
+            raise ValueError("likelihood must return one value per sample")
+        np.copyto(out, values)
+        return out
+
+
+class _GaussianLog:
+    """x -> const - (y_obs - x) ** 2 * inv2v, the log density of y_obs under
+    N(x, noise_var): the same operations in the same order, built in ``out``
+    or, without one, in one new array (an array even for a 0-d x)."""
+
+    def __init__(self, y_obs: float, noise_var: float):
+        self._y_obs = y_obs
+        self._const = -0.5 * log(2 * pi * noise_var)
+        self._inv2v = 0.5 / noise_var
+
+    def __call__(self, x, out=None) -> np.ndarray:
+        d = np.subtract(self._y_obs, x, out=np.empty(np.shape(x)) if out is None else out)
+        d *= d
+        d *= self._inv2v
+        return np.subtract(self._const, d, out=d)
 
 
 def gaussian_likelihood(y_obs: float, noise_var: float) -> BoundedLikelihood:
     """Density of y_obs under N(x, noise_var), as a function of x."""
     if not noise_var > 0:
         raise ValueError(f"noise variance must be positive, got {noise_var}")
-    const = -0.5 * log(2 * pi * noise_var)
-    inv2v = 0.5 / noise_var
-
-    def log_fn(x):
-        # const - (y_obs - x) ** 2 * inv2v, the same operations in the same
-        # order, built in one temporary (an array even for a 0-d x).
-        d = np.subtract(y_obs, x, out=np.empty(np.shape(x)))
-        d *= d
-        d *= inv2v
-        return np.subtract(const, d, out=d)
-
-    return BoundedLikelihood(log_fn=log_fn)
+    return BoundedLikelihood(log_fn=_GaussianLog(y_obs, noise_var))
 
 
 @dataclass(frozen=True)
@@ -161,9 +180,11 @@ def plugin_expectation(
 
     Up to 2^14 points, ``likelihood.log`` and ``h`` are applied once to the
     whole set. Past that they are applied block by block, to consecutive
-    slices of at most 2^14 points, and ``likelihood.log`` twice per point
-    (once for the max-shift, once for the weights). So both must act
-    elementwise: one output per input point, depending on that point only.
+    slices of at most 2^14 points, each point once: the log weights are
+    kept in a work buffer of the set's size between the max-shift and the
+    sums. So both must act elementwise: one output per input point,
+    depending on that point only. A likelihood of +inf or NaN at any point
+    raises ValueError.
     """
     return float(_plugin_expectation(samples.points, likelihood, h))
 
@@ -184,17 +205,10 @@ def _pairwise(block_sums: Callable, lo: int, hi: int) -> tuple:
     return num_a + num_b, den_a + den_b
 
 
-def _log_weights(x: np.ndarray, likelihood: BoundedLikelihood) -> np.ndarray:
-    log_w = likelihood.log(x)
-    if log_w.shape != x.shape:
-        raise ValueError("likelihood must return one value per sample")
-    return log_w
-
-
-def _weighted_sums(x: np.ndarray, log_w: np.ndarray, shift, w: np.ndarray, h: Callable) -> tuple:
-    # Writes the shifted weights into w and returns (sum of w * h(x),
-    # sum of w) along the last axis.
-    np.subtract(log_w, shift, out=w)
+def _weighted_sums(x: np.ndarray, w: np.ndarray, shift, h: Callable) -> tuple:
+    # Turns the log weights in w into shifted weights in place and returns
+    # (sum of w * h(x), sum of w) along the last axis.
+    w -= shift
     np.exp(w, out=w)
     den = w.sum(axis=-1)
     values = np.asarray(h(x))
@@ -207,44 +221,43 @@ def _weighted_sums(x: np.ndarray, log_w: np.ndarray, shift, w: np.ndarray, h: Ca
 
 
 def _plugin_expectation(
-    points: np.ndarray, likelihood: BoundedLikelihood, h: Callable
+    points: np.ndarray, likelihood: BoundedLikelihood, h: Callable, log_w: np.ndarray | None = None
 ) -> np.ndarray:
     # Plug-in expectation of h per sample set along the last axis: (..., n)
-    # -> (...). Log weights are shifted by each set's max, so a denominator
-    # underflows only if every likelihood of its set is zero; a NaN makes
-    # its set's max NaN, and the min over the sets finds both faults. Past
-    # one block, a first pass takes the shift and a second sums block by
-    # block in one work buffer, with the bits of whole-row sums (see
-    # _pairwise). num and den take the same sums, so h identically 1 gives 1.
-    # The weights go into a work buffer checked out of the shared pool.
+    # -> (...). A first pass writes the log weights into log_w, a writable
+    # float64 array of the points' shape (without one, a work buffer checked
+    # out of the shared pool), block by block, and takes each set's max as
+    # its shift. A denominator then underflows only if every likelihood of
+    # its set is zero; a NaN makes its set's max NaN and a +inf makes it
+    # +inf, and the min and max over the sets find all three faults before
+    # any exp. A second pass turns each block's log weights into weights in
+    # place and sums them, with the bits of whole-row sums (see _pairwise).
+    # So likelihood.log and h each see every point once. num and den take
+    # the same sums, so h identically 1 gives 1.
     n = points.shape[-1]
-    if n <= _BLOCK:
-        log_w = _log_weights(points, likelihood)
-        shift = log_w.max(axis=-1, keepdims=True)
-    else:
-        shift = np.full(points.shape[:-1] + (1,), -np.inf)
-        for lo in range(0, n, _BLOCK):
-            x = points[..., lo : lo + _BLOCK]
-            np.maximum(shift, _log_weights(x, likelihood).max(axis=-1, keepdims=True), out=shift)
-    lowest = shift.min()
-    if np.isnan(lowest):
-        raise ValueError("likelihood returned NaN")
-    if lowest == float("-inf"):
-        raise DegenerateError("all sample likelihoods underflowed to zero")
-    work = _workspace.checkout(points.size // n * min(n, _BLOCK))
+    buf = None
+    if log_w is None:
+        buf = _workspace.checkout(points.size)
+        log_w = buf.reshape(points.shape)
     try:
-        if n <= _BLOCK:
-            num, den = _weighted_sums(points, log_w, shift, work.reshape(points.shape), h)
-        else:
-
-            def block_sums(lo: int, hi: int) -> tuple:
-                x = points[..., lo:hi]
-                w = work[: x.size].reshape(x.shape)
-                return _weighted_sums(x, _log_weights(x, likelihood), shift, w, h)
-
-            num, den = _pairwise(block_sums, 0, n)
+        shift = None
+        for lo in range(0, n, _BLOCK):
+            block = likelihood.log(points[..., lo : lo + _BLOCK], log_w[..., lo : lo + _BLOCK])
+            top = block.max(axis=-1, keepdims=True)
+            shift = top if shift is None else np.maximum(shift, top, out=shift)
+        lowest, highest = shift.min(), shift.max()
+        if np.isnan(lowest):
+            raise ValueError("likelihood returned NaN")
+        if highest == float("inf"):
+            raise ValueError("likelihood returned +inf; it must be bounded")
+        if lowest == float("-inf"):
+            raise DegenerateError("all sample likelihoods underflowed to zero")
+        num, den = _pairwise(
+            lambda lo, hi: _weighted_sums(points[..., lo:hi], log_w[..., lo:hi], shift, h), 0, n
+        )
     finally:
-        _workspace.release(work)
+        if buf is not None:
+            _workspace.release(buf)
     return num / den
 
 

@@ -17,6 +17,7 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import _workspace
 from .bayes import (
     DiscreteBayesMap,
     GaussianMixture,
@@ -402,7 +403,16 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     threshold = cfg.threshold
 
     def batch_functional(x: np.ndarray) -> np.ndarray:
-        return _plugin_expectation(x, lik, lambda v: v >= threshold)
+        # The event writes its mask into a pooled bool buffer, as the
+        # plug-in does its log weights, so a warm pass allocates no array
+        # of the stage's size.
+        mask = _workspace.checkout(x.size, bool)
+        try:
+            return _plugin_expectation(
+                x, lik, lambda v: np.greater_equal(v, threshold, out=mask[: v.size].reshape(v.shape))
+            )
+        finally:
+            _workspace.release(mask)
 
     rows, capped, points = [], [], []
     info = {"rng_scheme": MC_RNG_SCHEME, "capped": capped, "true_value": truth, "points": points}

@@ -68,32 +68,37 @@ def _resample(prev: np.ndarray, stage: np.ndarray, rng: np.random.Generator) -> 
         idx = rng.integers(0, n, size=dst.shape)
         idx += offsets[: len(dst)]
         prev[r : r + rows].take(idx, out=dst, mode="clip")
+        del idx  # freed before the next block's indices are drawn
 
 
-def _stages(first: np.ndarray, k: int, rng: np.random.Generator | None):
+def _stages(first: np.ndarray, k: int, rng: np.random.Generator | None, spare: bool = False):
     """Yield stages 1..k of the chains whose first stages are the rows of
     the (b, n) array ``first``, as read-only views; each later stage is
     drawn from the one before by _resample. This is the one place chain
     stages are drawn. Later stages go into pooled work buffers, and a
     writable ``first`` is the caller's own work buffer, which stage 3
-    overwrites, so at most two (b, n) buffers are in use. A stage is valid
-    only until the next one is drawn; the buffers go back to the pool when
-    the generator ends or is dropped. Resampling finite points keeps them
+    overwrites, so at most two (b, n) buffers are in use. With ``spare``,
+    it yields (stage, buffer) pairs instead, where buffer is the writable
+    (b, n) buffer the next stage will be drawn into: the caller's to use as
+    work space until it asks for the next stage. A stage is valid only
+    until the next one is drawn; the buffers go back to the pool when the
+    generator ends or is dropped. Resampling finite points keeps them
     finite, so no stage is checked again."""
     prev = first.view()
     # Read-only like a WeightedSampleSet's points: a callable that writes
     # into its input raises instead of changing the draws.
     prev.flags.writeable = False
-    yield prev
-    flat = [_workspace.checkout(first.size) for _ in range(min(k - 1, 2 - first.flags.writeable))]
+    count = min(k - 1 + spare, 2 - first.flags.writeable)
+    flat = [_workspace.checkout(first.size) for _ in range(count)]
     buffers = [f.reshape(first.shape) for f in flat] + [first]
     try:
-        for j in range(k - 1):
-            stage = buffers[j % 2]
-            _resample(prev, stage, rng)
-            prev = stage.view()
-            prev.flags.writeable = False
-            yield prev
+        for j in range(k):
+            if j:
+                stage = buffers[(j - 1) % 2]
+                _resample(prev, stage, rng)
+                prev = stage.view()
+                prev.flags.writeable = False
+            yield (prev, buffers[j % 2]) if spare else prev
     finally:
         _workspace.release(*flat)
 
@@ -303,20 +308,23 @@ def debiased_expectation(
     """Single-dataset debiased estimate of a posterior expectation.
 
     Combines plugin_expectation across the stages of build_chain(data, k,
-    seed) with the signed weights, bit for bit, but keeps at most two
-    n-sized stage buffers and evaluates each stage in blocks of 2^14 points:
-    ``likelihood.log`` and ``h`` must act elementwise. The buffers are
-    reused work buffers, so the read-only slices those two get are valid
-    only during the call. h identically 1 returns exactly 1 (the signed
-    mixture is normalized).
+    seed) with the signed weights, bit for bit, but holds two n-sized work
+    buffers at any k (one at k = 1): the stage being evaluated, unless it
+    is the data, and the one the next stage goes into, which keeps the
+    stage's log weights meanwhile. Each stage is evaluated in blocks of
+    2^14 points, each point once: ``likelihood.log`` and ``h`` must act
+    elementwise. The buffers are reused, so the read-only slices those two
+    get are valid only during the call. h identically 1 returns exactly 1
+    (the signed mixture is normalized).
     """
     debias_weights(k)
     seed = _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed])) if k > 1 else None
-    # Each stage is evaluated before the next overwrites its buffer; the
-    # values then combine exactly as a built chain's would.
-    stages = _stages(data.points.reshape(1, -1), k, rng)
-    values = [_plugin_expectation(stage[0], likelihood, h) for stage in stages]
+    # Each stage is evaluated, its log weights in the spare buffer, before
+    # the next is drawn there; the values then combine exactly as a built
+    # chain's would.
+    stages = _stages(data.points.reshape(1, -1), k, rng, spare=True)
+    values = [_plugin_expectation(stage[0], likelihood, h, log_w[0]) for stage, log_w in stages]
     return debiased_realization(values, float, k)
 
 

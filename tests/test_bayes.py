@@ -1,3 +1,4 @@
+import warnings
 from math import exp, log, pi, sqrt
 
 import numpy as np
@@ -280,9 +281,9 @@ class TestPluginExpectationBlocks:
         assert plugin_expectation(samples, lik, lambda x: np.ones(np.shape(x))) == 1.0
 
     def test_applies_likelihood_and_h_blockwise(self):
-        # The documented contract: log_fn sees consecutive slices of at most
-        # B points twice over (the shift pass, then the sums pass), and h
-        # sees the same slices once.
+        # The documented contract: log_fn and h each see consecutive slices
+        # of at most B points, every point once (the log weights are kept
+        # between the shift pass and the sums pass).
         seen_log, seen_h = [], []
 
         def log_fn(x):
@@ -297,9 +298,7 @@ class TestPluginExpectationBlocks:
         plugin_expectation(samples, BoundedLikelihood(log_fn=log_fn), h)
         assert max(x.size for x in seen_log + seen_h) <= B
         assert np.array_equal(np.concatenate(seen_h), samples.points)
-        assert np.array_equal(
-            np.concatenate(seen_log), np.concatenate([samples.points, samples.points])
-        )
+        assert np.array_equal(np.concatenate(seen_log), samples.points)
 
     def test_non_elementwise_h_is_applied_per_block(self):
         # An h that is not elementwise is centred on each block it is given,
@@ -340,6 +339,58 @@ class TestPluginExpectationBlocks:
         lik = BoundedLikelihood(log_fn=lambda x: 0.0)
         with pytest.raises(ValueError, match="one value per sample"):
             plugin_expectation(WeightedSampleSet(np.zeros(B + 1)), lik, lambda x: x)
+
+    @pytest.mark.parametrize("n", [7, 3 * B + 5])
+    def test_unbounded_likelihood_raises_before_any_exp(self, n):
+        # One +inf log weight used to give inf - inf = NaN and a NaN result
+        # with a RuntimeWarning.
+        pts = np.zeros(n)
+        pts[-1] = 9.0
+        lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, np.inf, 0.0))
+        samples = WeightedSampleSet(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"likelihood returned \+inf; it must be bounded"):
+                plugin_expectation(samples, lik, lambda x: x)
+            with pytest.raises(ValueError, match=r"likelihood returned \+inf; it must be bounded"):
+                plugin_posterior_prob(samples, lik, HALF)
+
+
+class TestLogOut:
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5), (B + 3,)])
+    def test_gaussian_fills_out_with_the_bits_of_a_new_array(self, shape):
+        x = np.random.default_rng(np.random.SeedSequence([17])).normal(0.5, 1.0, shape)
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        out = np.full(shape, np.nan)
+        got = lik.log(x, out=out)
+        assert got is out
+        assert out.tobytes() == lik.log(x).tobytes()
+
+    def test_other_log_fn_is_copied_into_out(self):
+        x = np.linspace(-1.0, 1.0, 11)
+        lik = BoundedLikelihood(log_fn=lambda v: (-v * v).astype(np.float32))
+        out = np.full(x.shape, np.nan)
+        assert lik.log(x, out=out) is out
+        assert out.tobytes() == lik.log(x).tobytes()
+
+    @pytest.mark.parametrize("bad", [lambda x: 0.0, lambda x: x[:-1], lambda x: np.zeros((2,) + x.shape)])
+    def test_wrong_shape_on_the_out_path_raises(self, bad):
+        x = np.linspace(-1.0, 1.0, 11)
+        out = np.full(x.shape, np.nan)
+        with pytest.raises(ValueError, match="one value per sample"):
+            BoundedLikelihood(log_fn=bad).log(x, out=out)
+        assert np.isnan(out).all()
+        with pytest.raises(ValueError, match="one value per sample"):
+            plugin_expectation(WeightedSampleSet(x), BoundedLikelihood(log_fn=bad), lambda v: v)
+
+    @pytest.mark.parametrize("n", [B - 1, B + 1, 3 * B + 5, 2**18])
+    def test_log_fn_without_out_gives_the_builtin_bits(self, n):
+        rng = np.random.default_rng(np.random.SeedSequence([n, 4]))
+        samples = WeightedSampleSet(rng.normal(0.5, 1.0, n))
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        wrapped = BoundedLikelihood(log_fn=lambda x: lik.log_fn(x))
+        for h in (HALF, lambda x: x):
+            assert plugin_expectation(samples, wrapped, h) == plugin_expectation(samples, lik, h)
 
 
 class TestPluginPosteriorRows:

@@ -2,6 +2,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+import warnings
 from math import comb, exp, sqrt
 from pathlib import Path
 
@@ -691,6 +692,53 @@ class TestDebiasedExpectationBlocks:
         data = WeightedSampleSet(np.zeros(3 * B + 5))
         with pytest.raises(ValueError, match="one value per sample"):
             debiased_expectation(data, lik, lambda x: x[:1], 2, seed=0)
+
+    @pytest.mark.parametrize("n", [7, 3 * B + 5])
+    def test_unbounded_likelihood_raises(self, n):
+        pts = np.zeros(n)
+        pts[-1] = 9.0
+        lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, np.inf, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"likelihood returned \+inf; it must be bounded"):
+                debiased_expectation(WeightedSampleSet(pts), lik, lambda x: x, 2, seed=0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_likelihood_and_h_see_each_point_once_per_stage(self, k):
+        # Each stage runs the likelihood over all its blocks, then h over
+        # all of them: k runs of each, every run adding up to n points.
+        n = 3 * B + 5
+        calls = []
+
+        def log_fn(x):
+            calls.append(("log", x.size))
+            return -x * x
+
+        def h(x):
+            calls.append(("h", x.size))
+            return x
+
+        data = WeightedSampleSet(np.linspace(-1.0, 1.0, n))
+        debiased_expectation(data, BoundedLikelihood(log_fn=log_fn), h, k, seed=3)
+        assert max(size for _, size in calls) <= B
+        runs = []
+        for name, size in calls:
+            if runs and runs[-1][0] == name:
+                runs[-1][1] += size
+            else:
+                runs.append([name, size])
+        assert runs == [["log", n], ["h", n]] * k
+
+    @pytest.mark.parametrize("n", [B - 1, B + 1, 3 * B + 5, 2**18])
+    def test_log_fn_without_out_gives_the_builtin_bits(self, n):
+        rng = np.random.default_rng(np.random.SeedSequence([n, 5]))
+        data = WeightedSampleSet(rng.normal(0.5, 1.0, n))
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        wrapped = BoundedLikelihood(log_fn=lambda x: lik.log_fn(x))
+        h = lambda x: (x >= 0.5).astype(float)
+        for k in (1, 2, 3, 4):
+            want = debiased_expectation(data, lik, h, k, seed=k)
+            assert debiased_expectation(data, wrapped, h, k, seed=k) == want
 
     @pytest.mark.parametrize(
         "k,seed", [(0, 1), (MAX_ORDER + 1, 1), (2, -1), (2, 2**64), (2, 1.5), (2, True)]

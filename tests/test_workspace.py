@@ -8,6 +8,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -207,30 +208,71 @@ cfg = pkg.default_mixture_config(
 )
 mix = pkg.GaussianMixture([0.5, 0.5], [0.0, 1.0], [1.0, 1.0])
 data = pkg.WeightedSampleSet(mix.sample(2**16, np.random.default_rng(1)))
+big = pkg.WeightedSampleSet(mix.sample(2**18, np.random.default_rng(2)))
 lik = pkg.gaussian_likelihood(0.8, 1 / 16)
 h = lambda x: x >= 0.5
 for _ in range(2):
     pkg.run_mixture_mc(cfg)
     pkg.debiased_expectation(data, lik, h, 4, 0)
+    pkg.plugin_expectation(big, lik, h)
 start = faults()
 for _ in range(20):
     pkg.run_mixture_mc(cfg)
 mid = faults()
 for seed in range(20):
     pkg.debiased_expectation(data, lik, h, 4, seed)
-print((mid - start) / 20, (faults() - mid) / 20)
+end = faults()
+for _ in range(20):
+    pkg.plugin_expectation(big, lik, h)
+print((mid - start) / 20, (end - mid) / 20, (faults() - end) / 20)
 """
+
+
+def assert_warm_kernels_take_no_page_faults(**env):
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(FAULT_PROBE)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    per_pass, per_call, per_plugin = map(float, proc.stdout.split())
+    assert per_pass <= 2, f"{per_pass} minor faults per run_mixture_mc pass"
+    assert per_call <= 2, f"{per_call} minor faults per debiased_expectation call"
+    assert per_plugin <= 2, f"{per_plugin} minor faults per plugin_expectation call"
 
 
 def test_warm_kernels_take_no_page_faults():
     # In a fresh interpreter, after a warm-up: run_mixture_mc passes at the
-    # benchmark's grid and debiased_expectation calls at n = 2^16, k = 4
-    # reuse their buffers instead of mapping new pages.
-    proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(FAULT_PROBE)],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    # benchmark's grid, debiased_expectation calls at n = 2^16, k = 4, and
+    # plugin_expectation calls at n = 2^18, whose log weights take a pooled
+    # buffer of the points' size, reuse their buffers instead of mapping
+    # new pages.
+    assert_warm_kernels_take_no_page_faults()
+
+
+def test_warm_kernels_take_no_page_faults_at_a_fixed_mmap_threshold():
+    # glibc raises its mmap threshold after the first large free, which
+    # would hide a stage-sized array allocated per call; with the threshold
+    # fixed at 128 KB such an array maps new pages every time. Other C
+    # libraries ignore the variable.
+    assert_warm_kernels_take_no_page_faults(GLIBC_TUNABLES="glibc.malloc.mmap_threshold=131072")
+
+
+def test_warm_mixture_pass_allocates_no_stage_sized_array():
+    # Every (b, n) intermediate of a pass, the likelihood's log weights and
+    # the event's mask included, is a pooled buffer. At n = 64 and 128 a
+    # chunk is 2^18 points, so one stage-sized float array would be 2 MB;
+    # what is left is the 128 KB resample index block, one 64 KB ufunc
+    # buffer and a few per-replicate vectors.
+    cfg = default_mixture_config(
+        n_grid=(64, 128), k_values=(2,), n_rule="fixed", n_fixed=9000,
+        y_obs=3.5, noise_var=1 / 16, threshold=3.3,
     )
-    assert proc.returncode == 0, proc.stderr
-    per_pass, per_call = map(float, proc.stdout.split())
-    assert per_pass <= 2, f"{per_pass} minor faults per run_mixture_mc pass"
-    assert per_call <= 2, f"{per_call} minor faults per debiased_expectation call"
+    run_mixture_mc(cfg)
+    tracemalloc.start()
+    try:
+        run_mixture_mc(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 2**20, f"{peak / 2**20:.3f} MB traced peak of a warm pass"
