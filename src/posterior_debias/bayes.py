@@ -243,7 +243,16 @@ def _plugin_expectation(
         shift = None
         for lo in range(0, n, _BLOCK):
             block = likelihood.log(points[..., lo : lo + _BLOCK], log_w[..., lo : lo + _BLOCK])
-            top = block.max(axis=-1, keepdims=True)
+            if 1 < n <= _BLOCK and block.size > n and block.flags.c_contiguous:
+                # A contiguous block of whole rows: one reduceat over the
+                # flat block at the row starts takes every row's max, where
+                # max(axis=-1) runs one inner loop per row. A max is exact
+                # in any order and NaN propagates through both; a 0.0 and a
+                # -0.0 shift give the same exp.
+                top = np.maximum.reduceat(block.reshape(-1), np.arange(0, block.size, n))
+                top = top.reshape(block.shape[:-1] + (1,))
+            else:
+                top = block.max(axis=-1, keepdims=True)
             shift = top if shift is None else np.maximum(shift, top, out=shift)
         lowest, highest = shift.min(), shift.max()
         if np.isnan(lowest):
@@ -274,14 +283,19 @@ def _choice_labels(u: np.ndarray, cuts: np.ndarray, labels: np.ndarray, mask: np
     below each uniform in ``u``, using the bool array ``mask`` (both the
     shape of u) as work space. rng.choice(p.size, p=p) turns the same
     uniforms into the same labels with cdf.searchsorted(u, side="right"):
-    u < 1 = cdf[-1], so the last entry never counts. One compare-and-add
-    pass per cut beats the binary search up to about 32 cuts (about 40 on
-    a 2-core x86-64 host); beyond that the search is used."""
+    u < 1 = cdf[-1], so the last entry never counts. One compare pass per
+    cut, its mask copied into the labels for the first cut and added for
+    the others, beats the binary search up to about 32 cuts (about 40 on a
+    2-core x86-64 host); beyond that the search is used."""
     if cuts.size > _COUNTED_CUTS:
         labels[...] = cuts.searchsorted(u, side="right")
         return
-    labels.fill(0)
-    for cut in cuts:
+    if not cuts.size:
+        labels.fill(0)
+        return
+    np.greater_equal(u, cuts[0], mask)
+    np.copyto(labels, mask)
+    for cut in cuts[1:]:
         np.greater_equal(u, cut, mask)
         labels += mask
 

@@ -353,20 +353,23 @@ def _cmd_fit_slope(cfg: FitSlopeConfig, args) -> int:
                 f"{args.csv} line {line}: column {col!r} is not a number: {row[col]!r}"
             ) from None
 
+    columns = [cfg.x_col, cfg.y_col]
     if cfg.where:
-        col, _, value = cfg.where.partition("=")
+        where_col, _, value = cfg.where.partition("=")
         if not value:
             raise ValueError("--where expects COL=VALUE")
         try:
-            value = float(value)
+            where_value = float(value)
         except ValueError:
             raise ValueError(f"--where value is not a number: {value!r}") from None
-        rows = [(i, r) for i, r in rows if col in r and number(i, r, col) == value]
-        if not rows:
-            raise ValueError(f"no rows match --where {cfg.where}")
-    for col in (cfg.x_col, cfg.y_col):
+        columns.append(where_col)
+    for col in columns:  # every row has the header's columns
         if col not in rows[0][1]:
             raise ValueError(f"column {col!r} not in {sorted(rows[0][1])}")
+    if cfg.where:
+        rows = [(i, r) for i, r in rows if number(i, r, where_col) == where_value]
+        if not rows:
+            raise ValueError(f"no rows match --where {cfg.where}")
     xs = [number(i, r, cfg.x_col) for i, r in rows]
     ys = [number(i, r, cfg.y_col) for i, r in rows]
     if cfg.abs:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import resource
+import warnings
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, get_args, get_origin, get_type_hints
 
@@ -96,7 +97,18 @@ def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
         raise ValueError("slope fit needs positive values")
     x = np.log(ns)
     y = np.log(vs)
-    slope, intercept = np.polyfit(x, y, 1).tolist()
+    # np.polyfit(x, y, 1) without its wrapper, in its steps: the columns
+    # [x, 1], each scaled to unit norm, lstsq at rcond len(x) * eps, then
+    # unscaled, with its warning on a rank-deficient fit.
+    lhs = np.empty((x.size, 2))
+    lhs[:, 0] = x
+    lhs[:, 1] = 1.0
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    coef, _, rank, _ = np.linalg.lstsq(lhs, y, x.size * np.finfo(float).eps)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    slope, intercept = (coef / scale).tolist()
     resid = y - (slope * x + intercept)
     ss_res = float(resid @ resid)
     # y.mean() is this sum over this count, and y.sum() this reduce, without
@@ -381,6 +393,10 @@ def _point_seed(root_seed: int, n: int, k: int) -> int:
     return int(np.random.SeedSequence([root_seed, n, k]).generate_state(1, np.uint64)[0])
 
 
+# An infinite draw or distance has likelihood 0; the kernel raises on all-zero
+# or NaN weights. The state is entered once per sweep, and worker threads run
+# in copies of the caller's context, so it holds there too.
+@np.errstate(over="ignore", invalid="ignore")
 def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     """Monte Carlo bias/variance table for the Gaussian-mixture setting.
 
@@ -426,10 +442,7 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
             mc_cfg = MCConfig(n=n, k=k, n_reps=n_reps, root_seed=seed, threads=cfg.threads)
             faults = _minor_faults()
             try:
-                # An infinite draw or distance has likelihood 0; the kernel
-                # raises on all-zero or NaN weights, on any worker thread.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    result = outer_mc_batched(mix._fill, batch_functional, mc_cfg)
+                result = outer_mc_batched(mix._fill, batch_functional, mc_cfg)
                 faults = _minor_faults() - faults
             except DegenerateError as exc:
                 raise DegeneratePointError(

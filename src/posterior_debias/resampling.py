@@ -61,12 +61,16 @@ def _resample(prev: np.ndarray, stage: np.ndarray, rng: np.random.Generator) -> 
                 prev[r].take(rng.integers(0, n, size=dst.size), out=dst, mode="clip")
         return
     # Row i of a block starts at entry i * n of the block, so one flat take
-    # gathers what take_along_axis(block, idx, axis=1) does.
+    # gathers what take_along_axis(block, idx, axis=1) does. The row offsets
+    # are spread over the block's destination, free until the take, so the
+    # add broadcasts nothing and takes no ufunc buffer.
     offsets = np.arange(0, min(rows, b) * n, n)[:, None]
     for r in range(0, b, rows):
         dst = stage[r : r + rows]
         idx = rng.integers(0, n, size=dst.shape)
-        idx += offsets[: len(dst)]
+        spread = dst.view(np.int64)
+        np.copyto(spread, offsets[: len(dst)])
+        idx += spread
         prev[r : r + rows].take(idx, out=dst, mode="clip")
         del idx  # freed before the next block's indices are drawn
 
@@ -292,8 +296,12 @@ def outer_mc_batched(
             _workspace.release(flat)
         if np.isnan(values).any():
             raise FloatingPointError(f"functional returned NaN in replicates {lo}..{hi - 1}")
-        mean = values.mean()
-        return b, float(mean), float(((values - mean) ** 2).sum())
+        # values.mean() and ((values - mean) ** 2).sum(), bit for bit, with
+        # their reduce and square made directly.
+        mean = np.add.reduce(values) / b
+        values -= mean
+        values *= values
+        return b, float(mean), float(np.add.reduce(values))
 
     return _drive(run_span, cfg.n_reps, _batch_rows(n), cfg.threads)
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 from math import exp, log, pi, sqrt
 
@@ -9,6 +10,8 @@ from scipy import integrate, stats
 
 from posterior_debias.bayes import (
     BoundedLikelihood,
+    _choice_cuts,
+    _choice_labels,
     _pairwise,
     _plugin_expectation,
     DiscreteBayesMap,
@@ -469,6 +472,51 @@ class TestPluginPosteriorRows:
         assert [v.hex() for v in rows] == [v.hex() for v in ref]
 
 
+def _rows_by_row_max(points, likelihood, h):
+    # The plug-in over whole rows with each row's shift from max(axis=-1),
+    # faults checked in the kernel's order.
+    log_w = likelihood.log(points)
+    shift = log_w.max(axis=-1, keepdims=True)
+    if np.isnan(shift).any():
+        raise ValueError("likelihood returned NaN")
+    if (shift == np.inf).any():
+        raise ValueError("likelihood returned +inf; it must be bounded")
+    if (shift == -np.inf).any():
+        raise DegenerateError("all sample likelihoods underflowed to zero")
+    w = np.exp(log_w - shift)
+    return (w * h(points)).sum(axis=-1) / w.sum(axis=-1)
+
+
+class TestRowShift:
+    """A contiguous block of whole rows takes its shifts from one reduceat;
+    every result and every fault must be what per-row maxima give."""
+
+    @pytest.mark.parametrize("shape", [(1, 16), (512, 1), (512, 16), (7, 64), (2, 8), (3, B)])
+    @pytest.mark.parametrize("fault", [None, np.nan, np.inf, -np.inf])
+    def test_equals_row_max(self, shape, fault):
+        # The identity log_fn makes the points the log weights. The last
+        # row's max is a zero of either sign; one row holds the fault, or
+        # underflows entirely for -inf.
+        points = np.random.default_rng(shape).normal(0.0, 3.0, shape)
+        points[-1] = -np.abs(points[-1])
+        points[-1, ::2] = -0.0
+        points[-1, -1] = 0.0
+        row = shape[0] // 2
+        if fault == -np.inf:
+            points[row] = -np.inf
+        elif fault is not None:
+            points[row, -1] = fault
+        lik = BoundedLikelihood(log_fn=lambda x: x)
+        try:
+            want = _rows_by_row_max(points, lik, HALF)
+        except (ValueError, DegenerateError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _plugin_expectation(points, lik, HALF)
+            return
+        got = _plugin_expectation(points, lik, HALF)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 class TestGaussianMixture:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -508,6 +556,22 @@ class TestGaussianMixture:
             comp = rng.choice(m, size=size, p=mix.weights)
             ref = mix.means[comp] + np.sqrt(mix.variances[comp]) * rng.standard_normal(size)
             assert np.array_equal(mix.sample(size, np.random.default_rng(seed)), ref)
+
+    @pytest.mark.parametrize("cuts", [0, 1, 2, 32, 33])
+    def test_choice_labels_equal_searchsorted(self, cuts):
+        # Counting passes up to 32 cuts, the binary search past them. A zero
+        # weight repeats the first cut, and one uniform sits on each cut.
+        rng = np.random.default_rng(cuts)
+        weights = rng.dirichlet(np.ones(cuts + 1))
+        if cuts >= 2:
+            weights[1] = 0.0
+        cut_points = _choice_cuts(weights / weights.sum())
+        assert cut_points.size == cuts
+        u = rng.random(1000)
+        u[:cuts] = cut_points
+        labels = np.full(u.shape, -7, np.intp)
+        _choice_labels(u, cut_points, labels, np.empty(u.shape, bool))
+        assert np.array_equal(labels, cut_points.searchsorted(u, side="right"))
 
     @pytest.mark.parametrize("m", [33, 34, 100])
     def test_many_components_same_labels_as_choice(self, m):

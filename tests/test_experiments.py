@@ -210,6 +210,19 @@ class TestFitSlope:
             assert [float(v).hex() for v in got[:3]] == [v.hex() for v in want[:3]], case
             assert type(got[0]) is type(got[1]) is float and got[3] == want[3]
 
+    def test_rank_deficient_fit_warns_as_polyfit_does(self):
+        # Two sizes one ulp apart: log gives the same x twice, so the fit
+        # has rank 1 and np.polyfit warns; fit_slope must warn too and give
+        # the same bits (r^2 of 0.0).
+        sizes = [np.e, np.nextafter(np.e, 3)]
+        with pytest.warns(np.exceptions.RankWarning, match="Polyfit may be poorly conditioned"):
+            want = self._numpy_fit(sizes, [1.0, 2.0])
+        with pytest.warns(np.exceptions.RankWarning, match="Polyfit may be poorly conditioned"):
+            fit = fit_slope(sizes, [1.0, 2.0])
+        got = (fit.slope, fit.intercept, fit.r_squared)
+        assert [v.hex() for v in got] == [v.hex() for v in want[:3]]
+        assert fit.r_squared == 0.0
+
     @pytest.mark.parametrize(
         "sizes, values",
         [
@@ -513,6 +526,40 @@ class TestRunMixtureMC:
         rows, _ = run_mixture_mc(cfg)
         got = [(r["n"], r["k"], r["est_mean"].hex(), r["est_variance"].hex()) for r in rows]
         assert got == self.PINNED_BATCHED
+
+    # The benchmark's mc_mixture grid at root seed 0, recorded with numpy
+    # 2.4.6: N = 512 makes each point one chunk of 512 rows, up to n = 64.
+    # Per (n, k), est_mean and est_variance; per (k, column), the slope,
+    # intercept and r^2 of its fit; all as float.hex.
+    PINNED_BENCH_ROWS = [
+        (16, 1, "0x1.1a89fb872ca55p-4", "0x1.02d3cbad0aeb5p-4"),
+        (32, 1, "0x1.4694bff5569dep-3", "0x1.00da775350779p-3"),
+        (64, 1, "0x1.060c8d967934cp-2", "0x1.4efa68ff9a46ep-3"),
+        (16, 2, "0x1.ccaabf9d5a9bap-4", "0x1.5bbd07be7a682p-3"),
+        (32, 2, "0x1.d1f35a0fe1cc5p-3", "0x1.1e0fcd9be02efp-2"),
+        (64, 2, "0x1.682fd045e0fecp-2", "0x1.651e97a352ce6p-2"),
+    ]
+    PINNED_BENCH_FITS = [
+        (1, "abs_bias", "-0x1.4f883bf65d716p-2", "0x1.00017f7c8843dp-2", "0x1.fc7e54daff899p-1"),
+        (1, "est_variance", "0x1.5f40721e512dbp-1", "-0x1.25ff7eccfc73cp+2", "0x1.e0c1c7d0904d4p-1"),
+        (2, "abs_bias", "-0x1.07fa7f3e6afb4p-1", "0x1.64a57494422bdp-1", "0x1.f878b67753218p-1"),
+        (2, "est_variance", "0x1.09d4e11ab6251p-1", "-0x1.95564aea5154ep+1", "0x1.e812267d0f843p-1"),
+    ]
+
+    def test_benchmark_grid_bits_are_pinned(self):
+        cfg = default_mixture_config(
+            n_grid=(16, 32, 64), k_values=(1, 2), n_rule="fixed", n_fixed=512,
+            y_obs=3.5, noise_var=1 / 16, threshold=3.3, root_seed=0,
+        )
+        rows, info = run_mixture_mc(cfg)
+        got = [(r["n"], r["k"], r["est_mean"].hex(), r["est_variance"].hex()) for r in rows]
+        assert got == self.PINNED_BENCH_ROWS
+        fits = [
+            (k, name, fit.slope.hex(), fit.intercept.hex(), fit.r_squared.hex())
+            for k, columns in info["fits"].items()
+            for name, fit in columns.items()
+        ]
+        assert fits == self.PINNED_BENCH_FITS
 
 
 # Every case run_identity_check returns for the default root seed, as
@@ -1290,6 +1337,19 @@ class TestCli:
         assert code == 2
         captured = capsys.readouterr()
         assert "values must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags", [["--where", "foo=1"], ["--x-col", "foo"], ["--y-col", "foo", "--where", "k=1"]]
+    )
+    def test_fit_slope_unknown_column_is_named_with_the_header(self, tmp_path, capsys, flags):
+        # An unknown --where column is named as an unknown x or y column is,
+        # not reported as a filter that matched no row.
+        path = tmp_path / "t.csv"
+        path.write_text("n,k,abs_bias\n16,1,0.5\n64,1,0.125\n")
+        assert main(["fit-slope", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert "column 'foo' not in ['abs_bias', 'k', 'n']" in captured.err
         assert captured.out == ""
 
     def test_fit_slope_bad_column(self, tmp_path, capsys):
