@@ -28,7 +28,6 @@ from .errors import (
 )
 from .operators import (
     LatticeFunction,
-    TransferMatrix,
     central_moment,
     contraction_norm,
     debias_weights,
@@ -40,7 +39,6 @@ from .operators import (
     transfer_matrix,
 )
 from .experiments import (
-    SlopeFit,
     default_binary_config,
     default_identity_config,
     default_mixture_config,
@@ -57,7 +55,6 @@ from .rejection import (
 )
 from .resampling import (
     MCConfig,
-    MCResult,
     build_chain,
     debiased_expectation,
     debiased_realization,
@@ -67,9 +64,7 @@ from .resampling import (
 from .simplex import (
     CountsVector,
     ProbVector,
-    SimplexLattice,
     enumerate_lattice,
-    lattice_size,
     multinomial_pmf_vector,
 )
 
@@ -84,13 +79,9 @@ __all__ = [
     "IterationCapError",
     "LatticeFunction",
     "MCConfig",
-    "MCResult",
     "ProbVector",
     "RejectionSpec",
-    "SimplexLattice",
-    "SlopeFit",
     "SupportError",
-    "TransferMatrix",
     "UnderpoweredRunError",
     "WeightedSampleSet",
     "build_chain",
@@ -112,7 +103,6 @@ __all__ = [
     "fit_slope",
     "gaussian_likelihood",
     "iterate_operator",
-    "lattice_size",
     "make_rejection_spec",
     "mixture_posterior_tail_prob",
     "multinomial_pmf_vector",

@@ -243,12 +243,12 @@ def _plugin_expectation(
         shift = None
         for lo in range(0, n, _BLOCK):
             block = likelihood.log(points[..., lo : lo + _BLOCK], log_w[..., lo : lo + _BLOCK])
-            if 1 < n <= _BLOCK and block.size > n and block.flags.c_contiguous:
-                # A contiguous block of whole rows: one reduceat over the
-                # flat block at the row starts takes every row's max, where
-                # max(axis=-1) runs one inner loop per row. A max is exact
-                # in any order and NaN propagates through both; a 0.0 and a
-                # -0.0 shift give the same exp.
+            if 1 < n <= _BLOCK and block.size > n:
+                # The whole of log_w, a contiguous block of whole rows: one
+                # reduceat over the flat block at the row starts takes every
+                # row's max, where max(axis=-1) runs one inner loop per row.
+                # A max is exact in any order and NaN propagates through
+                # both; a 0.0 and a -0.0 shift give the same exp.
                 top = np.maximum.reduceat(block.reshape(-1), np.arange(0, block.size, n))
                 top = top.reshape(block.shape[:-1] + (1,))
             else:
@@ -279,25 +279,29 @@ def _choice_cuts(p: np.ndarray) -> np.ndarray:
 
 
 def _choice_labels(u: np.ndarray, cuts: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> None:
-    """Write into the integer array ``labels`` the number of cut points at or
-    below each uniform in ``u``, using the bool array ``mask`` (both the
-    shape of u) as work space. rng.choice(p.size, p=p) turns the same
-    uniforms into the same labels with cdf.searchsorted(u, side="right"):
-    u < 1 = cdf[-1], so the last entry never counts. One compare pass per
-    cut, its mask copied into the labels for the first cut and added for
-    the others, beats the binary search up to about 32 cuts (about 40 on a
-    2-core x86-64 host); beyond that the search is used."""
+    """Write into ``labels``, a contiguous 1-d integer array, the number of
+    cut points at or below each uniform in the 1-d ``u``; the bool array
+    ``mask`` (of u's size) and the labels' own bytes are work space.
+    rng.choice(p.size, p=p) turns the same uniforms into the same labels
+    with cdf.searchsorted(u, side="right"): u < 1 = cdf[-1], so the last
+    entry never counts. One compare pass per cut, added up in the mask's
+    bytes and copied into the labels once, beats the binary search up to
+    about 32 cuts (about 40 on a 2-core x86-64 host); beyond that the search
+    is used. A byte holds a count of at most 32, and bytes add to bytes with
+    no cast, where a bool mask added to the labels took a 64 KB buffer."""
     if cuts.size > _COUNTED_CUTS:
         labels[...] = cuts.searchsorted(u, side="right")
         return
     if not cuts.size:
         labels.fill(0)
         return
+    counts = mask.view(np.uint8)
+    hit = labels.view(np.uint8)[: u.size]  # overwritten by the copy below
     np.greater_equal(u, cuts[0], mask)
-    np.copyto(labels, mask)
     for cut in cuts[1:]:
-        np.greater_equal(u, cut, mask)
-        labels += mask
+        np.greater_equal(u, cut, hit.view(bool))
+        counts += hit
+    np.copyto(labels, counts)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ from .experiments import (
     run_mixture_mc,
     run_rejection_demo,
 )
+from .simplex import _is_int
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,7 +60,7 @@ EXIT_GUARD = 4
 
 def _fmt(value) -> str:
     # 17 significant digits: float64 round-trips exactly.
-    if isinstance(value, (int,)) and not isinstance(value, bool):
+    if _is_int(value):
         return str(value)
     return f"{float(value):.17g}"
 

@@ -33,7 +33,7 @@ from .errors import CapExceededError, DegenerateError, DegeneratePointError, Und
 from .operators import MAX_ORDER, _exact_bias_variance, debiased_estimate, debiased_estimate_mean
 from .rejection import make_rejection_spec, rejection_sample_batch
 from .resampling import _BATCH_SCHEME, MCConfig, exhaustive_chain_expectation, outer_mc_batched
-from .simplex import CountsVector, ProbVector, lattice_size
+from .simplex import CountsVector, ProbVector, _checked_int, _is_int, lattice_size
 
 IDENTITY_TOL = 1e-10
 # Most chains, L^k for lattice size L, that one identity-check case may
@@ -165,11 +165,11 @@ def _fits(hint, value) -> bool:
     if get_origin(hint) is tuple:
         item = get_args(hint)[0]
         return isinstance(value, (tuple, list)) and all(_fits(item, v) for v in value)
-    if hint is bool:
-        return isinstance(value, bool)
+    if hint is int:
+        return _is_int(value)
     if isinstance(value, bool):  # True/False is no number
-        return False
-    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(hint, hint))
+        return hint is bool
+    return isinstance(value, numbers.Real if hint is float else hint)
 
 
 def _floats(hint, value) -> tuple:
@@ -264,6 +264,7 @@ class MixtureConfig:
         1,
         "worker threads; they speed up a grid point that spans more than one "
         "chunk of replicates, and results are identical for any count",
+        min=1,
     )
     root_seed: int = _opt(0, "root seed", flag="--seed", min=0)
 
@@ -314,6 +315,7 @@ class RejectionConfig:
 
     def __post_init__(self):
         _check_fields(self)
+        _checked_int(self.demo_k, "demo_k", 1, MAX_ORDER)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ from .simplex import (
     CountsVector,
     ProbVector,
     SimplexLattice,
+    _checked_counts,
+    _checked_int,
     _checked_vector,
     _log_coef,
     _log_probs,
@@ -53,16 +55,17 @@ _ROW_BLOCK = 1 << 16  # matrix entries per block of whole rows that a build
 # or a check walks while the block is in cache
 
 
-@lru_cache(maxsize=MAX_ORDER)
+# Typed, so that an entry for 1 never answers for True, nor one for 2 for 2.0:
+# the check inside runs for each type of k.
+@lru_cache(maxsize=MAX_ORDER, typed=True)
 def debias_weights(k: int) -> np.ndarray:
     """Alternating binomial weights of the order-k debiased estimator.
 
     weights[j] = C(k, j+1) * (-1)^j for j = 0..k-1; they sum to 1 exactly,
     so the combination preserves constants. The array is read-only and
-    shared between calls.
+    shared between calls. k must be an integer in [1, MAX_ORDER].
     """
-    if not 1 <= k <= MAX_ORDER:
-        raise ValueError(f"order k must be in [1, {MAX_ORDER}], got {k}")
+    k = _checked_int(k, "k", 1, MAX_ORDER)
     w = np.array([comb(k, j + 1) * (-1) ** j for j in range(k)], dtype=float)
     if w.sum() != 1.0:  # integer-valued floats below 2^53: sum is exact
         raise ValueError(f"debias weights sum to {w.sum()!r}, not 1")
@@ -221,8 +224,7 @@ def transfer_matrix(n: int, m: int) -> TransferMatrix:
 
 def iterate_operator(g: LatticeFunction, M: TransferMatrix, j: int) -> LatticeFunction:
     """Apply the operator j times to a lattice function; j = 0 is the identity."""
-    if j < 0:
-        raise ValueError(f"iteration count must be >= 0, got {j}")
+    j = _checked_int(j, "j", 0)
     if g.lattice.n != M.lattice.n or g.lattice.m != M.lattice.m:
         raise ValueError("lattice mismatch between function and transfer matrix")
     v = g.values
@@ -358,11 +360,9 @@ def central_moment(n: int, q: ProbVector, alpha) -> float:
     the validated range of the scaling diagnostics.
     """
     q = ProbVector(q)
-    a = np.asarray(alpha, dtype=np.int64)
+    a = _checked_counts(alpha, "alpha")
     if a.shape != (q.m,):
-        raise ValueError(f"multi-index must have length {q.m}, got shape {a.shape}")
-    if np.any(a < 0):
-        raise ValueError("multi-index entries must be non-negative")
+        raise ValueError(f"multi-index alpha must have length {q.m}, got shape {a.shape}")
     if a.sum() > 8:
         raise ValueError(f"|alpha|_1 = {a.sum()} over the cap of 8")
     lat = _cached_lattice(n, q.m)
@@ -378,8 +378,7 @@ def contraction_norm(g: Callable, n: int, m: int, r: int) -> float:
     For g with 2r bounded derivatives this decays like n^{-r}; constants and
     linear functions are annihilated exactly.
     """
-    if r < 1:
-        raise ValueError(f"repetition count must be >= 1, got {r}")
+    r = _checked_int(r, "r", 1)
     g_values, Bg = _operator_iterates(g, n, m, 2)
     v = Bg - g_values
     M = _cached_matrix(n, m).rows

@@ -16,8 +16,8 @@ import numpy as np
 from . import _workspace
 from .bayes import _choice_cuts, _choice_labels
 from .errors import CapExceededError, IterationCapError, SupportError
-from .resampling import _check_seed
-from .simplex import ProbVector, _checked_vector
+from .resampling import _SEED_MAX
+from .simplex import ProbVector, _checked_int, _checked_vector
 
 _PIECE = 2**16  # most proposals of a block that the sampler holds at once
 # Most proposals, ratio bound times draws, that one call may expect to use: a
@@ -91,12 +91,6 @@ def make_rejection_spec(proposal, target) -> RejectionSpec:
     )
 
 
-def _check_count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def _walk_block(rng, block: int, spec: RejectionSpec, dest: np.ndarray) -> tuple[int, int]:
     """Draw one block of ``block`` proposals and write its accepts into
     ``dest`` until it is full; return (accepts, proposals used).
@@ -163,10 +157,10 @@ def rejection_sample_batch(
     ``size`` and ``attempt_cap`` must be integers >= 1 and ``seed`` an
     unsigned 64-bit integer.
     """
-    size = _check_count("size", size)
-    seed = _check_seed(seed)
+    size = _checked_int(size, "size", 1)
+    seed = _checked_int(seed, "seed", 0, _SEED_MAX)
     if attempt_cap is not None:
-        attempt_cap = _check_count("attempt_cap", attempt_cap)
+        attempt_cap = _checked_int(attempt_cap, "attempt_cap", 1)
     if spec.bound * size > PROPOSAL_CAP:
         raise CapExceededError(
             f"{size} draws at ratio bound {spec.bound:.6g} need about "

@@ -25,22 +25,13 @@ import numpy as np
 
 from . import _workspace
 from .bayes import _BLOCK, BoundedLikelihood, WeightedSampleSet, _plugin_expectation
-from .operators import _cached_lattice, _cached_matrix, debias_weights
-from .simplex import ProbVector, multinomial_pmf_vector
+from .operators import MAX_ORDER, _cached_lattice, _cached_matrix, debias_weights
+from .simplex import ProbVector, _checked_int, multinomial_pmf_vector
 
-_SEED_LIMIT = 2**64
+_SEED_MAX = 2**64 - 1  # every seed is an unsigned 64-bit integer
 _CHUNK = 4096  # replicates per work unit; fixed so the reduction order is too
 _BATCH_ELEMENTS = 2**18  # data points per chunk of outer_mc_batched
 _BATCH_SCHEME = 1  # version of outer_mc_batched's stream layout; bump on any change
-
-
-def _check_seed(seed: int) -> int:
-    # The one seed check of every seeded API. A float or a bool is no seed:
-    # int() would truncate the one and SeedSequence takes the other as 0 or 1.
-    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if not (integer and 0 <= seed < _SEED_LIMIT):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return int(seed)
 
 
 def _resample(prev: np.ndarray, stage: np.ndarray, rng: np.random.Generator) -> None:
@@ -112,7 +103,7 @@ def build_chain(data: WeightedSampleSet, k: int, seed: int) -> tuple[WeightedSam
     verbatim, and each later stage is n uniform-with-replacement draws from
     the previous one. Fully reproducible from (data, k, seed)."""
     debias_weights(k)
-    seed = _check_seed(seed)
+    seed = _checked_int(seed, "seed", 0, _SEED_MAX)
     rng = np.random.default_rng(np.random.SeedSequence([seed])) if k > 1 else None
     stages = _stages(data.points.reshape(1, -1), k, rng)
     next(stages)  # stage 1 is the data itself
@@ -146,19 +137,11 @@ class MCConfig:
     threads: int = 1
 
     def __post_init__(self):
-        # Plain isinstance: run_mixture_mc builds one MCConfig per grid point.
-        for name in ("n", "k", "n_reps", "root_seed", "threads"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name!r} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        debias_weights(self.k)
-        if self.n_reps < 1:
-            raise ValueError(f"n_reps must be >= 1, got {self.n_reps}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        _check_seed(self.root_seed)
+        _checked_int(self.n, "n", 1)
+        _checked_int(self.k, "k", 1, MAX_ORDER)
+        _checked_int(self.n_reps, "n_reps", 1)
+        _checked_int(self.root_seed, "root_seed", 0, _SEED_MAX)
+        _checked_int(self.threads, "threads", 1)
 
 
 @dataclass(frozen=True)
@@ -326,7 +309,7 @@ def debiased_expectation(
     (the signed mixture is normalized).
     """
     debias_weights(k)
-    seed = _check_seed(seed)
+    seed = _checked_int(seed, "seed", 0, _SEED_MAX)
     rng = np.random.default_rng(np.random.SeedSequence([seed])) if k > 1 else None
     # Each stage is evaluated, its log weights in the spare buffer, before
     # the next is drawn there; the values then combine exactly as a built

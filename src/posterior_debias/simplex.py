@@ -40,6 +40,35 @@ def _checked_vector(values, name: str) -> np.ndarray:
     return v
 
 
+def _is_int(value) -> bool:
+    """The package's one integer rule: an int or a numpy integer. A bool is
+    not one (True would run as 1), nor is a float, even one equal to an
+    integer (2.0)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _checked_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int, which must keep the integer rule and lie in
+    [low, high] (high None: no upper end). The ValueError otherwise names
+    the argument."""
+    if not (_is_int(value) and low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name!r} must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
+def _checked_counts(values, name: str) -> np.ndarray:
+    """The rule of every count vector: a read-only int64 copy of ``values``,
+    a nonempty 1-d vector of integer-valued entries >= 0 (3.0 is a count,
+    1.5 is not). The ValueError otherwise names the field."""
+    c = _checked_vector(values, name)
+    if not np.array_equal(c, np.rint(c)):
+        raise ValueError(f"{name} must be integers")
+    if np.any(c < 0):
+        raise ValueError(f"{name} must be non-negative")
+    return _frozen_array(c, np.int64)
+
+
 @dataclass(frozen=True)
 class ProbVector:
     """Point on the probability simplex: entries >= 0 summing to 1 (tol 1e-12)."""
@@ -70,14 +99,10 @@ class CountsVector:
     counts: np.ndarray
 
     def __post_init__(self):
-        c = _checked_vector(self.counts, "counts")
-        if not np.array_equal(c, np.rint(c)):
-            raise ValueError("counts must be integers")
-        if np.any(c < 0):
-            raise ValueError("counts must be non-negative")
+        c = _checked_counts(self.counts, "counts")
         if c.sum() < 1:
             raise ValueError("counts must sum to at least 1")
-        object.__setattr__(self, "counts", _frozen_array(c, np.int64))
+        object.__setattr__(self, "counts", c)
 
     @property
     def n(self) -> int:
@@ -138,10 +163,10 @@ class SimplexLattice:
 
     def index_of(self, counts) -> int:
         """Rank of a count vector in the enumeration (combinatorial, exact)."""
-        c = np.asarray(counts, dtype=np.int64)
+        c = _checked_counts(counts, "counts")
         if c.shape != (self.m,):
             raise ValueError(f"expected {self.m} categories, got shape {c.shape}")
-        if np.any(c < 0) or int(c.sum()) != self.n:
+        if int(c.sum()) != self.n:
             raise ValueError(f"{c.tolist()} is not on the (n={self.n}, m={self.m}) lattice")
         # Points before c that agree with it up to coordinate i and are
         # smaller there number sum_{v < c_i} C(R - v + s, s), with R the
@@ -160,10 +185,8 @@ class SimplexLattice:
 
 
 def _checked_dims(n, m) -> tuple[int, int]:
-    # The (n, m) of a lattice as ints: both must be integers >= 1. A numpy
-    # integer is one; a bool or a float is not, even when it equals one.
-    integers = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, m))
-    if not integers or n < 1 or m < 1:
+    # The (n, m) of a lattice as ints: both keep the integer rule and are >= 1.
+    if not (_is_int(n) and _is_int(m) and n >= 1 and m >= 1):
         raise ValueError(f"need n >= 1 and m >= 1, got n={n!r}, m={m!r}")
     return int(n), int(m)
 

@@ -306,6 +306,8 @@ class TestExperimentConfig:
             (RejectionConfig, {"root_seed": -1}),
             (RejectionConfig, {"demo_n": 0}),
             (RejectionConfig, {"demo_k": 0}),
+            (RejectionConfig, {"demo_k": 21}),
+            (MixtureConfig, {"threads": 0}),
             (RejectionConfig, {"demo_draws": 0}),
         ],
     )
