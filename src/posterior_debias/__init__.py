@@ -48,11 +48,7 @@ from .experiments import (
     run_mixture_mc,
     run_rejection_demo,
 )
-from .rejection import (
-    RejectionSpec,
-    make_rejection_spec,
-    rejection_sample_batch,
-)
+from .rejection import make_rejection_spec, rejection_sample_batch
 from .resampling import (
     MCConfig,
     build_chain,
@@ -80,7 +76,6 @@ __all__ = [
     "LatticeFunction",
     "MCConfig",
     "ProbVector",
-    "RejectionSpec",
     "SupportError",
     "UnderpoweredRunError",
     "WeightedSampleSet",

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _workspace
 from .errors import DegenerateError
-from .simplex import ProbVector, _checked_vector
+from .simplex import ProbVector, _checked_int, _checked_vector
 
 _BLOCK = 2**14  # points per block of the plug-in expectation: 128 KiB of float64
 _COUNTED_CUTS = 32  # most cut points that _choice_labels counts pass by pass
@@ -333,7 +333,12 @@ class GaussianMixture:
 
         A label is the number of cut points at or below one uniform, which
         is what rng.choice(..., p=weights) computes with searchsorted from
-        the same uniforms, so the stream is unchanged."""
+        the same uniforms, so the stream is unchanged. An int size, and each
+        entry of a shape, must be an integer >= 0 (ValueError naming size)."""
+        if isinstance(size, tuple):
+            size = tuple(_checked_int(s, "size", 0) for s in size)
+        else:
+            size = _checked_int(size, "size", 0)
         out = np.empty(size)
         self._fill(out, rng)
         return out

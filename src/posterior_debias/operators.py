@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from typing import Callable
@@ -39,7 +39,6 @@ from .simplex import (
     _log_coef,
     _log_probs,
     enumerate_lattice,
-    lattice_size,
     multinomial_pmf_vector,
 )
 
@@ -52,7 +51,7 @@ DEFAULT_MATRIX_ENTRY_CAP = 50_000_000
 # (numpy 2.4 on a 2-core x86-64 host).
 _EXP_UNDERFLOW = -746.0
 _ROW_BLOCK = 1 << 16  # matrix entries per block of whole rows that a build
-# or a check walks while the block is in cache
+# fills and checks while the block is in cache
 
 
 # Typed, so that an entry for 1 never answers for True, nor one for 2 for 2.0:
@@ -75,48 +74,81 @@ def debias_weights(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Exact operator restricted to lattice arguments.
+    """Exact operator restricted to the arguments of ``lattice``.
 
     rows[i] is the multinomial pmf over the whole lattice when the prior is
-    points[i]/n, so rows are non-negative and sum to 1. A read-only array
-    that owns its data, or that transfer_matrix built on its own private
-    mapping, is kept as is; any other array is copied. The check reads each
-    block of rows once, for its smallest entry and its row sums. The whole
-    read-only matrix on transfer_matrix's own mapping is not read again:
-    transfer_matrix checked each block as it built it.
+    points[i]/n, so rows are non-negative and sum to 1. The read-only rows
+    are derived from the lattice alone, and take no part in equality. A
+    matrix of more than DEFAULT_MATRIX_ENTRY_CAP entries raises
+    :class:`CapExceededError` instead of being built.
     """
 
     lattice: SimplexLattice
-    rows: np.ndarray
+    rows: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        r = np.asarray(self.rows, dtype=float)
-        L = self.lattice.size
-        if r.shape != (L, L):
-            raise ValueError(f"expected {(L, L)} matrix, got {r.shape}")
-        ours = isinstance(r.base, _ZeroPages)  # a view's base is the array it views
-        if not (ours and not r.flags.writeable):
-            per_block = max(1, _ROW_BLOCK // L)
-            _check_rows(r[start : start + per_block] for start in range(0, L, per_block))
-        if r.flags.writeable or not (r.flags.owndata or ours):
-            r = r.copy()
-            r.flags.writeable = False
-        object.__setattr__(self, "rows", r)
-
-
-def _check_rows(blocks) -> None:
-    # The verdicts of r.min() and of every row sum of r, from r's blocks of
-    # whole rows, with no L x L temporary: np.minimum and np.maximum carry a
-    # NaN through, so a NaN anywhere skips the sign check (as r.min() < 0
-    # does) and fails the row-sum check.
-    lowest, row_err = np.inf, 0.0
-    for blk in blocks:
-        lowest = np.minimum(lowest, blk.min())
-        row_err = np.maximum(row_err, np.abs(blk.sum(axis=1) - 1.0).max())
-    if lowest < 0:
-        raise ValueError("transfer matrix entries must be non-negative")
-    if not row_err <= 1e-10:  # also catches NaN, which every comparison fails
-        raise ValueError(f"transfer matrix rows sum to 1 +/- {row_err}")
+        lat = self.lattice
+        n, size = lat.n, lat.size
+        if size * size > DEFAULT_MATRIX_ENTRY_CAP:
+            raise CapExceededError(
+                f"transfer matrix for n={n}, m={lat.m} needs {size * size} entries, "
+                f"over the cap of {DEFAULT_MATRIX_ENTRY_CAP}"
+            )
+        # Row i is multinomial_pmf_vector(lat, points[i] / n), with its
+        # coefficients and log-probabilities computed once for all rows and
+        # built in place. Each row keeps its own matrix-vector product: one
+        # (L, m) @ (m, L) product rounds differently. A block's rows come
+        # from one stacked np.matmul of pts with the block's (m, 1)
+        # log-probability columns, for which numpy makes the same BLAS dgemv
+        # call per row that a per-row np.dot makes, with one dispatch per
+        # block instead of per row.
+        pts = lat.points.astype(float)
+        log_coef = _log_coef(lat)
+        log_p = _log_probs(lat.points / n)
+        # The exp is taken once per block of rows, while the block is in
+        # cache, and only where the log mass is at or above _EXP_UNDERFLOW:
+        # below it exp is exactly 0.0, so the bits are those of exp over the
+        # whole matrix (over half the entries at n = 4096). One block-sized
+        # mask, reused for every block, flags the live entries for the exp,
+        # then the dead ones for the zeroing, so no matrix-sized temporary is
+        # made. A NaN is live, as it is not below the cut-off, and fails the
+        # row-sum check. Each block is built in one reused scratch block, and
+        # only its columns from the first to the last live entry are copied
+        # into the matrix: the pages outside them are never written and read
+        # as +0.0, the value the zeroing gives (43% of the pages at
+        # n = 4096). So the scratch block holds the matrix's block bit for
+        # bit, and the check reads it there, while it is in cache: the
+        # smallest entry and every row sum, with no L x L temporary.
+        # np.minimum and np.maximum carry a NaN through, so a NaN anywhere
+        # skips the sign check (as rows.min() < 0 does) and fails the
+        # row-sum check.
+        rows = np.ndarray((size, size), buffer=_ZeroPages(size * size * 8))
+        per_block = max(1, _ROW_BLOCK // size)
+        scratch = np.empty((min(per_block, size), size))
+        mask = np.empty(scratch.shape, dtype=bool)
+        lowest, row_err = np.inf, 0.0
+        for start in range(0, size, per_block):
+            blk = scratch[: min(per_block, size - start)]
+            np.matmul(pts, log_p[start : start + len(blk), :, None], out=blk[:, :, None])
+            blk += log_coef
+            flag = mask[: len(blk)]
+            np.less(blk, _EXP_UNDERFLOW, out=flag)  # dead
+            np.logical_not(flag, out=flag)  # live
+            np.exp(blk, out=blk, where=flag)
+            live = flag.any(axis=0)
+            lo, hi = live.argmax(), size - live[::-1].argmax()
+            np.logical_not(flag, out=flag)  # dead
+            np.copyto(blk, 0.0, where=flag)
+            if live[lo]:
+                rows[start : start + len(blk), lo:hi] = blk[:, lo:hi]
+            lowest = np.minimum(lowest, blk.min())
+            row_err = np.maximum(row_err, np.abs(blk.sum(axis=1) - 1.0).max())
+        if lowest < 0:
+            raise ValueError("transfer matrix entries must be non-negative")
+        if not row_err <= 1e-10:  # also catches NaN, which every comparison fails
+            raise ValueError(f"transfer matrix rows sum to 1 +/- {row_err}")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
 
 @dataclass(frozen=True)
@@ -149,8 +181,7 @@ class _ZeroPages(mmap.mmap):
     through the kernel's shared zero page, which is not resident, until it
     is written. (numpy advises huge pages for an allocation this large, so
     one write there makes a whole 2 MB region resident; a shared mapping
-    allocates a page on every read.) Only transfer_matrix makes one, so
-    TransferMatrix can tell its own matrix from a caller's array."""
+    allocates a page on every read.)"""
 
     def __new__(cls, nbytes: int):
         pages = super().__new__(cls, -1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
@@ -164,62 +195,9 @@ class _ZeroPages(mmap.mmap):
 
 
 def transfer_matrix(n: int, m: int) -> TransferMatrix:
-    """Materialize the exact operator matrix for the (n, m) lattice."""
-    size = lattice_size(n, m)
-    if size * size > DEFAULT_MATRIX_ENTRY_CAP:
-        raise CapExceededError(
-            f"transfer matrix for n={n}, m={m} needs {size * size} entries, "
-            f"over the cap of {DEFAULT_MATRIX_ENTRY_CAP}"
-        )
-    lat = _cached_lattice(n, m)  # the lattice the exact functions share
-    # Row i is multinomial_pmf_vector(lat, points[i] / n), with its
-    # coefficients and log-probabilities computed once for all rows and built
-    # in place. Each row keeps its own matrix-vector product: one
-    # (L, m) @ (m, L) product rounds differently. A block's rows come from one
-    # stacked np.matmul of pts with the block's (m, 1) log-probability
-    # columns, for which numpy makes the same BLAS dgemv call per row that a
-    # per-row np.dot makes, with one dispatch per block instead of per row.
-    pts = lat.points.astype(float)
-    log_coef = _log_coef(lat)
-    log_p = _log_probs(lat.points / n)
-    # The exp is taken once per block of rows, while the block is in cache,
-    # and only where the log mass is at or above _EXP_UNDERFLOW: below it exp
-    # is exactly 0.0, so the bits are those of exp over the whole matrix
-    # (over half the entries at n = 4096). One block-sized mask, reused for
-    # every block, flags the live entries for the exp, then the dead ones
-    # for the zeroing, so no matrix-sized temporary is made. A NaN is live,
-    # as it is not below the cut-off, and fails the row-sum check. Each block
-    # is built in one reused scratch block, and only its columns from the
-    # first to the last live entry are copied into the matrix: the pages
-    # outside them are never written and read as +0.0, the value the zeroing
-    # gives (43% of the pages at n = 4096). So the scratch block holds the
-    # matrix's block bit for bit, and the check reads it there, while it is
-    # in cache, with TransferMatrix's blocks, values and messages.
-    rows = np.ndarray((size, size), buffer=_ZeroPages(size * size * 8))
-    per_block = max(1, _ROW_BLOCK // size)
-    scratch = np.empty((min(per_block, size), size))
-    mask = np.empty(scratch.shape, dtype=bool)
-
-    def built_blocks():
-        for start in range(0, size, per_block):
-            blk = scratch[: min(per_block, size - start)]
-            np.matmul(pts, log_p[start : start + len(blk), :, None], out=blk[:, :, None])
-            blk += log_coef
-            flag = mask[: len(blk)]
-            np.less(blk, _EXP_UNDERFLOW, out=flag)  # dead
-            np.logical_not(flag, out=flag)  # live
-            np.exp(blk, out=blk, where=flag)
-            live = flag.any(axis=0)
-            lo, hi = live.argmax(), size - live[::-1].argmax()
-            np.logical_not(flag, out=flag)  # dead
-            np.copyto(blk, 0.0, where=flag)
-            if live[lo]:
-                rows[start : start + len(blk), lo:hi] = blk[:, lo:hi]
-            yield blk
-
-    _check_rows(built_blocks())
-    rows.flags.writeable = False  # TransferMatrix keeps it without a check or a copy
-    return TransferMatrix(lattice=lat, rows=rows)
+    """Materialize the exact operator matrix for the (n, m) lattice, on the
+    lattice the exact functions share: ``TransferMatrix(lattice)``."""
+    return TransferMatrix(_cached_lattice(n, m))
 
 
 def iterate_operator(g: LatticeFunction, M: TransferMatrix, j: int) -> LatticeFunction:

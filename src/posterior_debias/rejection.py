@@ -8,8 +8,7 @@ as a diagnostic since it is itself of the order of the bias.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from numbers import Real
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -28,67 +27,64 @@ PROPOSAL_CAP = 2**22
 
 @dataclass(frozen=True)
 class RejectionSpec:
-    """Frozen sampling plan: proposal, clamped target, and the ratio bound.
+    """Frozen sampling plan, built from a proposal and a signed target alone.
 
-    It checks what the sampler relies on, each a ValueError: the proposal
-    keeps ProbVector's rule, the ratio is a finite 1-d vector with one entry
-    per proposal atom (both kept as read-only copies), and the bound is a
-    number >= 0. The cut points of rng.choice(m, p=proposal) are kept too.
+    ``proposal`` keeps ProbVector's rule. ``signed_target`` is a signed
+    measure: a nonempty 1-d finite vector with one entry per proposal atom,
+    whose entries sum to 1 (tol 1e-10) and may be negative. It is clamped at
+    zero and renormalized into ``target``; the removed mass is kept as
+    ``clamped_mass``. ``ratio`` is target/proposal (0 where the proposal has
+    no mass, so 0/0 counts as 0) and ``bound`` its largest entry, so the
+    acceptance rate is the best achievable, 1/bound. Every derived field is
+    computed here, so none can disagree with another; the arrays are
+    read-only copies, and the cut points of rng.choice(m, p=proposal) are
+    kept too. A ValueError names what is wrong, and a clamped target with
+    mass where the proposal has none raises SupportError.
     """
 
     proposal: np.ndarray
-    target: np.ndarray
-    ratio: np.ndarray  # target/proposal, 0 where the proposal has no mass
-    bound: float  # max of ratio; acceptance threshold scale M
-    clamped_mass: float  # negative mass removed from the raw target
+    signed_target: InitVar[np.ndarray]
+    target: np.ndarray = field(init=False)
+    ratio: np.ndarray = field(init=False)
+    bound: float = field(init=False)
+    clamped_mass: float = field(init=False)
+    _cuts: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        p = ProbVector(self.proposal).probs
-        ratio = _checked_vector(self.ratio, "ratio")
-        if ratio.shape != p.shape:
-            raise ValueError(f"ratio has shape {ratio.shape}, not one entry per proposal atom")
-        if not (isinstance(self.bound, Real) and self.bound >= 0):
-            raise ValueError(f"ratio bound must be a number >= 0, got {self.bound!r}")
-        object.__setattr__(self, "proposal", p)
+    def __post_init__(self, signed_target):
+        prop = ProbVector(self.proposal).probs
+        raw = _checked_vector(signed_target, "target")
+        total = float(raw.sum())
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"signed entries sum to {total!r}, not 1")
+        if raw.shape != prop.shape:
+            raise ValueError(f"target shape {raw.shape} != proposal shape {prop.shape}")
+        clamped = np.maximum(raw, 0.0)
+        clamped_mass = float(abs(raw[raw < 0].sum()))  # abs() avoids -0.0 when nothing clamps
+        total = clamped.sum()
+        if total == 0.0:
+            raise ValueError("target has no positive mass after clamping")
+        tgt = clamped / total
+        if np.any((tgt > 0) & (prop == 0)):
+            raise SupportError("clamped target has mass where the proposal is zero")
+        # A subnormal proposal entry can overflow the ratio.
+        with np.errstate(over="ignore"):
+            ratio = np.divide(tgt, prop, out=np.zeros_like(tgt), where=prop > 0)
+        if not np.isfinite(ratio).all():
+            raise ValueError("ratio must be finite")
+        tgt.flags.writeable = False
+        ratio.flags.writeable = False
+        object.__setattr__(self, "proposal", prop)
+        object.__setattr__(self, "target", tgt)
         object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "bound", float(self.bound))
-        object.__setattr__(self, "_cuts", _choice_cuts(p))
+        object.__setattr__(self, "bound", float(ratio.max()))
+        object.__setattr__(self, "clamped_mass", clamped_mass)
+        object.__setattr__(self, "_cuts", _choice_cuts(prop))
 
 
 def make_rejection_spec(proposal, target) -> RejectionSpec:
-    """Clamp the signed target at zero, renormalize, and bound the ratio.
-
-    ``target`` is a signed measure: a nonempty 1-d finite vector whose
-    entries sum to 1 (tol 1e-10) and may be negative. The bound is computed
-    exactly from the distributions (0/0 counts as 0), so the acceptance
-    rate is the best achievable, 1/bound.
-    """
-    prop = ProbVector(proposal).probs
-    raw = _checked_vector(target, "target")
-    total = float(raw.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"signed entries sum to {total!r}, not 1")
-    if raw.shape != prop.shape:
-        raise ValueError(f"target shape {raw.shape} != proposal shape {prop.shape}")
-    clamped = np.maximum(raw, 0.0)
-    clamped_mass = float(abs(raw[raw < 0].sum()))  # abs() avoids -0.0 when nothing clamps
-    total = clamped.sum()
-    if total == 0.0:
-        raise ValueError("target has no positive mass after clamping")
-    tgt = clamped / total
-    if np.any((tgt > 0) & (prop == 0)):
-        raise SupportError("clamped target has mass where the proposal is zero")
-    # A subnormal proposal entry can overflow the ratio; the spec rejects it.
-    with np.errstate(over="ignore"):
-        ratio = np.divide(tgt, prop, out=np.zeros_like(tgt), where=prop > 0)
-    tgt.flags.writeable = False
-    return RejectionSpec(
-        proposal=prop,
-        target=tgt,
-        ratio=ratio,
-        bound=float(ratio.max()),
-        clamped_mass=clamped_mass,
-    )
+    """Clamp the signed target at zero, renormalize, and bound the ratio:
+    ``RejectionSpec(proposal, target)``."""
+    return RejectionSpec(proposal, target)
 
 
 def _walk_block(rng, block: int, spec: RejectionSpec, dest: np.ndarray) -> tuple[int, int]:

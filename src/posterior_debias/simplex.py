@@ -7,7 +7,7 @@ DEFAULT_LATTICE_CAP stay overflow-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import comb, factorial, log
 
@@ -120,12 +120,12 @@ class CountsVector:
         return np.asarray(self.counts, dtype=dtype)
 
 
-def _lattice_points(n: int, m: int) -> np.ndarray:
-    # Ascending lexicographic enumeration of {nu in N^m : sum nu = n}, by
-    # stars and bars: combinations() yields the m - 1 bar positions among
-    # n + m - 1 slots in lexicographic order, which is the order of the
-    # partial sums nu_1, nu_1 + nu_2, ... and so of nu itself.
-    size = lattice_size(n, m)
+def _lattice_points(n: int, m: int, size: int) -> np.ndarray:
+    # Ascending lexicographic enumeration of the size = C(n + m - 1, m - 1)
+    # points of {nu in N^m : sum nu = n}, by stars and bars: combinations()
+    # yields the m - 1 bar positions among n + m - 1 slots in lexicographic
+    # order, which is the order of the partial sums nu_1, nu_1 + nu_2, ...
+    # and so of nu itself.
     bars = np.fromiter(
         chain.from_iterable(combinations(range(n + m - 1), m - 1)),
         dtype=np.int64,
@@ -141,14 +141,30 @@ class SimplexLattice:
     Points are enumerated so that the first coordinate varies slowest; for
     m = 2 the index of (t, n-t) is simply t, matching binomial indexing.
     The enumeration is a bijection: ``index_of(points[i]) == i``.
+
+    The lattice is built from (n, m) alone, integers >= 1 (ValueError
+    otherwise); ``points`` is derived, read-only, and takes no part in
+    equality. A lattice of more than DEFAULT_LATTICE_CAP points raises
+    :class:`CapExceededError` instead of being built; the CLI exits 3.
     """
 
     n: int
     m: int
-    points: np.ndarray
+    points: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _frozen_array(self.points, np.int64))
+        size = lattice_size(self.n, self.m)  # the dims rule
+        n, m = int(self.n), int(self.m)
+        if size > DEFAULT_LATTICE_CAP:
+            raise CapExceededError(
+                f"lattice for n={n}, m={m} has {size} points, "
+                f"over the cap of {DEFAULT_LATTICE_CAP}"
+            )
+        points = _lattice_points(n, m, size)
+        points.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "points", points)
 
     @property
     def size(self) -> int:
@@ -159,7 +175,8 @@ class SimplexLattice:
         return self.points / self.n
 
     def point(self, index: int) -> CountsVector:
-        return CountsVector(self.points[index])
+        """The count vector of rank ``index``, an integer in [0, size - 1]."""
+        return CountsVector(self.points[_checked_int(index, "index", 0, self.size - 1)])
 
     def index_of(self, counts) -> int:
         """Rank of a count vector in the enumeration (combinatorial, exact)."""
@@ -184,36 +201,19 @@ class SimplexLattice:
         return rank
 
 
-def _checked_dims(n, m) -> tuple[int, int]:
-    # The (n, m) of a lattice as ints: both keep the integer rule and are >= 1.
-    if not (_is_int(n) and _is_int(m) and n >= 1 and m >= 1):
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n!r}, m={m!r}")
-    return int(n), int(m)
-
-
 def lattice_size(n: int, m: int) -> int:
     """Number of count vectors of length m summing to n: C(n+m-1, m-1).
 
     n and m must be integers >= 1; anything else raises ValueError.
     """
-    n, m = _checked_dims(n, m)
-    return comb(n + m - 1, m - 1)
+    if not (_is_int(n) and _is_int(m) and n >= 1 and m >= 1):
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n!r}, m={m!r}")
+    return comb(int(n) + int(m) - 1, int(m) - 1)
 
 
 def enumerate_lattice(n: int, m: int) -> SimplexLattice:
-    """Materialize the full count lattice for (n, m), with n, m >= 1.
-
-    A lattice of more than DEFAULT_LATTICE_CAP points raises
-    :class:`CapExceededError` instead of being built; the CLI exits 3.
-    """
-    n, m = _checked_dims(n, m)
-    size = lattice_size(n, m)
-    if size > DEFAULT_LATTICE_CAP:
-        raise CapExceededError(
-            f"lattice for n={n}, m={m} has {size} points, "
-            f"over the cap of {DEFAULT_LATTICE_CAP}"
-        )
-    return SimplexLattice(n=n, m=m, points=_lattice_points(n, m))
+    """Materialize the full count lattice for (n, m): ``SimplexLattice(n, m)``."""
+    return SimplexLattice(n, m)
 
 
 def multinomial_pmf_vector(lattice: SimplexLattice, q: ProbVector) -> np.ndarray:

@@ -542,6 +542,21 @@ class TestGaussianMixture:
         assert np.array_equal(a, b)
         assert mix.sample((4, 37), np.random.default_rng(0)).shape == (4, 37)
 
+    @pytest.mark.parametrize("size", [True, np.True_, 2.0, -1, (2, 1.5), (2, -1)], ids=repr)
+    def test_size_keeps_the_integer_rule(self, size):
+        mix = GaussianMixture([0.3, 0.7], [0.0, 2.0], [1.0, 0.5])
+        with pytest.raises(ValueError, match=r"\bsize\b"):
+            mix.sample(size, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "size, plain", [(np.int64(3), 3), ((np.int32(2), 3), (2, 3)), (0, 0), ((), ())], ids=repr
+    )
+    def test_numpy_integer_sizes_give_the_bits_of_ints(self, size, plain):
+        mix = GaussianMixture([0.3, 0.7], [0.0, 2.0], [1.0, 0.5])
+        got = mix.sample(size, np.random.default_rng(4))
+        want = mix.sample(plain, np.random.default_rng(4))
+        assert got.shape == np.shape(want) and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "weights",
         [[0.3, 0.7], [0.2, 0.0, 0.8], [0.0, 0.5, 0.5], [0.5, 0.3, 0.2], [1.0]],

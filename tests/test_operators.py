@@ -155,20 +155,17 @@ class TestTransferMatrix:
         with pytest.raises(ValueError):
             transfer_matrix(4, 2).rows[0, 0] = 0.5
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_row(self, bad):
-        lat = enumerate_lattice(2, 2)
-        rows = np.eye(3)
-        rows[1] = [bad, 0.5, 0.5]
-        with pytest.raises(ValueError, match="rows sum to 1"):
-            TransferMatrix(lattice=lat, rows=rows)
-
-    def test_rejects_negative_entry(self):
-        lat = enumerate_lattice(2, 2)
-        rows = np.eye(3)
-        rows[1] = [-0.25, 0.75, 0.5]  # sums to 1
-        with pytest.raises(ValueError, match="non-negative"):
-            TransferMatrix(lattice=lat, rows=rows)
+    @pytest.mark.parametrize("n,m", [(4, 2), (6, 3), (3, 4)])
+    def test_built_from_the_lattice_alone(self, n, m):
+        # The rows are derived, so no array of a caller's can stand in for
+        # them; equal lattices give equal matrices.
+        lat = enumerate_lattice(n, m)
+        M = TransferMatrix(lat)
+        assert M.lattice is lat and not M.rows.flags.writeable
+        assert M.rows.tobytes() == transfer_matrix(n, m).rows.tobytes()
+        assert M == transfer_matrix(n, m)
+        with pytest.raises(TypeError):
+            TransferMatrix(lattice=lat, rows=np.eye(lat.size))
 
     def test_nan_row_fails_the_in_build_check(self, monkeypatch):
         # A NaN log-probability makes one whole row NaN, in the third block
@@ -184,19 +181,6 @@ class TestTransferMatrix:
         monkeypatch.setattr(operators, "_log_probs", one_nan_row)
         with pytest.raises(ValueError, match=r"^transfer matrix rows sum to 1 \+/- nan$"):
             transfer_matrix(n, 2)
-
-    @pytest.mark.parametrize("kind", ["transposed", "part"])
-    def test_views_of_a_built_matrix_are_checked(self, kind):
-        # Read-only views of a built matrix that are not the matrix itself
-        # get the full check.
-        built = transfer_matrix(4, 2).rows
-        if kind == "transposed":
-            lat, shown = enumerate_lattice(4, 2), built.T
-        else:
-            lat, shown = enumerate_lattice(2, 2), built.reshape(-1)[:9].reshape(3, 3)
-        assert np.shares_memory(shown, built) and not shown.flags.writeable
-        with pytest.raises(ValueError, match="rows sum to 1"):
-            TransferMatrix(lattice=lat, rows=shown)
 
     @pytest.mark.parametrize(
         "n,m", [(1, 2), (7, 2), (1024, 2), (12, 3), (60, 3), (20, 4), (5, 5), (4096, 2)]
@@ -246,14 +230,6 @@ class TestTransferMatrix:
             tracemalloc.stop()
         assert peak < 1.1 * M.rows.nbytes
 
-    def test_caller_array_copied(self):
-        built = transfer_matrix(4, 2)
-        mine = np.array(built.rows)  # writeable, owned by the caller
-        M = TransferMatrix(lattice=built.lattice, rows=mine)
-        mine[:] = 0.0
-        assert np.array_equal(M.rows, built.rows)
-        assert not M.rows.flags.writeable
-
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
     def test_all_zero_pages_stay_off_the_resident_set(self):
         # 43% of the 128 MB matrix's pages hold only zeros: they are never
@@ -278,30 +254,6 @@ class TestTransferMatrix:
         monkeypatch.setattr(mmap, "MADV_NOHUGEPAGE", 15, raising=False)
         monkeypatch.setattr(operators._ZeroPages, "madvise", refuse)
         assert np.array_equal(transfer_matrix(16, 2).rows, want)
-
-    def test_built_matrix_kept_without_a_copy(self):
-        built = transfer_matrix(64, 2)
-        M = TransferMatrix(lattice=built.lattice, rows=built.rows)
-        assert np.shares_memory(M.rows, built.rows)
-
-    @pytest.mark.parametrize("kind", ["view", "own_mapping"])
-    def test_read_only_caller_array_copied(self, kind):
-        # A read-only view of a caller's array, or an array on a mapping of
-        # the caller's own, can still change under the matrix: both are copied.
-        built = transfer_matrix(4, 2)
-        if kind == "view":
-            mine = np.array(built.rows)
-            shown = mine[:]
-        else:
-            pages = mmap.mmap(-1, built.rows.nbytes)
-            mine = np.ndarray(built.rows.shape, buffer=pages)
-            mine[:] = built.rows
-            shown = np.ndarray(built.rows.shape, buffer=pages)
-        shown.flags.writeable = False
-        M = TransferMatrix(lattice=built.lattice, rows=shown)
-        assert not np.shares_memory(M.rows, mine)
-        mine[:] = 0.0
-        assert np.array_equal(M.rows, built.rows)
 
 
 class TestOperatorAction:

@@ -191,11 +191,6 @@ def seeded_specs(count, seed):
         yield make_rejection_spec(proposal, signed / signed.sum())
 
 
-def hand_built(proposal, bound=1.0):
-    p = np.asarray(proposal, dtype=float)
-    return RejectionSpec(proposal=p, target=p, ratio=np.ones(p.shape), bound=bound, clamped_mass=0.0)
-
-
 class TestPiecewiseBlocks:
     """A block is walked in pieces of at most 2^16 proposals; the stream,
     the draws and the attempts stay those of the choice loop."""
@@ -267,7 +262,8 @@ class TestSamePinnedStream:
 
 
 class TestSpecChecksItself:
-    """A hand-built RejectionSpec is checked when it is built, so the
+    """A RejectionSpec is built from its proposal and signed target alone and
+    checks both when it is built, so its fields cannot disagree and the
     sampler takes any spec as it is."""
 
     @pytest.mark.parametrize(
@@ -283,31 +279,52 @@ class TestSpecChecksItself:
     )
     def test_proposal_keeps_the_probvector_rule(self, proposal):
         with pytest.raises(ValueError):
-            hand_built(proposal)
+            RejectionSpec(proposal, proposal)
 
     @pytest.mark.parametrize(
-        "ratio", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0, np.nan], [1.0, np.inf]]
+        "target", [[1.0], [0.4, 0.3, 0.3], [[0.5, 0.5]], [1.0, np.nan], [1.0, np.inf]]
     )
-    def test_ratio_is_finite_with_one_entry_per_atom(self, ratio):
-        with pytest.raises(ValueError, match="ratio"):
-            RejectionSpec(
-                proposal=[0.5, 0.5], target=[0.5, 0.5], ratio=ratio, bound=1.0, clamped_mass=0.0
-            )
-
-    @pytest.mark.parametrize("bound", [-1.0, np.nan, "1", None])
-    def test_bound_is_a_number_at_least_zero(self, bound):
-        with pytest.raises(ValueError, match="bound"):
-            hand_built([0.5, 0.5], bound=bound)
+    def test_signed_target_is_finite_with_one_entry_per_atom(self, target):
+        with pytest.raises(ValueError, match="target"):
+            RejectionSpec([0.5, 0.5], target)
 
     def test_keeps_read_only_copies(self):
-        proposal, ratio = np.array([0.25, 0.75]), np.array([2.0, 0.0])
-        spec = RejectionSpec(
-            proposal=proposal, target=[1.0, 0.0], ratio=ratio, bound=np.float64(2), clamped_mass=0.0
-        )
-        for kept, given in ((spec.proposal, proposal), (spec.ratio, ratio)):
-            assert np.array_equal(kept, given) and not np.shares_memory(kept, given)
-            assert not kept.flags.writeable
-        assert type(spec.bound) is float and spec.bound == 2.0
+        proposal, signed = np.array([0.25, 0.75]), np.array([1.25, -0.25])
+        spec = RejectionSpec(proposal, signed)
+        assert np.array_equal(spec.proposal, proposal) and not np.shares_memory(spec.proposal, proposal)
+        for kept in (spec.proposal, spec.target, spec.ratio):
+            assert not kept.flags.writeable and not np.shares_memory(kept, signed)
+        assert spec.target.tolist() == [1.0, 0.0] and spec.ratio.tolist() == [4.0, 0.0]
+        assert type(spec.bound) is float and spec.bound == 4.0 and spec.clamped_mass == 0.25
+
+    def test_derived_fields_agree(self):
+        # Random pairs, some with a proposal atom of no mass under a clamped
+        # target entry.
+        for child in np.random.SeedSequence([2718]).spawn(64):
+            rng = np.random.default_rng(child)
+            m = int(rng.integers(2, 9))
+            proposal = rng.dirichlet(np.ones(m))
+            signed = rng.dirichlet(np.ones(m))
+            dead = rng.integers(0, m)
+            signed[dead] = -0.2 * rng.random()
+            if rng.random() < 0.5:
+                proposal[dead] = 0.0
+            spec = RejectionSpec(proposal / proposal.sum(), signed / signed.sum())
+            live = spec.proposal > 0
+            assert spec.bound == spec.ratio.max()
+            assert np.array_equal(spec.ratio[live], spec.target[live] / spec.proposal[live])
+            assert not spec.ratio[~live].any()
+            assert spec.target.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("target, bound", [([0.9, 0.1], 1.0), ([0.1, 0.9], 1.8)])
+    def test_derived_fields_are_not_arguments(self, target, bound):
+        # Given by hand, a bound below the largest ratio drew [0.833, 0.167]
+        # for a target of [0.9, 0.1], and a ratio of another target drew
+        # [0.9, 0.1] for [0.1, 0.9].
+        with pytest.raises(TypeError):
+            RejectionSpec(
+                proposal=[0.5, 0.5], target=target, ratio=[1.8, 0.2], bound=bound, clamped_mass=0.0
+            )
 
     def test_ratio_overflow_raises_when_built(self):
         # A subnormal proposal entry under a unit target mass: 1/5e-324 is inf.
@@ -338,14 +355,12 @@ class TestSamplerInputChecks:
         with pytest.raises(CapExceededError, match=f"over the cap of {PROPOSAL_CAP}"):
             rejection_sample_batch(spec, 100_000, seed=1)
 
-    @pytest.mark.parametrize(
-        "bound, size", [(2.0, PROPOSAL_CAP // 2 + 1), (np.inf, 1)]
-    )
-    def test_proposal_cap_holds_for_any_attempt_cap(self, bound, size):
-        spec = hand_built([0.5, 0.5], bound=bound)
+    def test_proposal_cap_holds_for_any_attempt_cap(self):
+        spec = make_rejection_spec([0.5, 0.5], [1.0, 0.0])
+        assert spec.bound == 2.0
         for attempt_cap in (None, 100):
             with pytest.raises(CapExceededError):
-                rejection_sample_batch(spec, size, seed=1, attempt_cap=attempt_cap)
+                rejection_sample_batch(spec, PROPOSAL_CAP // 2 + 1, seed=1, attempt_cap=attempt_cap)
 
     @pytest.mark.parametrize("cap", [0, -1, 50.0, True])
     def test_attempt_cap_must_be_a_positive_integer(self, cap):

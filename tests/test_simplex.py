@@ -10,6 +10,7 @@ from posterior_debias.simplex import (
     DEFAULT_LATTICE_CAP,
     CountsVector,
     ProbVector,
+    SimplexLattice,
     enumerate_lattice,
     lattice_size,
     multinomial_pmf_vector,
@@ -191,6 +192,39 @@ class TestLattice:
     def test_cap_raises_before_building(self):
         with pytest.raises(CapExceededError):
             enumerate_lattice(3000, 4)
+
+    @pytest.mark.parametrize("n,m", [(4, 2), (5, 3), (3, 4), (1, 1)])
+    def test_built_from_n_and_m_alone(self, n, m):
+        lat = SimplexLattice(n, m)
+        assert all(lat.index_of(point) == i for i, point in enumerate(lat.points))
+        assert np.array_equal(lat.points, enumerate_lattice(n, m).points)
+        assert not lat.points.flags.writeable
+        wide = SimplexLattice(np.int64(n), np.int32(m))
+        assert wide == lat and (type(wide.n), type(wide.m)) == (int, int)
+        assert np.array_equal(wide.points, lat.points)
+
+    def test_points_are_not_an_argument(self):
+        # Points handed in could disagree with (n, m): these two are not
+        # the n = 3 lattice.
+        with pytest.raises(TypeError):
+            SimplexLattice(n=3, m=2, points=[[1, 0], [0, 1]])
+
+    def test_constructor_keeps_the_dims_rule_and_the_cap(self):
+        with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
+            SimplexLattice(0, 2)
+        with pytest.raises(CapExceededError, match="over the cap of"):
+            SimplexLattice(3000, 4)
+
+    @pytest.mark.parametrize("index", [-1, 5, True, np.True_, 1.5, 2.0])
+    def test_point_takes_an_index_in_range(self, index):
+        # point(-1) was (4, 0), whose index_of is 4, not -1.
+        with pytest.raises(ValueError, match=r"\bindex\b"):
+            enumerate_lattice(4, 2).point(index)
+
+    def test_point_takes_numpy_integers(self):
+        lat = enumerate_lattice(4, 2)
+        for i in range(lat.size):
+            assert np.array_equal(lat.point(np.int64(i)).counts, lat.point(i).counts)
 
 
 class TestMultinomialPmf:
