@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _workspace
 from .errors import DegenerateError
-from .simplex import ProbVector, _checked_int, _checked_vector
+from .simplex import ProbVector, _checked_int, _checked_real, _checked_vector
 
 _BLOCK = 2**14  # points per block of the plug-in expectation: 128 KiB of float64
 _COUNTED_CUTS = 32  # most cut points that _choice_labels counts pass by pass
@@ -58,9 +58,10 @@ class _GaussianLog:
 
 
 def gaussian_likelihood(y_obs: float, noise_var: float) -> BoundedLikelihood:
-    """Density of y_obs under N(x, noise_var), as a function of x."""
-    if not noise_var > 0:
-        raise ValueError(f"noise variance must be positive, got {noise_var}")
+    """Density of y_obs under N(x, noise_var > 0), as a function of x."""
+    y_obs, noise_var = _checked_real(y_obs, "y_obs"), _checked_real(noise_var, "noise_var")
+    if noise_var <= 0:
+        raise ValueError(f"noise_var must be positive, got {noise_var}")
     return BoundedLikelihood(log_fn=_GaussianLog(y_obs, noise_var))
 
 
@@ -399,10 +400,12 @@ def mixture_posterior_tail_prob(
     y_obs : float
         Observed value of y.
     threshold : float
-        The event is the half-line {x >= threshold}.
+        The event is the half-line {x >= threshold}, which may be +-inf.
     """
-    if not noise_var > 0:
-        raise ValueError(f"noise variance must be positive, got {noise_var}")
+    noise_var, y_obs = _checked_real(noise_var, "noise_var"), _checked_real(y_obs, "y_obs")
+    threshold = _checked_real(threshold, "threshold", finite=False)
+    if noise_var <= 0:
+        raise ValueError(f"noise_var must be positive, got {noise_var}")
     log_w = np.empty(prior.weights.size)
     post_mean = np.empty(prior.weights.size)
     post_var = np.empty(prior.weights.size)

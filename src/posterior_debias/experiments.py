@@ -10,7 +10,6 @@ layer so every number is formatted once, with round-trip-exact precision.
 from __future__ import annotations
 
 import math
-import numbers
 import resource
 import warnings
 from dataclasses import dataclass, field, fields
@@ -33,7 +32,7 @@ from .errors import CapExceededError, DegenerateError, DegeneratePointError, Und
 from .operators import MAX_ORDER, _exact_bias_variance, debiased_estimate, debiased_estimate_mean
 from .rejection import make_rejection_spec, rejection_sample_batch
 from .resampling import _BATCH_SCHEME, MCConfig, exhaustive_chain_expectation, outer_mc_batched
-from .simplex import CountsVector, ProbVector, _checked_int, _is_int, lattice_size
+from .simplex import CountsVector, ProbVector, _checked_int, _checked_real, _is_int, _real_array, lattice_size
 
 IDENTITY_TOL = 1e-10
 # Most chains, L^k for lattice size L, that one identity-check case may
@@ -56,23 +55,20 @@ class SlopeFit:
     r_squared: float
     points_used: int
 
-    def __post_init__(self):
-        if self.points_used < 2:
-            raise ValueError("slope fit needs at least 2 points")
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise ValueError(f"r_squared {self.r_squared} outside [0, 1]")
-
 
 def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
     """Least-squares slope of log(value) on log(size).
 
-    Sizes and values must be finite, and values strictly positive (a zero
-    bias cannot be slope-fit).
+    Sizes and values must be finite real numbers, and values strictly
+    positive (a zero bias cannot be slope-fit).
     ``drop_smallest`` removes every point at the smallest size before
     fitting, for grids whose first size is still pre-asymptotic.
     """
-    ns = np.asarray(sizes, dtype=float)
-    vs = np.asarray(values, dtype=float)
+    ns, vs = _real_array(sizes), _real_array(values)
+    for name, arr in (("sizes", ns), ("values", vs)):
+        if arr is None:
+            raise ValueError(f"{name} must be real numbers (int or float)")
+    ns, vs = ns.astype(float, copy=False), vs.astype(float, copy=False)
     if ns.ndim != 1 or ns.shape != vs.shape:
         raise ValueError("sizes and values must be 1-d and the same length")
     # The checks run on Python floats: a sweep fits a handful of points,
@@ -167,39 +163,32 @@ def _fits(hint, value) -> bool:
         return isinstance(value, (tuple, list)) and all(_fits(item, v) for v in value)
     if hint is int:
         return _is_int(value)
-    if isinstance(value, bool):  # True/False is no number
-        return hint is bool
-    return isinstance(value, numbers.Real if hint is float else hint)
-
-
-def _floats(hint, value) -> tuple:
-    """The float values held by ``value``, which has the type of a field
-    annotated ``hint``: itself, the items of a float tuple, or none."""
-    hint, _ = _field_type(hint)
     if hint is float:
-        return (value,)
-    if get_origin(hint) is tuple and get_args(hint)[0] is float:
-        return tuple(value)
-    return ()
+        return np.ndim(value) == 0 and _real_array(value) is not None
+    return isinstance(value, hint)
 
 
 def _check_fields(cfg) -> None:
     """Raise ValueError on a field value of another type than its annotation,
     on a float that is NaN or infinite, or on a value below the ``min`` its
-    field declares (flags, files and Python callers alike); store a list as
-    a tuple."""
+    field declares (flags, files and Python callers alike). Store a float as
+    the float the real rule gives, and a list as a tuple."""
     hints = get_type_hints(type(cfg))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not _fits(hints[f.name], value):
             raise ValueError(f"config field {f.name!r} needs {f.type}, got {value!r}")
-        if not all(math.isfinite(v) for v in _floats(hints[f.name], value)):
-            raise ValueError(f"config field {f.name} must be finite, got {value!r}")
         low = f.metadata.get("min")
         if low is not None and value < low:
             raise ValueError(f"config field {f.name!r} must be >= {low}, got {value!r}")
-        if isinstance(value, list):
-            object.__setattr__(cfg, f.name, tuple(value))
+        hint, name = _field_type(hints[f.name])[0], f"config field {f.name}"
+        if hint is float:
+            value = _checked_real(value, name)
+        elif hint == tuple[float, ...]:
+            value = tuple(_checked_real(v, name) for v in value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        object.__setattr__(cfg, f.name, value)
 
 
 def _check_grid(cfg) -> None:
@@ -413,9 +402,7 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     with a zero (replicates that all agree) is None, and so is the guard
     margin of a point whose bias and standard error are both 0.
     """
-    mix = GaussianMixture(
-        np.array(cfg.mix_weights), np.array(cfg.mix_means), np.array(cfg.mix_variances)
-    )
+    mix = GaussianMixture(cfg.mix_weights, cfg.mix_means, cfg.mix_variances)
     lik = gaussian_likelihood(cfg.y_obs, cfg.noise_var)
     truth = mixture_posterior_tail_prob(mix, cfg.noise_var, cfg.y_obs, cfg.threshold)
     threshold = cfg.threshold

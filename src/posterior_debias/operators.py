@@ -39,6 +39,7 @@ from .simplex import (
     _log_coef,
     _log_probs,
     enumerate_lattice,
+    lattice_size,
     multinomial_pmf_vector,
 )
 
@@ -117,16 +118,15 @@ class TransferMatrix:
         # into the matrix: the pages outside them are never written and read
         # as +0.0, the value the zeroing gives (43% of the pages at
         # n = 4096). So the scratch block holds the matrix's block bit for
-        # bit, and the check reads it there, while it is in cache: the
-        # smallest entry and every row sum, with no L x L temporary.
-        # np.minimum and np.maximum carry a NaN through, so a NaN anywhere
-        # skips the sign check (as rows.min() < 0 does) and fails the
-        # row-sum check.
+        # bit, and the check reads it there, while it is in cache: every row
+        # sum, with no L x L temporary. Every entry is an exp or an exact
+        # 0.0, so none is negative; np.maximum carries a NaN through, and
+        # a NaN anywhere fails the row-sum check.
         rows = np.ndarray((size, size), buffer=_ZeroPages(size * size * 8))
         per_block = max(1, _ROW_BLOCK // size)
         scratch = np.empty((min(per_block, size), size))
         mask = np.empty(scratch.shape, dtype=bool)
-        lowest, row_err = np.inf, 0.0
+        row_err = 0.0
         for start in range(0, size, per_block):
             blk = scratch[: min(per_block, size - start)]
             np.matmul(pts, log_p[start : start + len(blk), :, None], out=blk[:, :, None])
@@ -141,10 +141,7 @@ class TransferMatrix:
             np.copyto(blk, 0.0, where=flag)
             if live[lo]:
                 rows[start : start + len(blk), lo:hi] = blk[:, lo:hi]
-            lowest = np.minimum(lowest, blk.min())
             row_err = np.maximum(row_err, np.abs(blk.sum(axis=1) - 1.0).max())
-        if lowest < 0:
-            raise ValueError("transfer matrix entries must be non-negative")
         if not row_err <= 1e-10:  # also catches NaN, which every comparison fails
             raise ValueError(f"transfer matrix rows sum to 1 +/- {row_err}")
         rows.flags.writeable = False
@@ -211,12 +208,16 @@ def iterate_operator(g: LatticeFunction, M: TransferMatrix, j: int) -> LatticeFu
     return LatticeFunction(lattice=M.lattice, values=v)
 
 
+def _cached_lattice(n: int, m: int) -> SimplexLattice:
+    lattice_size(n, m)  # the dims rule, before (n, m) is hashed
+    return _lattice_slot(int(n), int(m))
+
+
 # One slot each: callers sweep (n, m) in their outermost loop, so memory stays
 # at one lattice plus one matrix and its iterate stack. Nothing here is keyed
-# on a caller's callable. The lattice is typed, so that True or 4.0 is checked
-# as an n of its own, not taken for the cached 1 or 4.
-@lru_cache(maxsize=1, typed=True)
-def _cached_lattice(n: int, m: int) -> SimplexLattice:
+# on a caller's callable.
+@lru_cache(maxsize=1)
+def _lattice_slot(n: int, m: int) -> SimplexLattice:
     return enumerate_lattice(n, m)
 
 

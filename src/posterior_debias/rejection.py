@@ -60,10 +60,7 @@ class RejectionSpec:
             raise ValueError(f"target shape {raw.shape} != proposal shape {prop.shape}")
         clamped = np.maximum(raw, 0.0)
         clamped_mass = float(abs(raw[raw < 0].sum()))  # abs() avoids -0.0 when nothing clamps
-        total = clamped.sum()
-        if total == 0.0:
-            raise ValueError("target has no positive mass after clamping")
-        tgt = clamped / total
+        tgt = clamped / clamped.sum()  # >= 1 - 1e-10: the signed entries sum to 1
         if np.any((tgt > 0) & (prop == 0)):
             raise SupportError("clamped target has mass where the proposal is zero")
         # A subnormal proposal entry can overflow the ratio.

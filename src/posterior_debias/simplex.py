@@ -28,16 +28,36 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
-def _checked_vector(values, name: str) -> np.ndarray:
+def _real_array(values) -> np.ndarray | None:
+    """``values`` as np.asarray sees them, before any cast, if they keep the
+    package's one real-number rule, else None: integers or floats, not bools
+    (True would run as 1.0), complex, strings, bytes, objects or datetimes,
+    nor a list or tuple with a bool entry, which np.asarray would promote."""
+    if isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values):
+        return None
+    arr = np.asarray(values)
+    return arr if arr.dtype.kind in "iuf" else None
+
+
+def _checked_vector(values, name: str, finite: bool = True) -> np.ndarray:
     """The rule every vector value type keeps: a read-only float copy of
-    ``values``, which must be a nonempty 1-d vector of finite entries. The
-    ValueError otherwise names the field."""
-    v = _frozen_array(values, float)
+    ``values``, which must keep the real rule and be a nonempty 1-d vector
+    of finite entries (with ``finite`` False, of entries other than NaN).
+    The ValueError otherwise names the field."""
+    arr = _real_array(values)
+    if arr is None:
+        raise ValueError(f"{name} must be real (int or float; no bool, complex, string or object)")
+    v = _frozen_array(arr, float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
+    if not np.isfinite(v).all() and (finite or np.isnan(v).any()):
+        raise ValueError(f"{name} must be finite" if finite else f"{name} must not be NaN")
     return v
+
+
+def _checked_real(value, name: str, finite: bool = True) -> float:
+    """``value`` as a float, by the rule of _checked_vector for one value."""
+    return _checked_vector([value], name, finite).item()
 
 
 def _is_int(value) -> bool:

@@ -35,6 +35,6 @@ def exact_builds(monkeypatch):
 
     monkeypatch.setattr(operators.TransferMatrix, "__post_init__", matrix_built)
     monkeypatch.setattr(operators, "enumerate_lattice", lattice_built)
-    operators._cached_lattice.cache_clear()
+    operators._lattice_slot.cache_clear()
     operators._matrix_slot.clear()
     return counts

@@ -30,6 +30,7 @@ from posterior_debias.operators import (
     transfer_matrix,
 )
 from posterior_debias import operators
+from posterior_debias.resampling import exhaustive_chain_expectation
 from posterior_debias.simplex import (
     CountsVector,
     ProbVector,
@@ -653,25 +654,36 @@ def test_interleaved_calls_equal_calls_after_the_slot_is_cleared(points, calls):
         assert run(call).hex() == got, call
 
 
-BAD_DIMS = [(-2, 3), (0, 2), (4, 0), (3, -1), (True, 2), (2, True), (np.True_, 2), (1.5, 2), (4.0, 2), (4, 2.0)]
+BAD_DIMS = [
+    (-2, 3), (0, 2), (4, 0), (3, -1), (True, 2), (2, True), (np.True_, 2), (1.5, 2), (4.0, 2), (4, 2.0),
+    ([4], 2), (4, [2]),
+]
+N_M_CALLS = ("lattice_size", "enumerate_lattice", "transfer_matrix", "contraction_norm")
+N_CALLS = ("exact_bias", "exact_variance", "debiased_estimate_mean", "central_moment", "exhaustive_chain_expectation")
 
 
 @pytest.mark.parametrize(
     "call,n,m",
-    [(c, n, m) for c in ("lattice_size", "enumerate_lattice", "transfer_matrix") for n, m in BAD_DIMS]
-    + [(c, n, 2) for c in ("exact_bias", "central_moment") for n, m in BAD_DIMS if m == 2 and type(m) is int],
+    [(c, n, m) for c in N_M_CALLS for n, m in BAD_DIMS]
+    + [(c, n, 2) for c in N_CALLS for n, m in BAD_DIMS if m == 2 and type(m) is int],
 )
 def test_lattice_dims_must_be_integers_at_least_one(call, n, m):
     q = ProbVector([0.4, 0.6])
-    if type(m) is int and m == 2 and n == int(n) >= 1:
+    if type(m) is int and m == 2 and np.ndim(n) == 0 and n == int(n) >= 1:
         # The one-lattice and one-matrix slots hold the (n, m) the bad n equals.
         exact_bias(G_BINARY, q, int(n), 2)
     calls = {
         "lattice_size": lambda: lattice_size(n, m),
         "enumerate_lattice": lambda: enumerate_lattice(n, m),
         "transfer_matrix": lambda: transfer_matrix(n, m),
+        "contraction_norm": lambda: contraction_norm(G_BINARY, n, m, 1),
         "exact_bias": lambda: exact_bias(G_BINARY, q, n, 2),
+        "exact_variance": lambda: exact_variance(G_BINARY, q, n, 2),
+        "debiased_estimate_mean": lambda: debiased_estimate_mean(G_BINARY, q, n, 2),
         "central_moment": lambda: central_moment(n, q, (2, 0)),
+        "exhaustive_chain_expectation": lambda: exhaustive_chain_expectation(
+            lambda ws: float(ws.points.mean()), q, n, 2
+        ),
     }
     with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
         calls[call]()
