@@ -11,10 +11,11 @@ import numpy as np
 
 from . import _workspace
 from .errors import DegenerateError
-from .simplex import ProbVector, _checked_int, _checked_real, _checked_vector
+from .simplex import ProbVector, _checked_int, _checked_real, _checked_vector, _is_int
 
 _BLOCK = 2**14  # points per block of the plug-in expectation: 128 KiB of float64
 _COUNTED_CUTS = 32  # most cut points that _choice_labels counts pass by pass
+_COUNTED_SIZE = 2**10  # fewest uniforms that _choice_labels counts pass by pass
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,12 @@ class DiscreteBayesMap:
 
         The returned callable accepts any point of the simplex (not only
         lattice points), so it plugs directly into the exact operator module,
-        which evaluates it over a whole lattice at once.
+        which evaluates it over a whole lattice at once. s keeps the integer
+        rule (ValueError naming s); an integer outside [0, m) is an IndexError.
         """
-        if not 0 <= s < self.m:
+        if _is_int(s) and not 0 <= s < self.m:
             raise IndexError(f"component {s} outside support range [0, {self.m})")
-        return _PosteriorComponent(self.likelihoods, s)
+        return _PosteriorComponent(self.likelihoods, _checked_int(s, "s", 0, self.m - 1))
 
 
 class _PosteriorComponent:
@@ -287,10 +289,12 @@ def _choice_labels(u: np.ndarray, cuts: np.ndarray, labels: np.ndarray, mask: np
     with cdf.searchsorted(u, side="right"): u < 1 = cdf[-1], so the last
     entry never counts. One compare pass per cut, added up in the mask's
     bytes and copied into the labels once, beats the binary search up to
-    about 32 cuts (about 40 on a 2-core x86-64 host); beyond that the search
-    is used. A byte holds a count of at most 32, and bytes add to bytes with
-    no cast, where a bool mask added to the labels took a 64 KB buffer."""
-    if cuts.size > _COUNTED_CUTS:
+    about 32 cuts (about 40 on a 2-core x86-64 host) from about 1,024
+    uniforms on; each pass costs about 1 us whatever its size, so below
+    that, and past 32 cuts, the search is used. A byte holds a count of at
+    most 32, and bytes add to bytes with no cast, where a bool mask added to
+    the labels took a 64 KB buffer."""
+    if cuts.size > _COUNTED_CUTS or u.size < _COUNTED_SIZE:
         labels[...] = cuts.searchsorted(u, side="right")
         return
     if not cuts.size:

@@ -32,6 +32,79 @@ _SEED_MAX = 2**64 - 1  # every seed is an unsigned 64-bit integer
 _CHUNK = 4096  # replicates per work unit; fixed so the reduction order is too
 _BATCH_ELEMENTS = 2**18  # data points per chunk of outer_mc_batched
 _BATCH_SCHEME = 1  # version of outer_mc_batched's stream layout; bump on any change
+# Fewest indices per call that _index_blocks draws from raw words: below it,
+# reading and writing the generator state costs more than rng.integers does.
+_RAW_MIN = 2**12
+
+
+def _halves(words: np.ndarray) -> np.ndarray:
+    # The 32-bit halves of uint64 words, low half of each word first: the
+    # order in which PCG64 hands them out as next_uint32.
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _index_blocks(rng: np.random.Generator, n: int, sizes: Sequence[int]):
+    """Yield, for each size in ``sizes``, an int64 array of the next that
+    many values of one rng.integers(0, n, sum(sizes)) call, bit for bit; once
+    the generator is exhausted, rng is in the state that call leaves it in.
+    The arrays are views of one buffer, so each is valid until the next.
+
+    For a PCG64 generator, 1 < n <= 2^32 and at least _RAW_MIN values, they
+    are computed from the generator's raw 64-bit words, as numpy's bounded
+    integers are (Lemire, ACM TOMACS 29(1), 2019): each value takes the next
+    32-bit half u of the stream and is (u * n) >> 32, unless (u * n) mod
+    2^32 < (2^32 - n) mod n, when u is dropped for the next half. A word's
+    unused high half waits in the generator state, as numpy's own draws
+    leave it. The state is read at the start of a call and written back at
+    its end, not once per block."""
+    bg = rng.bit_generator
+    if sum(sizes) < _RAW_MIN or not 1 < n <= 2**32 or type(bg) is not np.random.PCG64:
+        for size in sizes:
+            yield rng.integers(0, n, size=size)
+        return
+    state = bg.state
+    pending = state["has_uint32"], state["uinteger"]
+    out = np.empty(max(sizes), np.int64)
+    for size in sizes:
+        pending = _lemire_fill(bg, n, out[:size].view(np.uint64), *pending)
+        yield out[:size]
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = pending
+    bg.state = state
+
+
+def _lemire_fill(bg: np.random.PCG64, n: int, u: np.ndarray, has: int, high: int):
+    """Fill the uint64 array ``u`` with the next u.size values of
+    _index_blocks, drawing whole words from ``bg`` after the pending half
+    ``high`` if ``has`` is 1. Return the new (has, high) pair, as PCG64
+    keeps it in its has_uint32 and uinteger: high is the high half of the
+    last word drawn, pending if has is 1."""
+    done, size = 0, u.size
+    threshold = (2**32 - n) % n  # 0 exactly when n is a power of two
+    while done < size:
+        start = done
+        if has:
+            u[done] = high
+            done += 1
+        need = size - done
+        has = need % 2
+        if need:
+            halves = _halves(bg.random_raw((need + 1) // 2))
+            np.copyto(u[done:], halves[:need])
+            high = int(halves[-1])
+        part = u[start:]
+        if not threshold:  # nothing is rejected, and (u * n) >> 32 is a shift of u
+            part >>= 33 - n.bit_length()
+            break
+        part *= n
+        low = _halves(part)[::2]
+        if low.min() < threshold:  # each half with chance threshold / 2^32 < n / 2^32
+            kept = part[low >= threshold]
+            part = part[: kept.size]
+            part[...] = kept
+        part >>= 32
+        done = start + part.size
+    return has, high
 
 
 def _resample(prev: np.ndarray, stage: np.ndarray, rng: np.random.Generator) -> None:
@@ -39,31 +112,32 @@ def _resample(prev: np.ndarray, stage: np.ndarray, rng: np.random.Generator) -> 
     replacement from the same row of ``prev``, at the indices one
     rng.integers(0, n, size=(b, n)) call would give. The indices are drawn in
     blocks of at most _BLOCK, in row-major order: whole rows when more than
-    one row fits in a block, pieces of one row otherwise. Blocks take the
-    stream of one call, so the draws do not depend on the block size. The
-    indices are in range, so take's "clip" changes none of them and spares it
-    a buffered copy of ``out``."""
+    one row fits in a block, pieces of one row otherwise. The blocks take the
+    stream of one call (_index_blocks), so the draws do not depend on the
+    block size. The indices are in range, so take's "clip" changes none of
+    them and spares it a buffered copy of ``out``."""
     b, n = prev.shape
     rows = _BLOCK // n
     if rows == 0 or b == 1:
-        for r in range(b):
-            for lo in range(0, n, _BLOCK):
-                dst = stage[r, lo : lo + _BLOCK]
-                prev[r].take(rng.integers(0, n, size=dst.size), out=dst, mode="clip")
-        return
-    # Row i of a block starts at entry i * n of the block, so one flat take
-    # gathers what take_along_axis(block, idx, axis=1) does. The row offsets
-    # are spread over the block's destination, free until the take, so the
-    # add broadcasts nothing and takes no ufunc buffer.
-    offsets = np.arange(0, min(rows, b) * n, n)[:, None]
-    for r in range(0, b, rows):
-        dst = stage[r : r + rows]
-        idx = rng.integers(0, n, size=dst.shape)
-        spread = dst.view(np.int64)
-        np.copyto(spread, offsets[: len(dst)])
-        idx += spread
-        prev[r : r + rows].take(idx, out=dst, mode="clip")
-        del idx  # freed before the next block's indices are drawn
+        blocks = [
+            (prev[r], stage[r, lo : lo + _BLOCK]) for r in range(b) for lo in range(0, n, _BLOCK)
+        ]
+    else:
+        blocks = [(prev[r : r + rows], stage[r : r + rows]) for r in range(0, b, rows)]
+        # Row i of a block starts at entry i * n of the block, so one flat
+        # take gathers what take_along_axis(block, idx, axis=1) does. The
+        # row offsets are spread over the block's destination, free until
+        # the take, so the add broadcasts nothing and takes no ufunc buffer.
+        offsets = np.arange(0, min(rows, b) * n, n)[:, None]
+    draws = _index_blocks(rng, n, [dst.size for _, dst in blocks])
+    # strict: the draws are exhausted too, which leaves rng in its final state.
+    for (src, dst), idx in zip(blocks, draws, strict=True):
+        if dst.ndim == 2:
+            idx = idx.reshape(dst.shape)
+            spread = dst.view(np.int64)
+            np.copyto(spread, offsets[: len(dst)])
+            idx += spread
+        src.take(idx, out=dst, mode="clip")
 
 
 def _stages(first: np.ndarray, k: int, rng: np.random.Generator | None, spare: bool = False):

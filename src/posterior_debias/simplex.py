@@ -32,8 +32,11 @@ def _real_array(values) -> np.ndarray | None:
     """``values`` as np.asarray sees them, before any cast, if they keep the
     package's one real-number rule, else None: integers or floats, not bools
     (True would run as 1.0), complex, strings, bytes, objects or datetimes,
-    nor a list or tuple with a bool entry, which np.asarray would promote."""
-    if isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values):
+    nor a list or tuple with a bool entry (a bool, or a numpy bool scalar or
+    array), which np.asarray would promote."""
+    if isinstance(values, (list, tuple)) and any(
+        isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in values
+    ):
         return None
     arr = np.asarray(values)
     return arr if arr.dtype.kind in "iuf" else None
@@ -56,7 +59,10 @@ def _checked_vector(values, name: str, finite: bool = True) -> np.ndarray:
 
 
 def _checked_real(value, name: str, finite: bool = True) -> float:
-    """``value`` as a float, by the rule of _checked_vector for one value."""
+    """``value`` as a float, by the rule of _checked_vector for one value,
+    which must be a scalar: a list or an array of one entry is not."""
+    if np.ndim(value):
+        raise ValueError(f"{name} must be one real number, got {value!r}")
     return _checked_vector([value], name, finite).item()
 
 

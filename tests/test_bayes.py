@@ -589,6 +589,34 @@ class TestGaussianMixture:
         _choice_labels(u, cut_points, labels, np.empty(u.shape, bool))
         assert np.array_equal(labels, cut_points.searchsorted(u, side="right"))
 
+    @pytest.mark.parametrize("cuts", [0, 1, 2, 32, 33])
+    @pytest.mark.parametrize("size", [1, 16, 1023, 1024, 4096])
+    def test_choice_labels_equal_searchsorted_at_any_size(self, cuts, size):
+        # Calls under 1,024 uniforms take the search whatever the cut count,
+        # as counting passes have a fixed cost; larger ones count up to 32
+        # cuts. Either way the labels are the search's.
+        rng = np.random.default_rng([cuts, size])
+        cut_points = _choice_cuts(rng.dirichlet(np.ones(cuts + 1)))
+        u = rng.random(size)
+        u[: min(cuts, size)] = cut_points[:size]
+        labels = np.full(u.shape, -7, np.intp)
+        _choice_labels(u, cut_points, labels, np.empty(u.shape, bool))
+        assert np.array_equal(labels, cut_points.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize("m", [2, 3, 33])
+    @pytest.mark.parametrize("size", [1, 16, 1023])
+    def test_small_draws_same_labels_as_choice(self, m, size):
+        # GaussianMixture.sample(16) in the per-replicate outer_mc, the last
+        # short chunk of a _fill and the last piece of the rejection sampler
+        # take the search: the stream of rng.choice.
+        weights = np.random.default_rng(m).dirichlet(np.ones(m))
+        mix = GaussianMixture(weights, np.arange(m) * 0.5, np.ones(m))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            comp = rng.choice(m, size=size, p=mix.weights)
+            ref = mix.means[comp] + np.sqrt(mix.variances[comp]) * rng.standard_normal(size)
+            assert np.array_equal(mix.sample(size, np.random.default_rng(seed)), ref)
+
     @pytest.mark.parametrize("m", [3, 33])
     def test_warm_fill_allocates_no_iterator_buffer(self, m):
         # The counting passes add bytes to bytes. Adding the bool mask to

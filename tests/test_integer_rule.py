@@ -165,3 +165,28 @@ def test_count_vectors_reject_and_name_the_argument(field, bad):
 def test_count_vectors_of_any_integer_form_give_the_same_bits(field, form):
     assert bits(COUNT_CASES[field](form)) == bits(COUNT_CASES[field]([1, 3]))
 
+
+
+# DiscreteBayesMap.component is a method, so the table above, derived from the
+# exported callables' own parameters, does not reach its index.
+MAP = DiscreteBayesMap([1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 1.0, 1.5, "1"], ids=repr)
+def test_component_index_keeps_the_rule(bad):
+    # component(True) failed with numpy's TypeError and component(1.0) with
+    # numpy's IndexError, neither naming s.
+    with pytest.raises(ValueError, match=names("s")):
+        MAP.component(bad)
+
+
+@pytest.mark.parametrize("s", [-1, 2, np.int64(2)], ids=repr)
+def test_component_index_out_of_range_stays_an_index_error(s):
+    with pytest.raises(IndexError, match="outside support range"):
+        MAP.component(s)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_component_numpy_index_gives_the_bits_of_an_int(kind):
+    q = np.array([0.3, 0.7])
+    assert bits(MAP.component(kind(1))(q)) == bits(MAP.component(1)(q))

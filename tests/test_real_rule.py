@@ -238,3 +238,24 @@ def test_vectors_of_any_real_form_give_the_bits_of_float64(case, form):
     make, base, _ = VECTORS[case]
     base = np.array(base)
     assert bits(make(GOOD_FORMS[form](base))) == bits(make(base))
+
+
+@pytest.mark.parametrize("entry", [np.array(True), np.array([True]), np.True_], ids=repr)
+def test_a_numpy_bool_entry_of_a_list_is_refused(entry):
+    # np.asarray promotes a 0-d bool array entry as it does a bool:
+    # ProbVector([np.array(True), 0.0]) built [1.0, 0.0].
+    with pytest.raises(ValueError, match=names("probs")):
+        ProbVector([entry, 0.0])
+
+
+@pytest.mark.parametrize("value", [[0.5], (0.5,), np.array([0.5]), np.array([[0.5]])], ids=repr)
+def test_a_float_parameter_wants_one_real_number(value):
+    # A one-entry vector is not a scalar; the message said "must be a
+    # nonempty 1-d vector" about a value that is not one.
+    with pytest.raises(ValueError, match=r"\by_obs must be one real number"):
+        pkg.gaussian_likelihood(value, 1 / 16)
+
+
+def test_a_0d_array_is_one_real_number():
+    want = bits(pkg.gaussian_likelihood(0.8, 1 / 16).log(X))
+    assert bits(pkg.gaussian_likelihood(np.array(0.8), 1 / 16).log(X)) == want

@@ -5,9 +5,11 @@ import sys
 import warnings
 from math import comb, exp, sqrt
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posterior_debias.bayes import (
     BoundedLikelihood,
@@ -23,6 +25,8 @@ from posterior_debias import resampling
 from posterior_debias.resampling import (
     MCConfig,
     _drive,
+    _index_blocks,
+    _resample,
     _stages,
     build_chain,
     debiased_expectation,
@@ -756,3 +760,91 @@ class TestDebiasedExpectationBlocks:
         with pytest.raises(ValueError):
             build_chain(data, k, seed)
         assert calls == []
+
+
+RAW_MIN = resampling._RAW_MIN  # fewest indices drawn from raw PCG64 words
+# Lemire rejects a 32-bit half u when (u * n) mod 2^32 < (2^32 - n) mod n:
+# never for a power of two, about once in four halves at 3 * 2^30 and once in
+# two at 2^31 + 1.
+N_VALUES = [2, 3, 12, 48, 10**4, 2**18 - 1, 2**18, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+SIZES = [1, 2, 7, RAW_MIN - 1, RAW_MIN, RAW_MIN + 1, B + 1]
+
+
+def seeded(seed, prior):
+    """A chain generator after ``prior`` odd-size draws: one leaves the
+    high half of a word pending in the state, two leave none pending."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    for _ in range(prior):
+        rng.integers(0, 5, size=3)
+    return rng
+
+
+def assert_same_generator(got, want, n):
+    np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
+    assert np.array_equal(got.integers(0, n, size=5), want.integers(0, n, size=5))
+    assert got.random() == want.random()
+
+
+class TestIndexBlocks:
+    def test_chains_use_pcg64(self):
+        # The raw-word path applies to PCG64 only; every chain generator is
+        # default_rng(SeedSequence(...)).
+        rng = np.random.default_rng(np.random.SeedSequence([1]))
+        assert type(rng.bit_generator) is np.random.PCG64
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from(N_VALUES),
+        sizes=st.lists(st.sampled_from(SIZES), min_size=1, max_size=3),
+        prior=st.integers(0, 2),
+        raw_min=st.sampled_from([0, RAW_MIN]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_equal_one_integers_call(self, n, sizes, prior, raw_min, seed):
+        # raw_min 0 sends every call, however small, through the raw words.
+        want_rng = seeded(seed, prior)
+        want = want_rng.integers(0, n, size=sum(sizes))
+        rng = seeded(seed, prior)
+        with mock.patch.object(resampling, "_RAW_MIN", raw_min):
+            got = [block.copy() for block in _index_blocks(rng, n, sizes)]
+        assert [block.size for block in got] == sizes
+        assert all(block.dtype == np.int64 for block in got)
+        assert np.array_equal(np.concatenate(got), want)
+        assert_same_generator(rng, want_rng, n)
+
+    @pytest.mark.parametrize(
+        "n, bit_generator",
+        [(1, np.random.PCG64), (2**32 + 1, np.random.PCG64), (10**4, np.random.MT19937)],
+    )
+    def test_other_cases_are_left_to_integers(self, n, bit_generator):
+        # n = 1 draws nothing; n > 2^32 and other generators draw otherwise.
+        rng, want_rng = np.random.Generator(bit_generator(3)), np.random.Generator(bit_generator(3))
+        got = np.concatenate([b.copy() for b in _index_blocks(rng, n, [B, 5])])
+        assert np.array_equal(got, want_rng.integers(0, n, size=B + 5))
+        assert_same_generator(rng, want_rng, n)
+
+    @pytest.mark.parametrize(
+        "b, n", [(1, 10_001), (1, 3 * B + 5), (2, B + 3), (3, 7), (26, 10**4), (4096, 16), (5, 999)]
+    )
+    @pytest.mark.parametrize("prior", [0, 1])
+    def test_resample_leaves_the_state_of_one_integers_call(self, b, n, prior):
+        prev = np.random.default_rng(b).standard_normal((b, n))
+        stage = np.empty_like(prev)
+        rng, want_rng = seeded(n, prior), seeded(n, prior)
+        _resample(prev, stage, rng)
+        want = np.take_along_axis(prev, want_rng.integers(0, n, size=(b, n)), axis=1)
+        assert np.array_equal(stage, want)
+        assert_same_generator(rng, want_rng, n)
+
+    def test_odd_n_above_the_crossover_matches_manual_draws(self):
+        # n = 10,001 is odd and past RAW_MIN, so each stage rejects some
+        # halves and leaves one pending for the next.
+        n, k, seed = 10_001, 4, 12
+        data = WeightedSampleSet(np.random.default_rng(3).normal(0.5, 1.0, n))
+        want = build_chain_whole(data, k, seed)
+        for stage, ref in zip(build_chain(data, k, seed), want, strict=True):
+            assert np.array_equal(stage.points, ref.points)
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        h = lambda x: (x >= 0.5).astype(float)
+        expected = debiased_realization(want, lambda s: plugin_expectation_whole(s, lik, h), k)
+        assert debiased_expectation(data, lik, h, k, seed) == expected
