@@ -563,6 +563,56 @@ class TestRunMixtureMC:
         ]
         assert fits == self.PINNED_BENCH_FITS
 
+    # run_mixture_mc at its defaults (k = 1 only, N = n^3) on 2 threads,
+    # recorded with numpy 2.4.6: per n, N, est_mean, est_variance and
+    # std_error; per column, the slope, intercept and r^2 of its fit; all as
+    # float.hex. A single-order sweep runs one pass per point, so it keeps
+    # these bits under the one-pass-per-n layout.
+    PINNED_DEFAULT_ROWS = [
+        (8, 512, "0x1.a779705d05bf2p-1", "0x1.b8ae43562933ap-5", "0x1.4fe0db419da54p-7"),
+        (12, 1728, "0x1.b1b5855f52302p-1", "0x1.08973deea8541p-5", "0x1.1b55cc2936f83p-8"),
+        (16, 4096, "0x1.b59f64e00f2f7p-1", "0x1.4c04c80e4d525p-6", "0x1.238ac56c958e0p-9"),
+        (24, 13824, "0x1.bbd821e77c839p-1", "0x1.454b28d744a85p-7", "0x1.bc4a0eba5ffd5p-11"),
+        (32, 32768, "0x1.bdaefcbe5193ep-1", "0x1.bb82e72907088p-8", "0x1.dc86dd624c4adp-12"),
+        (48, 110592, "0x1.bf4e781d98ff2p-1", "0x1.1141feff2d8a5p-8", "0x1.9734c8bdbbbc3p-13"),
+        (64, 262144, "0x1.c017885e3b9d5p-1", "0x1.88b90db5b7261p-9", "0x1.c069b239121dbp-14"),
+    ]
+    PINNED_DEFAULT_FITS = [
+        ("abs_bias", "-0x1.39b5e8e9c7478p+0", "-0x1.910aa572faa2ap-2", "0x1.fdb6c7abfff23p-1"),
+        ("est_variance", "-0x1.6da0b9d1be230p+0", "0x1.4c4b70da0e7b7p-5", "0x1.fd6ed88af8822p-1"),
+    ]
+
+    def test_default_sweep_bits_are_pinned(self):
+        rows, info = run_mixture_mc(default_mixture_config(threads=2))
+        got = [
+            (r["n"], r["N"], r["est_mean"].hex(), r["est_variance"].hex(), r["std_error"].hex())
+            for r in rows
+        ]
+        assert {r["k"] for r in rows} == {1}
+        assert got == self.PINNED_DEFAULT_ROWS
+        fits = [
+            (name, fit.slope.hex(), fit.intercept.hex(), fit.r_squared.hex())
+            for name, fit in info["fits"][1].items()
+        ]
+        assert fits == self.PINNED_DEFAULT_FITS
+
+    # A k = 2 only sweep on the PINNED_BATCHED grid, recorded with numpy
+    # 2.4.6; the deepest order of a multi-order sweep has these bits too.
+    PINNED_K2_ONLY = [
+        (16, 2, "0x1.f2c6f3f5e5560p-4", "0x1.587ff734d78a0p-3"),
+        (32, 2, "0x1.9117e9db0b4b5p-3", "0x1.f79cc65d02f48p-3"),
+    ]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_single_order_stream_bits_are_pinned(self, threads):
+        cfg = default_mixture_config(
+            n_grid=(16, 32), k_values=(2,), n_rule="fixed", n_fixed=9000,
+            y_obs=3.5, threshold=3.3, threads=threads,
+        )
+        rows, _ = run_mixture_mc(cfg)
+        got = [(r["n"], r["k"], r["est_mean"].hex(), r["est_variance"].hex()) for r in rows]
+        assert got == self.PINNED_K2_ONLY
+
 
 # Every case run_identity_check returns for the default root seed, as
 # (m, n, k, enumerated.hex(), exact_mean.hex()), recorded before the exact
