@@ -1,8 +1,8 @@
 """A private free list of flat work buffers for the Monte Carlo kernels.
 
 The chain stage generator (for the batched outer loop and the single-chain
-functions alike), the mixture sampler and the plug-in write their large
-intermediates into buffers checked out here, so in steady state they
+functions alike) and its resample index blocks, the mixture sampler and the
+plug-in write their large intermediates into buffers checked out here, so in steady state they
 allocate no large array of their own and the process takes no page faults
 for them. Every buffer is float64; a caller that needs integer labels or a
 boolean mask views one (``checkout(size, np.intp)``), so one list serves all
@@ -28,9 +28,10 @@ _BUDGET = 2**18  # float64 elements per kept buffer: 2 MB, one full outer_mc_bat
 # than it saves on the per-replicate path.
 _SMALL = 2**12
 # Buffers one batched chunk holds at once: while the sampler runs, the first
-# stage and the sampler's labels, mask and gather block; after it, at most two
-# chain stages and the plug-in's weights. Five per CPU, one more than a chunk
-# holds, keep at most 10 MB per CPU.
+# stage and the sampler's labels, mask and gather block; after it, two chain
+# stages and either a resample index block or the plug-in's weights and the
+# event's mask. Five per CPU, one more than a chunk holds, keep at most 10 MB
+# per CPU.
 _PER_CPU = 5
 _MAX_KEPT = _PER_CPU * (os.cpu_count() or 1)  # read once: the call costs microseconds
 

@@ -10,6 +10,7 @@ layer so every number is formatted once, with round-trip-exact precision.
 from __future__ import annotations
 
 import math
+import os
 import resource
 import warnings
 from dataclasses import dataclass, field, fields
@@ -31,7 +32,7 @@ from .bayes import (
 from .errors import CapExceededError, DegenerateError, DegeneratePointError, UnderpoweredRunError
 from .operators import MAX_ORDER, _exact_bias_variance, debiased_estimate, debiased_estimate_mean
 from .rejection import make_rejection_spec, rejection_sample_batch
-from .resampling import _BATCH_SCHEME, MCConfig, exhaustive_chain_expectation, outer_mc_batched
+from .resampling import _BATCH_SCHEME, _outer_mc_orders, exhaustive_chain_expectation
 from .simplex import CountsVector, ProbVector, _checked_int, _checked_real, _is_int, _real_array, lattice_size
 
 IDENTITY_TOL = 1e-10
@@ -41,8 +42,9 @@ IDENTITY_TOL = 1e-10
 IDENTITY_LEAF_CAP = 10**7
 # The random-stream layout of run_mixture_mc, recorded in its manifest.
 MC_RNG_SCHEME = (
-    f"outer_mc_batched v{_BATCH_SCHEME}: chunk c of grid point (n, k) draws from "
-    f"SeedSequence([_point_seed(root_seed, n, k), {_BATCH_SCHEME}, c])"
+    f"outer_mc_batched v{_BATCH_SCHEME}, one pass per n: chunk c at sample size n draws "
+    f"from SeedSequence([_point_seed(root_seed, n, max(k_values)), {_BATCH_SCHEME}, c]), "
+    "and order k reads stages 1..k of the first N_k chains"
 )
 
 
@@ -249,15 +251,18 @@ class MixtureConfig:
     )
     n_fixed: int | None = _opt(None, "replicates when --n-rule fixed")
     mc_cap: int = _opt(10_000_000, "hard cap on replicates per point", min=1)
-    threads: int = _opt(
-        1,
-        "worker threads; they speed up a grid point that spans more than one "
-        "chunk of replicates, and results are identical for any count",
+    threads: int | None = _opt(
+        None,
+        "worker threads, default one per CPU; they speed up a grid point that "
+        "spans more than one chunk of replicates, and results are identical for "
+        "any count. Two sweeps run side by side should each pass --threads 1",
         min=1,
     )
     root_seed: int = _opt(0, "root seed", flag="--seed", min=0)
 
     def __post_init__(self):
+        if self.threads is None:  # the manifest records the count that ran
+            object.__setattr__(self, "threads", os.cpu_count() or 1)
         _check_fields(self)
         _check_grid(self)
         if self.n_rule not in (None, "n_pow3", "n_pow4", "fixed"):
@@ -392,15 +397,20 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     """Monte Carlo bias/variance table for the Gaussian-mixture setting.
 
     Replication counts follow the configured rule, capped at ``mc_cap`` with
-    every capping recorded. Datasets are scored by the plug-in kernel, which
+    every capping recorded. Rows run k-major. The first row at each n runs
+    one pass of chains of the deepest order, seeded by
+    _point_seed(root_seed, n, max(k_values)), and every order reads its row
+    at n from it (_outer_mc_orders): the rows at one n are common random
+    numbers across k. Datasets are scored by the plug-in kernel, which
     gives its elementwise likelihood and event slices past 2^14 points.
     Aborts with UnderpoweredRunError when a grid point has fewer than 2
     replicates or its standard error exceeds a third of the estimated bias,
-    and with DegeneratePointError when a plug-in denominator underflows at a
-    grid point; either error carries the rows finished before that point,
-    their fits and the point that stopped the run. A slope over a column
-    with a zero (replicates that all agree) is None, and so is the guard
-    margin of a point whose bias and standard error are both 0.
+    and with DegeneratePointError when a plug-in denominator underflows in
+    the pass at n, at the first k that visits n; either error carries the
+    rows finished before that point, their fits and the point that stopped
+    the run. A slope over a column with a zero (replicates that all agree)
+    is None, and so is the guard margin of a point whose bias and standard
+    error are both 0.
     """
     mix = GaussianMixture(cfg.mix_weights, cfg.mix_means, cfg.mix_variances)
     lik = gaussian_likelihood(cfg.y_obs, cfg.noise_var)
@@ -421,28 +431,36 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
 
     rows, capped, points = [], [], []
     info = {"rng_scheme": MC_RNG_SCHEME, "capped": capped, "true_value": truth, "points": points}
+    # One pass per n, run on the first visit to n and read by every order.
+    passes = {}
+    seed_k = max(cfg.k_values)
     for k in cfg.k_values:
         for n in cfg.n_grid:
             want = _mc_reps(cfg, n, k)
             n_reps = min(want, cfg.mc_cap)
             if n_reps < want:
                 capped.append({"n": n, "k": k, "requested": want, "effective": n_reps})
-            seed = _point_seed(cfg.root_seed, n, k)
-            mc_cfg = MCConfig(n=n, k=k, n_reps=n_reps, root_seed=seed, threads=cfg.threads)
-            faults = _minor_faults()
-            try:
-                result = outer_mc_batched(mix._fill, batch_functional, mc_cfg)
-                faults = _minor_faults() - faults
-            except DegenerateError as exc:
-                raise DegeneratePointError(
-                    f"{exc} at n={n}, k={k} (N={n_reps})",
-                    rows,
-                    {
-                        "degenerate": {"n": n, "k": k, "N": n_reps},
-                        "fits": _slope_fits(rows, cfg.k_values, _MIXTURE_FITS),
-                        **info,
-                    },
-                ) from exc
+            if n not in passes:
+                reps = {j: min(_mc_reps(cfg, n, j), cfg.mc_cap) for j in cfg.k_values}
+                faults = _minor_faults()
+                try:
+                    results = _outer_mc_orders(
+                        mix._fill, batch_functional, n, reps,
+                        _point_seed(cfg.root_seed, n, seed_k), cfg.threads,
+                    )
+                except DegenerateError as exc:
+                    raise DegeneratePointError(
+                        f"{exc} at n={n}, k={k} (N={n_reps})",
+                        rows,
+                        {
+                            "degenerate": {"n": n, "k": k, "N": n_reps},
+                            "fits": _slope_fits(rows, cfg.k_values, _MIXTURE_FITS),
+                            **info,
+                        },
+                    ) from exc
+                passes[n] = results, _minor_faults() - faults
+            results, faults = passes[n]
+            result = results[k]
             est_bias = result.mean - truth
             bound = abs(est_bias) / 3
             row = {
@@ -473,6 +491,7 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
                 )
             rows.append(row)
             # Timings vary from run to run, so they stay out of the rows.
+            # The points at one n share its pass, and so its time and faults.
             points.append(
                 {
                     **{key: row[key] for key in ("n", "k", "N")},

@@ -7,9 +7,10 @@ realization combines the plug-in functional across the first k stages with
 the alternating binomial weights. Two outer drivers replicate this over
 fresh datasets: outer_mc one replicate at a time, with one random stream per
 replicate, and outer_mc_batched one array of replicates at a time, with one
-random stream per fixed-size chunk. Both merge chunk moments in chunk order,
-so results are bit-identical for a fixed root seed no matter how many worker
-threads run.
+random stream per fixed-size chunk; _outer_mc_orders, its kernel, reads
+several orders from the stages of one pass. Both merge chunk moments in
+chunk order, so results are bit-identical for a fixed root seed no matter
+how many worker threads run.
 """
 
 from __future__ import annotations
@@ -32,9 +33,14 @@ _SEED_MAX = 2**64 - 1  # every seed is an unsigned 64-bit integer
 _CHUNK = 4096  # replicates per work unit; fixed so the reduction order is too
 _BATCH_ELEMENTS = 2**18  # data points per chunk of outer_mc_batched
 _BATCH_SCHEME = 1  # version of outer_mc_batched's stream layout; bump on any change
-# Fewest indices per call that _index_blocks draws from raw words: below it,
-# reading and writing the generator state costs more than rng.integers does.
-_RAW_MIN = 2**12
+# Fewest indices per call that _index_blocks draws from raw words, for a
+# power-of-two n and for any other n: below it, reading and writing the
+# generator state costs more than rng.integers does. A power of two takes a
+# shift, not a multiply and a rejection test, so it pays off sooner: on a
+# 2-core x86-64 host raw words tied with rng.integers near 2,048 and 5,120
+# indices and won at these sizes.
+_RAW_MIN_POW2 = 2560
+_RAW_MIN = 6144
 
 
 def _halves(words: np.ndarray) -> np.ndarray:
@@ -49,25 +55,30 @@ def _index_blocks(rng: np.random.Generator, n: int, sizes: Sequence[int]):
     the generator is exhausted, rng is in the state that call leaves it in.
     The arrays are views of one buffer, so each is valid until the next.
 
-    For a PCG64 generator, 1 < n <= 2^32 and at least _RAW_MIN values, they
-    are computed from the generator's raw 64-bit words, as numpy's bounded
-    integers are (Lemire, ACM TOMACS 29(1), 2019): each value takes the next
-    32-bit half u of the stream and is (u * n) >> 32, unless (u * n) mod
-    2^32 < (2^32 - n) mod n, when u is dropped for the next half. A word's
-    unused high half waits in the generator state, as numpy's own draws
-    leave it. The state is read at the start of a call and written back at
-    its end, not once per block."""
+    For a PCG64 generator, 1 < n <= 2^32 and at least _RAW_MIN values
+    (_RAW_MIN_POW2 for a power-of-two n), they are computed from the
+    generator's raw 64-bit words, as numpy's bounded integers are (Lemire,
+    ACM TOMACS 29(1), 2019): each value takes the next 32-bit half u of the
+    stream and is (u * n) >> 32, unless (u * n) mod 2^32 < (2^32 - n) mod n,
+    when u is dropped for the next half. A word's unused high half waits in
+    the generator state, as numpy's own draws leave it. The state is read
+    at the start of a call and written back at its end, not once per
+    block."""
     bg = rng.bit_generator
-    if sum(sizes) < _RAW_MIN or not 1 < n <= 2**32 or type(bg) is not np.random.PCG64:
+    low = _RAW_MIN_POW2 if n & (n - 1) == 0 else _RAW_MIN
+    if sum(sizes) < low or not 1 < n <= 2**32 or type(bg) is not np.random.PCG64:
         for size in sizes:
             yield rng.integers(0, n, size=size)
         return
     state = bg.state
     pending = state["has_uint32"], state["uinteger"]
-    out = np.empty(max(sizes), np.int64)
-    for size in sizes:
-        pending = _lemire_fill(bg, n, out[:size].view(np.uint64), *pending)
-        yield out[:size]
+    out = _workspace.checkout(max(sizes), np.int64)
+    try:
+        for size in sizes:
+            pending = _lemire_fill(bg, n, out[:size].view(np.uint64), *pending)
+            yield out[:size]
+    finally:
+        _workspace.release(out)
     state = bg.state
     state["has_uint32"], state["uinteger"] = pending
     bg.state = state
@@ -250,13 +261,16 @@ def _merge(a: tuple[int, float, float], b: tuple[int, float, float]):
     return count, mean, m2
 
 
-def _drive(run_span: Callable, n_reps: int, chunk: int, threads: int) -> MCResult:
-    """Split replicates 0..n_reps-1 into spans of ``chunk``, reduce each span
-    to (count, mean, M2) with ``run_span(index, lo, hi)``, on a pool of
-    ``threads`` when there is more than one span, and merge the partials in
-    span order, so the thread count changes no bit of the result. The pool
-    has at most one thread per span and one per CPU, and runs each span in
-    a copy of the caller's context, so np.errstate holds there too."""
+def _drive(run_span: Callable, n_reps: int, chunk: int, threads: int) -> list[MCResult]:
+    """Split replicates 0..n_reps-1 into spans of ``chunk`` and reduce each
+    span with ``run_span(index, lo, hi)`` to a list of partials, one per
+    result: a (count, mean, M2) triple, or None where that result has no
+    replicate in the span. Spans run on a pool of ``threads`` when there is
+    more than one, and each result merges its partials in span order, so
+    the thread count changes no bit of it. The pool has at most one thread
+    per span and one per CPU, and runs each span in a copy of the caller's
+    context, so np.errstate holds there too. Every result shares the
+    wall time of the whole run."""
     start = time.perf_counter()
     spans = [(i, lo, min(lo + chunk, n_reps)) for i, lo in enumerate(range(0, n_reps, chunk))]
     workers = min(threads, len(spans))
@@ -272,17 +286,15 @@ def _drive(run_span: Callable, n_reps: int, chunk: int, threads: int) -> MCResul
         context = contextvars.copy_context()  # holds the caller's np.errstate
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(lambda span: context.copy().run(run_span, *span), spans))
-    count, mean, m2 = 0, 0.0, 0.0
-    for part in partials:
-        count, mean, m2 = _merge((count, mean, m2), part)
-    variance = m2 / (count - 1) if count > 1 else 0.0
-    return MCResult(
-        mean=mean,
-        variance=variance,
-        std_error=sqrt(variance / count),
-        n_reps=count,
-        wall_time=time.perf_counter() - start,
-    )
+    wall_time = time.perf_counter() - start
+    results = []
+    for parts in zip(*partials):
+        count, mean, m2 = 0, 0.0, 0.0
+        for part in filter(None, parts):
+            count, mean, m2 = _merge((count, mean, m2), part)
+        variance = m2 / (count - 1) if count > 1 else 0.0
+        results.append(MCResult(mean, variance, sqrt(variance / count), count, wall_time))
+    return results
 
 
 def outer_mc(prior_sampler: Callable, functional: Callable, cfg: MCConfig) -> MCResult:
@@ -295,7 +307,7 @@ def outer_mc(prior_sampler: Callable, functional: Callable, cfg: MCConfig) -> MC
     says; the result is the same for any thread count.
     """
 
-    def run_span(_, lo: int, hi: int) -> tuple[int, float, float]:
+    def run_span(_, lo: int, hi: int) -> list[tuple[int, float, float]]:
         count, mean, m2 = 0, 0.0, 0.0
         for rep in range(lo, hi):
             v = _replicate_value(prior_sampler, functional, cfg, rep)
@@ -303,9 +315,9 @@ def outer_mc(prior_sampler: Callable, functional: Callable, cfg: MCConfig) -> MC
             delta = v - mean
             mean += delta / count
             m2 += delta * (v - mean)
-        return count, mean, m2
+        return [(count, mean, m2)]
 
-    return _drive(run_span, cfg.n_reps, _CHUNK, threads=1)
+    return _drive(run_span, cfg.n_reps, _CHUNK, threads=1)[0]
 
 
 def _batch_rows(n: int) -> int:
@@ -332,35 +344,71 @@ def outer_mc_batched(
     Chunks run on ``cfg.threads`` threads, as numpy releases the GIL inside
     the array work; the result is the same for any thread count.
     """
-    n, k = cfg.n, cfg.k
-    weights = debias_weights(k)
+    by_order = _outer_mc_orders(
+        batch_sampler, batch_functional, cfg.n, {cfg.k: cfg.n_reps}, cfg.root_seed, cfg.threads
+    )
+    return by_order[cfg.k]
 
-    def run_span(chunk: int, lo: int, hi: int) -> tuple[int, float, float]:
+
+def _outer_mc_orders(
+    batch_sampler: Callable,
+    batch_functional: Callable,
+    n: int,
+    reps: dict[int, int],
+    root_seed: int,
+    threads: int,
+) -> dict[int, MCResult]:
+    """outer_mc_batched at several orders k, with N_k = reps[k] replicates
+    each, from one pass over chains of the deepest order.
+
+    The chunks of _batch_rows(n) replicates span the largest N_k, with
+    outer_mc_batched's seeds and draws. The functional runs once per stage,
+    and order k adds w_i * f_i over the first k stages into its own values,
+    in stage order, as outer_mc_batched at order k does; it reduces only
+    replicates 0..N_k-1. So an order with the largest N_k has the bits of
+    its own outer_mc_batched call, and any other order reads the first N_k
+    replicates of the same chains. A NaN value of any order aborts the run.
+    Every result shares the pass's wall time."""
+    orders = sorted(reps)
+    weights = [debias_weights(k) for k in orders]
+    n_reps = max(reps.values())
+
+    def run_span(chunk: int, lo: int, hi: int) -> list[tuple[int, float, float] | None]:
         b = hi - lo
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.root_seed, _BATCH_SCHEME, chunk])
-        )
+        rng = np.random.default_rng(np.random.SeedSequence([root_seed, _BATCH_SCHEME, chunk]))
+        values = np.zeros((len(orders), b))
         # Stage 1 is drawn into a writable buffer, which _stages takes as
         # one of its two.
         flat = _workspace.checkout(b * n)
         try:
             first = flat.reshape(b, n)
             batch_sampler(first, rng)
-            values = np.zeros(b)
-            for stage, w in zip(_stages(first, k, rng), weights):
-                values += w * batch_functional(stage)
+            for i, stage in enumerate(_stages(first, orders[-1], rng)):
+                f = batch_functional(stage)
+                for row, w in zip(values, weights):
+                    if i < w.size:
+                        row += w[i] * f
+                del f  # not held while the next stage is drawn
         finally:
             _workspace.release(flat)
         if np.isnan(values).any():
             raise FloatingPointError(f"functional returned NaN in replicates {lo}..{hi - 1}")
-        # values.mean() and ((values - mean) ** 2).sum(), bit for bit, with
-        # their reduce and square made directly.
-        mean = np.add.reduce(values) / b
-        values -= mean
-        values *= values
-        return b, float(mean), float(np.add.reduce(values))
+        partials = []
+        for row, k in zip(values, orders):
+            row = row[: max(0, min(hi, reps[k]) - lo)]
+            if row.size:
+                # row.mean() and ((row - mean) ** 2).sum(), bit for bit, with
+                # their reduce and square made directly.
+                mean = np.add.reduce(row) / row.size
+                row -= mean
+                row *= row
+                partials.append((row.size, float(mean), float(np.add.reduce(row))))
+            else:
+                partials.append(None)
+        return partials
 
-    return _drive(run_span, cfg.n_reps, _batch_rows(n), cfg.threads)
+    results = _drive(run_span, n_reps, _batch_rows(n), threads)
+    return dict(zip(orders, results))
 
 
 def debiased_expectation(

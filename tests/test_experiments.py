@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -19,6 +20,7 @@ import posterior_debias
 from posterior_debias import cli
 from posterior_debias.cli import _git_commit, build_parser, main, write_csv, write_manifest
 from posterior_debias.errors import CapExceededError, DegenerateError, UnderpoweredRunError
+from posterior_debias.bayes import GaussianMixture, _plugin_expectation, gaussian_likelihood
 from posterior_debias.experiments import (
     MC_RNG_SCHEME,
     BinaryConfig,
@@ -37,10 +39,11 @@ from posterior_debias.experiments import (
     _BINARY_FITS,
     _binary_bayes_map,
     _mc_reps,
+    _point_seed,
     _slope_fits,
 )
 from posterior_debias.operators import _exact_bias_variance, exact_bias, exact_variance
-from posterior_debias.resampling import MCConfig, outer_mc_batched
+from posterior_debias.resampling import MCConfig, _batch_rows, _outer_mc_orders, outer_mc_batched
 from posterior_debias.simplex import ProbVector
 
 # Every config class with the arguments it needs, and one value of the wrong
@@ -256,6 +259,20 @@ class TestExperimentConfig:
         # The default grid runs k = 1 only: at k = 2 the bias crosses zero
         # between n = 8 and 16, so the default grid would trip the guard.
         assert default_mixture_config().k_values == (1,)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"threads": None}])
+    def test_mixture_threads_default_to_one_per_cpu(self, monkeypatch, kwargs):
+        # Resolved in the config, so the manifest's config holds the count.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert default_mixture_config(**kwargs).threads == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_mixture_config(**kwargs).threads == 1
+        assert default_mixture_config(threads=1).threads == 1
+
+    def test_threads_help_names_side_by_side_sweeps(self):
+        (threads,) = [f for f in dataclasses.fields(MixtureConfig) if f.name == "threads"]
+        assert "default one per CPU" in threads.metadata["help"]
+        assert "--threads 1" in threads.metadata["help"]
 
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
@@ -512,9 +529,11 @@ class TestRunMixtureMC:
     # est_mean and est_variance of each (n, k) as float.hex, recorded with
     # numpy 2.4.6: 9000 replicates are 3 chunks per point, so this pins the
     # batched stream (MC_RNG_SCHEME) and every reduction on it, bit for bit.
+    # The k = 1 rows read stage 1 of the k = 2 pass at each n; the k = 2
+    # rows have the bits they had when each (n, k) ran its own pass.
     PINNED_BATCHED = [
-        (16, 1, "0x1.45bc8679cdffep-4", "0x1.22d293140c06bp-4"),
-        (32, 1, "0x1.2e78321600e4cp-3", "0x1.de7e2f2f7f074p-4"),
+        (16, 1, "0x1.6f2a7d9f29758p-4", "0x1.438bacffa7db6p-4"),
+        (32, 1, "0x1.2dc6a98c9e411p-3", "0x1.dded0b0cc192fp-4"),
         (16, 2, "0x1.f2c6f3f5e5560p-4", "0x1.587ff734d78a0p-3"),
         (32, 2, "0x1.9117e9db0b4b5p-3", "0x1.f79cc65d02f48p-3"),
     ]
@@ -532,18 +551,19 @@ class TestRunMixtureMC:
     # The benchmark's mc_mixture grid at root seed 0, recorded with numpy
     # 2.4.6: N = 512 makes each point one chunk of 512 rows, up to n = 64.
     # Per (n, k), est_mean and est_variance; per (k, column), the slope,
-    # intercept and r^2 of its fit; all as float.hex.
+    # intercept and r^2 of its fit; all as float.hex. As in PINNED_BATCHED,
+    # the k = 1 entries come from the k = 2 pass at each n.
     PINNED_BENCH_ROWS = [
-        (16, 1, "0x1.1a89fb872ca55p-4", "0x1.02d3cbad0aeb5p-4"),
-        (32, 1, "0x1.4694bff5569dep-3", "0x1.00da775350779p-3"),
-        (64, 1, "0x1.060c8d967934cp-2", "0x1.4efa68ff9a46ep-3"),
+        (16, 1, "0x1.3b71bc4ead8bcp-4", "0x1.1935e9b0ccd90p-4"),
+        (32, 1, "0x1.638d69f805db8p-3", "0x1.143ca8b061979p-3"),
+        (64, 1, "0x1.171c11341421cp-2", "0x1.570f30bb1aa0dp-3"),
         (16, 2, "0x1.ccaabf9d5a9bap-4", "0x1.5bbd07be7a682p-3"),
         (32, 2, "0x1.d1f35a0fe1cc5p-3", "0x1.1e0fcd9be02efp-2"),
         (64, 2, "0x1.682fd045e0fecp-2", "0x1.651e97a352ce6p-2"),
     ]
     PINNED_BENCH_FITS = [
-        (1, "abs_bias", "-0x1.4f883bf65d716p-2", "0x1.00017f7c8843dp-2", "0x1.fc7e54daff899p-1"),
-        (1, "est_variance", "0x1.5f40721e512dbp-1", "-0x1.25ff7eccfc73cp+2", "0x1.e0c1c7d0904d4p-1"),
+        (1, "abs_bias", "-0x1.6ab5cdef71ba9p-2", "0x1.3b312c87c3687p-2", "0x1.fcfb73c84263ap-1"),
+        (1, "est_variance", "0x1.496c31e1694dbp-1", "-0x1.18b612b8404d2p+2", "0x1.d686f63e45224p-1"),
         (2, "abs_bias", "-0x1.07fa7f3e6afb4p-1", "0x1.64a57494422bdp-1", "0x1.f878b67753218p-1"),
         (2, "est_variance", "0x1.09d4e11ab6251p-1", "-0x1.95564aea5154ep+1", "0x1.e812267d0f843p-1"),
     ]
@@ -612,6 +632,108 @@ class TestRunMixtureMC:
         rows, _ = run_mixture_mc(cfg)
         got = [(r["n"], r["k"], r["est_mean"].hex(), r["est_variance"].hex()) for r in rows]
         assert got == self.PINNED_K2_ONLY
+
+
+# The tail setting of PINNED_BATCHED: the bias is many standard errors out at
+# every order up to 4, so no guard trips in the sweeps below.
+TAIL = dict(y_obs=3.5, threshold=3.3)
+
+
+def mixture_callables(cfg):
+    """The sampler and plug-in functional run_mixture_mc builds for ``cfg``."""
+    mix = GaussianMixture(cfg.mix_weights, cfg.mix_means, cfg.mix_variances)
+    lik = gaussian_likelihood(cfg.y_obs, cfg.noise_var)
+    return mix._fill, lambda x: _plugin_expectation(x, lik, lambda v: v >= cfg.threshold)
+
+
+def order_subsets(orders):
+    return [ks for r in range(1, len(orders) + 1) for ks in itertools.combinations(orders, r)]
+
+
+class TestOnePassPerN:
+    """run_mixture_mc runs one pass per n, seeded for the deepest order, and
+    every order reads its row at n from the stages of that pass."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k_values", order_subsets((1, 2, 3, 4)))
+    def test_each_order_equals_its_own_batched_call(self, k_values, threads):
+        # N = 9,000 is 3 chunks of at most 4096 rows at n = 8 and 16.
+        cfg = default_mixture_config(
+            n_grid=(8, 16), k_values=k_values, n_rule="fixed", n_fixed=9000,
+            threads=threads, **TAIL,
+        )
+        rows, _ = run_mixture_mc(cfg)
+        sampler, functional = mixture_callables(cfg)
+        for row in rows:
+            n, k = row["n"], row["k"]
+            seed = _point_seed(cfg.root_seed, n, max(k_values))
+            want = outer_mc_batched(sampler, functional, MCConfig(n, k, 9000, seed, threads))
+            got = (row["est_mean"], row["est_variance"], row["std_error"], row["N"])
+            assert got == (want.mean, want.variance, want.std_error, want.n_reps)
+
+    @pytest.mark.parametrize("k_values", [(1, 3), (2, 3), (1, 2, 3)])
+    def test_deepest_order_equals_its_single_order_sweep(self, k_values):
+        kwargs = dict(n_grid=(16, 32), n_rule="fixed", n_fixed=9000, **TAIL)
+        rows, _ = run_mixture_mc(default_mixture_config(k_values=k_values, **kwargs))
+        alone, _ = run_mixture_mc(default_mixture_config(k_values=(3,), **kwargs))
+        assert [r for r in rows if r["k"] == 3] == alone
+
+    def test_lower_order_reads_the_first_replicates_of_the_pass(self):
+        # The default rule gives N_1 = n^3 < N_2 = min(n^4, cap): at n = 20,
+        # 8,000 of 12,000 replicates, so order 1 ends inside chunk 1 of 3.
+        cfg = default_mixture_config(n_grid=(12, 20), k_values=(1, 2), mc_cap=12_000, **TAIL)
+        rows, info = run_mixture_mc(cfg)
+        sampler, functional = mixture_callables(cfg)
+        for n in (12, 20):
+            seed = _point_seed(cfg.root_seed, n, 2)
+            rows_per_chunk = _batch_rows(n)
+            values, partials = [], []
+            for c, lo in enumerate(range(0, 12_000, rows_per_chunk)):
+                b = min(rows_per_chunk, 12_000 - lo)
+                data = np.empty((b, n))
+                sampler(data, np.random.default_rng(np.random.SeedSequence([seed, 1, c])))
+                chunk = functional(data)[: max(0, min(b, n**3 - lo))]  # weights [1]
+                values.append(chunk)
+                if chunk.size:
+                    partials.append((chunk.size, chunk.mean(), ((chunk - chunk.mean()) ** 2).sum()))
+            values = np.concatenate(values)
+            assert values.size == n**3
+            # The chunk moments, merged in chunk order as the published
+            # reduction does, give the row's bits.
+            count, mean, m2 = partials[0]
+            for cb, mb, sb in partials[1:]:
+                delta = mb - mean
+                count, mean, m2 = (
+                    count + cb,
+                    mean + delta * cb / (count + cb),
+                    m2 + sb + delta * delta * count * cb / (count + cb),
+                )
+            (row,) = [r for r in rows if (r["n"], r["k"]) == (n, 1)]
+            assert row["N"] == n**3
+            assert (row["est_mean"], row["est_variance"]) == (mean, m2 / (count - 1))
+            assert row["est_mean"] == pytest.approx(values.mean(), rel=1e-13)
+            assert row["est_variance"] == pytest.approx(values.var(ddof=1), rel=1e-12)
+            # Order 2 is the deepest: its own batched call, over all 12,000.
+            want = outer_mc_batched(sampler, functional, MCConfig(n, 2, 12_000, seed))
+            (row,) = [r for r in rows if (r["n"], r["k"]) == (n, 2)]
+            assert (row["est_mean"], row["est_variance"]) == (want.mean, want.variance)
+        assert info["capped"] == [{"n": 12, "k": 2, "requested": 20736, "effective": 12000},
+                                  {"n": 20, "k": 2, "requested": 160000, "effective": 12000}]
+
+    def test_points_at_one_n_share_the_pass(self):
+        cfg = default_mixture_config(
+            n_grid=(8, 16), k_values=(1, 2, 3), n_rule="fixed", n_fixed=3000, **TAIL
+        )
+        rows, info = run_mixture_mc(cfg)
+        points = info["points"]
+        assert [(p["n"], p["k"]) for p in points] == [(r["n"], r["k"]) for r in rows]
+        for n in (8, 16):
+            at_n = [p for p in points if p["n"] == n]
+            assert len(at_n) == 3
+            assert len({(p["wall_time_s"], p["minor_faults"]) for p in at_n}) == 1
+            for p in at_n:
+                assert p["reps_per_s"] == p["N"] / p["wall_time_s"]
+        assert points[0]["wall_time_s"] != points[1]["wall_time_s"]
 
 
 # Every case run_identity_check returns for the default root seed, as
@@ -868,6 +990,22 @@ class TestCli:
         assert fits["1"]["abs_bias"]["points_used"] == 2
         assert fits["2"] == {"abs_bias": None, "est_variance": None}
 
+    def test_order_two_trip_keeps_every_order_one_row(self, tmp_path):
+        # The default rule at n = 8, 12, 16: order 2 trips its guard at n = 8
+        # after the three order-1 rows, whose passes served order 2 too.
+        out = tmp_path / "u"
+        argv = ["mixture-mc", "--n-grid", "8,12,16", "--k-values", "1,2", "--out", str(out)]
+        assert main(argv) == 4
+        with open(out / "mixture_mc.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["n"], r["k"], r["N"]) for r in rows] == [
+            ("8", "1", "512"), ("12", "1", "1728"), ("16", "1", "4096")
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["threads"] == os.cpu_count()
+        tripped = manifest["underpowered"]
+        assert (tripped["n"], tripped["k"], tripped["N"]) == (8, 2, 4096)
+
     def test_degenerate_point_keeps_finished_rows(self, tmp_path, capsys, monkeypatch):
         # The second grid point's plug-in underflows: as at a guard, the
         # first row, its fits and the stopping point are written, and the
@@ -878,10 +1016,10 @@ class TestCli:
             calls.append(args)
             if len(calls) == 2:
                 raise DegenerateError("all sample likelihoods underflowed to zero")
-            return outer_mc_batched(*args)
+            return _outer_mc_orders(*args)
 
         monkeypatch.setattr(
-            posterior_debias.experiments, "outer_mc_batched", second_point_underflows
+            posterior_debias.experiments, "_outer_mc_orders", second_point_underflows
         )
         out = tmp_path / "deg"
         argv = ["mixture-mc", "--n-grid", "8,12,16", "--n-rule", "fixed", "--n-fixed", "1000"]
@@ -895,6 +1033,37 @@ class TestCli:
         assert [(p["n"], p["k"]) for p in manifest["points"]] == [(8, 1)]
         assert manifest["fits"]["1"] == {"abs_bias": None, "est_variance": None}
         assert len(calls) == 2
+
+    def test_degenerate_pass_stops_at_the_first_order_of_its_n(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The pass at n = 12 underflows. It serves every order at n, so the
+        # run stops at its first visit, (n = 12, k = 1), even where only the
+        # stage order 2 reads underflows; the rule was (n, k) for the point.
+        calls = []
+
+        def order_two_underflows_at_12(mix_fill, functional, n, reps, seed, threads):
+            calls.append((n, reps))
+            if n == 12:
+                raise DegenerateError("all sample likelihoods underflowed to zero")
+            return _outer_mc_orders(mix_fill, functional, n, reps, seed, threads)
+
+        monkeypatch.setattr(
+            posterior_debias.experiments, "_outer_mc_orders", order_two_underflows_at_12
+        )
+        out = tmp_path / "deg"
+        argv = ["mixture-mc", "--n-grid", "8,12,16", "--k-values", "1,2", "--n-rule", "fixed",
+                "--n-fixed", "1000", "--y-obs", "3.5", "--threshold", "3.3"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: all sample likelihoods underflowed to zero at n=12, k=1 (N=1000)\n"
+        with open(out / "mixture_mc.csv", newline="") as fh:
+            assert [(r["n"], r["k"]) for r in csv.DictReader(fh)] == [("8", "1")]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["degenerate"] == {"n": 12, "k": 1, "N": 1000}
+        assert [(p["n"], p["k"]) for p in manifest["points"]] == [(8, 1)]
+        # One pass per n, for both orders.
+        assert calls == [(8, {1: 1000, 2: 1000}), (12, {1: 1000, 2: 1000})]
 
     def test_zero_variance_slope_is_null(self, tmp_path, capsys):
         # Every plug-in value is exactly 0 here (see TestRunMixtureMC).
@@ -1305,7 +1474,7 @@ class TestCli:
     ):
         ran = []
         record = lambda *args: ran.append(args)
-        monkeypatch.setattr(posterior_debias.experiments, "outer_mc_batched", record)
+        monkeypatch.setattr(posterior_debias.experiments, "_outer_mc_orders", record)
         out = tmp_path / "mc"
         argv = ["mixture-mc", "--n-grid", "8,12", "--n-rule", "fixed", "--n-fixed", "10"]
         assert main([*argv, *flags, "--out", str(out)]) == 2

@@ -532,7 +532,7 @@ class TestOuterMCBatched:
         # _drive imports the pool class from concurrent.futures when it needs one.
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(resampling.os, "cpu_count", lambda: 3)
-        res = _drive(lambda c, lo, hi: (hi - lo, 1.5, 0.0), 10**7, _batch_rows(64), threads)
+        (res,) = _drive(lambda c, lo, hi: [(hi - lo, 1.5, 0.0)], 10**7, _batch_rows(64), threads)
         assert sizes == [pool]
         assert (res.n_reps, res.mean, res.variance) == (10**7, 1.5, 0.0)
 
@@ -762,12 +762,13 @@ class TestDebiasedExpectationBlocks:
         assert calls == []
 
 
-RAW_MIN = resampling._RAW_MIN  # fewest indices drawn from raw PCG64 words
+# Fewest indices drawn from raw PCG64 words, for any n and for a power of two.
+RAW_MIN, RAW_MIN_POW2 = resampling._RAW_MIN, resampling._RAW_MIN_POW2
 # Lemire rejects a 32-bit half u when (u * n) mod 2^32 < (2^32 - n) mod n:
 # never for a power of two, about once in four halves at 3 * 2^30 and once in
 # two at 2^31 + 1.
 N_VALUES = [2, 3, 12, 48, 10**4, 2**18 - 1, 2**18, 2**31 + 1, 3 * 2**30, 2**32 - 1]
-SIZES = [1, 2, 7, RAW_MIN - 1, RAW_MIN, RAW_MIN + 1, B + 1]
+SIZES = [1, 2, 7, RAW_MIN_POW2 - 1, RAW_MIN_POW2, RAW_MIN - 1, RAW_MIN, RAW_MIN + 1, B + 1]
 
 
 def seeded(seed, prior):
@@ -797,15 +798,18 @@ class TestIndexBlocks:
         n=st.sampled_from(N_VALUES),
         sizes=st.lists(st.sampled_from(SIZES), min_size=1, max_size=3),
         prior=st.integers(0, 2),
-        raw_min=st.sampled_from([0, RAW_MIN]),
+        raw_min=st.sampled_from([(0, 0), (RAW_MIN, RAW_MIN_POW2)]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_blocks_equal_one_integers_call(self, n, sizes, prior, raw_min, seed):
-        # raw_min 0 sends every call, however small, through the raw words.
+        # raw_min (0, 0) sends every call, however small, through the raw words.
         want_rng = seeded(seed, prior)
         want = want_rng.integers(0, n, size=sum(sizes))
         rng = seeded(seed, prior)
-        with mock.patch.object(resampling, "_RAW_MIN", raw_min):
+        with (
+            mock.patch.object(resampling, "_RAW_MIN", raw_min[0]),
+            mock.patch.object(resampling, "_RAW_MIN_POW2", raw_min[1]),
+        ):
             got = [block.copy() for block in _index_blocks(rng, n, sizes)]
         assert [block.size for block in got] == sizes
         assert all(block.dtype == np.int64 for block in got)
@@ -824,7 +828,8 @@ class TestIndexBlocks:
         assert_same_generator(rng, want_rng, n)
 
     @pytest.mark.parametrize(
-        "b, n", [(1, 10_001), (1, 3 * B + 5), (2, B + 3), (3, 7), (26, 10**4), (4096, 16), (5, 999)]
+        "b, n",
+        [(1, 10_001), (1, 3 * B + 5), (2, B + 3), (3, 7), (26, 10**4), (4096, 16), (5, 999), (7, 999)],
     )
     @pytest.mark.parametrize("prior", [0, 1])
     def test_resample_leaves_the_state_of_one_integers_call(self, b, n, prior):
@@ -835,6 +840,23 @@ class TestIndexBlocks:
         want = np.take_along_axis(prev, want_rng.integers(0, n, size=(b, n)), axis=1)
         assert np.array_equal(stage, want)
         assert_same_generator(rng, want_rng, n)
+
+    @pytest.mark.parametrize(
+        "n, size, raw",
+        [(2**18, RAW_MIN_POW2, True), (2**18, RAW_MIN_POW2 - 1, False), (16, RAW_MIN_POW2, True),
+         (2**18 - 1, RAW_MIN - 1, False), (2**18 - 1, RAW_MIN, True), (12, RAW_MIN_POW2, False)],
+    )
+    def test_crossover_depends_on_a_power_of_two_n(self, monkeypatch, n, size, raw):
+        # A power of two reads raw words from _RAW_MIN_POW2 indices on, any
+        # other n from _RAW_MIN; either way the values are one integers call's.
+        fills = []
+        fill = resampling._lemire_fill
+        monkeypatch.setattr(resampling, "_lemire_fill", lambda *a: fills.append(1) or fill(*a))
+        rng, want_rng = seeded(n, 1), seeded(n, 1)
+        got = np.concatenate([b.copy() for b in _index_blocks(rng, n, [size - 5, 5])])
+        assert np.array_equal(got, want_rng.integers(0, n, size=size))
+        assert_same_generator(rng, want_rng, n)
+        assert bool(fills) is raw
 
     def test_odd_n_above_the_crossover_matches_manual_draws(self):
         # n = 10,001 is odd and past RAW_MIN, so each stage rejects some

@@ -259,15 +259,15 @@ def test_warm_kernels_take_no_page_faults_at_a_fixed_mmap_threshold():
 
 
 def test_warm_mixture_pass_allocates_no_stage_sized_array():
-    # Every (b, n) intermediate of a pass, the likelihood's log weights and
-    # the event's mask included, is a pooled buffer. At n = 64 and 128 a
-    # chunk is 2^18 points, so one stage-sized float array would be 2 MB;
-    # what is left is the 128 KB resample index block, the 64 KB of random
-    # words behind it, one 64 KB ufunc buffer and a few per-replicate
-    # vectors.
+    # Every (b, n) intermediate of a serial pass, the likelihood's log
+    # weights, the event's mask and the resample index blocks included, is
+    # a pooled buffer. At n = 64 and 128 a chunk is 2^18 points, so one
+    # stage-sized float array would be 2 MB; what is left is the 64 KB of
+    # random words behind an index block, one 64 KB ufunc buffer and a few
+    # per-replicate vectors. Two chunks on two threads hold two sets.
     cfg = default_mixture_config(
         n_grid=(64, 128), k_values=(2,), n_rule="fixed", n_fixed=9000,
-        y_obs=3.5, noise_var=1 / 16, threshold=3.3,
+        y_obs=3.5, noise_var=1 / 16, threshold=3.3, threads=1,
     )
     run_mixture_mc(cfg)
     tracemalloc.start()
@@ -282,9 +282,10 @@ def test_warm_mixture_pass_allocates_no_stage_sized_array():
 def test_warm_debiased_expectation_draws_its_indices_block_by_block():
     # A warm call at n = 2^18, k = 4 holds one 2^14-index block of resample
     # indices (128 KB) and the 2^13 random words behind it (64 KB); the
-    # stages and the plug-in's weights are pooled buffers. The parent of the
-    # raw-word draws peaked at 134,387 B, one 128 KB rng.integers block;
-    # drawing a whole stage's words at once would add 1 MB.
+    # stages, the index block and the plug-in's weights are pooled buffers.
+    # The parent of the raw-word draws peaked at 134,387 B, one 128 KB
+    # rng.integers block; drawing a whole stage's words at once would add
+    # 1 MB.
     data = WeightedSampleSet(np.random.default_rng(5).normal(0.5, 1.0, 2**18))
     lik = gaussian_likelihood(0.8, 1 / 16)
     h = lambda x: x >= 0.5
