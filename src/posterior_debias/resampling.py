@@ -31,7 +31,6 @@ from .simplex import ProbVector, _checked_int, multinomial_pmf_vector
 
 _SEED_MAX = 2**64 - 1  # every seed is an unsigned 64-bit integer
 _CHUNK = 4096  # replicates per work unit; fixed so the reduction order is too
-_BATCH_ELEMENTS = 2**18  # data points per chunk of outer_mc_batched
 _BATCH_SCHEME = 1  # version of outer_mc_batched's stream layout; bump on any change
 # Fewest indices per call that _index_blocks draws from raw words, for a
 # power-of-two n and for any other n: below it, reading and writing the
@@ -324,7 +323,7 @@ def _batch_rows(n: int) -> int:
     # Replicates per chunk of outer_mc_batched: a chunk's (rows, n) array
     # stays at or under 2 MB of float64. It depends on n only, so the chunk
     # layout, and with it every stream, is the same for any thread count.
-    return min(_CHUNK, max(1, _BATCH_ELEMENTS // n))
+    return min(_CHUNK, max(1, _workspace._CHUNK_ELEMENTS // n))
 
 
 def outer_mc_batched(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posterior_debias import operators, resampling
+from posterior_debias import _workspace, operators, resampling
 
 
 @pytest.fixture
@@ -38,3 +38,10 @@ def exact_builds(monkeypatch):
     operators._lattice_slot.cache_clear()
     operators._matrix_slot.clear()
     return counts
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """An empty private work-buffer pool for this test, so what earlier
+    tests released does not decide which buffer a checkout returns."""
+    monkeypatch.setattr(_workspace, "_free", [])

@@ -22,10 +22,12 @@ from posterior_debias.bayes import (
     gaussian_likelihood,
 )
 from posterior_debias.experiments import default_mixture_config, run_mixture_mc
+from posterior_debias.rejection import make_rejection_spec, rejection_sample_batch
 from posterior_debias.resampling import MCConfig, debiased_expectation, outer_mc_batched
 
 B = 2**14  # block size of the stages and of the plug-in expectation
 SMALL = _workspace._SMALL  # requests from this size up go through the pool
+CHUNK = _workspace._CHUNK_ELEMENTS  # float64 entries of every kept buffer
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -54,6 +56,7 @@ class TestFill:
         assert fill_rng.random() == ref_rng.random()
 
 
+@pytest.mark.usefixtures("fresh_pool")
 class TestPool:
     def test_release_then_checkout_reuses_the_buffer(self):
         a = _workspace.checkout(3 * SMALL)
@@ -74,11 +77,28 @@ class TestPool:
         assert all(a is b for a, b in zip(_workspace._free, kept, strict=True))
 
     def test_over_budget_buffer_is_not_kept(self):
-        big = _workspace.checkout(_workspace._BUDGET + 1)
-        at_budget = _workspace.checkout(_workspace._BUDGET)
-        _workspace.release(big, at_budget)
-        assert not in_pool(big.base)
-        assert in_pool(at_budget.base)
+        big = _workspace.checkout(CHUNK + 1)
+        big_mask = _workspace.checkout(8 * CHUNK + 1, bool)
+        at_budget = _workspace.checkout(CHUNK)
+        mask = _workspace.checkout(8 * CHUNK, bool)
+        assert big.base is None and big_mask.base is None
+        _workspace.release(big, big_mask, at_budget, mask)
+        assert len(_workspace._free) == 2
+        assert in_pool(at_budget.base) and in_pool(mask.base)
+
+    def test_any_kept_buffer_serves_any_pooled_request(self):
+        # A 4,096-word request released after a chunk-sized one: a search
+        # for a large enough buffer gave the 8,192-word request the chunk,
+        # then freed the small buffer to allocate for the next chunk.
+        small = _workspace.checkout(SMALL)
+        chunk = _workspace.checkout(CHUNK)
+        kept = [chunk.base, small.base]
+        _workspace.release(small, chunk)
+        assert [id(buf) for buf in _workspace._free] == [id(buf) for buf in kept]
+        got = [_workspace.checkout(2 * SMALL), _workspace.checkout(CHUNK)]
+        assert [any(v.base is buf for buf in kept) for v in got] == [True, True]
+        assert got[0].base is not got[1].base
+        _workspace.release(*got)
 
     def test_at_most_the_cap_is_kept(self):
         held = [_workspace.checkout(SMALL) for _ in range(2 * _workspace._MAX_KEPT)]
@@ -258,25 +278,31 @@ def test_warm_kernels_take_no_page_faults_at_a_fixed_mmap_threshold():
     assert_warm_kernels_take_no_page_faults(GLIBC_TUNABLES="glibc.malloc.mmap_threshold=131072")
 
 
-def test_warm_mixture_pass_allocates_no_stage_sized_array():
+@pytest.mark.parametrize("threads, passes, bound_mb", [(1, 1, 0.25), (2, 8, 0.5)])
+def test_warm_mixture_pass_allocates_no_stage_sized_array(monkeypatch, threads, passes, bound_mb):
     # Every (b, n) intermediate of a serial pass, the likelihood's log
     # weights, the event's mask and the resample index blocks included, is
     # a pooled buffer. At n = 64 and 128 a chunk is 2^18 points, so one
     # stage-sized float array would be 2 MB; what is left is the 64 KB of
     # random words behind an index block, one 64 KB ufunc buffer and a few
-    # per-replicate vectors. Two chunks on two threads hold two sets.
+    # per-replicate vectors. Two chunks on two threads hold two sets, which
+    # the cap keeps from two CPUs up; the largest of several passes is
+    # bounded, as which thread takes which buffer is left to chance.
+    monkeypatch.setattr(_workspace, "_MAX_KEPT", max(_workspace._MAX_KEPT, 2 * _workspace._PER_CPU))
     cfg = default_mixture_config(
         n_grid=(64, 128), k_values=(2,), n_rule="fixed", n_fixed=9000,
-        y_obs=3.5, noise_var=1 / 16, threshold=3.3, threads=1,
+        y_obs=3.5, noise_var=1 / 16, threshold=3.3, threads=threads,
     )
     run_mixture_mc(cfg)
-    tracemalloc.start()
-    try:
-        run_mixture_mc(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.25 * 2**20, f"{peak / 2**20:.3f} MB traced peak of a warm pass"
+    peak = 0
+    for _ in range(passes):
+        tracemalloc.start()
+        try:
+            run_mixture_mc(cfg)
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peak <= bound_mb * 2**20, f"{peak / 2**20:.3f} MB traced peak of a warm pass"
 
 
 def test_warm_debiased_expectation_draws_its_indices_block_by_block():
@@ -297,3 +323,53 @@ def test_warm_debiased_expectation_draws_its_indices_block_by_block():
     finally:
         tracemalloc.stop()
     assert peak <= 0.25 * 2**20, f"{peak / 2**20:.3f} MB traced peak of a warm call"
+
+
+def mixture_grid_pass():
+    # The benchmark's mc_mixture grid, serial.
+    run_mixture_mc(default_mixture_config(
+        n_grid=(16, 32, 64), k_values=(1, 2), n_rule="fixed", n_fixed=512,
+        y_obs=3.5, noise_var=1 / 16, threshold=3.3, threads=1,
+    ))
+
+
+def expectation_call():
+    data = WeightedSampleSet(np.random.default_rng(5).normal(0.5, 1.0, 2**16))
+    debiased_expectation(data, gaussian_likelihood(0.8, 1 / 16), lambda x: x >= 0.5, 4, 0)
+
+
+def rejection_batch():
+    spec = make_rejection_spec([0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4])
+    rejection_sample_batch(spec, 200_000, seed=5)
+
+
+@pytest.mark.parametrize("run", [mixture_grid_pass, expectation_call, rejection_batch])
+def test_pooled_traffic_fits_one_buffer_size_and_the_cap(monkeypatch, run):
+    # One kept buffer size serves every pooled request only while none asks
+    # for more than a chunk, and _PER_CPU is one more than a serial caller
+    # holds at once.
+    words, held, most_held = [], 0, 0
+    checkout, release = _workspace.checkout, _workspace.release
+
+    def counted_checkout(elements, dtype=np.float64):
+        nonlocal held, most_held
+        view = checkout(elements, dtype)
+        if elements >= SMALL:
+            words.append(-(-elements * np.dtype(dtype).itemsize // 8))
+        if view.base is not None:
+            held += 1
+            most_held = max(most_held, held)
+        return view
+
+    def counted_release(*views):
+        nonlocal held
+        held -= sum(v.base is not None for v in views)
+        release(*views)
+
+    run()
+    monkeypatch.setattr(_workspace, "checkout", counted_checkout)
+    monkeypatch.setattr(_workspace, "release", counted_release)
+    run()
+    assert words and max(words) <= CHUNK
+    assert held == 0
+    assert 1 <= most_held <= _workspace._PER_CPU - 1
