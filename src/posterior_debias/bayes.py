@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _workspace
 from .errors import DegenerateError
-from .simplex import ProbVector, _checked_int, _checked_real, _checked_vector, _is_int
+from .simplex import ProbVector, _checked_int, _checked_real, _checked_vector, _is_int, _real_array
 
 _BLOCK = 2**14  # points per block of the plug-in expectation: 128 KiB of float64
 _COUNTED_CUTS = 32  # most cut points that _choice_labels counts pass by pass
@@ -28,11 +28,15 @@ class BoundedLikelihood:
         """log_fn at the points x, as a float array. With ``out``, a writable
         float64 array of x's shape, the values go there and out is returned:
         the built-in Gaussian computes into it, and any other log_fn's result
-        must hold one value per point and is copied in."""
+        must hold one value per point and is copied in. That result must keep
+        the real-number rule (ints or floats), else ValueError."""
         x = np.asarray(x, dtype=float)
         if isinstance(self.log_fn, _GaussianLog):
             return self.log_fn(x, out)
-        values = np.asarray(self.log_fn(x), dtype=float)
+        values = _real_array(self.log_fn(x))
+        if values is None:
+            raise ValueError("likelihood must return real numbers (no bool, complex, string or object)")
+        values = values.astype(float, copy=False)
         if out is None:
             return values
         if values.shape != x.shape:
@@ -186,77 +190,39 @@ def plugin_expectation(
     slices of at most 2^14 points, each point once: the log weights are
     kept in a work buffer of the set's size between the max-shift and the
     sums. So both must act elementwise: one output per input point,
-    depending on that point only. A likelihood of +inf or NaN at any point
-    raises ValueError.
+    depending on that point only. A likelihood of +inf or NaN at any point,
+    or an h that returns anything but bools or real numbers (complex,
+    strings, objects such as None), raises ValueError.
     """
     return float(_plugin_expectation(samples.points, likelihood, h))
-
-
-def _pairwise(block_sums: Callable, lo: int, hi: int) -> tuple:
-    # Adds up the pairs block_sums(a, b) returns for pieces [a, b) of
-    # [lo, hi) of at most _BLOCK points. [lo, hi) is split and the halves
-    # added as numpy's pairwise sum does for more than 128 entries: halve,
-    # then round down to a multiple of 8. numpy sums a piece on its own as
-    # it sums that subtree of the whole array, so when block_sums returns
-    # .sum() of its piece, the result is bit for bit .sum() of the whole.
-    if hi - lo <= _BLOCK:
-        return block_sums(lo, hi)
-    half = (hi - lo) // 2
-    half -= half % 8
-    num_a, den_a = _pairwise(block_sums, lo, lo + half)
-    num_b, den_b = _pairwise(block_sums, lo + half, hi)
-    return num_a + num_b, den_a + den_b
-
-
-def _weighted_sums(x: np.ndarray, w: np.ndarray, shift, h: Callable) -> tuple:
-    # Turns the log weights in w into shifted weights in place and returns
-    # (sum of w * h(x), sum of w) along the last axis.
-    w -= shift
-    np.exp(w, out=w)
-    den = w.sum(axis=-1)
-    values = np.asarray(h(x))
-    if values.shape != x.shape:
-        raise ValueError("h must return one value per sample")
-    # w times a boolean mask is w times its 0.0/1.0 copy, bit for bit, so
-    # an event multiplies in as it is; any other h goes through float.
-    w *= values if values.dtype == bool else values.astype(float, copy=False)
-    return w.sum(axis=-1), den
 
 
 def _plugin_expectation(
     points: np.ndarray, likelihood: BoundedLikelihood, h: Callable, log_w: np.ndarray | None = None
 ) -> np.ndarray:
     # Plug-in expectation of h per sample set along the last axis: (..., n)
-    # -> (...). A first pass writes the log weights into log_w, a writable
-    # float64 array of the points' shape (without one, a work buffer checked
-    # out of the shared pool), block by block, and takes each set's max as
-    # its shift. A denominator then underflows only if every likelihood of
-    # its set is zero; a NaN makes its set's max NaN and a +inf makes it
-    # +inf, and the min and max over the sets find all three faults before
-    # any exp. A second pass turns each block's log weights into weights in
-    # place and sums them, with the bits of whole-row sums (see _pairwise).
-    # So likelihood.log and h each see every point once. num and den take
-    # the same sums, so h identically 1 gives 1.
+    # -> (...). likelihood.log writes the log weights into log_w, a
+    # C-contiguous float64 array of the points' shape (without one, a work
+    # buffer checked out of the shared pool), block by block. One reduceat
+    # over the flat buffer at the row starts takes every row's max as its
+    # shift: a max is exact in any order, NaN propagates through it, and a
+    # 0.0 and a -0.0 shift give the same exp. A denominator then underflows
+    # only if every likelihood of its set is zero; a NaN makes its set's max
+    # NaN and a +inf makes it +inf, and the min and max over the sets find
+    # all three faults before any exp. The buffer then turns into weights in
+    # place, h multiplies in block by block, and den and num are whole-row
+    # sums. So likelihood.log and h each see every point once. num and den
+    # take the same sums, so h identically 1 gives 1.
     n = points.shape[-1]
     buf = None
     if log_w is None:
         buf = _workspace.checkout(points.size)
         log_w = buf.reshape(points.shape)
     try:
-        shift = None
         for lo in range(0, n, _BLOCK):
-            block = likelihood.log(points[..., lo : lo + _BLOCK], log_w[..., lo : lo + _BLOCK])
-            if 1 < n <= _BLOCK and block.size > n:
-                # The whole of log_w, a contiguous block of whole rows: one
-                # reduceat over the flat block at the row starts takes every
-                # row's max, where max(axis=-1) runs one inner loop per row.
-                # A max is exact in any order and NaN propagates through
-                # both; a 0.0 and a -0.0 shift give the same exp.
-                top = np.maximum.reduceat(block.reshape(-1), np.arange(0, block.size, n))
-                top = top.reshape(block.shape[:-1] + (1,))
-            else:
-                top = block.max(axis=-1, keepdims=True)
-            shift = top if shift is None else np.maximum(shift, top, out=shift)
+            likelihood.log(points[..., lo : lo + _BLOCK], log_w[..., lo : lo + _BLOCK])
+        flat = log_w.reshape(-1)
+        shift = np.maximum.reduceat(flat, np.arange(0, flat.size, n))
         lowest, highest = shift.min(), shift.max()
         if np.isnan(lowest):
             raise ValueError("likelihood returned NaN")
@@ -264,9 +230,23 @@ def _plugin_expectation(
             raise ValueError("likelihood returned +inf; it must be bounded")
         if lowest == float("-inf"):
             raise DegenerateError("all sample likelihoods underflowed to zero")
-        num, den = _pairwise(
-            lambda lo, hi: _weighted_sums(points[..., lo:hi], log_w[..., lo:hi], shift, h), 0, n
-        )
+        log_w -= shift.reshape(points.shape[:-1] + (1,))
+        np.exp(log_w, out=log_w)
+        den = log_w.sum(axis=-1)
+        for lo in range(0, n, _BLOCK):
+            x = points[..., lo : lo + _BLOCK]
+            values = np.asarray(h(x))
+            # w times a boolean mask is w times its 0.0/1.0 copy, bit for
+            # bit, so an event multiplies in as it is; any other h must keep
+            # the real-number rule and goes through float.
+            if values.dtype != bool:
+                if _real_array(values) is None:
+                    raise ValueError(f"h must return bools or real numbers, got {values.dtype}")
+                values = values.astype(float, copy=False)
+            if values.shape != x.shape:
+                raise ValueError("h must return one value per sample")
+            log_w[..., lo : lo + _BLOCK] *= values
+        num = log_w.sum(axis=-1)
     finally:
         if buf is not None:
             _workspace.release(buf)

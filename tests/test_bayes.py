@@ -13,7 +13,6 @@ from posterior_debias.bayes import (
     BoundedLikelihood,
     _choice_cuts,
     _choice_labels,
-    _pairwise,
     _plugin_expectation,
     DiscreteBayesMap,
     GaussianMixture,
@@ -269,15 +268,6 @@ class TestPluginExpectationBlocks:
                 samples, lik, h
             )
 
-    @pytest.mark.parametrize("n", [B + 1, 3 * B + 5, 3 * B + 21, 5 * B + 3, 100003, 2**18 + 13])
-    def test_block_sums_add_up_as_numpy_sums(self, n):
-        # Signed terms over 16 decades: nearly any change of summation order
-        # changes the rounding.
-        rng = np.random.default_rng(np.random.SeedSequence([n, 3]))
-        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
-        got = _pairwise(lambda lo, hi: (a[lo:hi].sum(), -a[lo:hi].sum()), 0, n)
-        assert got == (a.sum(), -a.sum())
-
     def test_unit_function_is_exactly_one_over_blocks(self):
         rng = np.random.default_rng(np.random.SeedSequence([5]))
         samples = WeightedSampleSet(rng.normal(0.5, 1.0, 3 * B + 5))
@@ -358,6 +348,62 @@ class TestPluginExpectationBlocks:
                 plugin_expectation(samples, lik, lambda x: x)
             with pytest.raises(ValueError, match=r"likelihood returned \+inf; it must be bounded"):
                 plugin_posterior_prob(samples, lik, HALF)
+
+
+_BAD_H = {
+    "complex": lambda x: x + 1j,
+    "None entries": lambda x: np.array([None] * x.size, dtype=object).reshape(x.shape),
+    "strings": lambda x: x.astype(str),
+}
+_BAD_LOG_FN = {
+    "complex": lambda x: -x * x + 0j,
+    "bool": lambda x: x > 0,
+    "strings": lambda x: (-x * x).astype(str),
+}
+
+
+class TestRealReturns:
+    """What h and a likelihood's log_fn return keeps the package's real-number
+    rule: a complex, string or object result raises ValueError naming h or
+    the likelihood, with no warning and no number. An h may return bools."""
+
+    @pytest.mark.parametrize("name", sorted(_BAD_H))
+    @pytest.mark.parametrize("n", [7, 2 * B + 3])
+    def test_bad_h_raises(self, name, n):
+        samples = WeightedSampleSet(np.linspace(-1.0, 1.0, n))
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^h must return bools or real numbers"):
+                plugin_expectation(samples, lik, _BAD_H[name])
+            with pytest.raises(ValueError, match="^h must return bools or real numbers"):
+                _plugin_expectation(np.tile(samples.points, (3, 1)), lik, _BAD_H[name])
+
+    def test_bad_h_in_last_block_raises(self):
+        # h is checked on every block it returns, not on the first only.
+        h = lambda x: x + 1j if x.size < B else x
+        with pytest.raises(ValueError, match="^h must return bools or real numbers"):
+            plugin_expectation(
+                WeightedSampleSet(np.zeros(2 * B + 3)), gaussian_likelihood(0.8, 1 / 16), h
+            )
+
+    @pytest.mark.parametrize("name", sorted(_BAD_LOG_FN))
+    def test_bad_log_fn_raises(self, name):
+        lik = BoundedLikelihood(log_fn=_BAD_LOG_FN[name])
+        points = np.linspace(-1.0, 1.0, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^likelihood must return real numbers"):
+                plugin_expectation(WeightedSampleSet(points), lik, lambda x: x)
+            with pytest.raises(ValueError, match="^likelihood must return real numbers"):
+                _plugin_expectation(np.tile(points, (3, 1)), lik, HALF)
+
+    def test_int_and_bool_h_give_the_float_bits(self):
+        pts = np.random.default_rng(9).normal(0.5, 1.0, size=(3, 40))
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        ref = _plugin_expectation(pts, lik, lambda x: (x >= 0.5).astype(float))
+        for h in (HALF, lambda x: (x >= 0.5).astype(np.int32)):
+            assert _plugin_expectation(pts, lik, h).tobytes() == ref.tobytes()
 
 
 class TestLogOut:
@@ -489,10 +535,14 @@ def _rows_by_row_max(points, likelihood, h):
 
 
 class TestRowShift:
-    """A contiguous block of whole rows takes its shifts from one reduceat;
-    every result and every fault must be what per-row maxima give."""
+    """Every call takes its row shifts from one reduceat over the flat log
+    weights, one row or many, within one block or past it; every result and
+    every fault must be what per-row maxima give."""
 
-    @pytest.mark.parametrize("shape", [(1, 16), (512, 1), (512, 16), (7, 64), (2, 8), (3, B)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 16), (512, 1), (512, 16), (7, 64), (2, 8), (3, B), (1, 3 * B + 5), (3, 3 * B + 5)],
+    )
     @pytest.mark.parametrize("fault", [None, np.nan, np.inf, -np.inf])
     def test_equals_row_max(self, shape, fault):
         # The identity log_fn makes the points the log weights. The last

@@ -79,6 +79,54 @@ BINARY_EXACT_GOLDEN = [
     (256, 5, "0x1.6750e00000000p-34", "0x1.2e6e84fceb800p-11"),
     (256, 6, "0x1.1e9f400000000p-35", "0x1.2e6e84c6ff400p-11"),
 ]
+# run_binary_exact at the default map, n in {512, 1024, 2048, 4096}, k = 1..6,
+# recorded with numpy 2.4.6: (n, k, abs_bias.hex(), variance.hex()), then per
+# k and column of its slope fits (k, column, slope, intercept, r^2) as hex.
+# These are float64's bits, not the true bias: the exact path's rounding
+# floor is near 2^-45 here, so the |bias| rows at n = 4096 and k >= 4 (and
+# the k >= 5 rows from n = 1024 on, whose |bias| stops falling as n^-k) are
+# rounding, and so are the k >= 4 slopes. ROADMAP items 1-2 (a series
+# oracle, a double-double path) are what can tell the true values.
+BINARY_EXACT_LARGE_N = [
+    (512, 1, "0x1.18a21381e7c00p-11", "0x1.2f48b9f73c000p-12"),
+    (512, 2, "0x1.48173ec680000p-20", "0x1.2dd3123cc1800p-12"),
+    (512, 3, "0x1.8c364d8000000p-27", "0x1.2dd31c3ac3800p-12"),
+    (512, 4, "0x1.6e8f480000000p-32", "0x1.2dd323fed3000p-12"),
+    (512, 5, "0x1.7ca8000000000p-40", "0x1.2dd323e6cb800p-12"),
+    (512, 6, "0x1.0d90000000000p-41", "0x1.2dd323e56b800p-12"),
+    (1024, 1, "0x1.184b71219d000p-12", "0x1.2e405196a2000p-13"),
+    (1024, 2, "0x1.48adad3200000p-22", "0x1.2d86026551000p-13"),
+    (1024, 3, "0x1.82d7320000000p-30", "0x1.2d8606dd52000p-13"),
+    (1024, 4, "0x1.6cea000000000p-36", "0x1.2d8607d005000p-13"),
+    (1024, 5, "0x1.ca00000000000p-46", "0x1.2d8607ce6b000p-13"),
+    (1024, 6, "0x1.c800000000000p-48", "0x1.2d8607ce62000p-13"),
+    (2048, 1, "0x1.18203305cb000p-13", "0x1.2dbca2db2e000p-14"),
+    (2048, 2, "0x1.48f6521800000p-24", "0x1.2d5f9cbd7a000p-14"),
+    (2048, 3, "0x1.7e37f00000000p-33", "0x1.2d5f9e1930000p-14"),
+    (2048, 4, "0x1.67e8000000000p-40", "0x1.2d5f9e372a000p-14"),
+    (2048, 5, "0x1.b400000000000p-47", "0x1.2d5f9e3710000p-14"),
+    (2048, 6, "0x1.8c00000000000p-47", "0x1.2d5f9e3712000p-14"),
+    (4096, 1, "0x1.180a982406000p-14", "0x1.2d7aebda08000p-15"),
+    (4096, 2, "0x1.491a81e000000p-26", "0x1.2d4c71341c000p-15"),
+    (4096, 3, "0x1.7ce4800000000p-36", "0x1.2d4c7192c0000p-15"),
+    (4096, 4, "0x1.6300000000000p-45", "0x1.2d4c71967c000p-15"),
+    (4096, 5, "0x1.3f00000000000p-45", "0x1.2d4c719684000p-15"),
+    (4096, 6, "0x1.1700000000000p-45", "0x1.2d4c719678000p-15"),
+]
+BINARY_EXACT_LARGE_N_FITS = [
+    (1, "abs_bias", "-0x1.0041920b505c9p+0", "-0x1.49d61f0eb51a2p+0", "0x1.fffffd147ff4ap-1"),
+    (1, "variance", "-0x1.00b951d9255a2p+0", "-0x1.e49b16437899ap+0", "0x1.ffffe8bb249dep-1"),
+    (2, "abs_bias", "-0x1.ffa06ba7b00c3p+0", "-0x1.259c378a08891p+0", "0x1.fffffe57426d9p-1"),
+    (2, "variance", "-0x1.00362b5f54fa1p+0", "-0x1.e8e9c1533c1e2p+0", "0x1.fffffdff9ba08p-1"),
+    (3, "abs_bias", "-0x1.826810a456479p+1", "0x1.18f8e0f5e9daap-1", "0x1.ffff5eb26ae8bp-1"),
+    (3, "variance", "-0x1.00362f4914ee2p+0", "-0x1.e8e9a16947cbep+0", "0x1.fffffdff4cf2dp-1"),
+    (4, "abs_bias", "-0x1.1437167fc1e0ep+2", "0x1.4f945eb449d7cp+2", "0x1.fe53aa755ffcfp-1"),
+    (4, "variance", "-0x1.0036323b92ebcp+0", "-0x1.e8e98a15d2d03p+0", "0x1.fffffdfed29a8p-1"),
+    (5, "abs_bias", "-0x1.aeff34fa5ab5ap+0", "-0x1.228bda0c5d39bp+4", "0x1.0688f50c75c45p-1"),
+    (5, "variance", "-0x1.003632328ebf2p+0", "-0x1.e8e98a5ce50b4p+0", "0x1.fffffdfed4334p-1"),
+    (6, "abs_bias", "-0x1.1aff68f07563bp+0", "-0x1.70811c9016c69p+4", "0x1.0f103b7331e00p-2"),
+    (6, "variance", "-0x1.0036323210982p+0", "-0x1.e8e98a60c9dc5p+0", "0x1.fffffdfed44cdp-1"),
+]
 CONFIG_FIELDS = [(cls, f.name) for cls in CONFIG_ARGS for f in dataclasses.fields(cls)]
 
 
@@ -432,6 +480,20 @@ class TestRunBinaryExact:
         rows, _ = run_binary_exact(cfg)
         got = [(r["n"], r["k"], r["abs_bias"].hex(), r["variance"].hex()) for r in rows]
         assert got == BINARY_EXACT_GOLDEN
+
+    def test_large_n_golden_values(self):
+        # The sweep to n = 4096 that binary-exact runs; see the comment on
+        # BINARY_EXACT_LARGE_N for what these bits are.
+        cfg = default_binary_config(n_grid=(512, 1024, 2048, 4096), k_values=(1, 2, 3, 4, 5, 6))
+        rows, fits = run_binary_exact(cfg)
+        got = [(r["n"], r["k"], r["abs_bias"].hex(), r["variance"].hex()) for r in rows]
+        assert got == BINARY_EXACT_LARGE_N
+        got_fits = [
+            (k, name, fit.slope.hex(), fit.intercept.hex(), fit.r_squared.hex())
+            for k, columns in fits.items()
+            for name, fit in columns.items()
+        ]
+        assert got_fits == BINARY_EXACT_LARGE_N_FITS
 
     def test_cap_error_names_offending_n(self):
         # k = 1 never builds the operator matrix, so the cap needs k >= 2
@@ -805,6 +867,32 @@ class TestRunIdentityCheck:
 
 
 class TestRunRejectionDemo:
+    # Every number run_rejection_demo reports at its defaults, recorded with
+    # numpy 2.4.6; the floats as float.hex.
+    PINNED_DEFAULT_REPORT = {
+        "n": 64,
+        "k": 2,
+        "counts": [39, 25],
+        "proposal": ["0x1.0867233fd2e94p-2", "0x1.7bcc6e60168b7p-1"],
+        "debiased_target": ["0x1.03cb12657bdb2p-2", "0x1.7e1a76cd420d0p-1"],
+        "clamped_target": ["0x1.03cb12657bddep-2", "0x1.7e1a76cd42111p-1"],
+        "clamped_mass": "0x0.0p+0",
+        "ratio_bound": "0x1.018db4e964ff5p+0",
+        "expected_acceptance_rate": "0x1.fce9626e4892ap-1",
+        "observed_acceptance_rate": "0x1.fce7e5f1ab517p-1",
+        "draws": 100_000,
+        "empirical_freq": ["0x1.04a0e410b630bp-2", "0x1.7daf8df7a4e7bp-1"],
+    }
+
+    def test_default_report_is_pinned(self):
+        def as_hex(value):
+            if isinstance(value, list):
+                return [as_hex(v) for v in value]
+            return value.hex() if isinstance(value, float) else value
+
+        report = run_rejection_demo(RejectionConfig())
+        assert {key: as_hex(value) for key, value in report.items()} == self.PINNED_DEFAULT_REPORT
+
     def test_report_contents(self):
         report = run_rejection_demo(RejectionConfig(demo_draws=20_000))
         assert report["n"] == 64 and report["k"] == 2
@@ -899,6 +987,15 @@ class TestCli:
             # getrusage's fault count over the point; the value depends on
             # the process, so only its type and sign are fixed.
             assert type(point["minor_faults"]) is int and point["minor_faults"] >= 0
+
+    def test_rng_scheme_text_is_pinned(self):
+        # The manifest's stream description, as a literal: a change to the
+        # batched stream's layout must change this text on purpose.
+        assert MC_RNG_SCHEME == (
+            "outer_mc_batched v1, one pass per n: chunk c at sample size n draws from "
+            "SeedSequence([_point_seed(root_seed, n, max(k_values)), 1, c]), and order k "
+            "reads stages 1..k of the first N_k chains"
+        )
 
     @pytest.mark.parametrize(
         "argv,manifest",
