@@ -25,7 +25,8 @@ import numpy as np
 
 # float64 entries per kept buffer (2 MB), and data points per chunk of
 # outer_mc_batched (resampling._batch_rows). Changing it moves the chunk
-# layout, and with it every batched stream: bump resampling._BATCH_SCHEME.
+# layout, and with it every batched stream and the rows of mixture-mc:
+# bump resampling._BATCH_SCHEME, which MC_RNG_SCHEME records.
 _CHUNK_ELEMENTS = 2**18
 # Requests for fewer elements (32 KB or less) are plain allocations: malloc
 # serves them from its free lists, and the pool's bookkeeping would cost more

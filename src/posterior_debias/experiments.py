@@ -32,7 +32,7 @@ from .bayes import (
 from .errors import CapExceededError, DegenerateError, DegeneratePointError, UnderpoweredRunError
 from .operators import MAX_ORDER, _exact_bias_variance, debiased_estimate, debiased_estimate_mean
 from .rejection import make_rejection_spec, rejection_sample_batch
-from .resampling import _BATCH_SCHEME, _outer_mc_orders, exhaustive_chain_expectation
+from .resampling import _BATCH_SCHEME, exhaustive_chain_expectation, outer_mc_batched
 from .simplex import CountsVector, ProbVector, _checked_int, _checked_real, _is_int, _real_array, lattice_size
 
 IDENTITY_TOL = 1e-10
@@ -400,7 +400,7 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
     every capping recorded. Rows run k-major. The first row at each n runs
     one pass of chains of the deepest order, seeded by
     _point_seed(root_seed, n, max(k_values)), and every order reads its row
-    at n from it (_outer_mc_orders): the rows at one n are common random
+    at n from it (outer_mc_batched): the rows at one n are common random
     numbers across k. Datasets are scored by the plug-in kernel, which
     gives its elementwise likelihood and event slices past 2^14 points.
     Aborts with UnderpoweredRunError when a grid point has fewer than 2
@@ -431,6 +431,14 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
 
     rows, capped, points = [], [], []
     info = {"rng_scheme": MC_RNG_SCHEME, "capped": capped, "true_value": truth, "points": points}
+
+    def stop(error: type, key: str, why: str, tail: str = "", **extra) -> Exception:
+        # The error that stops the sweep at (n, k), with the finished rows and fits.
+        point = {"n": n, "k": k, "N": n_reps, **extra}
+        fits = _slope_fits(rows, cfg.k_values, _MIXTURE_FITS)
+        message = f"{why} at n={n}, k={k} (N={n_reps}){tail}"
+        return error(message, rows, {key: point, "fits": fits, **info})
+
     # One pass per n, run on the first visit to n and read by every order.
     passes = {}
     seed_k = max(cfg.k_values)
@@ -444,20 +452,12 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
                 reps = {j: min(_mc_reps(cfg, n, j), cfg.mc_cap) for j in cfg.k_values}
                 faults = _minor_faults()
                 try:
-                    results = _outer_mc_orders(
+                    results = outer_mc_batched(
                         mix._fill, batch_functional, n, reps,
                         _point_seed(cfg.root_seed, n, seed_k), cfg.threads,
                     )
                 except DegenerateError as exc:
-                    raise DegeneratePointError(
-                        f"{exc} at n={n}, k={k} (N={n_reps})",
-                        rows,
-                        {
-                            "degenerate": {"n": n, "k": k, "N": n_reps},
-                            "fits": _slope_fits(rows, cfg.k_values, _MIXTURE_FITS),
-                            **info,
-                        },
-                    ) from exc
+                    raise stop(DegeneratePointError, "degenerate", str(exc)) from exc
                 passes[n] = results, _minor_faults() - faults
             results, faults = passes[n]
             result = results[k]
@@ -476,19 +476,14 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
             # One replicate has no spread, so its standard error of 0 says
             # nothing about the noise of the bias estimate.
             if n_reps < 2 or result.std_error > bound:
-                point = {key: row[key] for key in ("n", "k", "N", "std_error", "est_bias")}
                 why = (
                     "one replicate gives no standard error"
                     if n_reps < 2
                     else f"std_error {result.std_error:.4g} exceeds |bias|/3 = {bound:.4g}"
                 )
-                fits = _slope_fits(rows, cfg.k_values, _MIXTURE_FITS)
-                raise UnderpoweredRunError(
-                    f"{why} at n={n}, k={k} (N={n_reps}); "
-                    "the run cannot resolve the bias at this replication count",
-                    rows,
-                    {"underpowered": point, "fits": fits, **info},
-                )
+                tail = "; the run cannot resolve the bias at this replication count"
+                extra = {key: row[key] for key in ("std_error", "est_bias")}
+                raise stop(UnderpoweredRunError, "underpowered", why, tail, **extra)
             rows.append(row)
             # Timings vary from run to run, so they stay out of the rows.
             # The points at one n share its pass, and so its time and faults.

@@ -1,16 +1,16 @@
-"""Recursive resampling chains and the outer Monte Carlo driver.
+"""Recursive resampling chains and the outer Monte Carlo engines.
 
 A chain starts at the observed data and repeatedly bootstraps itself; one
 stage generator draws it for build_chain and debiased_expectation, and a
 whole chunk of chains at once for outer_mc_batched. The order-k debiased
 realization combines the plug-in functional across the first k stages with
-the alternating binomial weights. Two outer drivers replicate this over
-fresh datasets: outer_mc one replicate at a time, with one random stream per
+the alternating binomial weights. Two engines replicate this over fresh
+datasets: outer_mc one replicate at a time, with one random stream per
 replicate, and outer_mc_batched one array of replicates at a time, with one
-random stream per fixed-size chunk; _outer_mc_orders, its kernel, reads
-several orders from the stages of one pass. Both merge chunk moments in
-chunk order, so results are bit-identical for a fixed root seed no matter
-how many worker threads run.
+random stream per fixed-size chunk, reading every order it is asked for
+from the stages of one pass. Both merge chunk moments in chunk order, so
+results are bit-identical for a fixed root seed no matter how many worker
+threads run.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .simplex import ProbVector, _checked_int, multinomial_pmf_vector
 
 _SEED_MAX = 2**64 - 1  # every seed is an unsigned 64-bit integer
 _CHUNK = 4096  # replicates per work unit; fixed so the reduction order is too
-_BATCH_SCHEME = 1  # version of outer_mc_batched's stream layout; bump on any change
+_BATCH_SCHEME = 1  # the 1 of outer_mc_batched's chunk seeds: bump on any layout change
 # Fewest indices per call that _index_blocks draws from raw words, for a
 # power-of-two n and for any other n: below it, reading and writing the
 # generator state costs more than rng.integers does. A power of two takes a
@@ -212,7 +212,9 @@ def debiased_realization(
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Outer Monte Carlo plan: n draws per dataset, N replicate datasets."""
+    """outer_mc's plan: n draws per dataset, N replicate datasets. outer_mc
+    runs its replicates serially under the GIL, so ``threads`` changes no
+    result; it stays for the plans that set it (criterion 3, the benchmark)."""
 
     n: int
     k: int
@@ -327,29 +329,6 @@ def _batch_rows(n: int) -> int:
 
 
 def outer_mc_batched(
-    batch_sampler: Callable, batch_functional: Callable, cfg: MCConfig
-) -> MCResult:
-    """outer_mc with each chunk of replicates held as one (rows, n) array.
-
-    batch_sampler(out, rng) must fill the C-contiguous (b, n) float64 array
-    ``out`` with b datasets drawn with the given generator and nothing else;
-    batch_functional maps a read-only (b, n) array to the b plug-in values
-    and must be pure. Both get views of work buffers that the kernel reuses:
-    a stage is valid only during the call it is passed to, so a callable
-    that keeps one must copy it. Chunk c draws from
-    SeedSequence([root_seed, 1, c]) (the 1 is the layout's version): first
-    the sampler's draws, then for each later stage one (b, n) array of
-    resample indices into the stage before. A NaN value aborts the run.
-    Chunks run on ``cfg.threads`` threads, as numpy releases the GIL inside
-    the array work; the result is the same for any thread count.
-    """
-    by_order = _outer_mc_orders(
-        batch_sampler, batch_functional, cfg.n, {cfg.k: cfg.n_reps}, cfg.root_seed, cfg.threads
-    )
-    return by_order[cfg.k]
-
-
-def _outer_mc_orders(
     batch_sampler: Callable,
     batch_functional: Callable,
     n: int,
@@ -357,17 +336,24 @@ def _outer_mc_orders(
     root_seed: int,
     threads: int,
 ) -> dict[int, MCResult]:
-    """outer_mc_batched at several orders k, with N_k = reps[k] replicates
-    each, from one pass over chains of the deepest order.
+    """outer_mc at several orders k, N_k = reps[k] replicates each, from one
+    pass over chains of the deepest order, a (rows, n) chunk at a time.
 
-    The chunks of _batch_rows(n) replicates span the largest N_k, with
-    outer_mc_batched's seeds and draws. The functional runs once per stage,
-    and order k adds w_i * f_i over the first k stages into its own values,
-    in stage order, as outer_mc_batched at order k does; it reduces only
-    replicates 0..N_k-1. So an order with the largest N_k has the bits of
-    its own outer_mc_batched call, and any other order reads the first N_k
-    replicates of the same chains. A NaN value of any order aborts the run.
-    Every result shares the pass's wall time."""
+    batch_sampler(out, rng) must fill the C-contiguous (b, n) float64 array
+    ``out`` with b datasets drawn with rng and nothing else; batch_functional
+    maps a read-only (b, n) array to the b plug-in values and must be pure.
+    Both get views of reused work buffers: a stage is valid only during the
+    call it is passed to, so a callable that keeps one must copy it. Chunks
+    of _batch_rows(n) replicates span the largest N_k, and chunk c draws from
+    SeedSequence([root_seed, 1, c]) (1 is the layout's version): first the
+    sampler's draws, then one (b, n) array of resample indices per later
+    stage. The functional runs once per stage; order k adds w_i * f_i over
+    the first k stages, in stage order, and reduces replicates 0..N_k-1
+    only. So an order with the largest N_k has the bits of a pass at that
+    order alone, and any other reads the first N_k chains of the same pass.
+    A NaN value of any order aborts the run. Chunks run on ``threads``
+    threads, as numpy releases the GIL in the array work; the result is the
+    same for any thread count, and all results share the pass's wall time."""
     orders = sorted(reps)
     weights = [debias_weights(k) for k in orders]
     n_reps = max(reps.values())

@@ -43,7 +43,7 @@ from posterior_debias.experiments import (
     _slope_fits,
 )
 from posterior_debias.operators import _exact_bias_variance, exact_bias, exact_variance
-from posterior_debias.resampling import MCConfig, _batch_rows, _outer_mc_orders, outer_mc_batched
+from posterior_debias.resampling import MCConfig, _batch_rows, outer_mc_batched
 from posterior_debias.simplex import ProbVector
 
 # Every config class with the arguments it needs, and one value of the wrong
@@ -729,7 +729,7 @@ class TestOnePassPerN:
         for row in rows:
             n, k = row["n"], row["k"]
             seed = _point_seed(cfg.root_seed, n, max(k_values))
-            want = outer_mc_batched(sampler, functional, MCConfig(n, k, 9000, seed, threads))
+            want = outer_mc_batched(sampler, functional, n, {k: 9000}, seed, threads)[k]
             got = (row["est_mean"], row["est_variance"], row["std_error"], row["N"])
             assert got == (want.mean, want.variance, want.std_error, want.n_reps)
 
@@ -776,7 +776,7 @@ class TestOnePassPerN:
             assert row["est_mean"] == pytest.approx(values.mean(), rel=1e-13)
             assert row["est_variance"] == pytest.approx(values.var(ddof=1), rel=1e-12)
             # Order 2 is the deepest: its own batched call, over all 12,000.
-            want = outer_mc_batched(sampler, functional, MCConfig(n, 2, 12_000, seed))
+            want = outer_mc_batched(sampler, functional, n, {2: 12_000}, seed, 1)[2]
             (row,) = [r for r in rows if (r["n"], r["k"]) == (n, 2)]
             assert (row["est_mean"], row["est_variance"]) == (want.mean, want.variance)
         assert info["capped"] == [{"n": 12, "k": 2, "requested": 20736, "effective": 12000},
@@ -1113,10 +1113,10 @@ class TestCli:
             calls.append(args)
             if len(calls) == 2:
                 raise DegenerateError("all sample likelihoods underflowed to zero")
-            return _outer_mc_orders(*args)
+            return outer_mc_batched(*args)
 
         monkeypatch.setattr(
-            posterior_debias.experiments, "_outer_mc_orders", second_point_underflows
+            posterior_debias.experiments, "outer_mc_batched", second_point_underflows
         )
         out = tmp_path / "deg"
         argv = ["mixture-mc", "--n-grid", "8,12,16", "--n-rule", "fixed", "--n-fixed", "1000"]
@@ -1143,10 +1143,10 @@ class TestCli:
             calls.append((n, reps))
             if n == 12:
                 raise DegenerateError("all sample likelihoods underflowed to zero")
-            return _outer_mc_orders(mix_fill, functional, n, reps, seed, threads)
+            return outer_mc_batched(mix_fill, functional, n, reps, seed, threads)
 
         monkeypatch.setattr(
-            posterior_debias.experiments, "_outer_mc_orders", order_two_underflows_at_12
+            posterior_debias.experiments, "outer_mc_batched", order_two_underflows_at_12
         )
         out = tmp_path / "deg"
         argv = ["mixture-mc", "--n-grid", "8,12,16", "--k-values", "1,2", "--n-rule", "fixed",
@@ -1571,7 +1571,7 @@ class TestCli:
     ):
         ran = []
         record = lambda *args: ran.append(args)
-        monkeypatch.setattr(posterior_debias.experiments, "_outer_mc_orders", record)
+        monkeypatch.setattr(posterior_debias.experiments, "outer_mc_batched", record)
         out = tmp_path / "mc"
         argv = ["mixture-mc", "--n-grid", "8,12", "--n-rule", "fixed", "--n-fixed", "10"]
         assert main([*argv, *flags, "--out", str(out)]) == 2

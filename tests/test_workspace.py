@@ -23,7 +23,7 @@ from posterior_debias.bayes import (
 )
 from posterior_debias.experiments import default_mixture_config, run_mixture_mc
 from posterior_debias.rejection import make_rejection_spec, rejection_sample_batch
-from posterior_debias.resampling import MCConfig, debiased_expectation, outer_mc_batched
+from posterior_debias.resampling import debiased_expectation, outer_mc_batched
 
 B = 2**14  # block size of the stages and of the plug-in expectation
 SMALL = _workspace._SMALL  # requests from this size up go through the pool
@@ -121,11 +121,10 @@ class TestPool:
         def sampler(out, rng):
             rng.standard_normal(out=out)
 
-        cfg = MCConfig(n=64, k=3, n_reps=100, root_seed=3)
-        outer_mc_batched(sampler, functional, cfg)
+        outer_mc_batched(sampler, functional, 64, {3: 100}, 3, 1)
         first = list(seen)
         seen.clear()
-        outer_mc_batched(sampler, functional, cfg)
+        outer_mc_batched(sampler, functional, 64, {3: 100}, 3, 1)
         assert len(first) == len(seen) == 3
         assert all(a is b for a, b in zip(first, seen))
         assert first[0] is not first[1] and first[0] is first[2]
@@ -193,9 +192,8 @@ class TestNested:
                 inner, lik, lambda v: v, 2, seed=2
             )
 
-        cfg = MCConfig(n=32, k=3, n_reps=9000, root_seed=8, threads=2)
-        want = outer_mc_batched(mix._fill, plain, cfg)
-        got = outer_mc_batched(mix._fill, nested, cfg)
+        want = outer_mc_batched(mix._fill, plain, 32, {3: 9000}, 8, 2)[3]
+        got = outer_mc_batched(mix._fill, nested, 32, {3: 9000}, 8, 2)[3]
         assert (got.mean, got.variance) == (want.mean, want.variance)
 
 
