@@ -1,10 +1,10 @@
 """Command line front end.
 
-Subcommands: binary-exact, mixture-mc, identity-check, rejection-demo,
-fit-slope. Each subcommand's flags are generated from the fields of its
-frozen config dataclass, and a JSON --config file takes the same field names;
-a key or flag the subcommand does not use is a configuration error. Each
-writes CSV/JSON outputs under --out and prints a short summary to stdout.
+Subcommands: binary-exact, mixture-mc, identity-check, rejection-demo.
+Each subcommand's flags are generated from the fields of its frozen config
+dataclass, and a JSON --config file takes the same field names; a key or
+flag the subcommand does not use is a configuration error. Each writes
+CSV/JSON outputs under --out and prints a short summary to stdout.
 
 Exit codes: 0 success (and identity pass), 2 bad configuration (a degenerate
 observation included), 3 a size cap was hit, 4 a statistical guard tripped
@@ -39,12 +39,10 @@ from .errors import (
 )
 from .experiments import (
     BinaryConfig,
-    FitSlopeConfig,
     IdentityConfig,
     MixtureConfig,
     RejectionConfig,
     _field_type,
-    fit_slope,
     run_binary_exact,
     run_identity_check,
     run_mixture_mc,
@@ -209,12 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--out",
             type=Path,
             default=None,
-            help="output directory (experiments default to runs/<experiment>)",
+            help="output directory (default runs/<experiment>)",
         )
         _add_config_flags(sub, cls)
-    subs.choices["fit-slope"].add_argument(
-        "csv", type=Path, help="CSV produced by binary-exact or mixture-mc"
-    )
     return parser
 
 
@@ -333,63 +328,11 @@ def _cmd_rejection_demo(cfg: RejectionConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_fit_slope(cfg: FitSlopeConfig, args) -> int:
-    """Fit log-log slope on columns of a results CSV."""
-    rows = []  # (line number, row)
-    with open(args.csv, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:  # a short row has None values, a long one a None key
-            if None in row or None in row.values():
-                width = len(reader.fieldnames)
-                raise ValueError(f"{args.csv} line {reader.line_num}: expected {width} fields")
-            rows.append((reader.line_num, row))
-    if not rows:
-        raise ValueError(f"{args.csv} has no data rows")
-
-    def number(line: int, row: dict, col: str) -> float:
-        try:
-            return float(row[col])
-        except ValueError:
-            raise ValueError(
-                f"{args.csv} line {line}: column {col!r} is not a number: {row[col]!r}"
-            ) from None
-
-    columns = [cfg.x_col, cfg.y_col]
-    if cfg.where:
-        where_col, _, value = cfg.where.partition("=")
-        if not value:
-            raise ValueError("--where expects COL=VALUE")
-        try:
-            where_value = float(value)
-        except ValueError:
-            raise ValueError(f"--where value is not a number: {value!r}") from None
-        columns.append(where_col)
-    for col in columns:  # every row has the header's columns
-        if col not in rows[0][1]:
-            raise ValueError(f"column {col!r} not in {sorted(rows[0][1])}")
-    if cfg.where:
-        rows = [(i, r) for i, r in rows if number(i, r, where_col) == where_value]
-        if not rows:
-            raise ValueError(f"no rows match --where {cfg.where}")
-    xs = [number(i, r, cfg.x_col) for i, r in rows]
-    ys = [number(i, r, cfg.y_col) for i, r in rows]
-    if cfg.abs:
-        ys = [abs(y) for y in ys]
-    fit = fit_slope(xs, ys, drop_smallest=cfg.drop_smallest)
-    payload = json.dumps(_jsonable(fit), indent=2, sort_keys=True, allow_nan=False)
-    print(payload)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "slope_fit.json").write_text(payload + "\n")
-    return EXIT_OK
-
-
 _COMMANDS = {  # subcommand: (config, handler); the handler's docstring is its help
     "binary-exact": (BinaryConfig, _cmd_binary_exact),
     "mixture-mc": (MixtureConfig, _cmd_mixture_mc),
     "identity-check": (IdentityConfig, _cmd_identity_check),
     "rejection-demo": (RejectionConfig, _cmd_rejection_demo),
-    "fit-slope": (FitSlopeConfig, _cmd_fit_slope),
 }
 
 

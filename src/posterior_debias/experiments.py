@@ -58,13 +58,11 @@ class SlopeFit:
     points_used: int
 
 
-def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
+def fit_slope(sizes, values) -> SlopeFit:
     """Least-squares slope of log(value) on log(size).
 
     Sizes and values must be finite real numbers, and values strictly
     positive (a zero bias cannot be slope-fit).
-    ``drop_smallest`` removes every point at the smallest size before
-    fitting, for grids whose first size is still pre-asymptotic.
     """
     ns, vs = _real_array(sizes), _real_array(values)
     for name, arr in (("sizes", ns), ("values", vs)):
@@ -80,11 +78,6 @@ def fit_slope(sizes, values, drop_smallest: bool = False) -> SlopeFit:
         bad = [v for v in items if not math.isfinite(v)]
         if bad:
             raise ValueError(f"{name} must be finite, got {bad}")
-    if drop_smallest and n_list:
-        low = min(n_list)
-        keep = [i for i, v in enumerate(n_list) if v != low]
-        n_list, v_list = [n_list[i] for i in keep], [v_list[i] for i in keep]
-        ns, vs = ns[keep], vs[keep]
     # A set, not np.unique: np.unique imports numpy.ma on its first call,
     # about 15 ms of a cold binary-exact sweep.
     if len(set(n_list)) < 2:
@@ -310,20 +303,6 @@ class RejectionConfig:
     def __post_init__(self):
         _check_fields(self)
         _checked_int(self.demo_k, "demo_k", 1, MAX_ORDER)
-
-
-@dataclass(frozen=True)
-class FitSlopeConfig:
-    """Which columns of a results CSV the fit-slope subcommand regresses."""
-
-    x_col: str = _opt("n", "column of sizes")
-    y_col: str = _opt("abs_bias", "column of values")
-    where: str | None = _opt(None, "keep only rows where COL=VALUE exactly, e.g. k=2")
-    abs: bool = _opt(False, "take |y| before fitting")
-    drop_smallest: bool = _opt(False, "drop the smallest size from the fit")
-
-    def __post_init__(self):
-        _check_fields(self)
 
 
 # Public constructors: keyword overrides on top of each experiment's defaults.

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from posterior_debias import cli, experiments
 from posterior_debias.experiments import (
     BinaryConfig,
-    FitSlopeConfig,
     IdentityConfig,
     MixtureConfig,
     RejectionConfig,
@@ -69,25 +68,7 @@ FIELD_VALUES = {
     "mix_variances": mostly(st.sampled_from([(1.0, 1.0), (1e-320, 1.0), (1e300, 0.01)]), FLOAT_LISTS),
     "n_rule": mostly(st.just("fixed"), st.sampled_from(["n_pow3", "n_pow4", "n_pow5"])),
     "n_fixed": mostly(st.integers(2, 256), st.sampled_from([None, 1, 0, -1])),
-    "x_col": mostly(st.just("n"), st.sampled_from(["k", "abs_bias", "nope"])),
-    "y_col": mostly(st.sampled_from(["abs_bias", "variance"]), st.sampled_from(["n", "nope"])),
-    "where": mostly(st.sampled_from(["k=1", "k=2"]), st.sampled_from(["k", "=1", "nope=1", "k=nan"])),
 }
-# The fit-slope table: rows of a size, an order and two values; a fourth of
-# them are spoiled, with NaN, zero, negative or unreadable cells, or with
-# one cell too few or too many.
-CSV_COLUMNS = ["n", "k", "abs_bias", "variance"]
-GOOD_ROW = st.tuples(
-    st.sampled_from(["16", "32", "8", "64"]),
-    st.sampled_from(["1", "2"]),
-    st.sampled_from(["0.5", "0.25", "0.125", "1e-300", "1e300"]),
-    st.sampled_from(["0.5", "0.25", "1e-300"]),
-).map(list)
-CELLS = st.sampled_from(["16", "2", "0", "-4", "-0.5", "nan", "inf", "x", ""])
-BAD_ROW = st.lists(CELLS, min_size=len(CSV_COLUMNS) - 1, max_size=len(CSV_COLUMNS) + 1)
-CSV_TABLE = st.lists(mostly(GOOD_ROW, BAD_ROW), min_size=1, max_size=8).map(
-    lambda rows: "\n".join(",".join(r) for r in [CSV_COLUMNS, *rows]) + "\n"
-)
 
 
 def field_strategy(name: str, hint) -> st.SearchStrategy:
@@ -140,15 +121,9 @@ def argv_strategy(command: str, cls) -> st.SearchStrategy:
     return st.fixed_dictionaries(flags).map(argv)
 
 
-def run_cli(argv: list[str], table: str | None = None):
-    """Exit code, stderr, warnings and the files written of one in-process
-    run; ``table`` is written to a CSV whose path follows the subcommand."""
+def run_cli(argv: list[str]):
+    """Exit code, stderr, warnings and files written of one in-process run."""
     with tempfile.TemporaryDirectory() as tmp:
-        if table is not None:
-            path = Path(tmp, "in", "table.csv")
-            path.parent.mkdir()
-            path.write_text(table)
-            argv = [argv[0], str(path), *argv[1:]]
         out = Path(tmp, "out")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
@@ -191,7 +166,6 @@ COMMANDS = [
     ("identity-check", IdentityConfig),
     ("binary-exact", BinaryConfig),
     ("mixture-mc", MixtureConfig),
-    ("fit-slope", FitSlopeConfig),
 ]
 
 
@@ -204,12 +178,11 @@ def test_every_input_ends_in_a_documented_exit_code(command, cls, monkeypatch):
     # One parser for every example: building one takes about as long as a
     # small run, and parse_args keeps no state between calls.
     monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
-    tables = CSV_TABLE if command == "fit-slope" else st.none()
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-    @given(argv_strategy(command, cls), tables)
-    def check(argv, table):
-        code, err, caught, files = run_cli(argv, table)
+    @given(argv_strategy(command, cls))
+    def check(argv):
+        code, err, caught, files = run_cli(argv)
         assert code in {0, 2, 3, 4}, (argv, code, err)
         assert "Traceback" not in err, (argv, err)
         if repeats_an_entry(argv):
@@ -220,7 +193,7 @@ def test_every_input_ends_in_a_documented_exit_code(command, cls, monkeypatch):
             assert manifests, argv
         for text in manifests.values():
             json.loads(text, parse_constant=strict)
-        sweep = files.get(f"{cls.experiment}.csv") if hasattr(cls, "experiment") else None
+        sweep = files.get(f"{cls.experiment}.csv")
         if sweep is not None and "manifest.json" in files:
             rows = [(int(r["n"]), int(r["k"])) for r in csv.DictReader(io.StringIO(sweep))]
             assert rows == named_rows(json.loads(files["manifest.json"])), argv

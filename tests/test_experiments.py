@@ -24,7 +24,6 @@ from posterior_debias.bayes import GaussianMixture, _plugin_expectation, gaussia
 from posterior_debias.experiments import (
     MC_RNG_SCHEME,
     BinaryConfig,
-    FitSlopeConfig,
     IdentityConfig,
     MixtureConfig,
     RejectionConfig,
@@ -53,7 +52,6 @@ CONFIG_ARGS = {
     MixtureConfig: {},
     IdentityConfig: {},
     RejectionConfig: {},
-    FitSlopeConfig: {},
     MCConfig: {"n": 4, "k": 1, "n_reps": 1, "root_seed": 0},
 }
 WRONG_VALUE = {int: 2.5, float: "0.5", bool: 1, str: 1.5}
@@ -166,15 +164,6 @@ class TestFitSlope:
         fit = fit_slope(ns, 5.0 * ns**-1.5)
         assert fit.intercept == pytest.approx(np.log(5.0), abs=1e-10)
 
-    def test_drop_smallest(self):
-        # first point off the trend; dropping it recovers the pure slope
-        ns = np.array([8, 16, 32, 64])
-        vals = 2.0 * ns**-3.0
-        vals[0] *= 10
-        fit = fit_slope(ns, vals, drop_smallest=True)
-        assert fit.slope == pytest.approx(-3.0, abs=1e-12)
-        assert fit.points_used == 3
-
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
             fit_slope([2, 4], [1.0, 0.0])
@@ -188,11 +177,9 @@ class TestFitSlope:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             fit_slope([4], [1.0])
-        # points at one size have no slope, also after drop_smallest
+        # points at one size have no slope
         with pytest.raises(ValueError, match="distinct sizes"):
             fit_slope([8, 8, 8], [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="distinct sizes"):
-            fit_slope([8, 16, 16], [1.0, 2.0, 3.0], drop_smallest=True)
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -206,7 +193,7 @@ class TestFitSlope:
             fit_slope([2, 4, 8], [1.0, bad, 0.25])
 
     @staticmethod
-    def _numpy_fit(sizes, values, drop_smallest=False):
+    def _numpy_fit(sizes, values):
         # fit_slope as it was written with numpy throughout, kept as the
         # reference for its bits and its errors.
         ns = np.asarray(sizes, dtype=float)
@@ -217,9 +204,6 @@ class TestFitSlope:
             bad = ~np.isfinite(arr)
             if bad.any():
                 raise ValueError(f"{name} must be finite, got {arr[bad].tolist()}")
-        if drop_smallest and ns.size:
-            keep = ns != ns.min()
-            ns, vs = ns[keep], vs[keep]
         if len(set(ns.tolist())) < 2:
             raise ValueError("slope fit needs at least 2 points at distinct sizes")
         if (ns <= 0).any():
@@ -235,12 +219,10 @@ class TestFitSlope:
         r2 = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
         return float(slope), float(intercept), r2, ns.size
 
-    @pytest.mark.parametrize("drop_smallest", [False, True])
-    def test_bits_equal_numpy_reference(self, drop_smallest):
-        # 1,200 seeded fits per setting: 2 to 19 points, sizes drawn with
-        # repeats (so dropping the smallest can remove several), values
-        # spread over 30 decades, some constant.
-        rng = np.random.default_rng(np.random.SeedSequence([2024, drop_smallest]))
+    def test_bits_equal_numpy_reference(self):
+        # 1,200 seeded fits: 2 to 19 points, sizes drawn with repeats,
+        # values spread over 30 decades, some constant.
+        rng = np.random.default_rng(np.random.SeedSequence([2024, 0]))
         for case in range(1200):
             m = int(rng.integers(2, 20))
             sizes = rng.integers(1, 5000, size=m)
@@ -251,12 +233,12 @@ class TestFitSlope:
                 values[:] = 0.25
             args = (sizes.tolist(), values.tolist()) if case % 2 else (sizes, values)
             try:
-                want = self._numpy_fit(*args, drop_smallest=drop_smallest)
+                want = self._numpy_fit(*args)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    fit_slope(*args, drop_smallest=drop_smallest)
+                    fit_slope(*args)
                 continue
-            fit = fit_slope(*args, drop_smallest=drop_smallest)
+            fit = fit_slope(*args)
             got = (fit.slope, fit.intercept, fit.r_squared, fit.points_used)
             assert [float(v).hex() for v in got[:3]] == [v.hex() for v in want[:3]], case
             assert type(got[0]) is type(got[1]) is float and got[3] == want[3]
@@ -286,12 +268,11 @@ class TestFitSlope:
             ([], []),
         ],
     )
-    @pytest.mark.parametrize("drop_smallest", [False, True])
-    def test_errors_equal_numpy_reference(self, sizes, values, drop_smallest):
+    def test_errors_equal_numpy_reference(self, sizes, values):
         with pytest.raises(ValueError) as want:
-            self._numpy_fit(sizes, values, drop_smallest)
+            self._numpy_fit(sizes, values)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            fit_slope(sizes, values, drop_smallest)
+            fit_slope(sizes, values)
 
 
 class TestExperimentConfig:
@@ -924,6 +905,96 @@ class TestCsvRoundTrip:
             assert float(raw["variance"]) == row["variance"]
 
 
+# Each sweep with a grid of four sizes from 16 and orders 1..4, the manifest
+# key of its fits, and per fitted column how a CSV row gives its value.
+# The mixture-mc flags take y_obs, threshold and N = 512 from the benchmark
+# grid; there every point of this grid passes the underpowered guard up to
+# k = 4 (n = 128 at k = 3 would not).
+REFIT_SWEEPS = {
+    "binary-exact": (
+        ["--n-grid", "16,32,64,128", "--k-values", "1,2,3,4"],
+        "binary_exact.csv",
+        "slope_fits",
+        {"abs_bias": lambda r: float(r["abs_bias"]), "variance": lambda r: float(r["variance"])},
+    ),
+    "mixture-mc": (
+        ["--n-grid", "16,32,48,64", "--k-values", "1,2,3,4", "--n-rule", "fixed",
+         "--n-fixed", "512", "--y-obs", "3.5", "--threshold", "3.3", "--threads", "1"],
+        "mixture_mc.csv",
+        "fits",
+        {"abs_bias": lambda r: abs(float(r["est_bias"])),
+         "est_variance": lambda r: float(r["est_variance"])},
+    ),
+}
+REFIT_CASES = [
+    (command, k, column)
+    for command, (_, _, _, columns) in REFIT_SWEEPS.items()
+    for k in (1, 2, 3, 4)
+    for column in columns
+]
+
+
+class TestRefitFromCsv:
+    """The manifest fits are the one place a sweep fits its slopes; fit_slope
+    over the sweep's CSV gives their bits, over every row or over a subset."""
+
+    @pytest.fixture(scope="class")
+    def sweeps(self, tmp_path_factory):
+        # Per subcommand, the CSV rows and manifest of the full grid and of
+        # the grid without its smallest size. Rows at one n do not depend on
+        # the rest of the grid, so the second sweep's fits are a subset refit.
+        out = {}
+        for command, (flags, csv_name, _, _) in REFIT_SWEEPS.items():
+            grid = flags[flags.index("--n-grid") + 1]
+            for label, sizes in (("full", grid), ("tail", grid.split(",", 1)[1])):
+                path = tmp_path_factory.mktemp(f"{command}-{label}")
+                argv = [command, *flags, "--out", str(path)]
+                argv[argv.index(grid)] = sizes
+                assert main(argv) == 0
+                with open(path / csv_name, newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+                manifest = json.loads((path / "manifest.json").read_text())
+                out[command, label] = rows, manifest
+        return out
+
+    @staticmethod
+    def _refit(rows, command, k, column, keep=lambda n: True):
+        value = REFIT_SWEEPS[command][3][column]
+        sub = [r for r in rows if int(r["k"]) == k and keep(int(r["n"]))]
+        fit = fit_slope([int(r["n"]) for r in sub], [value(r) for r in sub])
+        return [fit.slope.hex(), fit.intercept.hex(), fit.r_squared.hex(), fit.points_used]
+
+    @staticmethod
+    def _manifest_fit(manifest, command, k, column):
+        fit = manifest[REFIT_SWEEPS[command][2]][str(k)][column]
+        return [fit[key].hex() for key in ("slope", "intercept", "r_squared")] + [
+            fit["points_used"]
+        ]
+
+    @pytest.mark.parametrize("command, k, column", REFIT_CASES)
+    def test_every_row_refits_to_the_manifest_bits(self, sweeps, command, k, column):
+        rows, manifest = sweeps[command, "full"]
+        got = self._refit(rows, command, k, column)
+        assert got == self._manifest_fit(manifest, command, k, column)
+        assert got[3] == 4
+
+    @pytest.mark.parametrize("command, k, column", REFIT_CASES)
+    def test_subset_refit_equals_a_sweep_over_the_subset(self, sweeps, command, k, column):
+        # Refitting the full sweep without its smallest size gives the bits
+        # of a sweep run over the remaining sizes only.
+        rows, _ = sweeps[command, "full"]
+        tail_rows, tail_manifest = sweeps[command, "tail"]
+        assert tail_rows == [r for r in rows if int(r["n"]) > 16]
+        got = self._refit(rows, command, k, column, keep=lambda n: n > 16)
+        assert got == self._manifest_fit(tail_manifest, command, k, column)
+        assert got[3] == 3
+
+    def test_fit_slope_takes_no_drop_smallest(self):
+        # A subset is refitted by selecting its rows, not by a flag.
+        with pytest.raises(TypeError):
+            fit_slope([8, 16, 32], [1.0, 0.5, 0.25], drop_smallest=True)
+
+
 class TestCli:
     def test_binary_exact_end_to_end(self, tmp_path):
         out = tmp_path / "bin"
@@ -1223,12 +1294,6 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path)]) == code
         assert self._strict_json(tmp_path / written)["version"]
 
-    def test_fit_slope_output_is_strict_json(self, tmp_path):
-        table = tmp_path / "t.csv"
-        write_csv(table, ["n", "abs_bias"], [{"n": n, "abs_bias": 1 / n} for n in (8, 16, 32)])
-        assert main(["fit-slope", str(table), "--out", str(tmp_path)]) == 0
-        assert self._strict_json(tmp_path / "slope_fit.json")["points_used"] == 3
-
     def test_write_manifest_refuses_non_finite_numbers(self, tmp_path):
         for bad in (float("nan"), float("inf"), np.float64("-inf")):
             with pytest.raises(ValueError):
@@ -1317,7 +1382,6 @@ class TestCli:
             "mixture-mc": default_mixture_config(),
             "identity-check": default_identity_config(),
             "rejection-demo": RejectionConfig(),
-            "fit-slope": FitSlopeConfig(),
         }
         assert set(subparsers.choices) == set(configs)
         for name, cfg in configs.items():
@@ -1342,6 +1406,7 @@ class TestCli:
             ["identity-check", "--corrupt-weights", "2,-1.01"],
             ["mixture-mc", "--inner-reps", "2"],
             ["binary-exact", "--drop-smallest"],
+            ["fit-slope", "t.csv"],
         ],
     )
     def test_unused_flag_exit_code(self, tmp_path, argv):
@@ -1359,14 +1424,11 @@ class TestCli:
 
     def test_config_value_type_exit_code(self, tmp_path, capsys):
         # A file value takes the type its flag parses to; the error names the key.
-        table = tmp_path / "t.csv"
-        write_csv(table, ["n", "abs_bias"], [{"n": n, "abs_bias": 1 / n} for n in (8, 16, 32)])
         fixed = {"n_rule": "fixed", "n_fixed": 300}
         cases = [
             (["mixture-mc"], "n_grid", {**fixed, "n_grid": [8.9, 12]}),
             (["mixture-mc"], "k_values", {**fixed, "k_values": [1.5]}),
             (["mixture-mc"], "n_fixed", {**fixed, "n_fixed": 300.7}),
-            (["fit-slope", str(table)], "drop_smallest", {"drop_smallest": "no"}),
         ]
         for argv, key, values in cases:
             cfg = tmp_path / f"{key}.json"
@@ -1405,7 +1467,7 @@ class TestCli:
             for line in block.group(1).splitlines()
             if line.startswith("posterior-debias ")
         ]
-        assert len(commands) == 6
+        assert len(commands) == 5
         for argv in commands:
             build_parser().parse_args(argv)
 
@@ -1501,63 +1563,6 @@ class TestCli:
         assert "over the cap of 4194304" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_fit_slope_subcommand(self, tmp_path, capsys):
-        out = tmp_path / "bin"
-        main(["binary-exact", "--n-grid", "32,64,128,256", "--k-values", "2",
-              "--out", str(out)])
-        capsys.readouterr()
-        code = main(
-            ["fit-slope", str(out / "binary_exact.csv"), "--where", "k=2",
-             "--y-col", "abs_bias"]
-        )
-        assert code == 0
-        fit = json.loads(capsys.readouterr().out)
-        assert -2.5 < fit["slope"] < -1.5
-
-    def test_fit_slope_flag_beats_config_file(self, tmp_path, capsys):
-        out = tmp_path / "bin"
-        main(["binary-exact", "--n-grid", "32,64,128,256", "--k-values", "2",
-              "--out", str(out)])
-        cfg = tmp_path / "fit.json"
-        cfg.write_text(json.dumps({"x_col": "k"}))
-        capsys.readouterr()
-        code = main(
-            ["fit-slope", str(out / "binary_exact.csv"), "--config", str(cfg),
-             "--x-col", "n", "--where", "k=2"]
-        )
-        assert code == 0
-        fit = json.loads(capsys.readouterr().out)
-        assert -2.5 < fit["slope"] < -1.5
-
-    @pytest.mark.parametrize(
-        "table,points_used",
-        [
-            ([(8, 1, 0.5), (16, 1, 0.25)], None),
-            ([(n, k, 1.0 / (n * k)) for n in (8, 16, 32) for k in (1, 2)], 4),
-        ],
-    )
-    def test_fit_slope_drop_smallest(self, tmp_path, capsys, table, points_used):
-        # every row at the smallest n goes; fewer than 2 left is an error
-        path = tmp_path / "t.csv"
-        columns = ["n", "k", "abs_bias"]
-        write_csv(path, columns, [dict(zip(columns, r)) for r in table])
-        code = main(["fit-slope", str(path), "--drop-smallest"])
-        if points_used is None:
-            assert code == 2
-        else:
-            assert code == 0
-            assert json.loads(capsys.readouterr().out)["points_used"] == points_used
-
-    def test_fit_slope_one_size_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "bin"
-        main(["binary-exact", "--n-grid", "64,128", "--k-values", "1,2,3", "--out", str(out)])
-        capsys.readouterr()
-        code = main(["fit-slope", str(out / "binary_exact.csv"), "--where", "n=64"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert "distinct sizes" in captured.err
-        assert captured.out == ""
-
     @pytest.mark.parametrize(
         "flags, name",
         [
@@ -1611,72 +1616,6 @@ class TestCli:
         assert not caught
         assert "Warning" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad_row", ["32,1,0.25,extra", "32,1"])
-    def test_fit_slope_row_with_a_wrong_field_count_exits_2(self, tmp_path, capsys, bad_row):
-        path = tmp_path / "t.csv"
-        path.write_text(f"n,k,abs_bias\n16,1,0.5\n{bad_row}\n64,1,0.125\n")
-        assert main(["fit-slope", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert f"{path} line 3: expected 3 fields" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize(
-        "bad_row, col, flags",
-        [
-            ("32,1,abc", "abs_bias", []),
-            ("3x2,1,0.25", "n", []),
-            ("32,one,0.25", "k", ["--where", "k=1"]),
-        ],
-    )
-    def test_fit_slope_cell_that_is_not_a_number_exits_2(
-        self, tmp_path, capsys, bad_row, col, flags
-    ):
-        # The y column, the x column and the --where column alike.
-        path = tmp_path / "t.csv"
-        path.write_text(f"n,k,abs_bias\n16,1,0.5\n{bad_row}\n64,1,0.125\n")
-        assert main(["fit-slope", str(path), *flags]) == 2
-        captured = capsys.readouterr()
-        cell = bad_row.split(",")[["n", "k", "abs_bias"].index(col)]
-        assert f"{path} line 3: column {col!r} is not a number: {cell!r}" in captured.err
-        assert captured.out == ""
-
-    def test_fit_slope_where_value_that_is_not_a_number_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "t.csv"
-        path.write_text("n,k,abs_bias\n16,1,0.5\n64,1,0.125\n")
-        assert main(["fit-slope", str(path), "--where", "k=one"]) == 2
-        assert "--where value is not a number: 'one'" in capsys.readouterr().err
-
-    def test_fit_slope_non_finite_value_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "t.csv"
-        columns = ["n", "k", "abs_bias"]
-        table = [(8, 1, 0.5), (16, 1, "nan"), (32, 1, 0.125)]
-        write_csv(path, columns, [dict(zip(columns, r)) for r in table])
-        code = main(["fit-slope", str(path)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert "values must be finite" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize(
-        "flags", [["--where", "foo=1"], ["--x-col", "foo"], ["--y-col", "foo", "--where", "k=1"]]
-    )
-    def test_fit_slope_unknown_column_is_named_with_the_header(self, tmp_path, capsys, flags):
-        # An unknown --where column is named as an unknown x or y column is,
-        # not reported as a filter that matched no row.
-        path = tmp_path / "t.csv"
-        path.write_text("n,k,abs_bias\n16,1,0.5\n64,1,0.125\n")
-        assert main(["fit-slope", str(path), *flags]) == 2
-        captured = capsys.readouterr()
-        assert "column 'foo' not in ['abs_bias', 'k', 'n']" in captured.err
-        assert captured.out == ""
-
-    def test_fit_slope_bad_column(self, tmp_path, capsys):
-        out = tmp_path / "bin2"
-        main(["binary-exact", "--n-grid", "8,16", "--k-values", "1", "--out", str(out)])
-        capsys.readouterr()
-        code = main(["fit-slope", str(out / "binary_exact.csv"), "--y-col", "nope"])
-        assert code == 2
-
     @staticmethod
     def _run_python(args: list[str]) -> subprocess.CompletedProcess:
         # The subprocess imports the same package this process imported.
@@ -1695,6 +1634,19 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "slope" in proc.stdout
+
+    def test_module_entry_point_has_no_fit_slope(self, tmp_path):
+        # The sweeps' manifests hold the fits; fit-slope is an unknown
+        # subcommand, and nothing is written.
+        table = tmp_path / "t.csv"
+        write_csv(table, ["n", "abs_bias"], [{"n": n, "abs_bias": 1 / n} for n in (8, 16, 32)])
+        proc = self._run_python(
+            ["-m", "posterior_debias", "fit-slope", str(table), "--out", str(tmp_path / "m")]
+        )
+        assert proc.returncode == 2
+        assert "invalid choice: 'fit-slope'" in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "m").exists()
 
     def test_import_loads_no_scipy(self):
         # scipy is a test dependency; the package and its CLI run without it.
