@@ -168,8 +168,6 @@ def _list_parser(item: type):
 def _flag_kwargs(hint) -> dict:
     """argparse keywords for a config field with type annotation ``hint``."""
     hint, _ = _field_type(hint)  # ``X | None``: the flag sets an X
-    if hint is bool:
-        return {"action": "store_true"}
     if typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
         return {"type": _list_parser(item), "metavar": f"{item.__name__.upper()},..."}

@@ -29,7 +29,7 @@ from .bayes import (
     BoundedLikelihood,
     _plugin_expectation,
 )
-from .errors import CapExceededError, DegenerateError, DegeneratePointError, UnderpoweredRunError
+from .errors import CapExceededError, DegenerateError, DegeneratePointError, UnderpoweredRunError, _StoppedRunError
 from .operators import MAX_ORDER, _exact_bias_variance, debiased_estimate, debiased_estimate_mean
 from .rejection import make_rejection_spec, rejection_sample_batch
 from .resampling import _BATCH_SCHEME, exhaustive_chain_expectation, outer_mc_batched
@@ -311,6 +311,25 @@ default_mixture_config = MixtureConfig
 default_identity_config = IdentityConfig
 
 
+def _run_points(points: list[dict], run_point, summarize) -> tuple[list[dict], dict]:
+    """Extend the rows with ``run_point(**point)`` at each grid point, and
+    return them with ``summarize(rows)``. A stop leaves with the rows done
+    before it and their summary merged into its info; a CapExceededError,
+    raised by code that does not know the point, is prefixed with the point."""
+    rows = []
+    for point in points:
+        try:
+            rows.extend(run_point(**point))
+        except CapExceededError as exc:
+            label = " ".join(f"{key}={value}" for key, value in point.items())
+            stopped = {"cap_exceeded": {**point, **exc.info.get("cap_exceeded", {})}}
+            raise CapExceededError(f"{label}: {exc}", rows, {**summarize(rows), **stopped}) from exc
+        except _StoppedRunError as exc:
+            exc.rows, exc.info = rows, {**summarize(rows), **exc.info}
+            raise
+    return rows, summarize(rows)
+
+
 def _binary_bayes_map(cfg: BinaryConfig | RejectionConfig) -> DiscreteBayesMap:
     # Support {0, 1}; likelihood values of the observation at each atom. An
     # extreme y_obs or noise_var overflows the log-likelihood to -inf or NaN
@@ -331,20 +350,16 @@ def run_binary_exact(cfg: BinaryConfig) -> tuple[list[dict], dict]:
     """
     g = _binary_bayes_map(cfg).component(1)
     prior = ProbVector(np.array([1.0 - cfg.q, cfg.q]))
-    rows = []
-    for n in cfg.n_grid:
-        try:
-            moments = _exact_bias_variance(g, prior, n, cfg.k_values)
-        except CapExceededError as exc:
-            fits = _slope_fits(rows, cfg.k_values, _BINARY_FITS)
-            info = {"cap_exceeded": {"n": n}, "slope_fits": fits}
-            raise CapExceededError(f"n={n}: {exc}", rows, info) from exc
-        for k in cfg.k_values:
-            bias, variance = moments[k]
-            rows.append(
-                {"n": n, "k": k, "abs_bias": abs(bias), "variance": variance}
-            )
-    return rows, _slope_fits(rows, cfg.k_values, _BINARY_FITS)
+
+    def run_n(n):
+        moments = _exact_bias_variance(g, prior, n, cfg.k_values).items()
+        return [{"n": n, "k": k, "abs_bias": abs(b), "variance": v} for k, (b, v) in moments]
+
+    def summarize(rows):
+        return {"slope_fits": _slope_fits(rows, cfg.k_values, _BINARY_FITS)}
+
+    rows, summary = _run_points([{"n": n} for n in cfg.n_grid], run_n, summarize)
+    return rows, summary["slope_fits"]
 
 
 def _mc_reps(cfg: MixtureConfig, n: int, k: int) -> int:
@@ -408,75 +423,72 @@ def run_mixture_mc(cfg: MixtureConfig) -> tuple[list[dict], dict]:
         finally:
             _workspace.release(mask)
 
-    rows, capped, points = [], [], []
+    capped, points = [], []
     info = {"rng_scheme": MC_RNG_SCHEME, "capped": capped, "true_value": truth, "points": points}
-
-    def stop(error: type, key: str, why: str, tail: str = "", **extra) -> Exception:
-        # The error that stops the sweep at (n, k), with the finished rows and fits.
-        point = {"n": n, "k": k, "N": n_reps, **extra}
-        fits = _slope_fits(rows, cfg.k_values, _MIXTURE_FITS)
-        message = f"{why} at n={n}, k={k} (N={n_reps}){tail}"
-        return error(message, rows, {key: point, "fits": fits, **info})
-
     # One pass per n, run on the first visit to n and read by every order.
     passes = {}
     seed_k = max(cfg.k_values)
-    for k in cfg.k_values:
-        for n in cfg.n_grid:
-            want = _mc_reps(cfg, n, k)
-            n_reps = min(want, cfg.mc_cap)
-            if n_reps < want:
-                capped.append({"n": n, "k": k, "requested": want, "effective": n_reps})
-            if n not in passes:
-                reps = {j: min(_mc_reps(cfg, n, j), cfg.mc_cap) for j in cfg.k_values}
-                faults = _minor_faults()
-                try:
-                    results = outer_mc_batched(
-                        mix._fill, batch_functional, n, reps,
-                        _point_seed(cfg.root_seed, n, seed_k), cfg.threads,
-                    )
-                except DegenerateError as exc:
-                    raise stop(DegeneratePointError, "degenerate", str(exc)) from exc
-                passes[n] = results, _minor_faults() - faults
-            results, faults = passes[n]
-            result = results[k]
-            est_bias = result.mean - truth
-            bound = abs(est_bias) / 3
-            row = {
-                "n": n,
-                "k": k,
-                "N": n_reps,
-                "est_mean": result.mean,
-                "true_value": truth,
-                "est_bias": est_bias,
-                "est_variance": result.variance,
-                "std_error": result.std_error,
-            }
-            # One replicate has no spread, so its standard error of 0 says
-            # nothing about the noise of the bias estimate.
-            if n_reps < 2 or result.std_error > bound:
-                why = (
-                    "one replicate gives no standard error"
-                    if n_reps < 2
-                    else f"std_error {result.std_error:.4g} exceeds |bias|/3 = {bound:.4g}"
+
+    def run_point(k, n):
+        want = _mc_reps(cfg, n, k)
+        n_reps = min(want, cfg.mc_cap)
+        if n_reps < want:
+            capped.append({"n": n, "k": k, "requested": want, "effective": n_reps})
+        point, where = {"n": n, "k": k, "N": n_reps}, f"at n={n}, k={k} (N={n_reps})"
+        if n not in passes:
+            reps = {j: min(_mc_reps(cfg, n, j), cfg.mc_cap) for j in cfg.k_values}
+            faults = _minor_faults()
+            try:
+                results = outer_mc_batched(
+                    mix._fill, batch_functional, n, reps,
+                    _point_seed(cfg.root_seed, n, seed_k), cfg.threads,
                 )
-                tail = "; the run cannot resolve the bias at this replication count"
-                extra = {key: row[key] for key in ("std_error", "est_bias")}
-                raise stop(UnderpoweredRunError, "underpowered", why, tail, **extra)
-            rows.append(row)
-            # Timings vary from run to run, so they stay out of the rows.
-            # The points at one n share its pass, and so its time and faults.
-            points.append(
-                {
-                    **{key: row[key] for key in ("n", "k", "N")},
-                    "wall_time_s": result.wall_time,
-                    "reps_per_s": n_reps / result.wall_time,
-                    # 0/0 where every replicate equals the truth: no margin.
-                    "guard_margin": result.std_error / bound if bound else None,
-                    "minor_faults": faults,
-                }
+            except DegenerateError as exc:
+                raise DegeneratePointError(f"{exc} {where}", info={"degenerate": point}) from exc
+            passes[n] = results, _minor_faults() - faults
+        results, faults = passes[n]
+        result = results[k]
+        est_bias = result.mean - truth
+        bound = abs(est_bias) / 3
+        row = {
+            **point,
+            "est_mean": result.mean,
+            "true_value": truth,
+            "est_bias": est_bias,
+            "est_variance": result.variance,
+            "std_error": result.std_error,
+        }
+        # One replicate has no spread, so its standard error of 0 says
+        # nothing about the noise of the bias estimate.
+        if n_reps < 2 or result.std_error > bound:
+            why = (
+                "one replicate gives no standard error"
+                if n_reps < 2
+                else f"std_error {result.std_error:.4g} exceeds |bias|/3 = {bound:.4g}"
             )
-    return rows, {"fits": _slope_fits(rows, cfg.k_values, _MIXTURE_FITS), **info}
+            raise UnderpoweredRunError(
+                f"{why} {where}; the run cannot resolve the bias at this replication count",
+                info={"underpowered": {**point, "std_error": result.std_error, "est_bias": est_bias}},
+            )
+        # Timings vary from run to run, so they stay out of the rows.
+        # The points at one n share its pass, and so its time and faults.
+        points.append(
+            {
+                **point,
+                "wall_time_s": result.wall_time,
+                "reps_per_s": n_reps / result.wall_time,
+                # 0/0 where every replicate equals the truth: no margin.
+                "guard_margin": result.std_error / bound if bound else None,
+                "minor_faults": faults,
+            }
+        )
+        return [row]
+
+    return _run_points(
+        [{"k": k, "n": n} for k in cfg.k_values for n in cfg.n_grid],
+        run_point,
+        lambda rows: {"fits": _slope_fits(rows, cfg.k_values, _MIXTURE_FITS), **info},
+    )
 
 
 def _lookup_likelihood(values: np.ndarray) -> BoundedLikelihood:
@@ -499,20 +511,9 @@ def run_identity_check(cfg: IdentityConfig) -> dict:
     stops with a CapExceededError carrying the finished cases as its rows
     and their report, naming the stopped case, as its info.
     """
-    cases = []
-    for m in cfg.m_values:
-        for n in cfg.n_grid:
-            for k in cfg.k_values:
-                try:
-                    cases.append(_identity_case(cfg.root_seed, m, n, k))
-                except CapExceededError as exc:
-                    stopped = {"m": m, "n": n, "k": k, **exc.info.get("cap_exceeded", {})}
-                    raise CapExceededError(
-                        f"m={m} n={n} k={k}: {exc}",
-                        cases,
-                        {**_identity_report(cases), "cap_exceeded": stopped},
-                    ) from exc
-    return _identity_report(cases)
+    grid = [{"m": m, "n": n, "k": k} for m in cfg.m_values for n in cfg.n_grid for k in cfg.k_values]
+    _, report = _run_points(grid, lambda m, n, k: [_identity_case(cfg.root_seed, m, n, k)], _identity_report)
+    return report
 
 
 def _identity_case(root_seed: int, m: int, n: int, k: int) -> dict:

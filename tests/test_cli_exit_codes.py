@@ -88,8 +88,6 @@ def field_strategy(name: str, hint) -> st.SearchStrategy:
             valid = mostly(valid, valid.map(lambda v: [v[0], *v]))
         raw = st.lists(st.integers(low, high), max_size=3)
         return mostly(valid, raw).map(tuple)
-    if base is bool:
-        return st.booleans()
     if base is int:
         return st.integers(*INT_BOUNDS[name])
     if base is float:
@@ -109,10 +107,7 @@ def argv_strategy(command: str, cls) -> st.SearchStrategy:
     def argv(values: dict) -> list[str]:
         out = [command]
         for flag, value in values.items():
-            if value is None or value is False:
-                continue
-            if value is True:
-                out.append(flag)
+            if value is None:
                 continue
             text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
             out.append(f"{flag}={text}")  # "=" keeps a leading "-" a value

@@ -19,7 +19,12 @@ import pytest
 import posterior_debias
 from posterior_debias import cli
 from posterior_debias.cli import _git_commit, build_parser, main, write_csv, write_manifest
-from posterior_debias.errors import CapExceededError, DegenerateError, UnderpoweredRunError
+from posterior_debias.errors import (
+    CapExceededError,
+    DegenerateError,
+    DegeneratePointError,
+    UnderpoweredRunError,
+)
 from posterior_debias.bayes import GaussianMixture, _plugin_expectation, gaussian_likelihood
 from posterior_debias.experiments import (
     MC_RNG_SCHEME,
@@ -36,7 +41,9 @@ from posterior_debias.experiments import (
     run_mixture_mc,
     run_rejection_demo,
     _BINARY_FITS,
+    _MIXTURE_FITS,
     _binary_bayes_map,
+    _identity_report,
     _mc_reps,
     _point_seed,
     _slope_fits,
@@ -845,6 +852,85 @@ class TestRunIdentityCheck:
         cfg = default_identity_config(n_grid=(4, 6, 8), k_values=(1, 2, 3), m_values=(2, 3))
         assert run_identity_check(cfg)["pass"]
         assert exact_builds == {"matrices": 6, "lattices": 6}
+
+
+def _stop_at(i: int, real, error: Exception):
+    # ``real``, except that its (i+1)-th call raises ``error``.
+    calls = []
+
+    def stopped(*args):
+        calls.append(args)
+        if len(calls) == i + 1:
+            raise error
+        return real(*args)
+
+    return stopped
+
+
+class TestStopContract:
+    """Each sweep runner, stopped at every grid point in turn, carries the
+    rows finished before that point, their summary and the point that
+    stopped it."""
+
+    def test_binary_exact(self, monkeypatch):
+        cfg = default_binary_config(n_grid=(8, 16, 32, 64), k_values=(1, 2))
+        rows, _ = run_binary_exact(cfg)
+        for i, n in enumerate(cfg.n_grid):
+            stopped = _stop_at(i, _exact_bias_variance, CapExceededError("boom"))
+            monkeypatch.setattr(posterior_debias.experiments, "_exact_bias_variance", stopped)
+            with pytest.raises(CapExceededError) as exc:
+                run_binary_exact(cfg)
+            done = rows[: i * len(cfg.k_values)]
+            assert str(exc.value) == f"n={n}: boom"
+            assert exc.value.rows == done
+            assert exc.value.info == {
+                "slope_fits": _slope_fits(done, cfg.k_values, _BINARY_FITS),
+                "cap_exceeded": {"n": n},
+            }
+
+    def test_identity_check(self, monkeypatch):
+        cfg = default_identity_config()
+        cases = run_identity_check(cfg)["cases"]
+        real = posterior_debias.experiments._identity_case
+        for i, case in enumerate(cases):
+            error = CapExceededError("boom", info={"cap_exceeded": {"leaves": 7}})
+            monkeypatch.setattr(posterior_debias.experiments, "_identity_case", _stop_at(i, real, error))
+            with pytest.raises(CapExceededError) as exc:
+                run_identity_check(cfg)
+            m, n, k = case["m"], case["n"], case["k"]
+            assert str(exc.value) == f"m={m} n={n} k={k}: boom"
+            assert exc.value.rows == cases[:i]
+            stopped = {"m": m, "n": n, "k": k, "leaves": 7}
+            assert exc.value.info == {**_identity_report(cases[:i]), "cap_exceeded": stopped}
+
+    def test_mixture_mc(self, monkeypatch):
+        # k-major rows; the pass at n runs at its first order, so the stop at
+        # the i-th n lands on (n, k=1) with the first i rows finished.
+        cfg = default_mixture_config(
+            n_grid=(8, 12, 16), k_values=(1, 2), n_rule="fixed", n_fixed=1000,
+            y_obs=3.5, threshold=3.3, threads=1,
+        )
+        rows, info = run_mixture_mc(cfg)
+        timings = ("wall_time_s", "reps_per_s", "minor_faults")
+
+        def untimed(points):
+            return [{key: p[key] for key in p if key not in timings} for p in points]
+
+        for i, n in enumerate(cfg.n_grid):
+            error = DegenerateError("all sample likelihoods underflowed to zero")
+            stopped = _stop_at(i, outer_mc_batched, error)
+            monkeypatch.setattr(posterior_debias.experiments, "outer_mc_batched", stopped)
+            with pytest.raises(DegeneratePointError) as exc:
+                run_mixture_mc(cfg)
+            assert str(exc.value) == f"{error} at n={n}, k=1 (N=1000)"
+            assert exc.value.rows == rows[:i]
+            got = dict(exc.value.info)
+            assert untimed(got.pop("points")) == untimed(info["points"][:i])
+            assert got == {
+                "fits": _slope_fits(rows[:i], cfg.k_values, _MIXTURE_FITS),
+                "degenerate": {"n": n, "k": 1, "N": 1000},
+                **{key: info[key] for key in ("rng_scheme", "capped", "true_value")},
+            }
 
 
 class TestRunRejectionDemo:

@@ -21,6 +21,7 @@ from posterior_debias.bayes import (
     plugin_posterior_prob,
 )
 from posterior_debias.errors import DegenerateError
+from posterior_debias.experiments import _point_seed, default_mixture_config
 from posterior_debias.operators import MAX_ORDER, debias_weights, debiased_estimate_mean
 from posterior_debias import resampling
 from posterior_debias.resampling import (
@@ -340,6 +341,41 @@ class TestOuterMC:
         assert res.mean == pytest.approx(vals.mean(), rel=1e-13)
         assert res.variance == pytest.approx(vals.var(ddof=1), rel=1e-12)
         assert res.std_error == pytest.approx(sqrt(res.variance / reps), rel=1e-15)
+
+    # float.hex of (mean, variance, std_error), recorded with numpy 2.4.6:
+    # the per-replicate stream's bits, which the manual reductions above
+    # compare only to a tolerance.
+    PINNED_CRITERION_3 = ("0x1.c327e07686662p-1", "0x1.59b1649e4f114p-5", "0x1.a4b51d97b2a71p-9")
+    PINNED_BINARY = {
+        1: ("0x1.17d1af5fd921fp-1", "0x1.704b38a101bb3p-5", "0x1.eb4a06e4cab55p-7"),
+        2: ("0x1.1c5f25d493479p-1", "0x1.2812d5100b5dfp-4", "0x1.3779e442cefbfp-6"),
+        3: ("0x1.1b64eb5e89398p-1", "0x1.9b442c9d12c55p-3", "0x1.039486e3a25d9p-5"),
+    }
+
+    @staticmethod
+    def _hex(res):
+        return (res.mean.hex(), res.variance.hex(), res.std_error.hex())
+
+    def test_pinned_at_the_criterion_3_setting(self):
+        # Criterion 3's order-2 point (mixture sampler, plug-in tail
+        # probability, n = 16) at 4,096 of its 65,536 replicates.
+        cfg = default_mixture_config()
+        mix = GaussianMixture(
+            np.array(cfg.mix_weights), np.array(cfg.mix_means), np.array(cfg.mix_variances)
+        )
+        lik = gaussian_likelihood(cfg.y_obs, cfg.noise_var)
+        res = outer_mc(
+            lambda n, rng: WeightedSampleSet(mix.sample(n, rng)),
+            lambda ws: plugin_posterior_prob(ws, lik, lambda x: x >= cfg.threshold),
+            MCConfig(n=16, k=2, n_reps=4096, root_seed=_point_seed(0, 16, 2)),
+        )
+        assert self._hex(res) == self.PINNED_CRITERION_3
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pinned_binary_sampler(self, k):
+        functional = atom_prob_functional([1.0, 2.0], 1)
+        cfg = MCConfig(n=6, k=k, n_reps=200, root_seed=99)
+        assert self._hex(outer_mc(self._binary_sampler(0.4), functional, cfg)) == self.PINNED_BINARY[k]
 
     def test_mean_approaches_operator_value(self):
         # k=1 plug-in mean equals the one-step operator applied to g
