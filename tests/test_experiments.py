@@ -1005,7 +1005,7 @@ REFIT_SWEEPS = {
     ),
     "mixture-mc": (
         ["--n-grid", "16,32,48,64", "--k-values", "1,2,3,4", "--n-rule", "fixed",
-         "--n-fixed", "512", "--y-obs", "3.5", "--threshold", "3.3", "--threads", "1"],
+         "--n-fixed", "4096", "--y-obs", "3.5", "--threshold", "3.3", "--threads", "1"],
         "mixture_mc.csv",
         "fits",
         {"abs_bias": lambda r: abs(float(r["est_bias"])),
