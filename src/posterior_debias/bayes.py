@@ -14,7 +14,7 @@ from .errors import DegenerateError
 from .simplex import ProbVector, _checked_int, _checked_real, _checked_vector, _is_int, _real_array
 
 _BLOCK = 2**14  # points per block of the plug-in expectation: 128 KiB of float64
-_COUNTED_CUTS = 32  # most cut points that _choice_labels counts pass by pass
+_COUNTED_CUTS = 64  # most cut points that _choice_labels counts pass by pass (<= 255)
 _COUNTED_SIZE = 2**10  # fewest uniforms that _choice_labels counts pass by pass
 
 
@@ -200,29 +200,29 @@ def plugin_expectation(
 def _plugin_expectation(
     points: np.ndarray, likelihood: BoundedLikelihood, h: Callable, log_w: np.ndarray | None = None
 ) -> np.ndarray:
-    # Plug-in expectation of h per sample set along the last axis: (..., n)
-    # -> (...). likelihood.log writes the log weights into log_w, a
-    # C-contiguous float64 array of the points' shape (without one, a work
-    # buffer checked out of the shared pool), block by block. One reduceat
-    # over the flat buffer at the row starts takes every row's max as its
-    # shift: a max is exact in any order, NaN propagates through it, and a
-    # 0.0 and a -0.0 shift give the same exp. A denominator then underflows
-    # only if every likelihood of its set is zero; a NaN makes its set's max
-    # NaN and a +inf makes it +inf, and the min and max over the sets find
-    # all three faults before any exp. The buffer then turns into weights in
-    # place, h multiplies in block by block, and den and num are whole-row
-    # sums. So likelihood.log and h each see every point once. num and den
-    # take the same sums, so h identically 1 gives 1.
-    n = points.shape[-1]
+    # Plug-in expectation of h per sample set along the first axis: (n,) ->
+    # a scalar, (n, b) -> (b,), one set per column. likelihood.log writes
+    # the log weights into log_w, a C-contiguous float64 array of the
+    # points' shape (without one, a pooled work buffer), in blocks of whole
+    # point rows. Each set's max is its shift: a max is exact in any order,
+    # NaN propagates through it, and a 0.0 and a -0.0 shift give the same
+    # exp. A denominator then underflows only if every likelihood of its set
+    # is zero; a NaN makes its set's max NaN and a +inf makes it +inf, and
+    # the min and max over the sets find all three faults before any exp.
+    # The buffer then turns into weights in place, h multiplies in block by
+    # block, and den and num are sums over the points, pairwise for one set
+    # and in point order per column; every reduce runs along whole rows of b
+    # sets. So likelihood.log and h each see every point once, and h
+    # identically 1 gives 1, as num and den take the same sums.
+    n = points.shape[0]
     buf = None
     if log_w is None:
         buf = _workspace.checkout(points.size)
         log_w = buf.reshape(points.shape)
     try:
         for lo in range(0, n, _BLOCK):
-            likelihood.log(points[..., lo : lo + _BLOCK], log_w[..., lo : lo + _BLOCK])
-        flat = log_w.reshape(-1)
-        shift = np.maximum.reduceat(flat, np.arange(0, flat.size, n))
+            likelihood.log(points[lo : lo + _BLOCK], log_w[lo : lo + _BLOCK])
+        shift = np.maximum.reduce(log_w, axis=0)
         lowest, highest = shift.min(), shift.max()
         if np.isnan(lowest):
             raise ValueError("likelihood returned NaN")
@@ -230,11 +230,11 @@ def _plugin_expectation(
             raise ValueError("likelihood returned +inf; it must be bounded")
         if lowest == float("-inf"):
             raise DegenerateError("all sample likelihoods underflowed to zero")
-        log_w -= shift.reshape(points.shape[:-1] + (1,))
+        log_w -= shift
         np.exp(log_w, out=log_w)
-        den = log_w.sum(axis=-1)
+        den = np.add.reduce(log_w, axis=0)
         for lo in range(0, n, _BLOCK):
-            x = points[..., lo : lo + _BLOCK]
+            x = points[lo : lo + _BLOCK]
             values = np.asarray(h(x))
             # w times a boolean mask is w times its 0.0/1.0 copy, bit for
             # bit, so an event multiplies in as it is; any other h must keep
@@ -245,8 +245,8 @@ def _plugin_expectation(
                 values = values.astype(float, copy=False)
             if values.shape != x.shape:
                 raise ValueError("h must return one value per sample")
-            log_w[..., lo : lo + _BLOCK] *= values
-        num = log_w.sum(axis=-1)
+            log_w[lo : lo + _BLOCK] *= values
+        num = np.add.reduce(log_w, axis=0)
     finally:
         if buf is not None:
             _workspace.release(buf)
@@ -268,12 +268,13 @@ def _choice_labels(u: np.ndarray, cuts: np.ndarray, labels: np.ndarray, mask: np
     rng.choice(p.size, p=p) turns the same uniforms into the same labels
     with cdf.searchsorted(u, side="right"): u < 1 = cdf[-1], so the last
     entry never counts. One compare pass per cut, added up in the mask's
-    bytes and copied into the labels once, beats the binary search up to
-    about 32 cuts (about 40 on a 2-core x86-64 host) from about 1,024
-    uniforms on; each pass costs about 1 us whatever its size, so below
-    that, and past 32 cuts, the search is used. A byte holds a count of at
-    most 32, and bytes add to bytes with no cast, where a bool mask added to
-    the labels took a 64 KB buffer."""
+    bytes and copied into the labels once, beats the binary search from
+    about 1,024 uniforms on, up to a cut count that grows with their
+    number: on a 2-core x86-64 host, about 144 cuts at 8,192 uniforms and
+    between 64 and 128 at 4,096. Each pass costs about 1 us whatever its
+    size, so below 1,024 uniforms, and past _COUNTED_CUTS, the search is
+    used. A byte holds a count of at most 255, and bytes add to bytes with
+    no cast, where a bool mask added to the labels took a 64 KB buffer."""
     if cuts.size > _COUNTED_CUTS or u.size < _COUNTED_SIZE:
         labels[...] = cuts.searchsorted(u, side="right")
         return

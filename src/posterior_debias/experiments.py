@@ -43,8 +43,11 @@ IDENTITY_LEAF_CAP = 10**7
 # The random-stream layout of run_mixture_mc, recorded in its manifest.
 MC_RNG_SCHEME = (
     f"outer_mc_batched v{_BATCH_SCHEME}, one pass per n: chunk c at sample size n draws "
-    f"from SeedSequence([_point_seed(root_seed, n, max(k_values)), {_BATCH_SCHEME}, c]), "
-    "and order k reads stages 1..k of the first N_k chains"
+    f"from SeedSequence([_point_seed(root_seed, n, max(k_values)), {_BATCH_SCHEME}, c]) "
+    "into a point-major (n, b) array whose column r is dataset r; the sampler fills it "
+    "in memory order, each later stage's resample indices follow memory order, each "
+    "dataset's sums run in point order, and order k reads stages 1..k of the first "
+    "N_k chains"
 )
 
 

@@ -31,7 +31,7 @@ from .simplex import ProbVector, _checked_int, multinomial_pmf_vector
 
 _SEED_MAX = 2**64 - 1  # every seed is an unsigned 64-bit integer
 _CHUNK = 4096  # replicates per work unit; fixed so the reduction order is too
-_BATCH_SCHEME = 1  # the 1 of outer_mc_batched's chunk seeds: bump on any layout change
+_BATCH_SCHEME = 2  # the 2 of outer_mc_batched's chunk seeds: bump on any layout change
 # Fewest indices per call that _index_blocks draws from raw words, for a
 # power-of-two n and for any other n: below it, reading and writing the
 # generator state costs more than rng.integers does. A power of two takes a
@@ -118,51 +118,44 @@ def _lemire_fill(bg: np.random.PCG64, n: int, u: np.ndarray, has: int, high: int
 
 
 def _resample(prev: np.ndarray, stage: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill the (b, n) array ``stage`` row by row with n draws with
-    replacement from the same row of ``prev``, at the indices one
-    rng.integers(0, n, size=(b, n)) call would give. The indices are drawn in
-    blocks of at most _BLOCK, in row-major order: whole rows when more than
-    one row fits in a block, pieces of one row otherwise. The blocks take the
-    stream of one call (_index_blocks), so the draws do not depend on the
-    block size. The indices are in range, so take's "clip" changes none of
-    them and spares it a buffered copy of ``out``."""
-    b, n = prev.shape
-    rows = _BLOCK // n
-    if rows == 0 or b == 1:
-        blocks = [
-            (prev[r], stage[r, lo : lo + _BLOCK]) for r in range(b) for lo in range(0, n, _BLOCK)
-        ]
-    else:
-        blocks = [(prev[r : r + rows], stage[r : r + rows]) for r in range(0, b, rows)]
-        # Row i of a block starts at entry i * n of the block, so one flat
-        # take gathers what take_along_axis(block, idx, axis=1) does. The
-        # row offsets are spread over the block's destination, free until
-        # the take, so the add broadcasts nothing and takes no ufunc buffer.
-        offsets = np.arange(0, min(rows, b) * n, n)[:, None]
-    draws = _index_blocks(rng, n, [dst.size for _, dst in blocks])
+    """Fill ``stage`` with n draws with replacement from each sample set of
+    ``prev``, the (n,) array of one set or the C-contiguous (n, b) array of
+    one per column: stage[i, r] = prev[idx[i, r], r] at the indices of one
+    rng.integers(0, n, size=prev.shape) call. They are drawn in memory
+    order, in blocks of whole point rows, at most _BLOCK indices or one row,
+    and take the stream of one call (_index_blocks). Entry (i, r) is entry
+    i * b + r of the flat arrays, so one flat take at idx * b + r gathers a
+    block; the indices are in range, so its "clip" changes none of them and
+    spares it a buffered copy of ``out``."""
+    n, b = prev.shape[0], prev.size // prev.shape[0]
+    rows = max(1, _BLOCK // b)
+    src, dst = prev.reshape(-1), stage.reshape(-1)
+    blocks = [dst[lo * b : (lo + rows) * b] for lo in range(0, n, rows)]
+    columns = np.arange(b)
+    draws = _index_blocks(rng, n, [block.size for block in blocks])
     # strict: the draws are exhausted too, which leaves rng in its final state.
-    for (src, dst), idx in zip(blocks, draws, strict=True):
-        if dst.ndim == 2:
-            idx = idx.reshape(dst.shape)
-            spread = dst.view(np.int64)
-            np.copyto(spread, offsets[: len(dst)])
-            idx += spread
-        src.take(idx, out=dst, mode="clip")
+    for block, idx in zip(blocks, draws, strict=True):
+        if b > 1:
+            idx = idx.reshape(-1, b)
+            idx *= b
+            idx += columns
+        src.take(idx, out=block.reshape(idx.shape), mode="clip")
 
 
 def _stages(first: np.ndarray, k: int, rng: np.random.Generator | None, spare: bool = False):
-    """Yield stages 1..k of the chains whose first stages are the rows of
-    the (b, n) array ``first``, as read-only views; each later stage is
-    drawn from the one before by _resample. This is the one place chain
-    stages are drawn. Later stages go into pooled work buffers, and a
-    writable ``first`` is the caller's own work buffer, which stage 3
-    overwrites, so at most two (b, n) buffers are in use. With ``spare``,
-    it yields (stage, buffer) pairs instead, where buffer is the writable
-    (b, n) buffer the next stage will be drawn into: the caller's to use as
-    work space until it asks for the next stage. A stage is valid only
-    until the next one is drawn; the buffers go back to the pool when the
-    generator ends or is dropped. Resampling finite points keeps them
-    finite, so no stage is checked again."""
+    """Yield stages 1..k of the chains whose first stages are the sample
+    sets of ``first`` (the (n,) array of one, or one per column of an
+    (n, b) array), as read-only views; each later stage is drawn from the
+    one before by _resample. This is the one place chain stages are drawn.
+    Later stages go into pooled work buffers, and a writable ``first`` is
+    the caller's own work buffer, which stage 3 overwrites, so at most two
+    buffers of its shape are in use. With ``spare``, it yields (stage,
+    buffer) pairs instead, where buffer is the writable buffer the next
+    stage will be drawn into: the caller's to use as work space until it
+    asks for the next stage. A stage is valid only until the next one is
+    drawn; the buffers go back to the pool when the generator ends or is
+    dropped. Resampling finite points keeps them finite, so no stage is
+    checked again."""
     prev = first.view()
     # Read-only like a WeightedSampleSet's points: a callable that writes
     # into its input raises instead of changing the draws.
@@ -189,10 +182,10 @@ def build_chain(data: WeightedSampleSet, k: int, seed: int) -> tuple[WeightedSam
     debias_weights(k)
     seed = _checked_int(seed, "seed", 0, _SEED_MAX)
     rng = np.random.default_rng(np.random.SeedSequence([seed])) if k > 1 else None
-    stages = _stages(data.points.reshape(1, -1), k, rng)
+    stages = _stages(data.points, k, rng)
     next(stages)  # stage 1 is the data itself
     # Each stage is copied into its own set before the next overwrites it.
-    return (data, *(WeightedSampleSet(stage[0]) for stage in stages))
+    return (data, *(WeightedSampleSet(stage) for stage in stages))
 
 
 def debiased_realization(
@@ -322,7 +315,7 @@ def outer_mc(prior_sampler: Callable, functional: Callable, cfg: MCConfig) -> MC
 
 
 def _batch_rows(n: int) -> int:
-    # Replicates per chunk of outer_mc_batched: a chunk's (rows, n) array
+    # Replicates per chunk of outer_mc_batched: a chunk's (n, rows) array
     # stays at or under 2 MB of float64. It depends on n only, so the chunk
     # layout, and with it every stream, is the same for any thread count.
     return min(_CHUNK, max(1, _workspace._CHUNK_ELEMENTS // n))
@@ -337,23 +330,26 @@ def outer_mc_batched(
     threads: int,
 ) -> dict[int, MCResult]:
     """outer_mc at several orders k, N_k = reps[k] replicates each, from one
-    pass over chains of the deepest order, a (rows, n) chunk at a time.
+    pass over chains of the deepest order, a point-major (n, b) chunk at a
+    time: column r holds replicate lo + r.
 
-    batch_sampler(out, rng) must fill the C-contiguous (b, n) float64 array
-    ``out`` with b datasets drawn with rng and nothing else; batch_functional
-    maps a read-only (b, n) array to the b plug-in values and must be pure.
-    Both get views of reused work buffers: a stage is valid only during the
-    call it is passed to, so a callable that keeps one must copy it. Chunks
-    of _batch_rows(n) replicates span the largest N_k, and chunk c draws from
-    SeedSequence([root_seed, 1, c]) (1 is the layout's version): first the
-    sampler's draws, then one (b, n) array of resample indices per later
-    stage. The functional runs once per stage; order k adds w_i * f_i over
-    the first k stages, in stage order, and reduces replicates 0..N_k-1
-    only. So an order with the largest N_k has the bits of a pass at that
-    order alone, and any other reads the first N_k chains of the same pass.
-    A NaN value of any order aborts the run. Chunks run on ``threads``
-    threads, as numpy releases the GIL in the array work; the result is the
-    same for any thread count, and all results share the pass's wall time."""
+    batch_sampler(out, rng) must fill the C-contiguous (n, b) float64 array
+    ``out``, in memory order, with draws from rng and nothing else;
+    batch_functional maps a read-only (n, b) array to the b plug-in values,
+    one per column, and must be pure. Both get views of reused work
+    buffers: a stage is valid only during the call it is passed to, so a
+    callable that keeps one must copy it. Chunks of _batch_rows(n)
+    replicates span the largest N_k, and chunk c draws from
+    SeedSequence([root_seed, 2, c]) (2 is the layout's version): first the
+    sampler's draws, then each later stage's (n, b) resample indices in
+    memory order. The functional runs once per stage; order k adds w_i * f_i
+    over the first k stages, in stage order, and reduces replicates
+    0..N_k-1 only. So an order with the largest N_k has the bits of a pass
+    at that order alone, and any other reads the first N_k chains of the
+    same pass. A NaN value of any order aborts the run. Chunks run on
+    ``threads`` threads, as numpy releases the GIL in the array work; the
+    result is the same for any thread count, and all results share the
+    pass's wall time."""
     orders = sorted(reps)
     weights = [debias_weights(k) for k in orders]
     n_reps = max(reps.values())
@@ -366,7 +362,7 @@ def outer_mc_batched(
         # one of its two.
         flat = _workspace.checkout(b * n)
         try:
-            first = flat.reshape(b, n)
+            first = flat.reshape(n, b)
             batch_sampler(first, rng)
             for i, stage in enumerate(_stages(first, orders[-1], rng)):
                 f = batch_functional(stage)
@@ -421,8 +417,8 @@ def debiased_expectation(
     # Each stage is evaluated, its log weights in the spare buffer, before
     # the next is drawn there; the values then combine exactly as a built
     # chain's would.
-    stages = _stages(data.points.reshape(1, -1), k, rng, spare=True)
-    values = [_plugin_expectation(stage[0], likelihood, h, log_w[0]) for stage, log_w in stages]
+    stages = _stages(data.points, k, rng, spare=True)
+    values = [_plugin_expectation(stage, likelihood, h, log_w) for stage, log_w in stages]
     return debiased_realization(values, float, k)
 
 

@@ -377,7 +377,7 @@ class TestRealReturns:
             with pytest.raises(ValueError, match="^h must return bools or real numbers"):
                 plugin_expectation(samples, lik, _BAD_H[name])
             with pytest.raises(ValueError, match="^h must return bools or real numbers"):
-                _plugin_expectation(np.tile(samples.points, (3, 1)), lik, _BAD_H[name])
+                _plugin_expectation(np.tile(samples.points[:, None], 3), lik, _BAD_H[name])
 
     def test_bad_h_in_last_block_raises(self):
         # h is checked on every block it returns, not on the first only.
@@ -396,10 +396,10 @@ class TestRealReturns:
             with pytest.raises(ValueError, match="^likelihood must return real numbers"):
                 plugin_expectation(WeightedSampleSet(points), lik, lambda x: x)
             with pytest.raises(ValueError, match="^likelihood must return real numbers"):
-                _plugin_expectation(np.tile(points, (3, 1)), lik, HALF)
+                _plugin_expectation(np.tile(points[:, None], 3), lik, HALF)
 
     def test_int_and_bool_h_give_the_float_bits(self):
-        pts = np.random.default_rng(9).normal(0.5, 1.0, size=(3, 40))
+        pts = np.random.default_rng(9).normal(0.5, 1.0, size=(40, 3))
         lik = gaussian_likelihood(0.8, 1 / 16)
         ref = _plugin_expectation(pts, lik, lambda x: (x >= 0.5).astype(float))
         for h in (HALF, lambda x: (x >= 0.5).astype(np.int32)):
@@ -443,64 +443,78 @@ class TestLogOut:
             assert plugin_expectation(samples, wrapped, h) == plugin_expectation(samples, lik, h)
 
 
-class TestPluginPosteriorRows:
-    """The plug-in kernel over a stack of sample sets, one per row, with a
-    boolean event as h: what run_mixture_mc's batch functional computes."""
+def assert_close_to_one_set(got, want, n):
+    # A column of a chunk sums its points in point order, a single set
+    # pairwise; the two orders coincide below 8 points, and above they
+    # differ by rounding: n * eps relative, or one subnormal step where the
+    # quotient is subnormal.
+    if n < 8:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=n * np.finfo(float).eps, abs=2**-1074)
+
+
+class TestPluginPosteriorColumns:
+    """The plug-in kernel over a point-major chunk, one sample set per
+    column, with a boolean event as h: what run_mixture_mc's batch
+    functional computes."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         points=arrays(
             np.float64,
-            st.tuples(st.integers(1, 6), st.integers(1, 80)),
+            st.tuples(st.integers(1, 80), st.integers(1, 6)),
             elements=st.floats(-20.0, 20.0),
         ),
         y_obs=st.floats(-5.0, 5.0),
         threshold=st.floats(-3.0, 3.0),
     )
-    def test_each_row_equals_plugin_prob_bitwise(self, points, y_obs, threshold):
+    def test_each_column_equals_plugin_prob(self, points, y_obs, threshold):
         lik = gaussian_likelihood(y_obs, 1 / 16)
         event = lambda x: x >= threshold
-        rows = _plugin_expectation(points, lik, event)
-        assert rows.shape == points.shape[:1]
-        for i, row in enumerate(points):
-            assert rows[i] == plugin_posterior_prob(WeightedSampleSet(row), lik, event)
+        cols = _plugin_expectation(points, lik, event)
+        assert cols.shape == points.shape[1:]
+        for j, column in enumerate(points.T):
+            want = plugin_posterior_prob(WeightedSampleSet(column), lik, event)
+            assert_close_to_one_set(cols[j], want, points.shape[0])
 
-    def test_underflow_in_one_row_raises(self):
-        # only the second row has every likelihood at zero
+    def test_underflow_in_one_column_raises(self):
+        # only the second column has every likelihood at zero
         lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, -np.inf, 0.0))
         with pytest.raises(DegenerateError):
-            _plugin_expectation(np.array([[0.0, 9.0], [9.0, 9.0]]), lik, HALF)
+            _plugin_expectation(np.array([[0.0, 9.0], [9.0, 9.0]]).T, lik, HALF)
 
     def test_nan_likelihood_raises(self):
         lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, np.nan, 0.0))
         with pytest.raises(ValueError):
-            _plugin_expectation(np.array([[0.0, 1.0], [0.0, 9.0]]), lik, HALF)
+            _plugin_expectation(np.array([[0.0, 1.0], [0.0, 9.0]]).T, lik, HALF)
 
-    def test_rows_past_one_block_equal_prob_and_whole_array(self):
+    def test_columns_past_one_block_equal_prob_and_whole_array(self):
         rng = np.random.default_rng(np.random.SeedSequence([3, B]))
-        points = rng.normal(0.5, 1.0, (3, 3 * B + 5))
+        points = rng.normal(0.5, 1.0, (3 * B + 5, 3))
         lik = gaussian_likelihood(0.8, 1 / 16)
-        rows = _plugin_expectation(points, lik, HALF)
+        cols = _plugin_expectation(points, lik, HALF)
         log_w = lik.log(points)
-        w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
-        whole = (w * HALF(points)).sum(axis=-1) / w.sum(axis=-1)
-        assert rows.shape == (3,)
-        assert np.array_equal(rows, whole)
-        for i, row in enumerate(points):
-            assert rows[i] == plugin_posterior_prob(WeightedSampleSet(row), lik, HALF)
+        w = np.exp(log_w - log_w.max(axis=0))
+        whole = (w * HALF(points)).sum(axis=0) / w.sum(axis=0)
+        assert cols.shape == (3,)
+        assert np.array_equal(cols, whole)
+        for j, column in enumerate(points.T):
+            want = plugin_posterior_prob(WeightedSampleSet(column), lik, HALF)
+            assert_close_to_one_set(cols[j], want, points.shape[0])
 
-    def test_nan_in_last_block_of_one_row_raises(self):
-        points = np.zeros((3, 3 * B + 5))
-        points[1, -1] = 9.0
+    def test_nan_in_last_block_of_one_column_raises(self):
+        points = np.zeros((3 * B + 5, 3))
+        points[-1, 1] = 9.0
         lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, np.nan, 0.0))
         with pytest.raises(ValueError, match="NaN"):
             _plugin_expectation(points, lik, HALF)
 
-    def test_all_underflow_in_last_row_raises_past_one_block(self):
-        # Rows 0 and 1 are fine; every weight of row 2 is zero, across all
-        # four blocks.
-        points = np.zeros((3, 3 * B + 5))
-        points[2] = 9.0
+    def test_all_underflow_in_last_column_raises_past_one_block(self):
+        # Columns 0 and 1 are fine; every weight of column 2 is zero, across
+        # all four blocks.
+        points = np.zeros((3 * B + 5, 3))
+        points[:, 2] = 9.0
         lik = BoundedLikelihood(log_fn=lambda x: np.where(x > 5, -np.inf, 0.0))
         with pytest.raises(DegenerateError):
             _plugin_expectation(points, lik, HALF)
@@ -508,22 +522,25 @@ class TestPluginPosteriorRows:
     @pytest.mark.parametrize("n", [7, B, B + 5])
     def test_boolean_event_equals_float_event_bitwise(self, n):
         # A boolean event multiplies the weights as it is; a float h goes
-        # through its float values. Both give the same bits.
-        pts = np.random.default_rng(n).normal(0.5, 1.0, size=(3, n))
+        # through its float values. Both give the same bits, on a chunk and
+        # on each single set.
+        pts = np.random.default_rng(n).normal(0.5, 1.0, size=(n, 3))
         lik = gaussian_likelihood(0.8, 1 / 16)
-        rows = _plugin_expectation(pts, lik, HALF)
-        ref = [
-            plugin_expectation(WeightedSampleSet(r), lik, lambda x: HALF(x).astype(float))
-            for r in pts
-        ]
-        assert [v.hex() for v in rows] == [v.hex() for v in ref]
+        as_float = lambda x: HALF(x).astype(float)
+        cols = _plugin_expectation(pts, lik, HALF)
+        assert cols.tobytes() == _plugin_expectation(pts, lik, as_float).tobytes()
+        for j, column in enumerate(pts.T):
+            one = WeightedSampleSet(column)
+            want = plugin_expectation(one, lik, as_float)
+            assert plugin_posterior_prob(one, lik, HALF).hex() == want.hex()
+            assert_close_to_one_set(cols[j], want, n)
 
 
-def _rows_by_row_max(points, likelihood, h):
-    # The plug-in over whole rows with each row's shift from max(axis=-1),
-    # faults checked in the kernel's order.
+def _columns_by_column_max(points, likelihood, h):
+    # The plug-in over whole columns with each column's shift from
+    # max(axis=0), faults checked in the kernel's order.
     log_w = likelihood.log(points)
-    shift = log_w.max(axis=-1, keepdims=True)
+    shift = log_w.max(axis=0)
     if np.isnan(shift).any():
         raise ValueError("likelihood returned NaN")
     if (shift == np.inf).any():
@@ -531,41 +548,50 @@ def _rows_by_row_max(points, likelihood, h):
     if (shift == -np.inf).any():
         raise DegenerateError("all sample likelihoods underflowed to zero")
     w = np.exp(log_w - shift)
-    return (w * h(points)).sum(axis=-1) / w.sum(axis=-1)
+    return (w * h(points)).sum(axis=0) / w.sum(axis=0)
 
 
-class TestRowShift:
-    """Every call takes its row shifts from one reduceat over the flat log
-    weights, one row or many, within one block or past it; every result and
-    every fault must be what per-row maxima give."""
+COLUMN_SHAPES = [(16, 1), (1, 512), (16, 512), (64, 7), (8, 2), (B, 3), (3 * B + 5, 1), (3 * B + 5, 3)]
 
-    @pytest.mark.parametrize(
-        "shape",
-        [(1, 16), (512, 1), (512, 16), (7, 64), (2, 8), (3, B), (1, 3 * B + 5), (3, 3 * B + 5)],
-    )
+
+class TestColumnShift:
+    """Every call takes its column shifts from one maximum reduce over the
+    points axis, one column or many, within one block or past it; every
+    result and every fault must be what per-column maxima give."""
+
+    @pytest.mark.parametrize("shape", COLUMN_SHAPES)
     @pytest.mark.parametrize("fault", [None, np.nan, np.inf, -np.inf])
-    def test_equals_row_max(self, shape, fault):
+    def test_equals_column_max(self, shape, fault):
         # The identity log_fn makes the points the log weights. The last
-        # row's max is a zero of either sign; one row holds the fault, or
-        # underflows entirely for -inf.
+        # column's max is a zero of either sign; one column holds the
+        # fault, or underflows entirely for -inf.
         points = np.random.default_rng(shape).normal(0.0, 3.0, shape)
-        points[-1] = -np.abs(points[-1])
-        points[-1, ::2] = -0.0
+        points[:, -1] = -np.abs(points[:, -1])
+        points[::2, -1] = -0.0
         points[-1, -1] = 0.0
-        row = shape[0] // 2
+        col = shape[1] // 2
         if fault == -np.inf:
-            points[row] = -np.inf
+            points[:, col] = -np.inf
         elif fault is not None:
-            points[row, -1] = fault
+            points[-1, col] = fault
         lik = BoundedLikelihood(log_fn=lambda x: x)
         try:
-            want = _rows_by_row_max(points, lik, HALF)
+            want = _columns_by_column_max(points, lik, HALF)
         except (ValueError, DegenerateError) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 _plugin_expectation(points, lik, HALF)
             return
         got = _plugin_expectation(points, lik, HALF)
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("shape", COLUMN_SHAPES)
+    def test_unit_h_is_exactly_one_in_every_column(self, shape):
+        # num and den take the same sums, column by column.
+        points = np.random.default_rng(shape).normal(0.5, 1.0, shape)
+        lik = gaussian_likelihood(0.8, 1 / 16)
+        got = _plugin_expectation(points, lik, lambda x: np.ones(x.shape))
+        assert got.shape == shape[1:]
+        assert (got == 1.0).all()
 
 
 class TestGaussianMixture:
@@ -623,9 +649,9 @@ class TestGaussianMixture:
             ref = mix.means[comp] + np.sqrt(mix.variances[comp]) * rng.standard_normal(size)
             assert np.array_equal(mix.sample(size, np.random.default_rng(seed)), ref)
 
-    @pytest.mark.parametrize("cuts", [0, 1, 2, 3, 32, 33])
+    @pytest.mark.parametrize("cuts", [0, 1, 2, 3, 32, 33, 64, 65])
     def test_choice_labels_equal_searchsorted(self, cuts):
-        # Counting passes up to 32 cuts, the binary search past them. A zero
+        # Counting passes up to 64 cuts, the binary search past them. A zero
         # weight repeats the first cut, and one uniform sits on each cut.
         rng = np.random.default_rng(cuts)
         weights = rng.dirichlet(np.ones(cuts + 1))
@@ -633,17 +659,17 @@ class TestGaussianMixture:
             weights[1] = 0.0
         cut_points = _choice_cuts(weights / weights.sum())
         assert cut_points.size == cuts
-        u = rng.random(1000)
+        u = rng.random(4096)
         u[:cuts] = cut_points
         labels = np.full(u.shape, -7, np.intp)
         _choice_labels(u, cut_points, labels, np.empty(u.shape, bool))
         assert np.array_equal(labels, cut_points.searchsorted(u, side="right"))
 
-    @pytest.mark.parametrize("cuts", [0, 1, 2, 32, 33])
+    @pytest.mark.parametrize("cuts", [0, 1, 2, 32, 33, 64, 65])
     @pytest.mark.parametrize("size", [1, 16, 1023, 1024, 4096])
     def test_choice_labels_equal_searchsorted_at_any_size(self, cuts, size):
         # Calls under 1,024 uniforms take the search whatever the cut count,
-        # as counting passes have a fixed cost; larger ones count up to 32
+        # as counting passes have a fixed cost; larger ones count up to 64
         # cuts. Either way the labels are the search's.
         rng = np.random.default_rng([cuts, size])
         cut_points = _choice_cuts(rng.dirichlet(np.ones(cuts + 1)))

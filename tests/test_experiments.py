@@ -577,15 +577,15 @@ class TestRunMixtureMC:
         assert rows_1 == rows_4
 
     # est_mean and est_variance of each (n, k) as float.hex, recorded with
-    # numpy 2.4.6: 9000 replicates are 3 chunks per point, so this pins the
-    # batched stream (MC_RNG_SCHEME) and every reduction on it, bit for bit.
-    # The k = 1 rows read stage 1 of the k = 2 pass at each n; the k = 2
-    # rows have the bits they had when each (n, k) ran its own pass.
+    # numpy 2.4.6 on the point-major v2 layout: 9000 replicates are 3 chunks
+    # per point, so this pins the batched stream (MC_RNG_SCHEME) and every
+    # reduction on it, bit for bit. The k = 1 rows read stage 1 of the k = 2
+    # pass at each n; the k = 2 rows have the bits of that pass alone.
     PINNED_BATCHED = [
-        (16, 1, "0x1.6f2a7d9f29758p-4", "0x1.438bacffa7db6p-4"),
-        (32, 1, "0x1.2dc6a98c9e411p-3", "0x1.dded0b0cc192fp-4"),
-        (16, 2, "0x1.f2c6f3f5e5560p-4", "0x1.587ff734d78a0p-3"),
-        (32, 2, "0x1.9117e9db0b4b5p-3", "0x1.f79cc65d02f48p-3"),
+        (16, 1, "0x1.57ad8c0d83210p-4", "0x1.3183d856efcd9p-4"),
+        (32, 1, "0x1.288a9d24890d6p-3", "0x1.d90ed8c804cdcp-4"),
+        (16, 2, "0x1.cc9ead3d1ee8ap-4", "0x1.3d6358c03dbefp-3"),
+        (32, 2, "0x1.8be973b0010c6p-3", "0x1.f10fee7da3ad1p-3"),
     ]
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -599,23 +599,23 @@ class TestRunMixtureMC:
         assert got == self.PINNED_BATCHED
 
     # The benchmark's mc_mixture grid at root seed 0, recorded with numpy
-    # 2.4.6: N = 512 makes each point one chunk of 512 rows, up to n = 64.
+    # 2.4.6 on the v2 layout: N = 512 makes each point one (n, 512) chunk.
     # Per (n, k), est_mean and est_variance; per (k, column), the slope,
     # intercept and r^2 of its fit; all as float.hex. As in PINNED_BATCHED,
     # the k = 1 entries come from the k = 2 pass at each n.
     PINNED_BENCH_ROWS = [
-        (16, 1, "0x1.3b71bc4ead8bcp-4", "0x1.1935e9b0ccd90p-4"),
-        (32, 1, "0x1.638d69f805db8p-3", "0x1.143ca8b061979p-3"),
-        (64, 1, "0x1.171c11341421cp-2", "0x1.570f30bb1aa0dp-3"),
-        (16, 2, "0x1.ccaabf9d5a9bap-4", "0x1.5bbd07be7a682p-3"),
-        (32, 2, "0x1.d1f35a0fe1cc5p-3", "0x1.1e0fcd9be02efp-2"),
-        (64, 2, "0x1.682fd045e0fecp-2", "0x1.651e97a352ce6p-2"),
+        (16, 1, "0x1.7547b9fc1cf78p-4", "0x1.50d211226321fp-4"),
+        (32, 1, "0x1.37142cba0465fp-3", "0x1.ebbc79dc29a6dp-4"),
+        (64, 1, "0x1.017c91fb80facp-2", "0x1.4cbd091b9982cp-3"),
+        (16, 2, "0x1.fa509eac6d9c0p-4", "0x1.5fe7e7c6e966fp-3"),
+        (32, 2, "0x1.9912a02450d9ep-3", "0x1.e560eaa6dc64dp-3"),
+        (64, 2, "0x1.48ee175ac8d3ap-2", "0x1.443c9d393d334p-2"),
     ]
     PINNED_BENCH_FITS = [
-        (1, "abs_bias", "-0x1.6ab5cdef71ba9p-2", "0x1.3b312c87c3687p-2", "0x1.fcfb73c84263ap-1"),
-        (1, "est_variance", "0x1.496c31e1694dbp-1", "-0x1.18b612b8404d2p+2", "0x1.d686f63e45224p-1"),
-        (2, "abs_bias", "-0x1.07fa7f3e6afb4p-1", "0x1.64a57494422bdp-1", "0x1.f878b67753218p-1"),
-        (2, "est_variance", "0x1.09d4e11ab6251p-1", "-0x1.95564aea5154ep+1", "0x1.e812267d0f843p-1"),
+        (1, "abs_bias", "-0x1.24ce7ca3e084ep-2", "0x1.9e374da600ff2p-4", "0x1.eddeddba13737p-1"),
+        (1, "est_variance", "0x1.f6fe34f29e3d3p-2", "-0x1.ec7a5d755290ep+1", "0x1.fde46c872732ep-1"),
+        (2, "abs_bias", "-0x1.a1d938fbb6216p-2", "0x1.87f2ccad1b3e0p-2", "0x1.eb3567055c134p-1"),
+        (2, "est_variance", "0x1.c382e7cf3725dp-2", "-0x1.7d3e1bf503a1bp+1", "0x1.ff89502a255d5p-1"),
     ]
 
     def test_benchmark_grid_bits_are_pinned(self):
@@ -634,22 +634,22 @@ class TestRunMixtureMC:
         assert fits == self.PINNED_BENCH_FITS
 
     # run_mixture_mc at its defaults (k = 1 only, N = n^3) on 2 threads,
-    # recorded with numpy 2.4.6: per n, N, est_mean, est_variance and
-    # std_error; per column, the slope, intercept and r^2 of its fit; all as
-    # float.hex. A single-order sweep runs one pass per point, so it keeps
-    # these bits under the one-pass-per-n layout.
+    # recorded with numpy 2.4.6 on the v2 layout: per n, N, est_mean,
+    # est_variance and std_error; per column, the slope, intercept and r^2
+    # of its fit; all as float.hex. A single-order sweep runs one pass per
+    # point.
     PINNED_DEFAULT_ROWS = [
-        (8, 512, "0x1.a779705d05bf2p-1", "0x1.b8ae43562933ap-5", "0x1.4fe0db419da54p-7"),
-        (12, 1728, "0x1.b1b5855f52302p-1", "0x1.08973deea8541p-5", "0x1.1b55cc2936f83p-8"),
-        (16, 4096, "0x1.b59f64e00f2f7p-1", "0x1.4c04c80e4d525p-6", "0x1.238ac56c958e0p-9"),
-        (24, 13824, "0x1.bbd821e77c839p-1", "0x1.454b28d744a85p-7", "0x1.bc4a0eba5ffd5p-11"),
-        (32, 32768, "0x1.bdaefcbe5193ep-1", "0x1.bb82e72907088p-8", "0x1.dc86dd624c4adp-12"),
-        (48, 110592, "0x1.bf4e781d98ff2p-1", "0x1.1141feff2d8a5p-8", "0x1.9734c8bdbbbc3p-13"),
-        (64, 262144, "0x1.c017885e3b9d5p-1", "0x1.88b90db5b7261p-9", "0x1.c069b239121dbp-14"),
+        (8, 512, "0x1.9b5e8a21af402p-1", "0x1.18d16d850fda9p-4", "0x1.7b2e8c03e2dd5p-7"),
+        (12, 1728, "0x1.b074eac2f28acp-1", "0x1.fac7ae21d120cp-6", "0x1.1545ed8e96019p-8"),
+        (16, 4096, "0x1.b6ee5db6f38c6p-1", "0x1.525490879982ap-6", "0x1.264cd51a495d5p-9"),
+        (24, 13824, "0x1.bb866ba5ee631p-1", "0x1.52f5de0014eeap-7", "0x1.c586c2be5a33fp-11"),
+        (32, 32768, "0x1.bd9316ea65702p-1", "0x1.bc7c1b6ba6cc6p-8", "0x1.dd0cab42c38f5p-12"),
+        (48, 110592, "0x1.bf38a1de5a51cp-1", "0x1.111ce12a0827cp-8", "0x1.97192007fcaffp-13"),
+        (64, 262144, "0x1.c040dd0091281p-1", "0x1.859e7586d70a9p-9", "0x1.bea3290f07909p-14"),
     ]
     PINNED_DEFAULT_FITS = [
-        ("abs_bias", "-0x1.39b5e8e9c7478p+0", "-0x1.910aa572faa2ap-2", "0x1.fdb6c7abfff23p-1"),
-        ("est_variance", "-0x1.6da0b9d1be230p+0", "0x1.4c4b70da0e7b7p-5", "0x1.fd6ed88af8822p-1"),
+        ("abs_bias", "-0x1.5bf37decc48c6p+0", "0x1.494184494593ep-4", "0x1.fab7d9a1d9f80p-1"),
+        ("est_variance", "-0x1.8019b3bf562ccp+0", "0x1.36e2fc3238665p-2", "0x1.fc2d0b128f154p-1"),
     ]
 
     def test_default_sweep_bits_are_pinned(self):
@@ -667,10 +667,11 @@ class TestRunMixtureMC:
         assert fits == self.PINNED_DEFAULT_FITS
 
     # A k = 2 only sweep on the PINNED_BATCHED grid, recorded with numpy
-    # 2.4.6; the deepest order of a multi-order sweep has these bits too.
+    # 2.4.6 on the v2 layout; the deepest order of a multi-order sweep has
+    # these bits too.
     PINNED_K2_ONLY = [
-        (16, 2, "0x1.f2c6f3f5e5560p-4", "0x1.587ff734d78a0p-3"),
-        (32, 2, "0x1.9117e9db0b4b5p-3", "0x1.f79cc65d02f48p-3"),
+        (16, 2, "0x1.cc9ead3d1ee8ap-4", "0x1.3d6358c03dbefp-3"),
+        (32, 2, "0x1.8be973b0010c6p-3", "0x1.f10fee7da3ad1p-3"),
     ]
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -740,8 +741,8 @@ class TestOnePassPerN:
             values, partials = [], []
             for c, lo in enumerate(range(0, 12_000, rows_per_chunk)):
                 b = min(rows_per_chunk, 12_000 - lo)
-                data = np.empty((b, n))
-                sampler(data, np.random.default_rng(np.random.SeedSequence([seed, 1, c])))
+                data = np.empty((n, b))
+                sampler(data, np.random.default_rng(np.random.SeedSequence([seed, 2, c])))
                 chunk = functional(data)[: max(0, min(b, n**3 - lo))]  # weights [1]
                 values.append(chunk)
                 if chunk.size:
@@ -1149,9 +1150,11 @@ class TestCli:
         # The manifest's stream description, as a literal: a change to the
         # batched stream's layout must change this text on purpose.
         assert MC_RNG_SCHEME == (
-            "outer_mc_batched v1, one pass per n: chunk c at sample size n draws from "
-            "SeedSequence([_point_seed(root_seed, n, max(k_values)), 1, c]), and order k "
-            "reads stages 1..k of the first N_k chains"
+            "outer_mc_batched v2, one pass per n: chunk c at sample size n draws from "
+            "SeedSequence([_point_seed(root_seed, n, max(k_values)), 2, c]) into a point-major "
+            "(n, b) array whose column r is dataset r; the sampler fills it in memory order, "
+            "each later stage's resample indices follow memory order, each dataset's sums run "
+            "in point order, and order k reads stages 1..k of the first N_k chains"
         )
 
     @pytest.mark.parametrize(

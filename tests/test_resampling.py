@@ -436,12 +436,12 @@ class TestOuterMCBatched:
     ELL = [1.0, 2.0]
 
     @classmethod
-    def _draw(cls, b, n, rng):
-        return rng.choice([0.0, 1.0], size=(b, n), p=[1 - cls.Q, cls.Q])
+    def _draw(cls, shape, rng):
+        return rng.choice([0.0, 1.0], size=shape, p=[1 - cls.Q, cls.Q])
 
     @classmethod
     def _sampler(cls, out, rng):
-        out[...] = cls._draw(*out.shape, rng)
+        out[...] = cls._draw(out.shape, rng)
 
     @classmethod
     def _functional(cls, x):
@@ -459,8 +459,9 @@ class TestOuterMCBatched:
     def test_matches_manual_chunk_reduction(self):
         # replicate values recomputed in-test from the published layout:
         # chunk c of _batch_rows(n) replicates draws from
-        # SeedSequence([root, 1, c]), first the data, then the resample
-        # indices; weights [2, -1]. Two full chunks and one partial chunk.
+        # SeedSequence([root, 2, c]), first the (n, b) data, then the (n, b)
+        # resample indices, one replicate per column; weights [2, -1]. Two
+        # full chunks and one partial chunk.
         n, seed = 10**4, 99
         rows = _batch_rows(n)
         reps = 2 * rows + 5
@@ -469,12 +470,12 @@ class TestOuterMCBatched:
         vals = []
         for c, lo in enumerate(range(0, reps, rows)):
             b = min(rows, reps - lo)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 1, c]))
-            data = self._draw(b, n, rng)
-            idx = rng.integers(0, n, size=(b, n))
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 2, c]))
+            data = self._draw((n, b), rng)
+            idx = rng.integers(0, n, size=(n, b))
             for i in range(b):
-                first = functional(WeightedSampleSet(data[i]))
-                second = functional(WeightedSampleSet(data[i][idx[i]]))
+                first = functional(WeightedSampleSet(data[:, i]))
+                second = functional(WeightedSampleSet(data[idx[:, i], i]))
                 vals.append(2.0 * first - 1.0 * second)
         vals = np.array(vals)
         assert res.n_reps == reps == vals.size
@@ -483,8 +484,9 @@ class TestOuterMCBatched:
         assert res.std_error == pytest.approx(sqrt(res.variance / reps), rel=1e-15)
 
     def test_later_stages_equal_take_along_axis(self):
-        # Each later stage is take_along_axis of the stage before with the
-        # chunk's next (b, n) integer draw, bit for bit; two chunks.
+        # Each later stage is take_along_axis of the stage before, along
+        # the points axis, with the chunk's next (n, b) integer draw, bit for
+        # bit; two chunks.
         n, k, seed = 7, 3, 5
         reps = _batch_rows(n) + 10
         seen = []
@@ -494,17 +496,17 @@ class TestOuterMCBatched:
 
         def functional(x):
             seen.append(x.copy())
-            return np.zeros(x.shape[0])
+            return np.zeros(x.shape[1])
 
         outer_mc_batched(sampler, functional, n, {k: reps}, seed, 1)
         expected = []
         for c, lo in enumerate(range(0, reps, _batch_rows(n))):
             b = min(_batch_rows(n), reps - lo)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 1, c]))
-            stage = rng.standard_normal((b, n))
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 2, c]))
+            stage = rng.standard_normal((n, b))
             expected.append(stage)
             for _ in range(k - 1):
-                stage = np.take_along_axis(stage, rng.integers(0, n, size=(b, n)), axis=1)
+                stage = np.take_along_axis(stage, rng.integers(0, n, size=(n, b)), axis=0)
                 expected.append(stage)
         assert len(seen) == len(expected) == 2 * k
         for got, ref in zip(seen, expected):
@@ -521,7 +523,7 @@ class TestOuterMCBatched:
         )
 
     def test_constant_functional(self):
-        constant = lambda x: np.full(x.shape[0], 3.25)
+        constant = lambda x: np.full(x.shape[1], 3.25)
         res = outer_mc_batched(self._sampler, constant, 4, {3: 50}, 1, 1)[3]
         assert res.mean == 3.25
         assert res.variance == 0.0
@@ -590,7 +592,7 @@ class TestOuterMCBatched:
         # read-only, so it cannot change the draws of a later stage.
         def functional(x):
             x += 1.0
-            return np.zeros(x.shape[0])
+            return np.zeros(x.shape[1])
 
         with pytest.raises(ValueError, match="read-only"):
             outer_mc_batched(self._sampler, functional, 8, {k: 10}, 2, 1)
@@ -599,7 +601,7 @@ class TestOuterMCBatched:
         # two chunks on two threads: the worker's error reaches the caller
         with pytest.raises(FloatingPointError):
             outer_mc_batched(
-                self._sampler, lambda x: np.full(x.shape[0], np.nan), 3, {1: 5000}, 0, 2
+                self._sampler, lambda x: np.full(x.shape[1], np.nan), 3, {1: 5000}, 0, 2
             )
 
 
@@ -776,8 +778,8 @@ class TestDebiasedExpectationBlocks:
     def test_every_stage_is_read_only(self):
         # A data set's points are read-only; a writable first stage is a
         # caller's work buffer. Either way every stage is handed out read-only.
-        points = WeightedSampleSet(np.linspace(0.0, 1.0, B + 1)).points.reshape(1, -1)
-        for first in (points, points.copy()):
+        points = WeightedSampleSet(np.linspace(0.0, 1.0, B + 1)).points
+        for first in (points, points.copy(), points.reshape(-1, 1).copy()):
             for stage in _stages(first, 5, np.random.default_rng(8)):
                 assert not stage.flags.writeable
 
@@ -951,16 +953,20 @@ class TestIndexBlocks:
         assert_same_generator(rng, want_rng, n)
 
     @pytest.mark.parametrize(
-        "b, n",
-        [(1, 10_001), (1, 3 * B + 5), (2, B + 3), (3, 7), (26, 10**4), (4096, 16), (5, 999), (7, 999)],
+        "shape",
+        [(10_001,), (3 * B + 5,), (10_001, 1), (3 * B + 5, 1), (B + 3, 2), (7, 3), (10**4, 26),
+         (16, 4096), (999, 5), (999, 7)],
     )
     @pytest.mark.parametrize("prior", [0, 1])
-    def test_resample_leaves_the_state_of_one_integers_call(self, b, n, prior):
-        prev = np.random.default_rng(b).standard_normal((b, n))
+    def test_resample_leaves_the_state_of_one_integers_call(self, shape, prior):
+        # A single chain's (n,) stage and a chunk's (n, b) one alike: column
+        # r draws from column r at one integers call's (n, b) indices.
+        n = shape[0]
+        prev = np.random.default_rng(shape).standard_normal(shape)
         stage = np.empty_like(prev)
         rng, want_rng = seeded(n, prior), seeded(n, prior)
         _resample(prev, stage, rng)
-        want = np.take_along_axis(prev, want_rng.integers(0, n, size=(b, n)), axis=1)
+        want = np.take_along_axis(prev, want_rng.integers(0, n, size=shape), axis=0)
         assert np.array_equal(stage, want)
         assert_same_generator(rng, want_rng, n)
 
