@@ -649,8 +649,9 @@ class TestGaussianMixture:
             ref = mix.means[comp] + np.sqrt(mix.variances[comp]) * rng.standard_normal(size)
             assert np.array_equal(mix.sample(size, np.random.default_rng(seed)), ref)
 
-    @pytest.mark.parametrize("cuts", [0, 1, 2, 3, 32, 33, 64, 65])
-    def test_choice_labels_equal_searchsorted(self, cuts):
+    @pytest.mark.parametrize("size", [1024, 2048, 4096])
+    @pytest.mark.parametrize("cuts", [0, 1, 2, 3, 8, 32, 33, 64, 65])
+    def test_choice_labels_equal_searchsorted(self, cuts, size):
         # Counting passes up to 64 cuts, the binary search past them. A zero
         # weight repeats the first cut, and one uniform sits on each cut.
         rng = np.random.default_rng(cuts)
@@ -659,14 +660,14 @@ class TestGaussianMixture:
             weights[1] = 0.0
         cut_points = _choice_cuts(weights / weights.sum())
         assert cut_points.size == cuts
-        u = rng.random(4096)
+        u = rng.random(size)
         u[:cuts] = cut_points
         labels = np.full(u.shape, -7, np.intp)
         _choice_labels(u, cut_points, labels, np.empty(u.shape, bool))
         assert np.array_equal(labels, cut_points.searchsorted(u, side="right"))
 
-    @pytest.mark.parametrize("cuts", [0, 1, 2, 32, 33, 64, 65])
-    @pytest.mark.parametrize("size", [1, 16, 1023, 1024, 4096])
+    @pytest.mark.parametrize("cuts", [0, 1, 2, 8, 32, 33, 64, 65])
+    @pytest.mark.parametrize("size", [1, 16, 1023, 1024, 2048, 4096])
     def test_choice_labels_equal_searchsorted_at_any_size(self, cuts, size):
         # Calls under 1,024 uniforms take the search whatever the cut count,
         # as counting passes have a fixed cost; larger ones count up to 64
@@ -761,6 +762,24 @@ class TestMixtureTailOracle:
         single = GaussianMixture([1.0], [0.0], [1.0])
         got = mixture_posterior_tail_prob(single, 1.0, 0.0, 0.0)
         assert got == pytest.approx(0.5, abs=1e-14)
+
+    # float.hex of the probability at the default mixture-mc setting, at the
+    # benchmark's tail setting, and at a 4-component prior (with both
+    # infinite thresholds), recorded with numpy 2.4.6.
+    MIX4 = GaussianMixture([0.1, 0.2, 0.3, 0.4], [-1.0, 0.0, 0.5, 2.0], [0.5, 1.0, 2.0, 0.25])
+    PINNED = [
+        ("default", 1 / 16, 0.8, 0.5, "0x1.c2531efeecf04p-1"),
+        ("default", 1 / 16, 3.5, 3.3, "0x1.297a055650640p-1"),
+        ("four", 0.3, 1.2, 0.7, "0x1.bd98f5c0fa5eap-1"),
+        ("four", 0.3, 1.2, float("inf"), "0x0.0p+0"),
+        ("four", 0.3, 1.2, -float("inf"), "0x1.0000000000000p+0"),
+    ]
+
+    @pytest.mark.parametrize("prior, noise_var, y_obs, threshold, want", PINNED)
+    def test_bits_are_pinned(self, prior, noise_var, y_obs, threshold, want):
+        mix = self.MIX if prior == "default" else self.MIX4
+        got = mixture_posterior_tail_prob(mix, noise_var, y_obs, threshold)
+        assert type(got) is float and got.hex() == want
 
     def test_rejects_bad_noise(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import posterior_debias
 from posterior_debias import cli
@@ -280,6 +281,82 @@ class TestFitSlope:
             self._numpy_fit(sizes, values)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             fit_slope(sizes, values)
+
+
+def _fit_hex(fit):
+    if fit is None:
+        return None
+    return (fit.slope.hex(), fit.intercept.hex(), fit.r_squared.hex(), fit.points_used)
+
+
+# Columns of the rows that _slope_fits fits against n.
+_COLUMNS = {"a": lambda r: r["a"], "b": lambda r: r["b"], "c": lambda r: r["c"]}
+
+
+@st.composite
+def _sweep_rows(draw):
+    # The rows of a sweep over 2-8 sizes and 1-4 orders, k-major, with three
+    # positive columns spread over 30 decades; a column may hold a zero (no
+    # slope), and the last order may stop early, as a stopped sweep does, with
+    # fewer points or a single one.
+    m = draw(st.integers(2, 8))
+    sizes = sorted(draw(st.lists(st.integers(1, 10**6), min_size=m, max_size=m, unique=True)))
+    ks = list(range(1, draw(st.integers(1, 4)) + 1))
+    decades = st.floats(-20, 10, allow_nan=False)
+    rows = []
+    for k in ks:
+        done = draw(st.integers(1, m)) if k == ks[-1] and draw(st.booleans()) else m
+        for n in sizes[:done]:
+            row = {"n": n, "k": k}
+            for name in _COLUMNS:
+                row[name] = 0.0 if draw(st.integers(0, 40)) == 0 else 10.0 ** draw(decades)
+            rows.append(row)
+    return rows, ks
+
+
+class TestSharedSlopeFits:
+    """_slope_fits fits every column against n; each fit must have the bits,
+    the None and the warning of its own fit_slope call."""
+
+    @staticmethod
+    def _one_by_one(rows, ks):
+        want = {}
+        for k in ks:
+            sub = [r for r in rows if r["k"] == k]
+            want[k] = {}
+            for name, value in _COLUMNS.items():
+                vals = [value(r) for r in sub]
+                usable = len(vals) >= 2 and min(vals) > 0
+                want[k][name] = _fit_hex(fit_slope([r["n"] for r in sub], vals)) if usable else None
+        return want
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(_sweep_rows())
+    def test_each_column_has_the_bits_of_fit_slope(self, sweep):
+        rows, ks = sweep
+        got = _slope_fits(rows, ks, _COLUMNS)
+        assert {k: {c: _fit_hex(f) for c, f in fits.items()} for k, fits in got.items()} == (
+            self._one_by_one(rows, ks)
+        )
+
+    def test_rank_deficient_columns_warn_and_keep_the_bits(self):
+        # Two sizes one ulp apart give the same log twice: rank 1, as in
+        # TestFitSlope, for every column at once.
+        rows = [
+            {"n": n, "k": k, "a": 1.0 + k, "b": 2.0 * k + i, "c": 3.0}
+            for k in (1, 2)
+            for i, n in enumerate([np.e, np.nextafter(np.e, 3)])
+        ]
+        with pytest.warns(np.exceptions.RankWarning, match="Polyfit may be poorly conditioned"):
+            got = _slope_fits(rows, (1, 2), _COLUMNS)
+        with pytest.warns(np.exceptions.RankWarning):
+            want = self._one_by_one(rows, (1, 2))
+        assert {k: {c: _fit_hex(f) for c, f in fits.items()} for k, fits in got.items()} == want
+
+    def test_fit_slope_warning_names_its_caller(self):
+        with pytest.warns(np.exceptions.RankWarning) as record:
+            fit_slope([np.e, np.nextafter(np.e, 3)], [1.0, 2.0])
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestExperimentConfig:
