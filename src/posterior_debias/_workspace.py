@@ -51,9 +51,9 @@ def checkout(elements: int, dtype=np.float64) -> np.ndarray:
     released kept buffer, or of a new one when none is kept."""
     if elements < _SMALL or elements * np.dtype(dtype).itemsize > 8 * _CHUNK_ELEMENTS:
         return np.empty(elements, dtype)
-    with _lock:
-        buf = _free.pop() if _free else None
-    if buf is None:
+    try:
+        buf = _free.pop()  # atomic, so it needs no lock; release's check-then-append does
+    except IndexError:
         buf = np.empty(_CHUNK_ELEMENTS)
     return buf.view(dtype)[:elements]
 
@@ -64,9 +64,8 @@ def release(*views: np.ndarray) -> None:
     otherwise; the caller must not touch it again either way. They are kept
     last first, so checking out the same requests again returns them in the
     same order."""
-    for view in reversed(views):
-        buf = view.base  # None for a plain allocation, which owns its data
-        if buf is not None and buf.size == _CHUNK_ELEMENTS:
-            with _lock:
-                if len(_free) < _MAX_KEPT:
-                    _free.append(buf)
+    with _lock:
+        for view in reversed(views):
+            buf = view.base  # None for a plain allocation, which owns its data
+            if buf is not None and buf.size == _CHUNK_ELEMENTS and len(_free) < _MAX_KEPT:
+                _free.append(buf)

@@ -4,7 +4,7 @@ oracles for the Gaussian-mixture setting."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import erfc, isnan, log, pi, sqrt
+from math import erfc, inf, isnan, log, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -14,8 +14,10 @@ from .errors import DegenerateError
 from .simplex import ProbVector, _checked_int, _checked_real, _checked_vector, _is_int, _real_array
 
 _BLOCK = 2**14  # points per block of the plug-in expectation: 128 KiB of float64
-_COUNTED_CUTS = 64  # most cut points that _choice_labels counts pass by pass (<= 255)
-_COUNTED_SIZE = 2**10  # fewest uniforms that _choice_labels counts pass by pass
+# (fewest uniforms, most cut points) at which _choice_labels counts pass by
+# pass, largest first; fewer uniforms or more cuts take the search. A byte
+# holds the count, so no row may allow more than 255 cuts.
+_COUNTED = ((4096, 64), (2048, 6), (1024, 1))
 
 
 @dataclass(frozen=True)
@@ -223,12 +225,12 @@ def _plugin_expectation(
         for lo in range(0, n, _BLOCK):
             likelihood.log(points[lo : lo + _BLOCK], log_w[lo : lo + _BLOCK])
         shift = np.maximum.reduce(log_w, axis=0)
-        lowest, highest = shift.min(), shift.max()
-        if np.isnan(lowest):
+        lowest, highest = np.minimum.reduce(shift, axis=None), np.maximum.reduce(shift, axis=None)
+        if isnan(lowest):
             raise ValueError("likelihood returned NaN")
-        if highest == float("inf"):
+        if highest == inf:
             raise ValueError("likelihood returned +inf; it must be bounded")
-        if lowest == float("-inf"):
+        if lowest == -inf:
             raise DegenerateError("all sample likelihoods underflowed to zero")
         log_w -= shift
         np.exp(log_w, out=log_w)
@@ -268,14 +270,16 @@ def _choice_labels(u: np.ndarray, cuts: np.ndarray, labels: np.ndarray, mask: np
     rng.choice(p.size, p=p) turns the same uniforms into the same labels
     with cdf.searchsorted(u, side="right"): u < 1 = cdf[-1], so the last
     entry never counts. One compare pass per cut, added up in the mask's
-    bytes and copied into the labels once, beats the binary search from
-    about 1,024 uniforms on, up to a cut count that grows with their
-    number: on a 2-core x86-64 host, about 144 cuts at 8,192 uniforms and
-    between 64 and 128 at 4,096. Each pass costs about 1 us whatever its
-    size, so below 1,024 uniforms, and past _COUNTED_CUTS, the search is
-    used. A byte holds a count of at most 255, and bytes add to bytes with
-    no cast, where a bool mask added to the labels took a 64 KB buffer."""
-    if cuts.size > _COUNTED_CUTS or u.size < _COUNTED_SIZE:
+    bytes and copied into the labels once, beats the binary search up to a
+    cut count that grows fast with the number of uniforms, as each pass has
+    a fixed cost of about 1 us: on a 2-core x86-64 host (medians of 9
+    rounds) counting won at 1 cut of 1,024 uniforms, up to 6 cuts of 2,048
+    (14.6 against 14.3 us at 8), up to 32 of 3,072 and past 64 from 4,096,
+    about 144 at 8,192. _COUNTED holds those crossovers. A byte holds a
+    count of at most 255, and bytes add to bytes with no cast, where a bool
+    mask added to the labels took a 64 KB buffer."""
+    most = next((most for fewest, most in _COUNTED if u.size >= fewest), -1)
+    if cuts.size > most:
         labels[...] = cuts.searchsorted(u, side="right")
         return
     if not cuts.size:
@@ -391,29 +395,32 @@ def mixture_posterior_tail_prob(
     threshold = _checked_real(threshold, "threshold", finite=False)
     if noise_var <= 0:
         raise ValueError(f"noise_var must be positive, got {noise_var}")
-    log_w = np.empty(prior.weights.size)
-    post_mean = np.empty(prior.weights.size)
-    post_var = np.empty(prior.weights.size)
-    for i in range(prior.weights.size):
-        w, mu, s2 = prior.weights[i], prior.means[i], prior.variances[i]
+    # Per component on Python floats: the operations and the bits of
+    # float64 scalars, without their dispatch. ** is pow, as for a float64
+    # (d * d rounds differently), but on a float it raises where a float64
+    # overflows to inf.
+    log_w, post_mean, post_var = [], [], []
+    for w, mu, s2 in zip(prior.weights.tolist(), prior.means.tolist(), prior.variances.tolist()):
         marginal_var = s2 + noise_var
-        log_w[i] = (
-            (log(w) if w > 0 else -np.inf)
-            - 0.5 * log(2 * pi * marginal_var)
-            - (y_obs - mu) ** 2 / (2 * marginal_var)
+        try:
+            square = (y_obs - mu) ** 2
+        except OverflowError:
+            square = inf
+        log_w.append(
+            (log(w) if w > 0 else -inf) - 0.5 * log(2 * pi * marginal_var) - square / (2 * marginal_var)
         )
         v = 1.0 / (1.0 / s2 + 1.0 / noise_var)
-        post_var[i] = v
-        post_mean[i] = v * (mu / s2 + y_obs / noise_var)
-    if log_w.max() == -np.inf:
+        post_var.append(v)
+        post_mean.append(v * (mu / s2 + y_obs / noise_var))
+    log_w = np.array(log_w)
+    top = log_w.max()
+    if top == -inf:
         raise DegenerateError(f"no mixture component has a nonzero weight at y_obs={y_obs!r}")
-    log_w -= log_w.max()
+    log_w -= top
     w_post = np.exp(log_w)
     w_post /= w_post.sum()
-    tails = [
-        _normal_tail((threshold - post_mean[i]) / sqrt(post_var[i]))
-        for i in range(w_post.size)
-    ]
+    z = (threshold - np.array(post_mean)) / np.sqrt(post_var)
+    tails = [_normal_tail(v) for v in z.tolist()]
     prob = float(w_post @ tails)
     if isnan(prob):
         raise DegenerateError("the posterior tail probability is NaN at these mixture parameters")

@@ -61,6 +61,14 @@ class SlopeFit:
     points_used: int
 
 
+# Most points at which one lstsq over several right-hand sides gives each
+# the bits of its own solve: so on 3,300 random fits of 1-16 columns at each
+# of 2-7 points (numpy 2.4.6, OpenBLAS at 1 and 2 threads), while at 8 and 9
+# points 13% and 32% of the columns differed in their last bits.
+_SHARED_SOLVE_POINTS = 7
+_EPS = float(np.finfo(float).eps)
+
+
 def fit_slope(sizes, values) -> SlopeFit:
     """Least-squares slope of log(value) on log(size).
 
@@ -74,44 +82,67 @@ def fit_slope(sizes, values) -> SlopeFit:
     ns, vs = ns.astype(float, copy=False), vs.astype(float, copy=False)
     if ns.ndim != 1 or ns.shape != vs.shape:
         raise ValueError("sizes and values must be 1-d and the same length")
-    # The checks run on Python floats: a sweep fits a handful of points,
-    # where one numpy call costs more than the loop it replaces.
-    n_list, v_list = ns.tolist(), vs.tolist()
-    for name, items in (("sizes", n_list), ("values", v_list)):
+    (fit,) = _fit_columns(ns.tolist(), [vs.tolist()])
+    return fit
+
+
+def _fit_columns(sizes: list[float], columns: list[list[float]]) -> list[SlopeFit]:
+    """fit_slope(sizes, values) for each values in ``columns``, lists of
+    floats as long as ``sizes``, with its checks and its bits, from one
+    least-squares solve with a right-hand side per column up to
+    _SHARED_SOLVE_POINTS points. A rank-deficient fit warns once, naming
+    the caller's caller."""
+    # The checks and the steps run on Python floats where that gives the
+    # same bits: a sweep fits a handful of points, where one numpy call
+    # costs more than the loop it replaces.
+    for name, items in (("sizes", sizes), *(("values", v) for v in columns)):
         bad = [v for v in items if not math.isfinite(v)]
         if bad:
             raise ValueError(f"{name} must be finite, got {bad}")
     # A set, not np.unique: np.unique imports numpy.ma on its first call,
     # about 15 ms of a cold binary-exact sweep.
-    if len(set(n_list)) < 2:
+    if len(set(sizes)) < 2:
         raise ValueError("slope fit needs at least 2 points at distinct sizes")
-    if min(n_list) <= 0:
+    if min(sizes) <= 0:
         raise ValueError("sizes must be positive")
-    if min(v_list) <= 0:
+    if any(min(v) <= 0 for v in columns):
         raise ValueError("slope fit needs positive values")
-    x = np.log(ns)
-    y = np.log(vs)
+    points = len(sizes)
+    x = np.log(sizes).tolist()
+    y = np.log(columns)  # one row per column
     # np.polyfit(x, y, 1) without its wrapper, in its steps: the columns
-    # [x, 1], each scaled to unit norm, lstsq at rcond len(x) * eps, then
-    # unscaled, with its warning on a rank-deficient fit.
-    lhs = np.empty((x.size, 2))
-    lhs[:, 0] = x
-    lhs[:, 1] = 1.0
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    coef, _, rank, _ = np.linalg.lstsq(lhs, y, x.size * np.finfo(float).eps)
-    if rank != 2:
-        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
-    slope, intercept = (coef / scale).tolist()
-    resid = y - (slope * x + intercept)
-    ss_res = float(resid @ resid)
-    # y.mean() is this sum over this count, and y.sum() this reduce, without
-    # their dispatch; squaring in place is what ** 2 computes.
-    dev = y - np.add.reduce(y) / y.size
-    dev *= dev
-    ss_tot = float(np.add.reduce(dev))
-    r2 = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
-    return SlopeFit(slope=slope, intercept=intercept, r_squared=r2, points_used=len(n_list))
+    # [x, 1], each scaled to unit norm (the norm of x is a sum down a
+    # column, which numpy adds in row order), lstsq at rcond len(x) * eps,
+    # then unscaled, with its warning on a rank-deficient fit. lstsq solves
+    # a 1-d right-hand side as one column of a 2-d one.
+    squares = x[0] * x[0]
+    for v in x[1:]:
+        squares += v * v
+    scale, unit = math.sqrt(squares), math.sqrt(points)
+    lhs = np.array([[v / scale, 1.0 / unit] for v in x])
+    parts = [y] if points <= _SHARED_SOLVE_POINTS else np.split(y, len(y))
+    solves = [np.linalg.lstsq(lhs, part.T, points * _EPS) for part in parts]
+    if solves[0][2] != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=3)
+    slopes, intercepts = np.concatenate([solve[0] for solve in solves], axis=1).tolist()
+    slopes = [b / scale for b in slopes]
+    intercepts = [a / unit for a in intercepts]
+    y_rows = y.tolist()
+    # Per column: y - (slope * x + intercept) and its dot with itself (the
+    # BLAS ddot of resid @ resid); the squared deviations from y.mean() added
+    # up as y.sum() adds them (one reduce along a contiguous row).
+    resid = np.array(
+        [[u - (b * v + a) for u, v in zip(ys, x)] for ys, b, a in zip(y_rows, slopes, intercepts)]
+    )
+    ss_res = np.vecdot(resid, resid).tolist()
+    means = [total / points for total in np.add.reduce(y, axis=1).tolist()]
+    dev = np.array([[(u - mean) * (u - mean) for u in ys] for ys, mean in zip(y_rows, means)])
+    ss_tot = np.add.reduce(dev, axis=1).tolist()
+    fits = []
+    for b, a, res, tot in zip(slopes, intercepts, ss_res, ss_tot):
+        r2 = 1.0 if tot == 0.0 else min(1.0, max(0.0, 1.0 - res / tot))
+        fits.append(SlopeFit(slope=b, intercept=a, r_squared=r2, points_used=points))
+    return fits
 
 
 # The slope fits of each sweep: name in the manifest -> the row value fitted.
@@ -125,15 +156,20 @@ _MIXTURE_FITS = {
 def _slope_fits(rows: list[dict], k_values, columns: dict) -> dict:
     """Per k, fit_slope of each of ``columns`` against n. A column with a
     non-positive value (an all-zero bias of a linear map) or fewer than 2
-    points (a stopped sweep) has no slope: None."""
-    fits = {}
+    points (a stopped sweep) has no slope: None. The columns over one list
+    of n, every column of a finished sweep, share one _fit_columns solve."""
+    fits, shared = {}, {}
     for k in k_values:
         sub = [r for r in rows if r["k"] == k]
-        fits[k] = {}
+        fits[k] = dict.fromkeys(columns)
         for name, value in columns.items():
             vals = [value(r) for r in sub]
-            usable = len(vals) >= 2 and all(v > 0 for v in vals)
-            fits[k][name] = fit_slope([r["n"] for r in sub], vals) if usable else None
+            if len(vals) >= 2 and all(v > 0 for v in vals):
+                ns = tuple(float(r["n"]) for r in sub)
+                shared.setdefault(ns, []).append((fits[k], name, [float(v) for v in vals]))
+    for ns, targets in shared.items():
+        for (slot, name, _), fit in zip(targets, _fit_columns(list(ns), [t[2] for t in targets])):
+            slot[name] = fit
     return fits
 
 

@@ -66,9 +66,11 @@ def debias_weights(k: int) -> np.ndarray:
     shared between calls. k must be an integer in [1, MAX_ORDER].
     """
     k = _checked_int(k, "k", 1, MAX_ORDER)
-    w = np.array([comb(k, j + 1) * (-1) ** j for j in range(k)], dtype=float)
-    if w.sum() != 1.0:  # integer-valued floats below 2^53: sum is exact
-        raise ValueError(f"debias weights sum to {w.sum()!r}, not 1")
+    weights = [float(comb(k, j + 1) * (-1) ** j) for j in range(k)]
+    total = sum(weights)  # integer-valued floats below 2^53: the sum is exact
+    if total != 1.0:
+        raise ValueError(f"debias weights sum to {np.float64(total)!r}, not 1")
+    w = np.array(weights)
     w.flags.writeable = False
     return w
 

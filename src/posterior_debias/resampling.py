@@ -16,7 +16,9 @@ threads run.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
+from bisect import bisect_right
 import time
 from dataclasses import dataclass
 from math import isnan, sqrt
@@ -351,7 +353,13 @@ def outer_mc_batched(
     result is the same for any thread count, and all results share the
     pass's wall time."""
     orders = sorted(reps)
-    weights = [debias_weights(k) for k in orders]
+    depth = orders[-1]
+    # Row j, column i: order j's weight of stage i. Stage i adds only to the
+    # orders deeper than i, a suffix of the sorted orders, which starts at
+    # row tops[i]; the zeros that pad the table are never read.
+    weights = [debias_weights(k).tolist() for k in orders]
+    table = np.array([w + [0.0] * (depth - len(w)) for w in weights])
+    tops = [bisect_right(orders, i) for i in range(depth)]
     n_reps = max(reps.values())
 
     def run_span(chunk: int, lo: int, hi: int) -> list[tuple[int, float, float] | None]:
@@ -364,28 +372,31 @@ def outer_mc_batched(
         try:
             first = flat.reshape(n, b)
             batch_sampler(first, rng)
-            for i, stage in enumerate(_stages(first, orders[-1], rng)):
-                f = batch_functional(stage)
-                for row, w in zip(values, weights):
-                    if i < w.size:
-                        row += w[i] * f
-                del f  # not held while the next stage is drawn
+            for i, stage in enumerate(_stages(first, depth, rng)):
+                top = tops[i]
+                values[top:] += table[top:, i, None] * batch_functional(stage)
         finally:
             _workspace.release(flat)
-        if np.isnan(values).any():
+        # A min is NaN exactly when some value is.
+        if isnan(np.minimum.reduce(values, axis=None)):
             raise FloatingPointError(f"functional returned NaN in replicates {lo}..{hi - 1}")
+        # Per run of orders that reduce the same replicates: each row's
+        # row.mean() and ((row - mean) ** 2).sum(), bit for bit, as one
+        # reduce per contiguous row of the block and its square made in place.
         partials = []
-        for row, k in zip(values, orders):
-            row = row[: max(0, min(hi, reps[k]) - lo)]
-            if row.size:
-                # row.mean() and ((row - mean) ** 2).sum(), bit for bit, with
-                # their reduce and square made directly.
-                mean = np.add.reduce(row) / row.size
-                row -= mean
-                row *= row
-                partials.append((row.size, float(mean), float(np.add.reduce(row))))
-            else:
-                partials.append(None)
+        sizes = [max(0, min(hi, reps[k]) - lo) for k in orders]
+        start = 0
+        for size, group in itertools.groupby(sizes):
+            count = len(list(group))
+            block = values[start : start + count, :size]
+            start += count
+            if not size:
+                partials += [None] * count
+                continue
+            means = np.add.reduce(block, axis=1) / size
+            block -= means[:, None]
+            block *= block
+            partials += [(size, mean, m2) for mean, m2 in zip(means.tolist(), np.add.reduce(block, axis=1).tolist())]
         return partials
 
     results = _drive(run_span, n_reps, _batch_rows(n), threads)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from math import comb, factorial, log
+from math import comb, factorial, isfinite, isnan, log
 
 import numpy as np
 
@@ -61,6 +61,9 @@ def _checked_vector(values, name: str, finite: bool = True) -> np.ndarray:
 def _checked_real(value, name: str, finite: bool = True) -> float:
     """``value`` as a float, by the rule of _checked_vector for one value,
     which must be a scalar: a list or an array of one entry is not."""
+    # A float, as every config field is stored, passes or fails on itself.
+    if type(value) is float and (isfinite(value) or not (finite or isnan(value))):
+        return value
     if np.ndim(value):
         raise ValueError(f"{name} must be one real number, got {value!r}")
     return _checked_vector([value], name, finite).item()
@@ -103,7 +106,7 @@ class ProbVector:
 
     def __post_init__(self):
         p = _checked_vector(self.probs, "probs")
-        if np.any(p < 0):
+        if (p < 0).any():
             raise ValueError(f"negative probability entry: min={p.min()}")
         total = float(p.sum())
         if abs(total - 1.0) > 1e-12:

@@ -650,9 +650,10 @@ class TestGaussianMixture:
             assert np.array_equal(mix.sample(size, np.random.default_rng(seed)), ref)
 
     @pytest.mark.parametrize("size", [1024, 2048, 4096])
-    @pytest.mark.parametrize("cuts", [0, 1, 2, 3, 8, 32, 33, 64, 65])
+    @pytest.mark.parametrize("cuts", [0, 1, 2, 3, 6, 7, 8, 32, 33, 64, 65])
     def test_choice_labels_equal_searchsorted(self, cuts, size):
-        # Counting passes up to 64 cuts, the binary search past them. A zero
+        # Counting passes up to the cut count _COUNTED allows at the size,
+        # the binary search past it. A zero
         # weight repeats the first cut, and one uniform sits on each cut.
         rng = np.random.default_rng(cuts)
         weights = rng.dirichlet(np.ones(cuts + 1))
@@ -666,12 +667,13 @@ class TestGaussianMixture:
         _choice_labels(u, cut_points, labels, np.empty(u.shape, bool))
         assert np.array_equal(labels, cut_points.searchsorted(u, side="right"))
 
-    @pytest.mark.parametrize("cuts", [0, 1, 2, 8, 32, 33, 64, 65])
+    @pytest.mark.parametrize("cuts", [0, 1, 2, 6, 7, 8, 32, 33, 64, 65])
     @pytest.mark.parametrize("size", [1, 16, 1023, 1024, 2048, 4096])
     def test_choice_labels_equal_searchsorted_at_any_size(self, cuts, size):
         # Calls under 1,024 uniforms take the search whatever the cut count,
-        # as counting passes have a fixed cost; larger ones count up to 64
-        # cuts. Either way the labels are the search's.
+        # as counting passes have a fixed cost; larger ones count up to the
+        # cut count _COUNTED allows at their size. Either way the labels are
+        # the search's.
         rng = np.random.default_rng([cuts, size])
         cut_points = _choice_cuts(rng.dirichlet(np.ones(cuts + 1)))
         u = rng.random(size)

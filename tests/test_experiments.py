@@ -353,6 +353,35 @@ class TestSharedSlopeFits:
             want = self._one_by_one(rows, (1, 2))
         assert {k: {c: _fit_hex(f) for c, f in fits.items()} for k, fits in got.items()} == want
 
+    @pytest.mark.parametrize(
+        "run, cfg",
+        [
+            (
+                run_mixture_mc,
+                default_mixture_config(
+                    n_grid=(16, 32, 64), k_values=(1, 2), n_rule="fixed", n_fixed=512,
+                    y_obs=3.5, noise_var=1 / 16, threshold=3.3, root_seed=0,
+                ),
+            ),
+            (run_binary_exact, default_binary_config()),
+        ],
+        ids=["mixture-mc-benchmark-grid", "binary-exact-default"],
+    )
+    def test_one_least_squares_solve_per_sweep(self, monkeypatch, run, cfg):
+        # Every column of a finished sweep shares one size list, so the
+        # whole sweep's fits are one lstsq call with a right-hand side per
+        # (k, column).
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        run(cfg)
+        assert len(calls) == 1, calls
+
     def test_fit_slope_warning_names_its_caller(self):
         with pytest.warns(np.exceptions.RankWarning) as record:
             fit_slope([np.e, np.nextafter(np.e, 3)], [1.0, 2.0])
