@@ -51,9 +51,9 @@ def checkout(elements: int, dtype=np.float64) -> np.ndarray:
     released kept buffer, or of a new one when none is kept."""
     if elements < _SMALL or elements * np.dtype(dtype).itemsize > 8 * _CHUNK_ELEMENTS:
         return np.empty(elements, dtype)
-    try:
-        buf = _free.pop()  # atomic, so it needs no lock; release's check-then-append does
-    except IndexError:
+    with _lock:
+        buf = _free.pop() if _free else None
+    if buf is None:
         buf = np.empty(_CHUNK_ELEMENTS)
     return buf.view(dtype)[:elements]
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _workspace
 from .errors import DegenerateError
-from .simplex import ProbVector, _checked_int, _checked_real, _checked_vector, _is_int, _real_array
+from .simplex import ProbVector, _checked_int, _checked_probs, _checked_real, _checked_vector, _is_int, _real_array
 
 _BLOCK = 2**14  # points per block of the plug-in expectation: 128 KiB of float64
 # (fewest uniforms, most cut points) at which _choice_labels counts pass by
@@ -304,7 +304,7 @@ class GaussianMixture:
     variances: np.ndarray
 
     def __post_init__(self):
-        w = ProbVector(_checked_vector(self.weights, "weights")).probs
+        w = _checked_probs(self.weights, "weights")
         mu = _checked_vector(self.means, "means")
         var = _checked_vector(self.variances, "variances")
         if not w.size == mu.size == var.size:

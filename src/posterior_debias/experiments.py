@@ -120,7 +120,7 @@ def _fit_columns(sizes: list[float], columns: list[list[float]]) -> list[SlopeFi
         squares += v * v
     scale, unit = math.sqrt(squares), math.sqrt(points)
     lhs = np.array([[v / scale, 1.0 / unit] for v in x])
-    parts = [y] if points <= _SHARED_SOLVE_POINTS else np.split(y, len(y))
+    parts = [y] if points <= _SHARED_SOLVE_POINTS else [y[i : i + 1] for i in range(len(y))]
     solves = [np.linalg.lstsq(lhs, part.T, points * _EPS) for part in parts]
     if solves[0][2] != 2:
         warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=3)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextvars
 import itertools
 import os
-from bisect import bisect_right
 import time
 from dataclasses import dataclass
 from math import isnan, sqrt
@@ -359,7 +358,7 @@ def outer_mc_batched(
     # row tops[i]; the zeros that pad the table are never read.
     weights = [debias_weights(k).tolist() for k in orders]
     table = np.array([w + [0.0] * (depth - len(w)) for w in weights])
-    tops = [bisect_right(orders, i) for i in range(depth)]
+    tops = [sum(k <= i for k in orders) for i in range(depth)]
     n_reps = max(reps.values())
 
     def run_span(chunk: int, lo: int, hi: int) -> list[tuple[int, float, float] | None]:
@@ -383,20 +382,18 @@ def outer_mc_batched(
         # Per run of orders that reduce the same replicates: each row's
         # row.mean() and ((row - mean) ** 2).sum(), bit for bit, as one
         # reduce per contiguous row of the block and its square made in place.
-        partials = []
-        sizes = [max(0, min(hi, reps[k]) - lo) for k in orders]
-        start = 0
-        for size, group in itertools.groupby(sizes):
-            count = len(list(group))
-            block = values[start : start + count, :size]
-            start += count
+        partials, top = [], 0
+        for size, group in itertools.groupby(max(0, min(hi, reps[k]) - lo) for k in orders):
+            block = values[top : top + len(list(group)), :size]
+            top += len(block)
             if not size:
-                partials += [None] * count
+                partials += [None] * len(block)
                 continue
             means = np.add.reduce(block, axis=1) / size
             block -= means[:, None]
             block *= block
-            partials += [(size, mean, m2) for mean, m2 in zip(means.tolist(), np.add.reduce(block, axis=1).tolist())]
+            m2s = np.add.reduce(block, axis=1)
+            partials += [(size, mean, m2) for mean, m2 in zip(means.tolist(), m2s.tolist())]
         return partials
 
     results = _drive(run_span, n_reps, _batch_rows(n), threads)

@@ -98,6 +98,18 @@ def _checked_counts(values, name: str) -> np.ndarray:
     return _frozen_array(c, np.int64)
 
 
+def _checked_probs(values, name: str) -> np.ndarray:
+    """The rule of ProbVector's entries: _checked_vector(values, name), with
+    entries >= 0 that sum to 1 within 1e-12."""
+    p = _checked_vector(values, name)
+    if (p < 0).any():
+        raise ValueError(f"negative probability entry: min={p.min()}")
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    return p
+
+
 @dataclass(frozen=True)
 class ProbVector:
     """Point on the probability simplex: entries >= 0 summing to 1 (tol 1e-12)."""
@@ -105,13 +117,7 @@ class ProbVector:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = _checked_vector(self.probs, "probs")
-        if (p < 0).any():
-            raise ValueError(f"negative probability entry: min={p.min()}")
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _checked_probs(self.probs, "probs"))
 
     @property
     def m(self) -> int:
