@@ -11,7 +11,15 @@ import numpy as np
 
 from . import _workspace
 from .errors import DegenerateError
-from .simplex import ProbVector, _checked_int, _checked_probs, _checked_real, _checked_vector, _is_int, _real_array
+from .simplex import (
+    ProbVector,
+    _checked_int,
+    _checked_probs,
+    _checked_real,
+    _checked_vector,
+    _is_int,
+    _real_array,
+)
 
 _BLOCK = 2**14  # points per block of the plug-in expectation: 128 KiB of float64
 # (fewest uniforms, most cut points) at which _choice_labels counts pass by
@@ -407,7 +415,9 @@ def mixture_posterior_tail_prob(
         except OverflowError:
             square = inf
         log_w.append(
-            (log(w) if w > 0 else -inf) - 0.5 * log(2 * pi * marginal_var) - square / (2 * marginal_var)
+            (log(w) if w > 0 else -inf)
+            - 0.5 * log(2 * pi * marginal_var)
+            - square / (2 * marginal_var)
         )
         v = 1.0 / (1.0 / s2 + 1.0 / noise_var)
         post_var.append(v)

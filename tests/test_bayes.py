@@ -653,8 +653,8 @@ class TestGaussianMixture:
     @pytest.mark.parametrize("cuts", [0, 1, 2, 3, 6, 7, 8, 32, 33, 64, 65])
     def test_choice_labels_equal_searchsorted(self, cuts, size):
         # Counting passes up to the cut count _COUNTED allows at the size,
-        # the binary search past it. A zero
-        # weight repeats the first cut, and one uniform sits on each cut.
+        # the binary search past it. A zero weight repeats the first cut,
+        # and one uniform sits on each cut.
         rng = np.random.default_rng(cuts)
         weights = rng.dirichlet(np.ones(cuts + 1))
         if cuts >= 2:
@@ -715,8 +715,9 @@ class TestGaussianMixture:
 
     @pytest.mark.parametrize("m", [33, 34, 100])
     def test_many_components_same_labels_as_choice(self, m):
-        # Past 32 cut points the labels come from a binary search over the
-        # cuts instead of one counting pass per cut: the same labels.
+        # At 5,000 uniforms the labels of up to 64 cut points come from one
+        # counting pass per cut, and past 64 from a binary search over the
+        # cuts: the same labels either way.
         weights = np.random.default_rng(m).dirichlet(np.ones(m))
         weights[::5] = 0.0
         mix = GaussianMixture(weights / weights.sum(), np.arange(m) * 0.5, np.ones(m))
